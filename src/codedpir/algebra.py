@@ -3,14 +3,20 @@
 Field elements are integers in [0, 2^w): bit i holds the coefficient of x^i
 in the polynomial basis. Addition is XOR in every binary extension field;
 products are carryless multiplications reduced by a validated irreducible
-modulus. Matrices keep raw integer entries internally so the elimination
-hot paths stay allocation free, and hand out FieldElement wrappers at the
-API boundary.
+modulus. Matrices keep raw integer entries internally and hand out
+FieldElement wrappers at the API boundary. Vectors that linear maps act on
+as a whole (payload symbols, rows under elimination) are bit-sliced into
+one int each (BitSlices), so adding two of them is one XOR.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import compress, repeat
+from operator import add, xor
 from typing import Callable, Iterable, Sequence
 
 MAX_WIDTH = 16
@@ -206,6 +212,18 @@ class FieldSpec:
             raise ValueError(f"value {value!r} outside GF(2^{self.width})")
         return value
 
+    def all_valid(self, values: Sequence) -> bool:
+        """Whether every entry of a non-empty sequence is a valid raw value.
+
+        One C-level pass per test, for the bulk checks; validate() stays the
+        per-entry path that names an offending value.
+        """
+        return (
+            all(map(isinstance, values, repeat(int)))
+            and min(values) >= 0
+            and max(values) < self.order
+        )
+
     def element(self, value: int) -> "FieldElement":
         return FieldElement(value, self)
 
@@ -213,7 +231,7 @@ class FieldSpec:
         return rng.randrange(self.order)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and self.width == other.width
             and self.modulus == other.modulus
@@ -287,6 +305,14 @@ def inv(a: FieldElement) -> FieldElement:
     return a.inverse()
 
 
+def _raw_entry(field: FieldSpec, entry) -> int:
+    if isinstance(entry, FieldElement):
+        if entry.spec != field:
+            raise FieldMismatchError("matrix entry from a different field")
+        return entry.value
+    return field.validate(entry)
+
+
 class FieldMatrix:
     """Dense matrix over one FieldSpec. Treat instances as immutable."""
 
@@ -295,14 +321,9 @@ class FieldMatrix:
     def __init__(self, field: FieldSpec, rows: Iterable[Sequence]):
         data = []
         for row in rows:
-            vals = []
-            for entry in row:
-                if isinstance(entry, FieldElement):
-                    if entry.spec != field:
-                        raise FieldMismatchError("matrix entry from a different field")
-                    vals.append(entry.value)
-                else:
-                    vals.append(field.validate(entry))
+            vals = list(row)
+            if not (vals and field.all_valid(vals)):
+                vals = [_raw_entry(field, entry) for entry in vals]
             data.append(vals)
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
@@ -313,6 +334,20 @@ class FieldMatrix:
         self.nrows = len(data)
         self.ncols = ncols
         self._rows = data
+
+    @classmethod
+    def _wrap(cls, field: FieldSpec, rows: list[list[int]]) -> "FieldMatrix":
+        """Adopt rows of valid raw values without copying or checking them.
+
+        For results computed from validated matrices; rows must be non-empty
+        lists of equal length that no one mutates afterwards.
+        """
+        m = cls.__new__(cls)
+        m.field = field
+        m.nrows = len(rows)
+        m.ncols = len(rows[0])
+        m._rows = rows
+        return m
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FieldMatrix":
@@ -338,7 +373,7 @@ class FieldMatrix:
         self._check_mate(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        return FieldMatrix(
+        return FieldMatrix._wrap(
             self.field,
             [[a ^ b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)],
         )
@@ -363,7 +398,7 @@ class FieldMatrix:
                     for j, b in enumerate(brow):
                         if b:
                             orow[j] ^= mul_fn(a, b)
-        return FieldMatrix(self.field, out)
+        return FieldMatrix._wrap(self.field, out)
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.field, [list(col) for col in zip(*self._rows)])
@@ -396,6 +431,155 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.nrows}x{self.ncols} over GF(2^{self.field.width}))"
+
+
+# Bit-sliced vectors: a length-ell vector over GF(2^w) is stored as w bit
+# planes of ell bits each, plane b holding bit b of every component (bit i
+# of plane b is bit b of component i). The planes sit side by side in one
+# Python int, plane b at bits [b*ell, (b+1)*ell). Adding vectors is then
+# one XOR, and every linear map (encoding, node responses, elimination)
+# becomes XORs of whole packed ints: the bit-matrix technique of XOR-based
+# Cauchy Reed-Solomon coding. Only BitSlices reads or writes this layout.
+
+# byte value -> b"0"/b"1" for bit b of the byte, and the reverse lookups
+_BIT_CHARS = [bytes(48 + ((v >> b) & 1) for v in range(256)) for b in range(8)]
+_CHAR_BITS = [bytes((1 << b) if v == 49 else 0 for v in range(256)) for b in range(8)]
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+class BitSlices:
+    """Bit-sliced layout of length-`ell` vectors over one field.
+
+    Packs and unpacks component sequences and applies the field's
+    multiplication to packed vectors without unpacking them.
+    """
+
+    __slots__ = (
+        "width", "ell", "_order", "_bytes_in_field", "_full", "_top", "_spread", "_column"
+    )
+
+    def __init__(self, spec: FieldSpec, ell: int):
+        self.width = spec.width
+        self.ell = ell
+        self._order = spec.order
+        self._bytes_in_field = bytes(range(min(spec.order, 256)))
+        self._full = (1 << (spec.width * ell)) - 1
+        self._top = (spec.width - 1) * ell
+        # x^w = sum of the modulus' lower terms: where the top plane lands
+        self._spread = sum(1 << (r * ell) for r in range(spec.width) if (spec.modulus >> r) & 1)
+        self._column = sum(1 << (b * ell) for b in range(spec.width))  # component 0, every plane
+
+    def pack(self, components: Sequence[int]) -> int | None:
+        """Packed form of ell components, None unless all are raw field values.
+
+        A raw value is an int in 0..2^w-1. The check runs in C: isinstance
+        over the sequence, then the byte conversion packing needs anyway
+        (w <= 8), or min and max (w > 8).
+        """
+        w, ell = self.width, self.ell
+        if not all(map(isinstance, components, repeat(int))):
+            return None
+        if not ell:
+            return 0
+        if w <= 8:
+            try:
+                raw = bytes(components)
+            except ValueError:  # outside 0..255
+                return None
+            if raw.translate(None, self._bytes_in_field):
+                return None
+            lanes = [raw[::-1]]
+        else:
+            if min(components) < 0 or max(components) >= self._order:
+                return None
+            words = array("H", components)
+            if not _LITTLE_ENDIAN:
+                words.byteswap()
+            raw = words.tobytes()
+            lanes = [raw[0::2][::-1], raw[1::2][::-1]]
+        v = 0
+        for b in range(w):
+            v |= int(lanes[b >> 3].translate(_BIT_CHARS[b & 7]), 2) << (b * ell)
+        return v
+
+    def unpack(self, v: int) -> tuple[int, ...]:
+        """Component values of a packed vector."""
+        w, ell = self.width, self.ell
+        if not ell:
+            return ()
+        plane_mask = (1 << ell) - 1
+        lanes = [0, 0]
+        for b in range(w):
+            chars = format((v >> (b * ell)) & plane_mask, f"0{ell}b").encode()[::-1]
+            lanes[b >> 3] |= int.from_bytes(chars.translate(_CHAR_BITS[b & 7]), "little")
+        if w <= 8:
+            return tuple(lanes[0].to_bytes(ell, "little"))
+        raw = bytearray(2 * ell)
+        raw[0::2] = lanes[0].to_bytes(ell, "little")
+        raw[1::2] = lanes[1].to_bytes(ell, "little")
+        words = array("H", bytes(raw))
+        if not _LITTLE_ENDIAN:
+            words.byteswap()
+        return tuple(words)
+
+    def entry(self, v: int, col: int) -> int:
+        """Component col of a packed vector."""
+        v >>= col
+        if self.width == 1:
+            return v & 1
+        return sum(((v >> (b * self.ell)) & 1) << b for b in range(self.width))
+
+    def column_mask(self, col: int) -> int:
+        """The bits of component col; `v & column_mask(col)` is 0 iff it is 0."""
+        return self._column << col
+
+    def times_x(self, v: int) -> int:
+        """The packed vector times the field element x."""
+        return ((v << self.ell) & self._full) ^ ((v >> self._top) * self._spread)
+
+    def scale(self, v: int, c: int) -> int:
+        """The packed vector times the raw field value c."""
+        acc = 0
+        while c:
+            if c & 1:
+                acc ^= v
+            c >>= 1
+            if c:
+                v = self.times_x(v)
+        return acc
+
+    def expand(self, vectors: Iterable[int]) -> list[int]:
+        """x^b times each vector, b = 0..w-1 per vector, in that order.
+
+        A raw field value c = sum of c_b x^b selects entries b of a vector's
+        run by its bits, so a combination sum_s c_s v_s of the vectors is the
+        XOR of the entries coefficient_bits() marks.
+        """
+        if self.width == 1:
+            return list(vectors)
+        out = []
+        for v in vectors:
+            for _ in range(self.width):
+                out.append(v)
+                v = self.times_x(v)
+        return out
+
+
+def coefficient_bits(width: int, coeffs: Sequence[int]) -> Sequence[int]:
+    """Selector over BitSlices.expand() output for raw coefficients."""
+    if width == 1:
+        return coeffs
+    return [(c >> b) & 1 for c in coeffs for b in range(width)]
+
+
+def combine(expanded: Sequence[int], selector: Sequence[int]) -> int:
+    """XOR of the expanded vectors a coefficient_bits() selector marks."""
+    return reduce(xor, compress(expanded, selector), 0)
+
+
+@lru_cache(maxsize=256)
+def bit_slices(spec: FieldSpec, ell: int) -> BitSlices:
+    return BitSlices(spec, ell)
 
 
 def rref(M: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
@@ -434,7 +618,7 @@ def rref(M: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
         piv += 1
         if piv == nrows:
             break
-    return FieldMatrix(f, a), len(pivots), tuple(pivots)
+    return FieldMatrix._wrap(f, a), len(pivots), tuple(pivots)
 
 
 def _rref_gf2(M: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
@@ -463,17 +647,11 @@ def _rref_gf2(M: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
         if piv == nrows:
             break
     rows = [[(m >> j) & 1 for j in range(ncols)] for m in masks]
-    return FieldMatrix(M.field, rows), len(pivots), tuple(pivots)
+    return FieldMatrix._wrap(M.field, rows), len(pivots), tuple(pivots)
 
 
 def matrix_rank(M: FieldMatrix) -> int:
     return rref(M)[1]
-
-
-def _entry_is_zero(entry) -> bool:
-    if isinstance(entry, int):
-        return entry == 0
-    return entry.is_zero()
 
 
 def solve(A: FieldMatrix, B):
@@ -482,49 +660,52 @@ def solve(A: FieldMatrix, B):
     A may be square or tall. B is either a FieldMatrix with matching row
     count, or a sequence of rows whose entries support characteristic-2
     addition via ``+`` and scaling by a raw field value via ``.scale()``
-    (storage symbols do); solving then happens component-wise over the
-    base field. Raises SingularSystemError, carrying the rank found, when
-    A is rank-deficient, and ValueError when the system is inconsistent.
+    (storage symbols do); X then comes back as a list of such rows. The
+    elimination runs on A's rows bit-sliced (see BitSlices), one kernel for
+    every field width. Raises SingularSystemError, carrying the rank found,
+    when A is rank-deficient, and ValueError when the system is inconsistent.
     """
     f = A.field
-    a = [list(r) for r in A._rows]
     nrows, ncols = A.nrows, A.ncols
-    if isinstance(B, FieldMatrix):
+    packed = isinstance(B, FieldMatrix)
+    if packed:
         if B.field != f:
             raise FieldMismatchError("right-hand side over a different field")
-        if B.nrows != nrows:
-            raise ValueError("row counts of A and B differ")
-        b = [list(r) for r in B._rows]
-        add_e = lambda x, y: x ^ y
-        scale_e = f.mul
-        wrap = lambda rows: FieldMatrix(f, rows)
+        out = bit_slices(f, B.ncols)
+        b = [out.pack(r) for r in B._rows]
+        scale_b = out.scale
     else:
         b = [list(r) for r in B]
-        if len(b) != nrows:
-            raise ValueError("row counts of A and B differ")
-        add_e = lambda x, y: x + y
-        scale_e = lambda c, x: x.scale(c)
-        wrap = lambda rows: rows
-
-    mul_fn, inv_fn = f.mul, f.inv
+        scale_b = lambda x, c: [p.scale(c) for p in x]
+    if len(b) != nrows:
+        raise ValueError("row counts of A and B differ")
+    row_slices = bit_slices(f, ncols)
+    a = [row_slices.pack(r) for r in A._rows]
+    entry, scale_a, inv_fn = row_slices.entry, row_slices.scale, f.inv
     piv = 0
     for col in range(ncols):
-        sel = next((r for r in range(piv, nrows) if a[r][col]), None)
+        mask = row_slices.column_mask(col)
+        sel = next((r for r in range(piv, nrows) if a[r] & mask), None)
         if sel is None:
             continue
         a[piv], a[sel] = a[sel], a[piv]
         b[piv], b[sel] = b[sel], b[piv]
-        c = a[piv][col]
+        c = entry(a[piv], col)
         if c != 1:
             ic = inv_fn(c)
-            a[piv] = [mul_fn(ic, x) for x in a[piv]]
-            b[piv] = [scale_e(ic, x) for x in b[piv]]
+            a[piv] = scale_a(a[piv], ic)
+            b[piv] = scale_b(b[piv], ic)
         prow_a, prow_b = a[piv], b[piv]
         for r in range(nrows):
-            if r != piv and a[r][col]:
-                m = a[r][col]
-                a[r] = [x ^ mul_fn(m, y) for x, y in zip(a[r], prow_a)]
-                b[r] = [add_e(x, scale_e(m, y)) for x, y in zip(b[r], prow_b)]
+            if r != piv and a[r] & mask:
+                c = entry(a[r], col)
+                if c == 1:
+                    a[r] ^= prow_a
+                    term = prow_b
+                else:
+                    a[r] ^= scale_a(prow_a, c)
+                    term = scale_b(prow_b, c)
+                b[r] = b[r] ^ term if packed else list(map(add, b[r], term))
         piv += 1
         if piv == nrows:
             break
@@ -532,10 +713,13 @@ def solve(A: FieldMatrix, B):
         raise SingularSystemError(
             f"coefficient matrix has rank {piv}, expected full column rank {ncols}", piv
         )
-    for r in range(ncols, nrows):
-        if any(not _entry_is_zero(x) for x in b[r]):
+    if packed:
+        if any(b[ncols:]):
             raise ValueError("inconsistent system: no solution exists")
-    return wrap([b[r] for r in range(ncols)])
+        return FieldMatrix._wrap(f, [list(out.unpack(v)) for v in b[:ncols]])
+    if any(not x.is_zero() for row in b[ncols:] for x in row):
+        raise ValueError("inconsistent system: no solution exists")
+    return b[:ncols]
 
 
 def nullspace(M: FieldMatrix) -> list[tuple[int, ...]]:

@@ -1,4 +1,4 @@
-"""Systematic storage codes, the derived erasure code, and symbol types.
+"""Systematic storage codes, the derived erasure code, and bit-sliced payload symbols.
 
 A storage code is given by its parity-check matrix H = (P | I). The derived
 code on the k message coordinates has parity-check matrix P; its erasure
@@ -16,7 +16,10 @@ from typing import Iterable, Sequence
 from .algebra import (
     FieldMatrix,
     FieldSpec,
+    bit_slices,
+    coefficient_bits,
     column_vectors,
+    combine,
     new_basis,
 )
 
@@ -38,62 +41,87 @@ class StorageSymbol:
 
     Payload symbols conceptually live in the degree-ell extension of the
     base field, but the protocol only ever adds them and scales them by
-    base-field values, so a plain coefficient vector carries everything.
+    base-field values, so a coefficient vector carries everything. It is
+    held bit-sliced in `bits` (see BitSlices); `components` is a view.
     """
 
-    __slots__ = ("spec", "components")
+    __slots__ = ("spec", "ell", "bits", "_components")
 
     def __init__(self, spec: FieldSpec, components: Iterable[int]):
         comps = tuple(components)
         if not comps:
             raise ValueError("a storage symbol needs at least one component")
-        for c in comps:
-            spec.validate(c)
+        bits = bit_slices(spec, len(comps)).pack(comps)
+        if bits is None:
+            for c in comps:
+                spec.validate(c)  # raises, naming the offending value
         self.spec = spec
-        self.components = comps
+        self.ell = len(comps)
+        self.bits = bits
+        self._components = None
+
+    @classmethod
+    def from_bits(cls, spec: FieldSpec, ell: int, bits: int) -> "StorageSymbol":
+        """A symbol from its packed planes; any int below 2^(w*ell) is valid."""
+        if ell < 1:
+            raise ValueError("a storage symbol needs at least one component")
+        if bits < 0 or bits >> (spec.width * ell):
+            raise ValueError(f"packed value does not fit {spec.width} planes of {ell} bits")
+        return cls._of(spec, ell, bits)
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, ell: int, bits: int) -> "StorageSymbol":
+        sym = cls.__new__(cls)
+        sym.spec = spec
+        sym.ell = ell
+        sym.bits = bits
+        sym._components = None
+        return sym
 
     @property
-    def ell(self) -> int:
-        return len(self.components)
+    def components(self) -> tuple[int, ...]:
+        if self._components is None:
+            self._components = bit_slices(self.spec, self.ell).unpack(self.bits)
+        return self._components
 
     def __add__(self, other: "StorageSymbol") -> "StorageSymbol":
         if not isinstance(other, StorageSymbol):
             return NotImplemented
-        if other.spec != self.spec or other.ell != self.ell:
+        if other.ell != self.ell or (other.spec is not self.spec and other.spec != self.spec):
             raise ValueError("adding symbols of different fields or lengths")
-        return StorageSymbol(self.spec, tuple(a ^ b for a, b in zip(self.components, other.components)))
+        return StorageSymbol._of(self.spec, self.ell, self.bits ^ other.bits)
 
     __sub__ = __add__  # characteristic 2
 
     def scale(self, value: int) -> "StorageSymbol":
         """Component-wise product with a raw base-field value."""
         self.spec.validate(value)
-        if value == 0:
-            return StorageSymbol(self.spec, (0,) * self.ell)
         if value == 1:
             return self
-        mul = self.spec.mul
-        return StorageSymbol(self.spec, tuple(mul(value, c) for c in self.components))
+        return StorageSymbol._of(
+            self.spec, self.ell, bit_slices(self.spec, self.ell).scale(self.bits, value)
+        )
 
     def is_zero(self) -> bool:
-        return not any(self.components)
+        return not self.bits
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, StorageSymbol)
+            and self.bits == other.bits
+            and self.ell == other.ell
             and self.spec == other.spec
-            and self.components == other.components
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.components))
+        return hash((self.spec, self.ell, self.bits))
 
     def __repr__(self) -> str:
         return f"StorageSymbol{self.components}"
 
 
 def zero_symbol(spec: FieldSpec, ell: int) -> StorageSymbol:
-    return StorageSymbol(spec, (0,) * ell)
+    return StorageSymbol.from_bits(spec, ell, 0)
 
 
 @dataclass(frozen=True)
@@ -276,9 +304,7 @@ def encode_file(code: LinearCode, X: Sequence[Sequence[StorageSymbol]]) -> list[
         raise ValueError("empty file")
     k = code.k
     field = code.field
-    mul = field.mul
     ell = None
-    out: list[list[StorageSymbol]] = []
     for row in X:
         if len(row) != k:
             raise ValueError(f"file row has {len(row)} symbols, expected k={k}")
@@ -289,17 +315,13 @@ def encode_file(code: LinearCode, X: Sequence[Sequence[StorageSymbol]]) -> list[
                 ell = sym.ell
             elif sym.ell != ell:
                 raise ValueError("file symbols have inconsistent payload lengths")
+    slices = bit_slices(field, ell)
+    selectors = [coefficient_bits(field.width, prow) for prow in code.p._rows]
+    out: list[list[StorageSymbol]] = []
+    for row in X:
+        expanded = slices.expand([sym.bits for sym in row])
         codeword = list(row)
-        for prow in code.p._rows:
-            acc = [0] * ell
-            for j, c in enumerate(prow):
-                if c == 0:
-                    continue
-                comps = row[j].components
-                if c == 1:
-                    acc = [a ^ x for a, x in zip(acc, comps)]
-                else:
-                    acc = [a ^ mul(c, x) for a, x in zip(acc, comps)]
-            codeword.append(StorageSymbol(field, acc))
+        for sel in selectors:
+            codeword.append(StorageSymbol.from_bits(field, ell, combine(expanded, sel)))
         out.append(codeword)
     return out

@@ -17,11 +17,18 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .algebra import FieldMatrix, SingularSystemError, solve
+from .algebra import (
+    FieldMatrix,
+    SingularSystemError,
+    bit_slices,
+    coefficient_bits,
+    combine,
+    solve,
+)
 from .codes import LinearCode, StorageSymbol, encode_file
-from .optimizer import EMatrix
+from .optimizer import EMatrix, cpop
 
 
 class ProtocolViolationError(RuntimeError):
@@ -77,13 +84,10 @@ class QuerySet:
         k = len(self.z)
         if not 1 <= l <= k:
             raise ValueError(f"only the first {k} nodes carry a selection block")
-        rows = []
-        for i in range(k):
-            row = [0] * self.beta
-            slot = self.z[i][l - 1]
-            if slot:
-                row[self.pi[slot] - 1] = 1
-            rows.append(row)
+        rows = [[0] * self.beta for _ in range(k)]
+        for node, i, col in _selection_offsets(k, self.beta, 1, self.pi, self.z):
+            if node == l - 1:
+                rows[i][col] = 1
         return FieldMatrix(self.u.field, rows)
 
 
@@ -161,20 +165,29 @@ def _validate_pi(pi: Sequence[int], beta: int) -> tuple[int, ...]:
     return perm
 
 
-def _selection_grids(
-    k: int, beta: int, f: int, m: int, pi: Sequence[int], z: Sequence[Sequence[int]]
-) -> list[list[list[int]] | None]:
-    """Per-node deterministic 0/1 offsets; None for parity nodes."""
-    width = beta * f
-    base = (m - 1) * beta
-    grids: list[list[list[int]] | None] = []
+def _selection_offsets(
+    k: int, beta: int, m: int, pi: Sequence[int], z: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, int, int]]:
+    """(node, row, column) of every selection 1, all 0-based.
+
+    Subquery i selecting systematic node l puts a 1 in row i of node l's
+    query, at the column of stripe pi[z[i][l]] of file m.
+    """
+    base = (m - 1) * beta - 1
     for l in range(k):
-        grid = [[0] * width for _ in range(k)]
         for i in range(k):
             slot = z[i][l]
             if slot:
-                grid[i][base + pi[slot] - 1] = 1
-        grids.append(grid)
+                yield l, i, base + pi[slot]
+
+
+def _selection_grids(
+    k: int, beta: int, f: int, m: int, pi: Sequence[int], z: Sequence[Sequence[int]]
+) -> list[list[list[int]]]:
+    """Per-systematic-node deterministic 0/1 offsets."""
+    grids = [[[0] * (beta * f) for _ in range(k)] for _ in range(k)]
+    for l, i, col in _selection_offsets(k, beta, m, pi, z):
+        grids[l][i][col] = 1
     return grids
 
 
@@ -206,22 +219,23 @@ def build_queries(
     slots = _validate_slots(e, z) if z is not None else _canonical_slots(e)
     field = code.field
     rng = random.Random(seed)
+    draw = rng.randrange
+    order = field.order
     width = beta * f
-    u_rows = [[rng.randrange(field.order) for _ in range(width)] for _ in range(k)]
-    grids = _selection_grids(k, beta, f, m, perm, slots)
-    queries = []
-    for l in range(n):
-        if l < k:
-            v = grids[l]
-            q_rows = [[uv ^ vv for uv, vv in zip(urow, vrow)] for urow, vrow in zip(u_rows, v)]
-        else:
-            q_rows = [list(urow) for urow in u_rows]
-        queries.append(FieldMatrix(field, q_rows))
+    u_rows = [[draw(order) for _ in range(width)] for _ in range(k)]
+    u = FieldMatrix._wrap(field, u_rows)
+    # the selection block puts at most one 1 per row: copy only those rows
+    q_rows = [list(u_rows) for _ in range(k)]
+    for l, i, col in _selection_offsets(k, beta, m, perm, slots):
+        row = q_rows[l][i] = u_rows[i].copy()
+        row[col] ^= 1
+    queries = [FieldMatrix._wrap(field, rows) for rows in q_rows]
+    queries.extend([u] * (n - k))  # parity nodes all get the bare mask
     return QuerySet(
         m=m,
         f=f,
         beta=beta,
-        u=FieldMatrix(field, u_rows),
+        u=u,
         q=tuple(queries),
         e=e,
         pi=perm,
@@ -236,24 +250,18 @@ def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> lis
             f"query has {q_j.ncols} columns but the node stores {len(node_column)} symbols"
         )
     field = q_j.field
+    ell = node_column[0].ell
     for sym in node_column:
         if sym.spec != field:
             raise ValueError("stored symbol over a different field than the query")
-    ell = node_column[0].ell
-    mul = field.mul
-    out = []
-    for i in range(q_j.nrows):
-        acc = [0] * ell
-        for s, coeff in enumerate(q_j._rows[i]):
-            if coeff == 0:
-                continue
-            comps = node_column[s].components
-            if coeff == 1:
-                acc = [a ^ c for a, c in zip(acc, comps)]
-            else:
-                acc = [a ^ mul(coeff, c) for a, c in zip(acc, comps)]
-        out.append(StorageSymbol(field, acc))
-    return out
+        if sym.ell != ell:
+            raise ValueError("stored symbols have inconsistent payload lengths")
+    expanded = bit_slices(field, ell).expand([sym.bits for sym in node_column])
+    width = field.width
+    return [
+        StorageSymbol.from_bits(field, ell, combine(expanded, coefficient_bits(width, row)))
+        for row in q_j._rows
+    ]
 
 
 def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
@@ -268,6 +276,36 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     )
 
 
+def _check_responses(rs: ResponseSet, code: LinearCode) -> int:
+    """Payload length shared by every response symbol; names the first misfit."""
+    k, n = code.k, code.n
+    if len(rs.responses) != n:
+        raise ProtocolViolationError(f"expected responses from {n} nodes, got {len(rs.responses)}")
+    ell = None
+    for j, resp in enumerate(rs.responses):
+        if len(resp) != k:
+            raise ProtocolViolationError(
+                f"node {j + 1}: {len(resp)} symbols for {k} subqueries"
+                + (f" (subquery {len(resp) + 1} unanswered)" if len(resp) < k else "")
+            )
+        for t, sym in enumerate(resp):
+            where = f"node {j + 1}, subquery {t + 1}"
+            if not isinstance(sym, StorageSymbol):
+                raise ProtocolViolationError(f"{where}: not a storage symbol: {sym!r}")
+            if sym.spec != code.field:
+                raise ProtocolViolationError(
+                    f"{where}: symbol over GF(2^{sym.spec.width}), the code is over "
+                    f"GF(2^{code.field.width})"
+                )
+            if ell is None:
+                ell = sym.ell
+            elif sym.ell != ell:
+                raise ProtocolViolationError(
+                    f"{where}: payload length {sym.ell}, node 1 answered with {ell}"
+                )
+    return ell
+
+
 def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[StorageSymbol]]:
     """Reconstruct the requested beta x k file matrix from the responses.
 
@@ -277,33 +315,34 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     selected nodes. That system is full-rank exactly when row t of the
     access matrix is a correctable erasure pattern. Solving it and adding
     the result to the selected responses (subtraction and addition agree in
-    characteristic 2) exposes one file symbol per selected node.
+    characteristic 2) exposes one file symbol per selected node. Responses
+    of the wrong count, length, field or payload length are rejected with
+    the node and subquery named.
     """
-    k, n = code.k, code.n
+    k = code.k
     beta = qs.beta
     if beta >= k:
         raise ProtocolViolationError(
             f"stripe count {beta} must stay below k={k}; no subquery may select every node"
         )
-    if len(rs.responses) != n:
-        raise ValueError(f"expected {n} responses, got {len(rs.responses)}")
+    ell = _check_responses(rs, code)
     field = code.field
+    slices = bit_slices(field, ell)
     p_rows = code.p._rows
+    selectors = [coefficient_bits(field.width, prow) for prow in p_rows]
+    responses = rs.responses
     grid: list[list[StorageSymbol | None]] = [[None] * k for _ in range(beta)]
     for t in range(k):
-        selected = [l for l in range(k) if qs.e.rows[t][l]]
-        selected_set = set(selected)
-        known = {l: rs.responses[l][t] for l in range(k) if l not in selected_set}
-        rhs = []
-        for r in range(n - k):
-            acc = rs.responses[k + r][t]
-            prow = p_rows[r]
-            for l, sym in known.items():
-                c = prow[l]
-                if c:
-                    acc = acc + sym.scale(c)
-            rhs.append([acc])
-        A = FieldMatrix(field, [[p_rows[r][l] for l in selected] for r in range(n - k)])
+        chosen = qs.e.rows[t]
+        selected = [l for l in range(k) if chosen[l]]
+        # unselected systematic responses are pure interference; selected
+        # positions enter the parity cancellation as zeros
+        known = slices.expand([0 if chosen[l] else responses[l][t].bits for l in range(k)])
+        rhs = [
+            [StorageSymbol.from_bits(field, ell, responses[k + r][t].bits ^ combine(known, sel))]
+            for r, sel in enumerate(selectors)
+        ]
+        A = FieldMatrix._wrap(field, [[prow[l] for l in selected] for prow in p_rows])
         try:
             interference = solve(A, rhs)
         except SingularSystemError as exc:
@@ -311,14 +350,17 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
                 f"subquery {t + 1}: interference system is singular (rank {exc.rank}); "
                 "the access pattern is not correctable or responses are inconsistent"
             ) from exc
-        for idx, l in enumerate(selected):
-            symbol = rs.responses[l][t] + interference[idx][0]
+        except ValueError as exc:
+            raise ProtocolViolationError(
+                f"subquery {t + 1}: parity responses are inconsistent with each other"
+            ) from exc
+        for l, (noise,) in zip(selected, interference):
             stripe = qs.pi[qs.z[t][l]]
             if grid[stripe - 1][l] is not None:
                 raise ProtocolViolationError(
                     f"coordinate (stripe {stripe}, column {l + 1}) recovered twice"
                 )
-            grid[stripe - 1][l] = symbol
+            grid[stripe - 1][l] = responses[l][t] + noise
     for row in grid:
         if any(sym is None for sym in row):
             raise ProtocolViolationError("recovery left gaps in the file matrix")
@@ -327,7 +369,7 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
 
 def cpop_of_run(qs: QuerySet, code: LinearCode) -> Fraction:
     """Downloaded symbols per retrieved symbol for this run (d = k)."""
-    return Fraction(code.n * code.k, qs.beta * code.k)
+    return cpop(code.n, code.k, qs.beta, code.k)
 
 
 @dataclass(frozen=True)

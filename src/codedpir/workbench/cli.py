@@ -133,8 +133,8 @@ def cmd_simulate(args) -> int:
     recovered = recover_file(qs, rs, code)
     ok = recovered == files[args.target - 1]
     theta = cpop_of_run(qs, code)
-    downloaded = code.n * code.k * args.payload
-    retrieved = beta * code.k * args.payload
+    downloaded = sum(sym.ell for resp in rs.responses for sym in resp)
+    retrieved = sum(sym.ell for row in recovered for sym in row)
     print(f"name: {cf.name}")
     print(f"beta: {beta}")
     print(f"recovered: {'ok' if ok else 'MISMATCH'}")

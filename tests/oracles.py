@@ -151,3 +151,100 @@ def min_weight_oracle(p_rows, n: int, k: int, field: TinyField) -> int:
         if w < best:
             best = w
     return best
+
+
+# -- per-component protocol maps ---------------------------------------------
+#
+# The package runs encoding, responses and recovery on bit-sliced payloads.
+# These are the same three maps written one payload component at a time,
+# on plain component tuples, with peasant multiplication.
+
+
+class PeasantField:
+    """GF(2^width) from a modulus alone: shift-and-add products, Fermat inverse."""
+
+    def __init__(self, modulus: int, width: int):
+        self.modulus, self.width = modulus, width
+
+    def mul(self, a: int, b: int) -> int:
+        return peasant_mul(a, b, self.modulus, self.width)
+
+    def inv(self, a: int) -> int:
+        assert a != 0
+        result, e = 1, (1 << self.width) - 2
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+
+def combine_components(coeffs, vectors, field) -> tuple[int, ...]:
+    """sum_s coeffs[s] * vectors[s], component by component."""
+    acc = [0] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            acc = [a ^ field.mul(c, x) for a, x in zip(acc, vec)]
+    return tuple(acc)
+
+
+def encode_oracle(p_rows, file_rows, field):
+    """Codeword rows (x | P x) of a file given as component tuples."""
+    return [list(row) + [combine_components(prow, row, field) for prow in p_rows] for row in file_rows]
+
+
+def response_oracle(q_rows, column, field):
+    """A node's answer: its query rows times its stored component tuples."""
+    return [combine_components(qrow, column, field) for qrow in q_rows]
+
+
+def solve_components(a_rows, b_rows, field):
+    """Gauss-Jordan solve of A X = B with B's entries component tuples.
+
+    A must have full column rank and the system must be consistent.
+    """
+    a = [list(r) for r in a_rows]
+    b = [list(r) for r in b_rows]
+    nrows, ncols = len(a), len(a[0])
+    piv = 0
+    for col in range(ncols):
+        sel = next((r for r in range(piv, nrows) if a[r][col]), None)
+        assert sel is not None, "rank-deficient system"
+        a[piv], a[sel] = a[sel], a[piv]
+        b[piv], b[sel] = b[sel], b[piv]
+        ic = field.inv(a[piv][col])
+        a[piv] = [field.mul(ic, x) for x in a[piv]]
+        b[piv] = [tuple(field.mul(ic, c) for c in x) for x in b[piv]]
+        for r in range(nrows):
+            if r != piv and a[r][col]:
+                m = a[r][col]
+                a[r] = [x ^ field.mul(m, y) for x, y in zip(a[r], a[piv])]
+                b[r] = [
+                    tuple(c ^ field.mul(m, d) for c, d in zip(x, y)) for x, y in zip(b[r], b[piv])
+                ]
+        piv += 1
+    assert not any(any(x) for r in b[ncols:] for x in r), "inconsistent system"
+    return b[:ncols]
+
+
+def recover_oracle(p_rows, e_rows, pi, z, beta, responses, field):
+    """The beta x k file of component tuples, from responses[node][subquery]."""
+    k = len(e_rows)
+    grid = [[None] * k for _ in range(beta)]
+    for t in range(k):
+        selected = [l for l in range(k) if e_rows[t][l]]
+        rhs = []
+        for r, prow in enumerate(p_rows):
+            acc = responses[k + r][t]
+            for l in range(k):
+                if l not in selected and prow[l]:
+                    scaled = [field.mul(prow[l], x) for x in responses[l][t]]
+                    acc = tuple(a ^ s for a, s in zip(acc, scaled))
+            rhs.append([acc])
+        a_rows = [[prow[l] for l in selected] for prow in p_rows]
+        noise = solve_components(a_rows, rhs, field)
+        for idx, l in enumerate(selected):
+            stripe = pi[z[t][l]]
+            grid[stripe - 1][l] = tuple(a ^ b for a, b in zip(responses[l][t], noise[idx][0]))
+    return grid

@@ -202,7 +202,7 @@ class TestSolve:
             solve(a, b)
         assert exc.value.rank == 1
 
-    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3, 9, 16])
     def test_random_solvable_round_trips(self, width):
         f = field_new(width)
         rng = random.Random(width + 100)

@@ -6,8 +6,10 @@ import pytest
 from codedpir import (
     EMatrix,
     FieldMatrix,
+    FieldSpec,
     OptimizerConfig,
     ProtocolViolationError,
+    ResponseSet,
     StorageSymbol,
     build_queries,
     build_storage,
@@ -24,6 +26,7 @@ from codedpir import (
 )
 
 from conftest import GF2, GF4, c1_code, make_code, random_systematic_code
+from oracles import PeasantField, encode_oracle, recover_oracle, response_oracle
 
 E1 = EMatrix(((1, 0, 1), (1, 1, 0), (0, 1, 1)), beta=2)
 PI1 = (0, 2, 1)
@@ -231,6 +234,42 @@ class TestRecovery:
         qs = build_queries(code, E1, m=1, f=1, seed=1)
         assert recover_file(qs, collect_responses(qs, arr), code) == x
 
+    def _c1_run(self, ell=4):
+        code = c1_code()
+        x = random_file(GF2, 2, 3, ell, random.Random(5))
+        qs = build_queries(code, E1, m=1, f=1, seed=6)
+        return code, qs, collect_responses(qs, build_storage(code, [x]))
+
+    def _with_node(self, rs, node, resp):
+        out = list(rs.responses)
+        out[node - 1] = tuple(resp)
+        return ResponseSet(responses=tuple(out))
+
+    def test_wrong_node_count_rejected(self):
+        code, qs, rs = self._c1_run()
+        with pytest.raises(ProtocolViolationError, match="from 5 nodes, got 4"):
+            recover_file(qs, ResponseSet(responses=rs.responses[:4]), code)
+
+    def test_truncated_response_names_node_and_subquery(self):
+        code, qs, rs = self._c1_run()
+        short = self._with_node(rs, 4, rs.responses[3][:1])
+        with pytest.raises(ProtocolViolationError, match=r"node 4: 1 symbols .*subquery 2"):
+            recover_file(qs, short, code)
+
+    def test_wrong_field_names_node_and_subquery(self):
+        code, qs, rs = self._c1_run()
+        resp = list(rs.responses[2])
+        resp[1] = StorageSymbol(GF4, resp[1].components)
+        with pytest.raises(ProtocolViolationError, match=r"node 3, subquery 2: .*GF\(2\^2\)"):
+            recover_file(qs, self._with_node(rs, 3, resp), code)
+
+    def test_wrong_payload_length_names_node_and_subquery(self):
+        code, qs, rs = self._c1_run()
+        resp = list(rs.responses[4])
+        resp[2] = zero_symbol(GF2, 5)
+        with pytest.raises(ProtocolViolationError, match=r"node 5, subquery 3: payload length 5"):
+            recover_file(qs, self._with_node(rs, 5, resp), code)
+
     def test_cpop_of_run(self):
         qs = build_queries(c1_code(), E1, m=1, f=1, seed=0)
         assert cpop_of_run(qs, c1_code()) == Fraction(5, 2)
@@ -299,3 +338,46 @@ class TestPrivacy:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             verify_privacy(c1_code(), E1, f=1, trials=0, seed=0)
+
+
+class TestWidthCoverage:
+    """The bit-sliced path against the per-component oracles, every width."""
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_packed_path_matches_oracle(self, width):
+        field = FieldSpec(width)
+        oracle = PeasantField(field.modulus, width)
+        rng = random.Random(4000 + width)
+        code = random_systematic_code(rng, field, n_lo=4, n_hi=8, oracle_cap_bits=10**6)
+        e = optimize_cpop(code, OptimizerConfig(seed=width)).e_opt
+        p_rows = code.p.values()
+        for ell in (1, 3, 64, 65):
+            f = 2
+            m = rng.randint(1, f)
+            files = [random_file(field, e.beta, code.k, ell, rng) for _ in range(f)]
+            comps = [[[s.components for s in row] for row in x] for x in files]
+            for s in files[0][0]:  # plane b, bit i = bit b of component i
+                assert all(
+                    (s.bits >> (b * ell + i)) & 1 == (c >> b) & 1
+                    for b in range(width)
+                    for i, c in enumerate(s.components)
+                )
+            c = rng.randrange(1, field.order)
+            scaled = files[0][0][0].scale(c).components
+            assert scaled == tuple(oracle.mul(c, v) for v in comps[0][0][0])
+
+            arr = build_storage(code, files)
+            stored = [[s.components for s in row] for row in arr.rows]
+            assert stored == [row for x in comps for row in encode_oracle(p_rows, x, oracle)]
+
+            qs = build_queries(code, e, m=m, f=f, seed=rng.randrange(10**6))
+            rs = collect_responses(qs, arr)
+            answers = [[s.components for s in resp] for resp in rs.responses]
+            for j in range(code.n):
+                column = [row[j] for row in stored]
+                assert answers[j] == response_oracle(qs.q[j].values(), column, oracle)
+
+            got = recover_file(qs, rs, code)
+            expected = recover_oracle(p_rows, e.rows, qs.pi, qs.z, e.beta, answers, oracle)
+            assert [[s.components for s in row] for row in got] == expected == comps[m - 1]
+            assert got == files[m - 1]
