@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, repeat
-from operator import add, xor
+from operator import xor
 from typing import Callable, Iterable, Sequence
 
 MAX_WIDTH = 16
@@ -53,6 +53,10 @@ class ReducibleModulusError(ValueError):
 
 class FieldMismatchError(ValueError):
     """Two operands belong to different field specs."""
+
+
+class RightHandSideError(ValueError):
+    """solve() got symbol rows of mixed types, fields, payload lengths or widths."""
 
 
 class SingularSystemError(ValueError):
@@ -658,12 +662,13 @@ def solve(A: FieldMatrix, B):
     """Solve A X = B for X, requiring A to have full column rank.
 
     A may be square or tall. B is either a FieldMatrix with matching row
-    count, or a sequence of rows whose entries support characteristic-2
-    addition via ``+`` and scaling by a raw field value via ``.scale()``
-    (storage symbols do); X then comes back as a list of such rows. The
-    elimination runs on A's rows bit-sliced (see BitSlices), one kernel for
-    every field width. Raises SingularSystemError, carrying the rank found,
-    when A is rank-deficient, and ValueError when the system is inconsistent.
+    count, or a sequence of rows of storage symbols over A's field, all of
+    one payload length; X then comes back as a list of rows of symbols.
+    The elimination runs bit-sliced (see BitSlices) on A's rows and on B's
+    packed rows or symbol payloads, one kernel for every field width.
+    Raises SingularSystemError, carrying the rank found, when A is
+    rank-deficient, RightHandSideError when symbol rows do not fit, and
+    ValueError when the system is inconsistent.
     """
     f = A.field
     nrows, ncols = A.nrows, A.ncols
@@ -675,8 +680,9 @@ def solve(A: FieldMatrix, B):
         b = [out.pack(r) for r in B._rows]
         scale_b = out.scale
     else:
-        b = [list(r) for r in B]
-        scale_b = lambda x, c: [p.scale(c) for p in x]
+        b, ell = _symbol_payloads(f, B)
+        payload = bit_slices(f, ell)
+        scale_b = lambda x, c: [payload.scale(v, c) for v in x]
     if len(b) != nrows:
         raise ValueError("row counts of A and B differ")
     row_slices = bit_slices(f, ncols)
@@ -705,7 +711,7 @@ def solve(A: FieldMatrix, B):
                 else:
                     a[r] ^= scale_a(prow_a, c)
                     term = scale_b(prow_b, c)
-                b[r] = b[r] ^ term if packed else list(map(add, b[r], term))
+                b[r] = b[r] ^ term if packed else list(map(xor, b[r], term))
         piv += 1
         if piv == nrows:
             break
@@ -717,9 +723,43 @@ def solve(A: FieldMatrix, B):
         if any(b[ncols:]):
             raise ValueError("inconsistent system: no solution exists")
         return FieldMatrix._wrap(f, [list(out.unpack(v)) for v in b[:ncols]])
-    if any(not x.is_zero() for row in b[ncols:] for x in row):
+    if any(any(row) for row in b[ncols:]):
         raise ValueError("inconsistent system: no solution exists")
-    return b[:ncols]
+    from .codes import StorageSymbol
+
+    return [[StorageSymbol._of(f, ell, v) for v in row] for row in b[:ncols]]
+
+
+def _symbol_payloads(field: FieldSpec, rows) -> tuple[list[list[int]], int]:
+    """The packed payloads of rows of storage symbols, and their length.
+
+    Every entry must be a StorageSymbol over `field`, every payload of one
+    length and every row of one width; RightHandSideError names the first
+    entry that is not.
+    """
+    from .codes import StorageSymbol
+
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        raise RightHandSideError("right-hand side needs at least one row and one symbol")
+    width, ell = len(rows[0]), None
+    for i, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise RightHandSideError(
+                f"right-hand side row {i} has {len(row)} symbols, row 1 has {width}"
+            )
+        for j, sym in enumerate(row, 1):
+            if not isinstance(sym, StorageSymbol):
+                problem = f"is a {type(sym).__name__}, not a StorageSymbol"
+            elif sym.spec is not field and sym.spec != field:
+                problem = f"is over {sym.spec!r}, not {field!r}"
+            elif ell is None or sym.ell == ell:
+                ell = sym.ell
+                continue
+            else:
+                problem = f"has payload length {sym.ell}, entry (1, 1) {ell}"
+            raise RightHandSideError(f"right-hand side entry ({i}, {j}) {problem}")
+    return [[sym.bits for sym in row] for row in rows], ell
 
 
 def nullspace(M: FieldMatrix) -> list[tuple[int, ...]]:

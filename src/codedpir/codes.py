@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -124,6 +126,15 @@ def zero_symbol(spec: FieldSpec, ell: int) -> StorageSymbol:
     return StorageSymbol.from_bits(spec, ell, 0)
 
 
+# format(mask, "b") characters -> 0/1 bytes
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_bytes(mask: int, length: int) -> bytes:
+    """A support mask below 2^length as 0/1 bytes, byte j for position j."""
+    return format(mask, f"0{length}b").encode().translate(_BIT_BYTES)
+
+
 @dataclass(frozen=True)
 class ErasurePattern:
     """Length-k binary vector; ones mark erased (accessed) coordinates."""
@@ -143,9 +154,29 @@ class ErasurePattern:
             bits[j] = 1
         return cls(tuple(bits))
 
+    @classmethod
+    def _of(cls, mask: int, length: int) -> "ErasurePattern":
+        """The pattern of a support mask below 2^length, built unchecked."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "bits", tuple(_mask_bytes(mask, length)))
+        p.__dict__["mask"] = mask
+        return p
+
     @cached_property
+    def mask(self) -> int:
+        """The support mask: position j of a length-k pattern is bit k-1-j.
+
+        Reading the bits in position order as a binary numeral makes masks
+        sort in the order of their bit tuples.
+        """
+        m = 0
+        for b in self.bits:
+            m = m << 1 | (1 if b else 0)
+        return m
+
+    @property
     def weight(self) -> int:
-        return sum(self.bits)
+        return self.bits.count(1)
 
     def support(self) -> tuple[int, ...]:
         return tuple(j for j, b in enumerate(self.bits) if b)
@@ -227,6 +258,50 @@ class DerivedCode:
         """Fresh elimination basis matching _column_reps' representation."""
         return new_basis(self.field)
 
+    @cached_property
+    def _reduced_columns(self) -> tuple[list[int], int, int]:
+        """GF(2) view of rref(P): its columns as bitmasks (bit i = row i),
+        the support mask of its pivot columns, and rank(P)."""
+        from .algebra import rref
+
+        R, rank, pivots = rref(self.h_tilde)
+        k = self.n_tilde
+        return column_vectors(R), sum(1 << (k - 1 - j) for j in pivots), rank
+
+    def independent(self, support: int) -> bool:
+        """Whether the columns of P a support mask marks are linearly
+        independent (see ErasurePattern.mask for the bit order).
+
+        Over GF(2) the test runs on rref(P), whose columns have the same
+        dependencies as P's. Its pivot columns are distinct unit vectors,
+        independent among themselves and spanning exactly the rows they
+        mark, so the support is independent iff its non-pivot columns, with
+        those rows masked off, are. Wider fields insert P's columns into a
+        FieldBasis.
+        """
+        k = self.n_tilde
+        if self.field.width != 1:
+            basis = self.column_basis()
+            for col in compress(self._column_reps, _mask_bytes(support, k)):
+                if basis.insert(col) is None:
+                    return False
+            return True
+        cols, pivot_cols, rank = self._reduced_columns
+        keep = ~reduce(or_, compress(cols, _mask_bytes(support & pivot_cols, k)), 0)
+        table = [0] * (rank + 1)  # table[b]: the kept vector of bit length b
+        for v in compress(cols, _mask_bytes(support & ~pivot_cols, k)):
+            v &= keep
+            while v:
+                b = v.bit_length()
+                row = table[b]
+                if not row:
+                    table[b] = v
+                    break
+                v ^= row
+            else:
+                return False
+        return True
+
 
 def derived_code(code: LinearCode, d_tilde_min: int | None = None) -> DerivedCode:
     return DerivedCode(
@@ -285,12 +360,7 @@ def is_ml_correctable(derived: DerivedCode, pattern: ErasurePattern) -> bool:
         raise ValueError(
             f"pattern length {len(pattern)} does not match code length {derived.n_tilde}"
         )
-    cols = derived._column_reps
-    basis = derived.column_basis()
-    for j in pattern.support():
-        if basis.insert(cols[j]) is None:
-            return False
-    return True
+    return derived.independent(pattern.mask)
 
 
 def encode_file(code: LinearCode, X: Sequence[Sequence[StorageSymbol]]) -> list[list[StorageSymbol]]:

@@ -22,11 +22,11 @@ from .codes import (
     DerivedCode,
     ErasurePattern,
     LinearCode,
+    _mask_bytes,
     derived_code,
     is_ml_correctable,
     min_distance,
 )
-from .algebra import rref
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,10 @@ class PatternList:
                 raise ValueError("pattern list mixes weights")
 
 
+def _patterns_of(masks, k: int) -> frozenset[ErasurePattern]:
+    return frozenset(ErasurePattern._of(m, k) for m in masks)
+
+
 def compute_erasure_pattern_list(
     derived: DerivedCode,
     beta: int,
@@ -85,62 +89,77 @@ def compute_erasure_pattern_list(
     Exhaustive mode walks every linearly independent beta-subset of the
     parity-check columns, which equals filtering all C(k, beta) patterns
     through the correctability test. Randomized mode runs up to `budget`
-    rounds of: permute the columns at random, row-reduce, pick beta of the
-    leading-one columns (an independent set by construction), map them back
-    through the permutation, then keep every correctable cyclic shift of
-    the resulting pattern. An empty list is a valid result.
+    rounds of: permute the columns at random, take the leading-one columns
+    of the permuted matrix's reduced row echelon form, pick beta of them (an
+    independent set by construction), map them back through the
+    permutation, then keep every correctable cyclic shift of the resulting
+    pattern. The leading-one columns of a column-permuted matrix are its
+    greedy independent prefix, so a round inserts the columns into an
+    elimination basis in permuted order instead of row-reducing. Patterns
+    stay support masks until the list is built. An empty list is a valid
+    result.
     """
     k = derived.n_tilde
     if not 1 <= beta <= k:
         raise ValueError(f"beta must be in 1..{k}, got {beta}")
+    if mode not in ("exhaustive", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}")
     rank = k - derived.k_tilde
     if beta > rank:
         # no beta columns can be independent; this emptiness is proven
         return PatternList(frozenset(), beta, exhaustive=True)
 
+    cols = derived._column_reps
     if mode == "exhaustive":
-        cols = derived._column_reps
         basis = derived.column_basis()
-        found: list[tuple[int, ...]] = []
-        chosen: list[int] = []
+        found: list[int] = []
 
-        def walk(start: int) -> None:
-            if len(chosen) == beta:
-                found.append(tuple(chosen))
+        def walk(start: int, depth: int, mask: int) -> None:
+            if depth == beta:
+                found.append(mask)
                 return
-            last = k - (beta - len(chosen))
-            for j in range(start, last + 1):
+            for j in range(start, k - (beta - depth) + 1):
                 lead = basis.insert(cols[j])
                 if lead is not None:
-                    chosen.append(j)
-                    walk(j + 1)
-                    chosen.pop()
+                    walk(j + 1, depth + 1, mask | top >> j)
                     basis.discard(lead)
 
-        walk(0)
-        patterns = frozenset(ErasurePattern.from_support(k, s) for s in found)
-        return PatternList(patterns, beta, exhaustive=True)
-
-    if mode != "randomized":
-        raise ValueError(f"unknown mode {mode!r}")
+        top = 1 << (k - 1)  # position 0
+        walk(0, 0, 0)
+        return PatternList(_patterns_of(found, k), beta, exhaustive=True)
 
     rng = random.Random(seed)
-    h = derived.h_tilde
-    found_set: set[ErasurePattern] = set()
+    independent = derived.independent
+    full = (1 << k) - 1
+    seen: set[int] = set()
+    found = []
     for _ in range(budget):
         perm = list(range(k))
         rng.shuffle(perm)
-        permuted = h.submatrix(None, perm)
-        _, _, pivots = rref(permuted)
-        support = sorted(perm[j] for j in rng.sample(pivots, beta))
-        base = ErasurePattern.from_support(k, support)
+        basis = derived.column_basis()
+        # the permuted matrix's pivots, already mapped back to columns of P;
+        # sample() picks by position, so it draws the same columns either way
+        pivots: list[int] = []
+        for j in perm:
+            if basis.insert(cols[j]) is not None:
+                pivots.append(j)
+                if len(pivots) == rank:
+                    break
+        base = 0
+        for j in rng.sample(pivots, beta):
+            base |= 1 << (k - 1 - j)
         for s in range(k):
-            cand = base.shifted(s)
-            if cand in found_set:
-                continue
-            if is_ml_correctable(derived, cand):
-                found_set.add(cand)
-    return PatternList(frozenset(found_set), beta, exhaustive=False)
+            cand = _rotate(base, s, k, full)
+            if cand not in seen:
+                seen.add(cand)
+                if independent(cand):
+                    found.append(cand)
+    return PatternList(_patterns_of(found, k), beta, exhaustive=False)
+
+
+def _rotate(mask: int, s: int, k: int, full: int) -> int:
+    """Cyclic shift of a support mask moving position j to (j + s) mod k."""
+    return ((mask >> s) | (mask << (k - s))) & full
 
 
 class _BudgetExhausted(Exception):
@@ -148,8 +167,8 @@ class _BudgetExhausted(Exception):
 
 
 def _exact_regular_subset(
-    rows: Sequence[tuple[int, ...]], k: int, beta: int, budget: int
-) -> list[tuple[int, ...]] | None:
+    rows: Sequence[int], k: int, beta: int, budget: int
+) -> list[int] | None:
     """Depth-first search for k distinct rows with every column sum beta.
 
     Rows are scanned in the given order with a take/skip branch per row.
@@ -161,7 +180,7 @@ def _exact_regular_subset(
     n_rows = len(rows)
     if n_rows < k:
         return None
-    supports = [tuple(j for j, b in enumerate(r) if b) for r in rows]
+    supports = [tuple(j for j, b in enumerate(_mask_bytes(r, k)) if b) for r in rows]
     # suffix[i][j] = number of rows from index i on with a one in column j
     suffix = [[0] * k for _ in range(n_rows + 1)]
     for i in range(n_rows - 1, -1, -1):
@@ -208,7 +227,7 @@ def _exact_regular_subset(
 
 
 def _search_matrix(
-    patterns: Sequence[tuple[int, ...]],
+    patterns: Sequence[int],
     k: int,
     beta: int,
     exact_budget: int,
@@ -218,9 +237,10 @@ def _search_matrix(
 ) -> tuple[EMatrix | None, bool]:
     """Core of compute_matrix; also reports whether the search was complete.
 
-    The second return value is True only when infeasibility (or the found
-    solution) is proven: the exact search ran on the full pattern list and
-    finished within budget.
+    Patterns are length-k support masks (see ErasurePattern.mask), which
+    sort in the order of their bit tuples. The second return value is True
+    only when infeasibility (or the found solution) is proven: the exact
+    search ran on the full pattern list and finished within budget.
     """
     rows = sorted(set(patterns))
     if not rows:
@@ -228,10 +248,11 @@ def _search_matrix(
     # circulant shortcut: a pattern whose k cyclic shifts are all distinct
     # and all present yields a regular matrix immediately
     row_set = set(rows)
+    full = (1 << k) - 1
     for p in rows:
-        shifts = [p[-s:] + p[:-s] if s else p for s in range(k)]
+        shifts = [_rotate(p, s, k, full) for s in range(k)]
         if len(set(shifts)) == k and all(s in row_set for s in shifts):
-            return EMatrix(tuple(shifts), beta), True
+            return _e_matrix(shifts, k, beta), True
 
     if len(rows) <= subset_threshold:
         try:
@@ -239,7 +260,7 @@ def _search_matrix(
         except _BudgetExhausted:
             return None, False
         if sol is not None:
-            return EMatrix(tuple(sol), beta), True
+            return _e_matrix(sol, k, beta), True
         return None, True
 
     rng = random.Random(seed)
@@ -252,8 +273,12 @@ def _search_matrix(
         except _BudgetExhausted:
             sol = None
         if sol is not None:
-            return EMatrix(tuple(sol), beta), False
+            return _e_matrix(sol, k, beta), False
     return None, False
+
+
+def _e_matrix(masks: Sequence[int], k: int, beta: int) -> EMatrix:
+    return EMatrix(tuple(tuple(_mask_bytes(m, k)) for m in masks), beta)
 
 
 def compute_matrix(
@@ -271,11 +296,11 @@ def compute_matrix(
     backtracking over several random subsets. Returns None when nothing is
     found within budget; that is a valid "infeasible or unknown" outcome.
     """
-    pats = [p.bits for p in L.patterns]
-    if not pats:
+    if not L.patterns:
         return None
-    if any(len(p) != k for p in pats):
+    if any(len(p) != k for p in L.patterns):
         raise ValueError("pattern length does not match k")
+    pats = [p.mask for p in L.patterns]
     found, _ = _search_matrix(
         pats, k, L.beta, exact_budget, seed, subset_threshold, subset_tries
     )
@@ -360,7 +385,7 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
         if not L.exhaustive:
             exhaustive = False
         if L.patterns:
-            pats = [p.bits for p in L.patterns]
+            pats = [p.mask for p in L.patterns]
             E, complete = _search_matrix(
                 pats, k, beta, cfg.exact_budget, iter_seed, cfg.subset_threshold, cfg.subset_tries
             )

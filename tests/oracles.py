@@ -8,6 +8,7 @@ and plain enumeration. Slow but obviously correct.
 from __future__ import annotations
 
 import itertools
+import random
 
 # GF(4) with modulus x^2 + x + 1: elements 0..3
 _GF4_MUL = {
@@ -248,3 +249,83 @@ def recover_oracle(p_rows, e_rows, pi, z, beta, responses, field):
             stripe = pi[z[t][l]]
             grid[stripe - 1][l] = tuple(a ^ b for a, b in zip(responses[l][t], noise[idx][0]))
     return grid
+
+
+# -- randomized pattern listing ----------------------------------------------
+#
+# The package lists patterns on support masks, with greedy pivot insertion
+# and a reduced-column independence test. This is the same listing written
+# the direct way: a full row reduction of the column-permuted parity-check
+# matrix per round, and a fresh rank computation per cyclic shift, on plain
+# rows.
+
+
+def _gf2_rank(vectors) -> int:
+    """Rank of GF(2) vectors given as bitmask ints."""
+    rows: list[int] = []
+    for v in vectors:
+        for r in rows:
+            v = min(v, v ^ r)
+        if v:
+            rows.append(v)
+            rows.sort(reverse=True)
+    return len(rows)
+
+
+def column_rank(p_rows, support, field: TinyField) -> int:
+    """Rank of the columns of P that `support` lists."""
+    if field.order == 2:
+        return _gf2_rank(support_mask([row[j] for row in p_rows]) for j in support)
+    sub = [[row[j] for j in support] for row in p_rows]
+    return len(pivot_columns(sub, field)) if support else 0
+
+
+def pivot_columns(rows, field: TinyField) -> list[int]:
+    """Leading-one columns of the reduced row echelon form, in order."""
+    a = [list(r) for r in rows]
+    nr, nc = len(a), len(a[0])
+    pivots = []
+    piv = 0
+    for col in range(nc):
+        sel = next((r for r in range(piv, nr) if a[r][col]), None)
+        if sel is None:
+            continue
+        a[piv], a[sel] = a[sel], a[piv]
+        ic = field.inv(a[piv][col])
+        a[piv] = [field.mul(ic, x) for x in a[piv]]
+        for r in range(nr):
+            if r != piv and a[r][col]:
+                m = a[r][col]
+                a[r] = [x ^ field.mul(m, y) for x, y in zip(a[r], a[piv])]
+        pivots.append(col)
+        piv += 1
+        if piv == nr:
+            break
+    return pivots
+
+
+def randomized_listing_oracle(p_rows, field: TinyField, beta, budget, seed) -> set[tuple]:
+    """Weight-beta correctable patterns found by `budget` seeded rounds.
+
+    Each round shuffles the columns, row-reduces the permuted matrix, draws
+    beta of its pivot columns, and keeps every cyclic shift of that pattern
+    whose columns have full rank. The random calls (one shuffle, one
+    sample per round) match the package's listing.
+    """
+    k = len(p_rows[0])
+    rng = random.Random(seed)
+    found: set[tuple] = set()
+    for _ in range(budget):
+        perm = list(range(k))
+        rng.shuffle(perm)
+        pivots = pivot_columns([[row[j] for j in perm] for row in p_rows], field)
+        support = {perm[j] for j in rng.sample(pivots, beta)}
+        base = tuple(1 if j in support else 0 for j in range(k))
+        for s in range(k):
+            cand = base[-s:] + base[:-s] if s else base
+            if cand in found:
+                continue
+            chosen = [j for j in range(k) if cand[j]]
+            if column_rank(p_rows, chosen, field) == beta:
+                found.add(cand)
+    return found

@@ -10,6 +10,7 @@ from codedpir.algebra import (
     FieldMismatchError,
     FieldSpec,
     ReducibleModulusError,
+    RightHandSideError,
     SingularSystemError,
     field_new,
     matrix_rank,
@@ -240,6 +241,22 @@ class TestSolve:
             assert tuple(r[0].components[comp] for r in x) == tuple(
                 r[0] for r in scalar.values()
             )
+
+    def test_symbol_rows_must_fit(self):
+        from codedpir.codes import StorageSymbol
+
+        f = field_new(3)
+        a = FieldMatrix(f, [[1, 1], [0, 1]])
+        sym = StorageSymbol(f, (3, 5))
+        cases = {
+            r"entry \(2, 1\) is a int": [[sym], [4]],
+            r"entry \(2, 1\) is over": [[sym], [StorageSymbol(field_new(2), (1, 2))]],
+            r"entry \(2, 1\) has payload length 3": [[sym], [StorageSymbol(f, (1, 2, 3))]],
+            r"row 2 has 2 symbols": [[sym], [sym, sym]],
+        }
+        for message, b in cases.items():
+            with pytest.raises(RightHandSideError, match=message):
+                solve(a, b)
 
 
 class TestNullspace:

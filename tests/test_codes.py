@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedpir import (
     ErasurePattern,
@@ -18,9 +20,21 @@ from codedpir import (
     zero_symbol,
 )
 
-from conftest import GF2, GF4, GF8, c1_code, make_code, mds53_code, random_systematic_code
+from codedpir.workbench import parse_code_file
+
+from conftest import (
+    FIXTURES_DIR,
+    GF2,
+    GF4,
+    GF8,
+    c1_code,
+    make_code,
+    mds53_code,
+    random_systematic_code,
+)
 from oracles import (
     TinyField,
+    column_rank,
     ml_correctable_oracle,
     min_weight_oracle,
     nullspace_vectors,
@@ -141,6 +155,33 @@ class TestMlCorrectable:
                         assert is_ml_correctable(
                             d, ErasurePattern.from_support(code.k, sup)
                         )
+
+    C7 = parse_code_file(FIXTURES_DIR / "c7_array.pchk").code
+    C7_ROWS = [list(r) for r in C7.p.values()]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_agrees_with_oracle_rank_at_fixture_size(self, data):
+        # every width from 1 to rank(P) + 1 on the (187,121) array code,
+        # half the draws made dependent on purpose by swapping in a column
+        # from the span of the others (none exists below d_tilde = 16)
+        code, rows, gf2 = self.C7, self.C7_ROWS, TinyField(2)
+        k, rank = code.k, code.parity_rank
+        beta = data.draw(st.integers(1, rank + 1), label="beta")
+        support = data.draw(st.permutations(range(k)), label="order")[:beta]
+        if beta >= 2 and data.draw(st.booleans(), label="make dependent"):
+            others = support[:-1]
+            base = column_rank(rows, others, gf2)
+            in_span = [
+                j for j in range(k)
+                if j not in others and column_rank(rows, others + [j], gf2) == base
+            ]
+            if in_span:
+                support = others + [data.draw(st.sampled_from(in_span), label="span column")]
+                assert column_rank(rows, support, gf2) < beta
+        expected = column_rank(rows, support, gf2) == beta
+        pattern = ErasurePattern.from_support(k, support)
+        assert is_ml_correctable(derived_code(code), pattern) == expected
 
     def test_code_distance_never_exceeds_derived_distance(self):
         rng = random.Random(6)

@@ -22,8 +22,18 @@ from codedpir import (
     theta_bounds,
 )
 from codedpir.optimizer import _search_matrix
+from codedpir.workbench import parse_code_file
 
-from conftest import GF2, GF8, c1_code, make_code, mds53_code, random_systematic_code
+from conftest import (
+    FIXTURES_DIR,
+    GF2,
+    GF8,
+    c1_code,
+    make_code,
+    mds53_code,
+    random_systematic_code,
+)
+from oracles import TinyField, randomized_listing_oracle
 
 
 def all_patterns(k, beta):
@@ -96,6 +106,14 @@ class TestPatternList:
         assert pl.patterns == frozenset()
         assert pl.exhaustive
 
+    def test_unknown_mode_rejected_even_above_rank(self):
+        # above rank(P) the list is provably empty, but only for a real mode
+        d = derived_code(c1_code())
+        with pytest.raises(ValueError, match="unknown mode"):
+            compute_erasure_pattern_list(d, 3, mode="bogus")
+        with pytest.raises(ValueError, match="unknown mode"):
+            compute_erasure_pattern_list(d, 2, mode="bogus")
+
     def test_bad_beta(self):
         d = derived_code(c1_code())
         with pytest.raises(ValueError):
@@ -108,6 +126,33 @@ class TestPatternList:
             PatternList(
                 frozenset({ErasurePattern((1, 0)), ErasurePattern((1, 1))}), 1, True
             )
+
+
+class TestListingOracle:
+    """Randomized listing against the row-reduce-per-round oracle."""
+
+    @pytest.mark.parametrize("name", ["c6_array", "c7_array"])
+    def test_fixture_widths_match_oracle(self, name):
+        cf = parse_code_file(FIXTURES_DIR / f"{name}.pchk")
+        d = derived_code(cf.code)
+        rows = [list(r) for r in cf.code.p.values()]
+        low, rank = cf.d_tilde_min_hint - 1, cf.code.parity_rank
+        for beta in (low, (low + rank) // 2, rank):
+            seed = 1_000_003 + beta
+            got = compute_erasure_pattern_list(d, beta, "randomized", budget=4, seed=seed)
+            expected = randomized_listing_oracle(rows, TinyField(2), beta, 4, seed)
+            assert expected
+            assert {p.bits for p in got.patterns} == expected
+
+    def test_gf4_code_forced_randomized_matches_oracle(self, code_corpus):
+        code = next(c for c in code_corpus[100:] if c.parity_rank >= 3)
+        d = derived_code(code)
+        rows = [list(r) for r in code.p.values()]
+        for beta in range(1, code.parity_rank + 1):
+            got = compute_erasure_pattern_list(d, beta, "randomized", budget=4, seed=beta)
+            expected = randomized_listing_oracle(rows, TinyField(4), beta, 4, beta)
+            assert expected
+            assert {p.bits for p in got.patterns} == expected
 
 
 class TestComputeMatrix:
@@ -131,6 +176,7 @@ class TestComputeMatrix:
     def test_budget_exhaustion_reported_incomplete(self):
         # no full shift orbit here, so the exact search must actually run
         rows = [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1)]
+        rows = [ErasurePattern(r).mask for r in rows]
         found, complete = _search_matrix(rows, 4, 2, exact_budget=1, seed=0,
                                          subset_threshold=100, subset_tries=2)
         assert found is None and not complete
@@ -139,7 +185,8 @@ class TestComputeMatrix:
         assert found is not None and complete
 
     def test_too_few_rows_is_proven_infeasible(self):
-        found, complete = _search_matrix([(1, 0, 1), (0, 1, 1)], 3, 2, exact_budget=1,
+        rows = [ErasurePattern(r).mask for r in [(1, 0, 1), (0, 1, 1)]]
+        found, complete = _search_matrix(rows, 3, 2, exact_budget=1,
                                          seed=0, subset_threshold=100, subset_tries=2)
         assert found is None and complete
 

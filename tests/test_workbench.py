@@ -15,7 +15,9 @@ from codedpir.workbench import (
 )
 from codedpir.workbench.cli import main
 
-from conftest import FIXTURES_DIR, c1_code
+from conftest import FIXTURES_DIR, TESTS_DIR, c1_code
+
+GOLDEN_DIR = TESTS_DIR / "golden"
 
 
 class TestCodeFileParsing:
@@ -191,3 +193,20 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", str(fixture_path("c1.pchk"))])
         assert exc.value.code == 2
+
+
+class TestGoldenOutputs:
+    """CLI output at fixed seeds, byte for byte against committed files."""
+
+    def test_table_tsv_over_the_fixtures(self, capsys):
+        names = ("c2like", "c3like", "c4like", "c5like", "c6_array", "c7_array")
+        paths = [str(FIXTURES_DIR / f"{name}.pchk") for name in names]
+        assert main(["table", *paths, "--seed", "7", "--format", "tsv"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / "table_seed7.tsv").read_bytes()
+
+    def test_optimize_writes_the_c6_matrix(self, tmp_path, capsys):
+        out = tmp_path / "e.txt"
+        args = ["optimize", str(FIXTURES_DIR / "c6_array.pchk"), "--seed", "7", "--out", str(out)]
+        assert main(args) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "c6_array_seed7_e.txt").read_bytes()
