@@ -2,9 +2,10 @@
 
 Field elements are integers in [0, 2^w): bit i holds the coefficient of x^i
 in the polynomial basis. Addition is XOR in every binary extension field;
-products are carryless multiplications reduced by a validated irreducible
-modulus. Matrices keep raw integer entries internally and hand out
-FieldElement wrappers at the API boundary. Vectors that linear maps act on
+products and inverses are lookups in one log/antilog table pair per field,
+built from a validated irreducible modulus and shared by every spec of it.
+Matrices keep raw integer entries internally and hand out FieldElement
+wrappers at the API boundary. Vectors that linear maps act on
 as a whole (payload symbols, rows under elimination) are bit-sliced into
 one int each (BitSlices), so adding two of them is one XOR.
 """
@@ -20,10 +21,6 @@ from operator import xor
 from typing import Callable, Iterable, Sequence
 
 MAX_WIDTH = 16
-
-# Widths up to this bound get log/antilog multiplication tables; wider
-# fields multiply carrylessly and reduce on every call.
-_TABLE_WIDTH = 8
 
 # Conventional irreducible polynomials, one per width, so that runs are
 # reproducible when no modulus is supplied. Bit i is the coefficient of x^i.
@@ -104,15 +101,85 @@ def smallest_factor(p: int) -> int | None:
     return None
 
 
+def _raw_mul(a: int, b: int, modulus: int) -> int:
+    """Shift-and-add product of two raw values, reduced as it goes."""
+    top = 1 << poly_degree(modulus)
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return acc
+
+
+def _raw_pow(a: int, e: int, modulus: int) -> int:
+    result = 1
+    while e:
+        if e & 1:
+            result = _raw_mul(result, a, modulus)
+        a = _raw_mul(a, a, modulus)
+        e >>= 1
+    return result
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _log_tables(width: int, modulus: int) -> tuple[array, array]:
+    """Antilog and log tables of GF(2^width) under an irreducible modulus.
+
+    exp[i] = g^i for a generator g, stored twice over (2^w - 1 entries
+    each) so that exp[log[a] + log[b]] needs no reduction; log[exp[i]] = i
+    and log[0] is unused. g is the smallest value whose order is 2^w - 1:
+    g^((2^w - 1)/p) != 1 for every prime p dividing 2^w - 1. Cached per
+    field, so every spec of one field shares one pair of compact tables.
+    """
+    size = (1 << width) - 1
+    factors = _prime_factors(size)
+    g = next(
+        g for g in range(1, size + 1)
+        if all(_raw_pow(g, size // p, modulus) != 1 for p in factors)
+    )
+    exp = array("H", bytes(4 * size))
+    v = 1
+    for i in range(size):
+        exp[i] = exp[i + size] = v
+        v = _raw_mul(v, g, modulus)
+    log = array("H", bytes(2 * (size + 1)))
+    for i in range(size):
+        log[exp[i]] = i
+    return exp, log
+
+
 class FieldSpec:
     """A binary extension field GF(2^width) with a fixed reduction modulus.
 
     Instances are immutable; two specs compare equal when width and modulus
-    agree. Arithmetic methods act on raw integer element values. Use
-    element() to get an operator-friendly FieldElement bound to this spec.
+    agree. Arithmetic methods act on raw integer element values and reject
+    anything outside 0..2^width-1. Use element() to get an
+    operator-friendly FieldElement bound to this spec.
+
+    Every width multiplies and inverts through the field's log/antilog
+    tables (GF(2) multiplies with `&`). The unchecked kernels `_mul` and
+    `_inv` are for this module's loops over values already known valid;
+    `_inv` must not be given 0.
     """
 
-    __slots__ = ("width", "modulus", "order", "_exp", "_log", "_mul_fn")
+    __slots__ = ("width", "modulus", "order", "_exp", "_log", "_mul", "_inv")
 
     def __init__(self, width: int, modulus: int | None = None):
         if not isinstance(width, int) or not 1 <= width <= MAX_WIDTH:
@@ -129,55 +196,19 @@ class FieldSpec:
         self.width = width
         self.modulus = modulus
         self.order = 1 << width
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._mul_fn: Callable[[int, int], int]
-        self._init_mul()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            a <<= 1
-            b >>= 1
-        return poly_mod(acc, self.modulus)
-
-    def _init_mul(self) -> None:
-        if self.width == 1:
-            self._mul_fn = lambda a, b: a & b
-            return
-        if self.width > _TABLE_WIDTH:
-            self._mul_fn = self._raw_mul
-            return
+        self._exp, self._log = exp, log = _log_tables(width, modulus)
         size = self.order - 1
-        for g in range(2, self.order):
-            exp = [1]
-            v = 1
-            for _ in range(size - 1):
-                v = self._raw_mul(v, g)
-                if v == 1:
-                    break
-                exp.append(v)
-            if len(exp) == size:
-                break
-        else:  # pragma: no cover - every field has a generator
-            raise AssertionError("no multiplicative generator found")
-        log = [0] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
-        exp_doubled = exp + exp
-        self._exp = exp_doubled
-        self._log = log
 
-        def table_mul(a: int, b: int, _exp=exp_doubled, _log=log) -> int:
+        def table_mul(a: int, b: int, _exp=exp, _log=log) -> int:
             if a == 0 or b == 0:
                 return 0
             return _exp[_log[a] + _log[b]]
 
-        self._mul_fn = table_mul
+        def table_inv(a: int, _exp=exp, _log=log, _size=size) -> int:
+            return _exp[_size - _log[a]]
+
+        self._mul: Callable[[int, int], int] = (lambda a, b: a & b) if width == 1 else table_mul
+        self._inv: Callable[[int], int] = table_inv
 
     # -- arithmetic on raw values ---------------------------------------------
 
@@ -187,27 +218,15 @@ class FieldSpec:
     sub = add  # characteristic 2
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul_fn(a, b)
+        return self._mul(self.validate(a), self.validate(b))
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self.validate(a) == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.width == 1:
-            return 1
-        if self._log is not None:
-            size = self.order - 1
-            return self._exp[size - self._log[a]]
-        # square and multiply: a^(order - 2)
-        result, base, e = 1, a, self.order - 2
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
+        return self._inv(a)
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return self._mul(self.validate(a), self.inv(b))
 
     # -- misc -------------------------------------------------------------------
 
@@ -386,7 +405,7 @@ class FieldMatrix:
         self._check_mate(other)
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not agree")
-        mul_fn = self.field.mul
+        mul_fn = self.field._mul
         out = [[0] * other.ncols for _ in range(self.nrows)]
         for i, arow in enumerate(self._rows):
             orow = out[i]
@@ -598,7 +617,7 @@ def rref(M: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
     a = [list(r) for r in M._rows]
     nrows, ncols = M.nrows, M.ncols
     f = M.field
-    mul_fn, inv_fn = f.mul, f.inv
+    mul_fn, inv_fn = f._mul, f._inv
     pivots: list[int] = []
     piv = 0
     for col in range(ncols):
@@ -687,7 +706,7 @@ def solve(A: FieldMatrix, B):
         raise ValueError("row counts of A and B differ")
     row_slices = bit_slices(f, ncols)
     a = [row_slices.pack(r) for r in A._rows]
-    entry, scale_a, inv_fn = row_slices.entry, row_slices.scale, f.inv
+    entry, scale_a, inv_fn = row_slices.entry, row_slices.scale, f._inv
     piv = 0
     for col in range(ncols):
         mask = row_slices.column_mask(col)
@@ -819,8 +838,7 @@ class FieldBasis:
         self._pivots: dict[int, list[int]] = {}
 
     def insert(self, vec: Sequence[int]) -> int | None:
-        f = self.field
-        mul_fn = f.mul
+        mul_fn, inv_fn = self.field._mul, self.field._inv
         v = list(vec)
         i = len(v) - 1
         while i >= 0:
@@ -830,7 +848,7 @@ class FieldBasis:
                 continue
             row = self._pivots.get(i)
             if row is None:
-                ic = f.inv(c)
+                ic = inv_fn(c)
                 self._pivots[i] = [mul_fn(ic, x) for x in v]
                 return i
             v = [x ^ mul_fn(c, y) for x, y in zip(v, row)]

@@ -499,40 +499,34 @@ def verify_privacy(
             code, e, f, pi=perm, limit=exact_limit
         )
 
+    # Node s's query entry (i, j) is mask entry (i, j) XOR the 0/1 selection
+    # entry v[i][j] (0 at parity nodes, which see the bare mask), so its
+    # histogram is the mask entry's relabeled by that XOR: count each mask
+    # entry once per file index and test each relabeling that occurs.
     rng = random.Random(seed)
-    counts = [
-        [[[0] * order for _ in range(width)] for _ in range(k)] for _ in range(f * n)
-    ]
-    for m in range(1, f + 1):
-        grids = _selection_grids(k, beta, f, m, perm, slots)
-        base = (m - 1) * n
-        for _ in range(trials):
-            u_rows = [[rng.randrange(order) for _ in range(width)] for _ in range(k)]
-            for s in range(n):
-                node_counts = counts[base + s]
-                v = grids[s] if s < k else None
-                for i in range(k):
-                    urow = u_rows[i]
-                    crow = node_counts[i]
-                    if v is None:
-                        for j in range(width):
-                            crow[j][urow[j]] += 1
-                    else:
-                        vrow = v[i]
-                        for j in range(width):
-                            crow[j][urow[j] ^ vrow[j]] += 1
-
+    draw = rng.randrange
     expected = trials / order
     tests = f * n * k * width
+    p_values: dict[float, float] = {}
     min_p = 1.0
-    for node_counts in counts:
+    for m in range(1, f + 1):
+        counts = [[[0] * order for _ in range(width)] for _ in range(k)]
+        for _ in range(trials):
+            for crow in counts:
+                for cell in crow:
+                    cell[draw(order)] += 1
+        grids = _selection_grids(k, beta, f, m, perm, slots)
         for i in range(k):
             for j in range(width):
-                cell = node_counts[i][j]
-                stat = sum((c - expected) ** 2 for c in cell) / expected
-                p = float(_chi2.sf(stat, order - 1))
-                if p < min_p:
-                    min_p = p
+                cell = counts[i][j]
+                for flip in {0}.union(grid[i][j] for grid in grids):
+                    # summed in the relabeled histogram's order, as a per-node count would be
+                    stat = sum((cell[v ^ flip] - expected) ** 2 for v in range(order)) / expected
+                    p = p_values.get(stat)
+                    if p is None:
+                        p = p_values[stat] = float(_chi2.sf(stat, order - 1))
+                    if p < min_p:
+                        min_p = p
     threshold = significance / tests
     return PrivacyReport(
         exact_performed=exact_performed,

@@ -329,3 +329,70 @@ def randomized_listing_oracle(p_rows, field: TinyField, beta, budget, seed) -> s
             if column_rank(p_rows, chosen, field) == beta:
                 found.add(cand)
     return found
+
+
+# -- statistical privacy check -----------------------------------------------
+#
+# The package counts each mask entry once per file index and derives every
+# node's histogram by relabeling. This is the same check counted the direct
+# way: every entry of every node's query, trial by trial. It borrows the
+# selection grids, the exact check and the report type from the package,
+# so it pins the counting and the test statistics, not the query layout.
+
+
+def verify_privacy_oracle(code, e, f, trials, seed, pi=None, significance=0.01,
+                          exact_limit=1 << 16):
+    """PrivacyReport from per-node counts, with the package's random calls."""
+    from scipy.stats import chi2
+
+    from codedpir.protocol import (
+        PrivacyReport,
+        _canonical_slots,
+        _selection_grids,
+        _validate_pi,
+        exact_privacy_check,
+    )
+
+    k, n = code.k, code.n
+    beta = e.beta
+    order = code.field.order
+    width = beta * f
+    perm = _validate_pi(pi, beta) if pi is not None else tuple(range(beta + 1))
+    slots = _canonical_slots(e)
+    exact_performed = order ** (k * width) <= exact_limit
+    multisets_ok = construction_ok = None
+    if exact_performed:
+        multisets_ok, construction_ok = exact_privacy_check(
+            code, e, f, pi=perm, limit=exact_limit
+        )
+    rng = random.Random(seed)
+    counts = [[[[0] * order for _ in range(width)] for _ in range(k)] for _ in range(f * n)]
+    for m in range(1, f + 1):
+        grids = _selection_grids(k, beta, f, m, perm, slots)
+        for _ in range(trials):
+            u_rows = [[rng.randrange(order) for _ in range(width)] for _ in range(k)]
+            for s in range(n):
+                for i in range(k):
+                    for j in range(width):
+                        v = grids[s][i][j] if s < k else 0
+                        counts[(m - 1) * n + s][i][j][u_rows[i][j] ^ v] += 1
+    expected = trials / order
+    tests = f * n * k * width
+    min_p = 1.0
+    for node_counts in counts:
+        for row in node_counts:
+            for cell in row:
+                stat = sum((c - expected) ** 2 for c in cell) / expected
+                min_p = min(min_p, float(chi2.sf(stat, order - 1)))
+    threshold = significance / tests
+    return PrivacyReport(
+        exact_performed=exact_performed,
+        exact_multisets_ok=multisets_ok,
+        exact_construction_ok=construction_ok,
+        trials=trials,
+        tests=tests,
+        min_p_value=min_p,
+        significance=significance,
+        per_test_threshold=threshold,
+        statistical_ok=min_p >= threshold,
+    )

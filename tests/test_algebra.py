@@ -20,7 +20,7 @@ from codedpir.algebra import (
     solve,
 )
 
-from oracles import TinyField, brute_rank, peasant_mul
+from oracles import PeasantField, TinyField, brute_rank, peasant_mul
 
 
 class TestFieldConstruction:
@@ -66,7 +66,7 @@ class TestFieldArithmetic:
         f = field_new(3, 0b1011)
         assert f.mul(0b010, 0b100) == 0b011
 
-    @pytest.mark.parametrize("width", [2, 3, 4, 6, 9, 12, 16])
+    @pytest.mark.parametrize("width", range(2, 17))
     def test_mul_matches_peasant_oracle(self, width):
         f = field_new(width)
         rng = random.Random(width)
@@ -74,6 +74,28 @@ class TestFieldArithmetic:
             a = rng.randrange(f.order)
             b = rng.randrange(f.order)
             assert f.mul(a, b) == peasant_mul(a, b, f.modulus, width)
+
+    # irreducible moduli whose root x is not a generator: x has order 5,
+    # 73 and 21845 in GF(16), GF(512) and GF(65536)
+    @pytest.mark.parametrize("width, modulus", [(4, 0b11111), (9, 0x203), (16, 0x1002B)])
+    def test_non_primitive_modulus_matches_oracle(self, width, modulus):
+        f = field_new(width, modulus)
+        oracle = PeasantField(modulus, width)
+        rng = random.Random(modulus)
+        pairs = (
+            itertools.product(range(f.order), repeat=2) if width <= 4
+            else [(rng.randrange(f.order), rng.randrange(1, f.order)) for _ in range(300)]
+        )
+        for a, b in pairs:
+            assert f.mul(a, b) == oracle.mul(a, b)
+            if b:
+                assert f.inv(b) == oracle.inv(b)
+
+    def test_specs_of_one_field_share_tables(self):
+        for width, modulus in [(16, None), (16, 0x1002B), (4, None)]:
+            a, b = field_new(width, modulus), FieldSpec(width, modulus)
+            assert a._exp is b._exp and a._log is b._log
+        assert field_new(16)._exp is not field_new(16, 0x1002B)._exp
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_field_axioms_exhaustive(self, width):
@@ -91,18 +113,42 @@ class TestFieldArithmetic:
             assert f.mul(a, 1) == a
             assert f.add(a, a) == 0
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 11, 16])
+    @pytest.mark.parametrize("width", range(1, 17))
     def test_inverse_law(self, width):
         f = field_new(width)
-        values = range(1, f.order) if width <= 4 else random.Random(width).sample(
+        oracle = PeasantField(f.modulus, width)
+        values = range(1, f.order) if width <= 6 else random.Random(width).sample(
             range(1, f.order), 64
         )
         for a in values:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.inv(a) == oracle.inv(a)
 
     def test_inv_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             field_new(4).inv(0)
+        with pytest.raises(ZeroDivisionError):
+            field_new(16).div(5, 0)
+
+    @pytest.mark.parametrize("width, value", [(4, -1), (4, 16), (16, 70000), (16, -1), (1, 2)])
+    def test_mul_rejects_out_of_range(self, width, value):
+        f = field_new(width)
+        with pytest.raises(ValueError, match=rf"value {value} outside GF\(2\^{width}\)"):
+            f.mul(value, 1)
+        with pytest.raises(ValueError, match=rf"value {value} outside"):
+            f.mul(1, value)
+
+    @pytest.mark.parametrize("width, value", [(4, -1), (4, 16), (16, 70000), (16, -1), (1, 2)])
+    def test_inv_rejects_out_of_range(self, width, value):
+        with pytest.raises(ValueError, match=rf"value {value} outside GF\(2\^{width}\)"):
+            field_new(width).inv(value)
+
+    @pytest.mark.parametrize("width, value", [(4, -1), (4, 16), (16, 70000), (16, -1), (1, 2)])
+    def test_div_rejects_out_of_range(self, width, value):
+        f = field_new(width)
+        with pytest.raises(ValueError, match=rf"value {value} outside GF\(2\^{width}\)"):
+            f.div(value, 1)
+        with pytest.raises(ValueError, match=rf"value {value} outside"):
+            f.div(1, value)
 
     def test_element_operators(self):
         f = field_new(3)

@@ -26,7 +26,13 @@ from codedpir import (
 )
 
 from conftest import GF2, GF4, c1_code, make_code, random_systematic_code
-from oracles import PeasantField, encode_oracle, recover_oracle, response_oracle
+from oracles import (
+    PeasantField,
+    encode_oracle,
+    recover_oracle,
+    response_oracle,
+    verify_privacy_oracle,
+)
 
 E1 = EMatrix(((1, 0, 1), (1, 1, 0), (0, 1, 1)), beta=2)
 PI1 = (0, 2, 1)
@@ -338,6 +344,23 @@ class TestPrivacy:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             verify_privacy(c1_code(), E1, f=1, trials=0, seed=0)
+
+    @pytest.mark.parametrize("name", ["c1", "mds53", "c5like"])
+    @pytest.mark.parametrize("seed", [5, 424242])
+    @pytest.mark.parametrize("trials", [150, 400])
+    def test_report_matches_per_node_oracle(self, name, seed, trials):
+        from codedpir.workbench import parse_code_file
+        from conftest import FIXTURES_DIR, mds53_code
+
+        if name == "c1":
+            code = c1_code()
+        elif name == "mds53":
+            code = mds53_code()
+        else:
+            code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
+        e = E1 if name == "c1" else optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+        report = verify_privacy(code, e, f=2, trials=trials, seed=seed)
+        assert report == verify_privacy_oracle(code, e, f=2, trials=trials, seed=seed)
 
 
 class TestWidthCoverage:
