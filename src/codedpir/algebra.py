@@ -250,9 +250,6 @@ class FieldSpec:
     def element(self, value: int) -> "FieldElement":
         return FieldElement(value, self)
 
-    def random_value(self, rng) -> int:
-        return rng.randrange(self.order)
-
     def __eq__(self, other: object) -> bool:
         return self is other or (
             isinstance(other, FieldSpec)
@@ -430,14 +427,6 @@ class FieldMatrix:
         rows = range(self.nrows) if row_idx is None else row_idx
         cols = range(self.ncols) if col_idx is None else col_idx
         return FieldMatrix(self.field, [[self._rows[i][j] for j in cols] for i in rows])
-
-    def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_mate(other)
-        if self.nrows != other.nrows:
-            raise ValueError("row counts differ")
-        return FieldMatrix(
-            self.field, [ra + rb for ra, rb in zip(self._rows, other._rows)]
-        )
 
     def _check_mate(self, other: "FieldMatrix") -> None:
         if not isinstance(other, FieldMatrix):

@@ -51,9 +51,6 @@ class EMatrix:
     def k(self) -> int:
         return len(self.rows)
 
-    def row_pattern(self, i: int) -> ErasurePattern:
-        return ErasurePattern(self.rows[i])
-
 
 @dataclass(frozen=True)
 class PatternList:
@@ -365,6 +362,7 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
             "derived code has minimum distance 1: some message symbol appears in no "
             "parity equation, so no retrieval width is available"
         )
+    bounds = theta_bounds(code, dm, dtm)
     k = code.k
     rank_p = derived.n_tilde - derived.k_tilde
     beta = dtm - 1
@@ -408,14 +406,13 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
             "no access matrix found even at the guaranteed initial width; "
             "raise pattern_budget"
         )
-    n = code.n
     return OptimizationResult(
         e_opt=e_opt,
         beta_opt=beta_opt,
-        theta_opt=Fraction(n, beta_opt),
-        theta_non_opt=Fraction(n, dtm - 1),
-        theta_lb=Fraction(n, n - k),
-        theta_baseline=Fraction(n, dm - 1),
+        theta_opt=Fraction(code.n, beta_opt),
+        theta_non_opt=bounds.non_optimized,
+        theta_lb=bounds.lower_bound,
+        theta_baseline=bounds.baseline,
         iterations=iterations,
         exhaustive=exhaustive,
         d_min=dm,

@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     FieldMatrix,
@@ -28,7 +27,7 @@ from .algebra import (
     solve,
 )
 from .codes import LinearCode, StorageSymbol, encode_file
-from .optimizer import EMatrix, cpop
+from .optimizer import EMatrix
 
 
 class ProtocolViolationError(RuntimeError):
@@ -85,7 +84,7 @@ class QuerySet:
         if not 1 <= l <= k:
             raise ValueError(f"only the first {k} nodes carry a selection block")
         rows = [[0] * self.beta for _ in range(k)]
-        for node, i, col in _selection_offsets(k, self.beta, 1, self.pi, self.z):
+        for (node, i), col in _selection_offsets(k, self.beta, 1, self.pi, self.z).items():
             if node == l - 1:
                 rows[i][col] = 1
         return FieldMatrix(self.u.field, rows)
@@ -96,10 +95,6 @@ class ResponseSet:
     """One column vector of d = k symbols per node, in node order."""
 
     responses: tuple[tuple[StorageSymbol, ...], ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.responses[0])
 
 
 def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSymbol]]]) -> StorageArray:
@@ -167,28 +162,40 @@ def _validate_pi(pi: Sequence[int], beta: int) -> tuple[int, ...]:
 
 def _selection_offsets(
     k: int, beta: int, m: int, pi: Sequence[int], z: Sequence[Sequence[int]]
-) -> Iterator[tuple[int, int, int]]:
-    """(node, row, column) of every selection 1, all 0-based.
+) -> dict[tuple[int, int], int]:
+    """(node, row) -> column of every selection 1, all 0-based.
 
     Subquery i selecting systematic node l puts a 1 in row i of node l's
     query, at the column of stripe pi[z[i][l]] of file m.
     """
     base = (m - 1) * beta - 1
-    for l in range(k):
-        for i in range(k):
-            slot = z[i][l]
-            if slot:
-                yield l, i, base + pi[slot]
+    return {(l, i): base + pi[z[i][l]] for l in range(k) for i in range(k) if z[i][l]}
 
 
-def _selection_grids(
-    k: int, beta: int, f: int, m: int, pi: Sequence[int], z: Sequence[Sequence[int]]
+def _layout(
+    e: EMatrix, pi: Sequence[int] | None, z: Sequence[Sequence[int]] | None
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Validated (pi, z); None picks the identity and the canonical slots."""
+    perm = _validate_pi(pi, e.beta) if pi is not None else tuple(range(e.beta + 1))
+    slots = _validate_slots(e, z) if z is not None else _canonical_slots(e)
+    return perm, slots
+
+
+def _assemble(
+    u_rows: list[list[int]], n: int, k: int, offsets: dict[tuple[int, int], int]
 ) -> list[list[list[int]]]:
-    """Per-systematic-node deterministic 0/1 offsets."""
-    grids = [[[0] * (beta * f) for _ in range(k)] for _ in range(k)]
-    for l, i, col in _selection_offsets(k, beta, m, pi, z):
-        grids[l][i][col] = 1
-    return grids
+    """Every node's query rows: the mask plus the selection 1s in `offsets`.
+
+    The selection puts at most one 1 in each row, so a systematic node
+    shares the mask's rows except those it flips; parity nodes all get the
+    mask's own row list.
+    """
+    queries = [list(u_rows) for _ in range(k)]
+    for (l, i), col in offsets.items():
+        row = queries[l][i] = u_rows[i].copy()
+        row[col] ^= 1
+    queries.extend([u_rows] * (n - k))
+    return queries
 
 
 def build_queries(
@@ -215,8 +222,7 @@ def build_queries(
     if not 1 <= m <= f:
         raise ValueError(f"file index {m} out of 1..{f}")
     beta = e.beta
-    perm = _validate_pi(pi, beta) if pi is not None else tuple(range(beta + 1))
-    slots = _validate_slots(e, z) if z is not None else _canonical_slots(e)
+    perm, slots = _layout(e, pi, z)
     field = code.field
     rng = random.Random(seed)
     draw = rng.randrange
@@ -224,13 +230,9 @@ def build_queries(
     width = beta * f
     u_rows = [[draw(order) for _ in range(width)] for _ in range(k)]
     u = FieldMatrix._wrap(field, u_rows)
-    # the selection block puts at most one 1 per row: copy only those rows
-    q_rows = [list(u_rows) for _ in range(k)]
-    for l, i, col in _selection_offsets(k, beta, m, perm, slots):
-        row = q_rows[l][i] = u_rows[i].copy()
-        row[col] ^= 1
-    queries = [FieldMatrix._wrap(field, rows) for rows in q_rows]
-    queries.extend([u] * (n - k))  # parity nodes all get the bare mask
+    rows = _assemble(u_rows, n, k, _selection_offsets(k, beta, m, perm, slots))
+    # nodes handed the mask's own rows (the parity nodes) share the one u
+    queries = [u if r is u_rows else FieldMatrix._wrap(field, r) for r in rows]
     return QuerySet(
         m=m,
         f=f,
@@ -367,11 +369,6 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     return [list(row) for row in grid]  # type: ignore[arg-type]
 
 
-def cpop_of_run(qs: QuerySet, code: LinearCode) -> Fraction:
-    """Downloaded symbols per retrieved symbol for this run (d = k)."""
-    return cpop(code.n, code.k, qs.beta, code.k)
-
-
 @dataclass(frozen=True)
 class PrivacyReport:
     """Verdicts of the exact and statistical query-privacy checks."""
@@ -396,10 +393,6 @@ class PrivacyReport:
         return exact_ok and self.statistical_ok
 
 
-def _flatten(grid: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    return tuple(v for row in grid for v in row)
-
-
 def exact_privacy_check(
     code: LinearCode,
     e: EMatrix,
@@ -414,10 +407,10 @@ def exact_privacy_check(
     Returns (multisets_ok, construction_ok). The first is the privacy
     statement itself: at every node, the multiset of query matrices over
     all masks is identical no matter which file is requested. The second
-    pins the construction: for every mask, node l's query must equal the
-    mask plus node l's selection block (bare mask past node k), which
-    catches bugs like selection leaking into parity queries. `builder` may
-    replace the query assembly under test.
+    pins the construction: for every mask, node l's query must be the mask
+    with exactly file m's selection 1s added (the bare mask past node k),
+    which catches bugs like selection leaking into parity queries. Masks go
+    through the assembly `build_queries` uses unless `builder` replaces it.
     """
     k, n = code.k, code.n
     beta = e.beta
@@ -426,22 +419,26 @@ def exact_privacy_check(
     total = order ** (k * width)
     if total > limit:
         raise ValueError(f"exact check needs {total} mask enumerations, above the limit {limit}")
-    perm = _validate_pi(pi, beta) if pi is not None else tuple(range(beta + 1))
-    slots = _validate_slots(e, z) if z is not None else _canonical_slots(e)
-    grids_per_m = {m: _selection_grids(k, beta, f, m, perm, slots) for m in range(1, f + 1)}
+    perm, slots = _layout(e, pi, z)
+    offsets = {m: _selection_offsets(k, beta, m, perm, slots) for m in range(1, f + 1)}
 
-    def assemble(u_rows: list[list[int]], m: int) -> list[list[list[int]]]:
-        grids = grids_per_m[m]
-        out = []
-        for l in range(n):
-            if l < k:
-                v = grids[l]
-                out.append([[uv ^ vv for uv, vv in zip(ur, vr)] for ur, vr in zip(u_rows, v)])
-            else:
-                out.append([list(ur) for ur in u_rows])
-        return out
+    def is_mask_plus_selection(queries, u_rows: list[list[int]], m: int) -> bool:
+        # node l's row i with file m's selection 1 (if any) taken out is U's row i
+        if len(queries) != n:
+            return False
+        for l, q in enumerate(queries):
+            if len(q) != k:
+                return False
+            for i, (row, u_row) in enumerate(zip(q, u_rows)):
+                row = list(row)
+                col = offsets[m].get((l, i))
+                if col is not None and col < len(row):
+                    row[col] ^= 1
+                if row != u_row:
+                    return False
+        return True
 
-    build = builder or assemble
+    build = builder or (lambda u_rows, m: _assemble(u_rows, n, k, offsets[m]))
     counters: dict[int, list[dict[tuple[int, ...], int]]] = {
         m: [dict() for _ in range(n)] for m in range(1, f + 1)
     }
@@ -451,11 +448,9 @@ def exact_privacy_check(
         for m in range(1, f + 1):
             queries = build(u_rows, m)
             if construction_ok:
-                expected = assemble(u_rows, m)
-                if [list(map(list, q)) for q in queries] != expected:
-                    construction_ok = False
+                construction_ok = is_mask_plus_selection(queries, u_rows, m)
             for s in range(n):
-                key = _flatten(queries[s])
+                key = tuple(itertools.chain.from_iterable(queries[s]))
                 bucket = counters[m][s]
                 bucket[key] = bucket.get(key, 0) + 1
     first = counters[1]
@@ -475,34 +470,33 @@ def verify_privacy(
 ) -> PrivacyReport:
     """Check that queries reveal nothing about the requested file index.
 
-    When the mask space is small enough, the exact enumeration check runs;
-    the statistical check always runs: `trials` seeded query draws per file
-    index, a chi-square uniformity test on every entry of every node's
-    query matrix, and a Bonferroni-corrected verdict so the whole family of
-    tests has the stated significance.
+    When the mask space is small enough, the exact check enumerates masks
+    through the assembly `build_queries` uses. The statistical check always
+    runs: `trials` seeded mask draws per file index and a chi-square
+    uniformity test on every mask entry. A node's query entry is the mask
+    entry XOR a fixed 0/1 selection value, which only relabels histogram
+    bins, so each entry's one statistic is shared by every node; the
+    Bonferroni correction still counts a test per entry of every node's
+    query. That queries are assembled this way at fixture size is covered
+    by the `QuerySet` construction test.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     from scipy.stats import chi2 as _chi2
 
     k, n = code.k, code.n
-    beta = e.beta
     order = code.field.order
-    width = beta * f
-    perm = _validate_pi(pi, beta) if pi is not None else tuple(range(beta + 1))
-    slots = _canonical_slots(e)
+    width = e.beta * f
+    if pi is not None:  # the statistic ignores pi, but a malformed one is still an error
+        _validate_pi(pi, e.beta)
 
     exact_performed = order ** (k * width) <= exact_limit
     multisets_ok = construction_ok = None
     if exact_performed:
         multisets_ok, construction_ok = exact_privacy_check(
-            code, e, f, pi=perm, limit=exact_limit
+            code, e, f, pi=pi, limit=exact_limit
         )
 
-    # Node s's query entry (i, j) is mask entry (i, j) XOR the 0/1 selection
-    # entry v[i][j] (0 at parity nodes, which see the bare mask), so its
-    # histogram is the mask entry's relabeled by that XOR: count each mask
-    # entry once per file index and test each relabeling that occurs.
     rng = random.Random(seed)
     draw = rng.randrange
     expected = trials / order
@@ -515,18 +509,16 @@ def verify_privacy(
             for crow in counts:
                 for cell in crow:
                     cell[draw(order)] += 1
-        grids = _selection_grids(k, beta, f, m, perm, slots)
-        for i in range(k):
-            for j in range(width):
-                cell = counts[i][j]
-                for flip in {0}.union(grid[i][j] for grid in grids):
-                    # summed in the relabeled histogram's order, as a per-node count would be
-                    stat = sum((cell[v ^ flip] - expected) ** 2 for v in range(order)) / expected
-                    p = p_values.get(stat)
-                    if p is None:
-                        p = p_values[stat] = float(_chi2.sf(stat, order - 1))
-                    if p < min_p:
-                        min_p = p
+        for crow in counts:
+            for cell in crow:
+                # each term is a multiple of 4^-w, so while trials * 2^w < 2^26
+                # the sum is exact in any order, the relabeled orders included
+                stat = sum((c - expected) ** 2 for c in cell) / expected
+                p = p_values.get(stat)
+                if p is None:
+                    p = p_values[stat] = float(_chi2.sf(stat, order - 1))
+                if p < min_p:
+                    min_p = p
     threshold = significance / tests
     return PrivacyReport(
         exact_performed=exact_performed,

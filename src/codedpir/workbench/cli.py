@@ -16,7 +16,6 @@ from ..protocol import (
     build_queries,
     build_storage,
     collect_responses,
-    cpop_of_run,
     random_file,
     recover_file,
     verify_privacy,
@@ -132,9 +131,9 @@ def cmd_simulate(args) -> int:
     rs = collect_responses(qs, array)
     recovered = recover_file(qs, rs, code)
     ok = recovered == files[args.target - 1]
-    theta = cpop_of_run(qs, code)
     downloaded = sum(sym.ell for resp in rs.responses for sym in resp)
     retrieved = sum(sym.ell for row in recovered for sym in row)
+    theta = Fraction(downloaded, retrieved)
     print(f"name: {cf.name}")
     print(f"beta: {beta}")
     print(f"recovered: {'ok' if ok else 'MISMATCH'}")

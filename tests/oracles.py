@@ -331,13 +331,36 @@ def randomized_listing_oracle(p_rows, field: TinyField, beta, budget, seed) -> s
     return found
 
 
+# -- query layout ----------------------------------------------------------
+
+
+def selection_grid_oracle(e, f, m, pi=None, z=None):
+    """Node l's k x beta*f 0/1 selection block for file m, l = 1..k.
+
+    Subquery i takes slot z[i][l] at node l (by default the rank of row i
+    among the rows of E that select column l, counted down the column) and
+    puts its 1 at stripe pi[slot] of file m.
+    """
+    k, beta = len(e.rows), e.beta
+    perm = tuple(range(beta + 1)) if pi is None else tuple(pi)
+    grids = [[[0] * (beta * f) for _ in range(k)] for _ in range(k)]
+    for l in range(k):
+        rank = 0
+        for i in range(k):
+            if e.rows[i][l]:
+                rank += 1
+                slot = rank if z is None else z[i][l]
+                grids[l][i][(m - 1) * beta + perm[slot] - 1] = 1
+    return grids
+
+
 # -- statistical privacy check -----------------------------------------------
 #
-# The package counts each mask entry once per file index and derives every
-# node's histogram by relabeling. This is the same check counted the direct
-# way: every entry of every node's query, trial by trial. It borrows the
-# selection grids, the exact check and the report type from the package,
-# so it pins the counting and the test statistics, not the query layout.
+# The package counts each mask entry once per file index and lets every
+# node share its statistic. This is the same check counted the direct way:
+# every entry of every node's query, trial by trial, with the selection
+# grid above. It borrows the exact check and the report type from the
+# package, so it pins the counting and the test statistics.
 
 
 def verify_privacy_oracle(code, e, f, trials, seed, pi=None, significance=0.01,
@@ -345,30 +368,22 @@ def verify_privacy_oracle(code, e, f, trials, seed, pi=None, significance=0.01,
     """PrivacyReport from per-node counts, with the package's random calls."""
     from scipy.stats import chi2
 
-    from codedpir.protocol import (
-        PrivacyReport,
-        _canonical_slots,
-        _selection_grids,
-        _validate_pi,
-        exact_privacy_check,
-    )
+    from codedpir.protocol import PrivacyReport, exact_privacy_check
 
     k, n = code.k, code.n
     beta = e.beta
     order = code.field.order
     width = beta * f
-    perm = _validate_pi(pi, beta) if pi is not None else tuple(range(beta + 1))
-    slots = _canonical_slots(e)
     exact_performed = order ** (k * width) <= exact_limit
     multisets_ok = construction_ok = None
     if exact_performed:
         multisets_ok, construction_ok = exact_privacy_check(
-            code, e, f, pi=perm, limit=exact_limit
+            code, e, f, pi=pi, limit=exact_limit
         )
     rng = random.Random(seed)
     counts = [[[[0] * order for _ in range(width)] for _ in range(k)] for _ in range(f * n)]
     for m in range(1, f + 1):
-        grids = _selection_grids(k, beta, f, m, perm, slots)
+        grids = selection_grid_oracle(e, f, m, pi)
         for _ in range(trials):
             u_rows = [[rng.randrange(order) for _ in range(width)] for _ in range(k)]
             for s in range(n):

@@ -14,7 +14,6 @@ from codedpir import (
     build_queries,
     build_storage,
     collect_responses,
-    cpop_of_run,
     derived_code,
     exact_privacy_check,
     node_response,
@@ -31,6 +30,7 @@ from oracles import (
     encode_oracle,
     recover_oracle,
     response_oracle,
+    selection_grid_oracle,
     verify_privacy_oracle,
 )
 
@@ -119,6 +119,36 @@ class TestBuildQueries:
         a = build_queries(c1_code(), E1, m=1, f=2, seed=11)
         b = build_queries(c1_code(), E1, m=1, f=2, seed=11)
         assert a.u == b.u and a.q == b.q
+
+    @pytest.mark.parametrize("name", ["c1", "mds53", "c5like", "c6_array"])
+    def test_queries_are_mask_plus_oracle_selection(self, name):
+        # the construction the privacy argument rests on, on the queries sent
+        from codedpir.workbench import parse_code_file, parse_e_matrix_text
+        from conftest import FIXTURES_DIR, TESTS_DIR, mds53_code
+
+        pi = z = None
+        if name == "c1":
+            code, e, pi, z = c1_code(), E1, PI1, Z1
+        elif name == "c6_array":
+            code = parse_code_file(FIXTURES_DIR / "c6_array.pchk").code
+            e = parse_e_matrix_text((TESTS_DIR / "golden" / "c6_array_seed7_e.txt").read_text())
+        elif name == "mds53":
+            code = mds53_code()
+            e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+        else:
+            code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
+            e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+        f, k = 2, code.k
+        sets = {m: build_queries(code, e, m=m, f=f, seed=13, pi=pi, z=z) for m in (1, 2)}
+        assert sets[1].u == sets[2].u  # the mask does not depend on the file index
+        for m, qs in sets.items():
+            u = qs.u.values()
+            assert len(qs.q) == code.n
+            grids = selection_grid_oracle(e, f, m, pi, z)
+            for l, q in enumerate(qs.q):
+                assert (q.nrows, q.ncols) == (k, e.beta * f)
+                diff = [[a ^ b for a, b in zip(qr, ur)] for qr, ur in zip(q.values(), u)]
+                assert diff == (grids[l] if l < k else [[0] * (e.beta * f)] * k), (m, l + 1)
 
 
 class TestNodeResponse:
@@ -276,11 +306,20 @@ class TestRecovery:
         with pytest.raises(ProtocolViolationError, match=r"node 5, subquery 3: payload length 5"):
             recover_file(qs, self._with_node(rs, 5, resp), code)
 
+    @staticmethod
+    def _measured_price(code, e, ell):
+        """Downloaded over retrieved symbols of one run; checks d = k on the way."""
+        x = random_file(code.field, e.beta, code.k, ell, random.Random(0))
+        qs = build_queries(code, e, m=1, f=1, seed=2)
+        rs = collect_responses(qs, build_storage(code, [x]))
+        assert all(len(r) == code.k for r in rs.responses)  # every node answers k symbols
+        recovered = recover_file(qs, rs, code)
+        assert recovered == x
+        downloaded = sum(s.ell for r in rs.responses for s in r)
+        return Fraction(downloaded, sum(s.ell for row in recovered for s in row))
+
     def test_cpop_of_run(self):
-        qs = build_queries(c1_code(), E1, m=1, f=1, seed=0)
-        assert cpop_of_run(qs, c1_code()) == Fraction(5, 2)
-        rs = collect_responses(qs, build_storage(c1_code(), [random_file(GF2, 2, 3, 1, random.Random(0))]))
-        assert all(len(r) == 3 for r in rs.responses)  # every node answers k symbols
+        assert self._measured_price(c1_code(), E1, ell=1) == Fraction(5, 2)
 
     def test_cpop_of_run_width_four_code(self):
         from codedpir.workbench import parse_code_file
@@ -289,8 +328,7 @@ class TestRecovery:
         code = parse_code_file(FIXTURES_DIR / "c3like.pchk").code
         res = optimize_cpop(code, OptimizerConfig(seed=1))
         assert res.beta_opt == 4
-        qs = build_queries(code, res.e_opt, m=1, f=1, seed=2)
-        assert cpop_of_run(qs, code) == Fraction(3)
+        assert self._measured_price(code, res.e_opt, ell=3) == Fraction(3)
 
 
 class TestPrivacy:

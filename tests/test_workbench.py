@@ -189,6 +189,26 @@ class TestCli:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @staticmethod
+    def _c1_with_dmin_one(tmp_path):
+        bad = tmp_path / "c1_dmin1.pchk"
+        bad.write_text(fixture_path("c1.pchk").read_text().replace("code 5 3\n", "code 5 3\ndmin 1\n"))
+        return str(bad)
+
+    def test_optimize_rejects_dmin_one_hint(self, tmp_path, capsys):
+        assert main(["optimize", self._c1_with_dmin_one(tmp_path), "--seed", "1"]) == 1
+        assert "error: reference prices need d_min >= 2" in capsys.readouterr().err
+
+    def test_table_reports_dmin_one_hint_as_error_row(self, tmp_path, capsys):
+        good = [str(fixture_path("c1.pchk")), str(fixture_path("mds53.pchk"))]
+        bad = self._c1_with_dmin_one(tmp_path)
+        rc = main(["table", good[0], bad, good[1], "--seed", "1", "--format", "tsv"])
+        assert rc == 1
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["c1", "c1_dmin1", "mds53"]
+        assert rows[1][1].startswith("error: reference prices need d_min >= 2")
+        assert rows[0][4] == rows[2][4] == "2"  # beta_opt of both good codes
+
     def test_simulate_seed_required(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", str(fixture_path("c1.pchk"))])
@@ -210,3 +230,23 @@ class TestGoldenOutputs:
         args = ["optimize", str(FIXTURES_DIR / "c6_array.pchk"), "--seed", "7", "--out", str(out)]
         assert main(args) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "c6_array_seed7_e.txt").read_bytes()
+
+    @staticmethod
+    def _code_path(name):
+        bundled = name in ("c1", "mds53")
+        return str(fixture_path(f"{name}.pchk") if bundled else FIXTURES_DIR / f"{name}.pchk")
+
+    @pytest.mark.parametrize("name", ["c1", "mds53", "c2like", "c5like"])
+    def test_privacy_two_files(self, name, capsys):
+        args = ["privacy", self._code_path(name), "--seed", "7", "--trials", "500", "--files", "2"]
+        assert main(args) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / f"privacy_seed7_{name}.txt").read_bytes()
+
+    @pytest.mark.parametrize("name", ["c1", "mds53", "c3like"])
+    def test_simulate_second_of_two_files(self, name, capsys):
+        args = ["simulate", self._code_path(name), "--seed", "7", "--files", "2",
+                "--payload", "8", "--target", "2"]
+        assert main(args) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / f"simulate_seed7_{name}.txt").read_bytes()
