@@ -268,6 +268,35 @@ class DerivedCode:
         k = self.n_tilde
         return column_vectors(R), sum(1 << (k - 1 - j) for j in pivots), rank
 
+    @cached_property
+    def shift_period(self) -> int:
+        """Smallest shift s > 0 whose column rotation keeps P's row space.
+
+        Rotating P's columns by s moves column j to (j + s) mod k; the shift
+        passes when rank([P; P rotated by s]) = rank(P). Equal row spaces
+        give each matrix's rows as combinations of the other's, so P and
+        the rotated P have the same column dependencies, and the rotated
+        P's column j + s is P's column j. The columns a support marks are
+        therefore independent exactly when those of its rotation by s are:
+        `independent(rotate(m, s)) == independent(m)` for every mask m.
+        Passing shifts compose, so they form a subgroup of Z_k; its
+        smallest member g divides k and every member is a multiple of g, so
+        the first divisor of k that passes, tried in ascending order, is g.
+        k always passes. The test runs through `matrix_rank`, so it holds
+        for every field width.
+        """
+        from .algebra import matrix_rank
+
+        k = self.n_tilde
+        rank = k - self.k_tilde
+        rows = [list(r) for r in self.h_tilde.values()]
+        for s in range(1, k):
+            if k % s == 0:
+                stacked = rows + [r[-s:] + r[:-s] for r in rows]
+                if matrix_rank(FieldMatrix(self.field, stacked)) == rank:
+                    return s
+        return k
+
     def independent(self, support: int) -> bool:
         """Whether the columns of P a support mask marks are linearly
         independent (see ErasurePattern.mask for the bit order).

@@ -16,7 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .codes import (
     DerivedCode,
@@ -52,26 +53,48 @@ class EMatrix:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PatternList:
-    """Correctable erasure patterns of one weight.
+    """Correctable erasure patterns of one weight, held as support masks.
 
-    `exhaustive` is True when the list provably contains every correctable
-    pattern of that weight.
+    `masks` are length-`k` support masks (see ErasurePattern.mask); the
+    `patterns` view builds the ErasurePattern objects on first access, so
+    the width scan never makes them. `exhaustive` is True when the list
+    provably contains every correctable pattern of that weight.
+    `PatternList(patterns, beta, exhaustive)` builds a list from patterns,
+    which must share one length (k is 0 when there are none).
     """
 
-    patterns: frozenset[ErasurePattern]
+    masks: frozenset[int]
+    k: int
     beta: int
     exhaustive: bool
 
-    def __post_init__(self):
-        for p in self.patterns:
-            if p.weight != self.beta:
-                raise ValueError("pattern list mixes weights")
+    def __init__(self, patterns: Iterable[ErasurePattern], beta: int, exhaustive: bool):
+        patterns = frozenset(patterns)
+        lengths = {len(p) for p in patterns}
+        if len(lengths) > 1:
+            raise ValueError("pattern list mixes lengths")
+        self._fill(frozenset(p.mask for p in patterns), lengths.pop() if lengths else 0,
+                   beta, exhaustive)
+        self.__dict__["patterns"] = patterns
 
+    @classmethod
+    def _of(cls, masks: Iterable[int], k: int, beta: int, exhaustive: bool) -> "PatternList":
+        """A list from length-k support masks, trusted to fit in k bits."""
+        pl = cls.__new__(cls)
+        pl._fill(frozenset(masks), k, beta, exhaustive)
+        return pl
 
-def _patterns_of(masks, k: int) -> frozenset[ErasurePattern]:
-    return frozenset(ErasurePattern._of(m, k) for m in masks)
+    def _fill(self, masks: frozenset[int], k: int, beta: int, exhaustive: bool) -> None:
+        if masks and set(map(int.bit_count, masks)) != {beta}:
+            raise ValueError("pattern list mixes weights")
+        for name, value in (("masks", masks), ("k", k), ("beta", beta), ("exhaustive", exhaustive)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def patterns(self) -> frozenset[ErasurePattern]:
+        return frozenset(ErasurePattern._of(m, self.k) for m in self.masks)
 
 
 def compute_erasure_pattern_list(
@@ -92,9 +115,13 @@ def compute_erasure_pattern_list(
     permutation, then keep every correctable cyclic shift of the resulting
     pattern. The leading-one columns of a column-permuted matrix are its
     greedy independent prefix, so a round inserts the columns into an
-    elimination basis in permuted order instead of row-reducing. Patterns
-    stay support masks until the list is built. An empty list is a valid
-    result.
+    elimination basis in permuted order instead of row-reducing. Shifts
+    that differ by a multiple of the code's `shift_period` g have the same
+    verdict, so only shifts 0..g-1 of a round's pattern run the
+    correctability test and shift s reuses the verdict of shift s mod g;
+    the random calls and the listed set are those of testing every shift.
+    Patterns stay support masks throughout (see PatternList). An empty list
+    is a valid result.
     """
     k = derived.n_tilde
     if not 1 <= beta <= k:
@@ -104,7 +131,7 @@ def compute_erasure_pattern_list(
     rank = k - derived.k_tilde
     if beta > rank:
         # no beta columns can be independent; this emptiness is proven
-        return PatternList(frozenset(), beta, exhaustive=True)
+        return PatternList._of((), k, beta, exhaustive=True)
 
     cols = derived._column_reps
     if mode == "exhaustive":
@@ -123,12 +150,13 @@ def compute_erasure_pattern_list(
 
         top = 1 << (k - 1)  # position 0
         walk(0, 0, 0)
-        return PatternList(_patterns_of(found, k), beta, exhaustive=True)
+        return PatternList._of(found, k, beta, exhaustive=True)
 
     rng = random.Random(seed)
     independent = derived.independent
+    period = derived.shift_period
     full = (1 << k) - 1
-    seen: set[int] = set()
+    seen: dict[int, bool] = {}  # mask -> verdict
     found = []
     for _ in range(budget):
         perm = list(range(k))
@@ -145,13 +173,17 @@ def compute_erasure_pattern_list(
         base = 0
         for j in rng.sample(pivots, beta):
             base |= 1 << (k - 1 - j)
+        double = base | base << k  # double >> s & full is base rotated by s
         for s in range(k):
-            cand = _rotate(base, s, k, full)
+            cand = double >> s & full
             if cand not in seen:
-                seen.add(cand)
-                if independent(cand):
+                # rotation s mod period came first and has the same verdict
+                ok = seen[cand] = (
+                    independent(cand) if s < period else seen[double >> (s % period) & full]
+                )
+                if ok:
                     found.append(cand)
-    return PatternList(_patterns_of(found, k), beta, exhaustive=False)
+    return PatternList._of(found, k, beta, exhaustive=False)
 
 
 def _rotate(mask: int, s: int, k: int, full: int) -> int:
@@ -293,13 +325,12 @@ def compute_matrix(
     backtracking over several random subsets. Returns None when nothing is
     found within budget; that is a valid "infeasible or unknown" outcome.
     """
-    if not L.patterns:
+    if not L.masks:
         return None
-    if any(len(p) != k for p in L.patterns):
+    if L.k != k:
         raise ValueError("pattern length does not match k")
-    pats = [p.mask for p in L.patterns]
     found, _ = _search_matrix(
-        pats, k, L.beta, exact_budget, seed, subset_threshold, subset_tries
+        L.masks, k, L.beta, exact_budget, seed, subset_threshold, subset_tries
     )
     return found
 
@@ -382,10 +413,9 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
         L = compute_erasure_pattern_list(derived, beta, mode, cfg.pattern_budget, iter_seed)
         if not L.exhaustive:
             exhaustive = False
-        if L.patterns:
-            pats = [p.mask for p in L.patterns]
+        if L.masks:
             E, complete = _search_matrix(
-                pats, k, beta, cfg.exact_budget, iter_seed, cfg.subset_threshold, cfg.subset_tries
+                L.masks, k, beta, cfg.exact_budget, iter_seed, cfg.subset_threshold, cfg.subset_tries
             )
             if not complete:
                 exhaustive = False

@@ -8,7 +8,18 @@ from .codefile import (
     parse_e_matrix_text,
     serialize_code,
 )
-from .cli import main
+
+
+def main(argv=None) -> int:
+    """The CLI entry point (see `cli.main`).
+
+    `cli` is imported on call, so `python -m codedpir.workbench.cli` finds
+    it absent from sys.modules when it runs the module.
+    """
+    from .cli import main as cli_main
+
+    return cli_main(argv)
+
 
 __all__ = [
     "CodeFile",

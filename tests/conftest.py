@@ -60,6 +60,24 @@ def random_systematic_code(rng: random.Random, field: FieldSpec, n_lo=4, n_hi=14
         return code
 
 
+def quasi_cyclic_code(seed: int, field: FieldSpec = GF4, generators: int = 2, step: int = 4,
+                      size: int = 5) -> LinearCode:
+    """Seeded length step * size code whose P holds each of a few random rows
+    rotated by every multiple of `step`.
+
+    Read with column j as (j // step, j % step), P is a grid of size x size
+    circulant blocks. Rotating P's columns by `step` only permutes its rows,
+    so its shift period divides `step`, below k.
+    """
+    rng = random.Random(seed)
+    k = step * size
+    while True:
+        gens = [[rng.randrange(field.order) for _ in range(k)] for _ in range(generators)]
+        rows = [g[k - s:] + g[: k - s] for g in gens for s in range(0, k, step)]
+        if all(any(row[j] for row in rows) for j in range(k)):
+            return make_code(field, rows)
+
+
 @pytest.fixture(scope="session")
 def code_corpus() -> list[LinearCode]:
     """200 random systematic codes, half over GF(2) and half over GF(4)."""

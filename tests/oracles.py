@@ -166,6 +166,7 @@ class PeasantField:
 
     def __init__(self, modulus: int, width: int):
         self.modulus, self.width = modulus, width
+        self.order = 1 << width
 
     def mul(self, a: int, b: int) -> int:
         return peasant_mul(a, b, self.modulus, self.width)
@@ -302,6 +303,28 @@ def pivot_columns(rows, field: TinyField) -> list[int]:
         if piv == nr:
             break
     return pivots
+
+
+def shift_period_oracle(p_rows, field) -> int:
+    """Smallest s in 1..k whose column rotation keeps P's row space.
+
+    Tries every s, divisor of k or not, and compares the rank of P stacked
+    on its rotation with the rank of P, by this module's own elimination
+    over a TinyField or PeasantField.
+    """
+    k = len(p_rows[0])
+
+    def rank(rows):
+        if field.order == 2:
+            return _gf2_rank(support_mask(row) for row in rows)
+        return len(pivot_columns(rows, field))
+
+    base = rank(p_rows)
+    for s in range(1, k + 1):
+        rotated = [list(row[k - s:]) + list(row[: k - s]) for row in p_rows]
+        if rank([list(row) for row in p_rows] + rotated) == base:
+            return s
+    raise AssertionError("rotating by k is the identity")
 
 
 def randomized_listing_oracle(p_rows, field: TinyField, beta, budget, seed) -> set[tuple]:

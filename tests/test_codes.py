@@ -30,14 +30,17 @@ from conftest import (
     c1_code,
     make_code,
     mds53_code,
+    quasi_cyclic_code,
     random_systematic_code,
 )
 from oracles import (
+    PeasantField,
     TinyField,
     column_rank,
     ml_correctable_oracle,
     min_weight_oracle,
     nullspace_vectors,
+    shift_period_oracle,
     support_mask,
 )
 
@@ -189,6 +192,44 @@ class TestMlCorrectable:
             for _ in range(10):
                 code = random_systematic_code(rng, field, n_lo=4, n_hi=12)
                 assert min_distance(code.h) <= min_distance(code.p)
+
+
+class TestShiftPeriod:
+    """Rotation symmetry of P, the basis of the listing's verdict reuse."""
+
+    QC = quasi_cyclic_code(5)
+    C7 = parse_code_file(FIXTURES_DIR / "c7_array.pchk").code
+
+    @pytest.mark.parametrize(
+        "name", ["c2like", "c3like", "c4like", "c5like", "c6_array", "c7_array", "qc_gf4"]
+    )
+    def test_matches_oracle(self, name):
+        if name == "qc_gf4":
+            code = self.QC
+        else:
+            code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
+        f = code.field
+        oracle_field = TinyField(f.order) if f.order <= 4 else PeasantField(f.modulus, f.width)
+        period = derived_code(code).shift_period
+        assert period == shift_period_oracle([list(r) for r in code.p.values()], oracle_field)
+        assert code.k % period == 0
+        if name in ("c6_array", "c7_array", "qc_gf4"):
+            assert period < code.k
+
+    @pytest.mark.parametrize("name", ["c7_array", "qc_gf4"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rotation_by_period_keeps_independence(self, name, data):
+        code = self.C7 if name == "c7_array" else self.QC
+        d = derived_code(code)
+        # weights around rank(P), where both verdicts occur
+        k, g, rank = code.k, d.shift_period, code.parity_rank
+        beta = data.draw(st.integers(max(1, rank - 4), min(k, rank + 1)), label="beta")
+        support = data.draw(st.permutations(range(k)), label="order")[:beta]
+        s = g * data.draw(st.integers(0, k // g - 1), label="multiple")
+        mask = ErasurePattern.from_support(k, support).mask
+        rotated = ErasurePattern.from_support(k, [(j + s) % k for j in support]).mask
+        assert d.independent(rotated) == d.independent(mask)
 
 
 class TestEncodeFile:

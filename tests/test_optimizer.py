@@ -31,6 +31,7 @@ from conftest import (
     c1_code,
     make_code,
     mds53_code,
+    quasi_cyclic_code,
     random_systematic_code,
 )
 from oracles import TinyField, randomized_listing_oracle
@@ -126,6 +127,20 @@ class TestPatternList:
             PatternList(
                 frozenset({ErasurePattern((1, 0)), ErasurePattern((1, 1))}), 1, True
             )
+        with pytest.raises(ValueError, match="mixes weights"):
+            PatternList._of([0b110, 0b100], 3, 2, True)
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match="mixes lengths"):
+            PatternList({ErasurePattern((1, 0)), ErasurePattern((0, 0, 1))}, 1, True)
+
+    def test_listing_keeps_masks_and_builds_patterns_on_demand(self):
+        d = derived_code(c1_code())
+        pl = compute_erasure_pattern_list(d, 2)
+        assert "patterns" not in pl.__dict__
+        assert (pl.masks, pl.k) == (frozenset({0b110, 0b101, 0b011}), 3)
+        assert {p.mask for p in pl.patterns} == pl.masks
+        assert pl == PatternList(pl.patterns, 2, True)
 
 
 class TestListingOracle:
@@ -141,6 +156,18 @@ class TestListingOracle:
             seed = 1_000_003 + beta
             got = compute_erasure_pattern_list(d, beta, "randomized", budget=4, seed=seed)
             expected = randomized_listing_oracle(rows, TinyField(2), beta, 4, seed)
+            assert expected
+            assert {p.bits for p in got.patterns} == expected
+
+    def test_quasi_cyclic_gf4_code_matches_oracle(self):
+        # shift period 4 of k = 20: shift s reuses the verdict of s mod 4
+        code = quasi_cyclic_code(5)
+        d = derived_code(code)
+        assert d.shift_period < code.k
+        rows = [list(r) for r in code.p.values()]
+        for beta in range(1, code.parity_rank + 1):
+            got = compute_erasure_pattern_list(d, beta, "randomized", budget=4, seed=beta)
+            expected = randomized_listing_oracle(rows, TinyField(4), beta, 4, beta)
             assert expected
             assert {p.bits for p in got.patterns} == expected
 
@@ -161,6 +188,11 @@ class TestComputeMatrix:
         e = compute_matrix(pl, 3)
         assert e is not None
         assert_valid_e_matrix(e, derived_code(c1_code()))
+
+    def test_wrong_pattern_length_rejected(self):
+        pl = PatternList(frozenset(all_patterns(4, 2)), 2, True)
+        with pytest.raises(ValueError, match="length"):
+            compute_matrix(pl, 3)
 
     def test_column_never_reachable(self):
         pl = PatternList(frozenset({ErasurePattern((1, 1, 0))}), 2, True)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -361,6 +362,20 @@ class TestPrivacy:
         multi, constr = exact_privacy_check(code, e, f=2, builder=broken)
         assert not constr
 
+    def test_exact_check_flags_selection_in_a_shared_query_object(self):
+        # every node gets the one object, so keys are reused node to node
+        def shared(u_rows, m):
+            leak = [row.copy() for row in u_rows]
+            leak[0][m - 1] ^= 1
+            return [leak] * 5
+
+        multi, constr = exact_privacy_check(c1_code(), E1, f=2, builder=shared)
+        assert not constr
+        multi, constr = exact_privacy_check(
+            c1_code(), E1, f=2, builder=lambda u_rows, m: [u_rows] * 5
+        )
+        assert multi and not constr
+
     def test_exact_check_limit(self):
         with pytest.raises(ValueError, match="limit"):
             exact_privacy_check(c1_code(), E1, f=1, limit=4)
@@ -399,6 +414,24 @@ class TestPrivacy:
         e = E1 if name == "c1" else optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
         report = verify_privacy(code, e, f=2, trials=trials, seed=seed)
         assert report == verify_privacy_oracle(code, e, f=2, trials=trials, seed=seed)
+
+    @pytest.mark.parametrize("width,trials", [(8, 200), (12, 20), (16, 20)])
+    def test_wide_field_report_matches_oracle_in_trial_bounded_memory(self, width, trials):
+        # fewer trials than field values: only the values drawn are counted
+        code = make_code(FieldSpec(width), [[1, 2]])
+        e = EMatrix(((1, 0), (0, 1)), beta=1)
+        verify_privacy(code, e, f=2, trials=1, seed=0)  # imports scipy.stats untraced
+        tracemalloc.start()
+        try:
+            report = verify_privacy(code, e, f=2, trials=trials, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a counter per field value costs 4 list slots of 2^w per file:
+        # 256 KB at GF(2^12), 4 MB at GF(2^16)
+        assert peak < 100_000
+        assert not report.exact_performed
+        assert report == verify_privacy_oracle(code, e, f=2, trials=trials, seed=3)
 
 
 class TestWidthCoverage:

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +246,23 @@ class TestGoldenOutputs:
         assert main(args) == 0
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN_DIR / f"privacy_seed7_{name}.txt").read_bytes()
+
+    def test_module_run_raises_no_warning(self):
+        # `python -m codedpir.workbench.cli` with warnings as errors, on the
+        # package these tests import
+        import codedpir
+
+        src = str(Path(codedpir.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        args = ["privacy", self._code_path("c1"), "--seed", "7", "--trials", "500", "--files", "2"]
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "codedpir.workbench.cli", *args],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stderr == b""
+        assert run.stdout == (GOLDEN_DIR / "privacy_seed7_c1.txt").read_bytes()
 
     @pytest.mark.parametrize("name", ["c1", "mds53", "c3like"])
     def test_simulate_second_of_two_files(self, name, capsys):
