@@ -62,7 +62,8 @@ class PatternList:
     the width scan never makes them. `exhaustive` is True when the list
     provably contains every correctable pattern of that weight.
     `PatternList(patterns, beta, exhaustive)` builds a list from patterns,
-    which must share one length (k is 0 when there are none).
+    which must share one length. An empty list has k = 0, so empty lists
+    of one weight and exhaustiveness are equal whatever their source.
     """
 
     masks: frozenset[int]
@@ -89,6 +90,7 @@ class PatternList:
     def _fill(self, masks: frozenset[int], k: int, beta: int, exhaustive: bool) -> None:
         if masks and set(map(int.bit_count, masks)) != {beta}:
             raise ValueError("pattern list mixes weights")
+        k = k if masks else 0  # empty lists compare equal whatever k they came from
         for name, value in (("masks", masks), ("k", k), ("beta", beta), ("exhaustive", exhaustive)):
             object.__setattr__(self, name, value)
 
@@ -155,7 +157,6 @@ def compute_erasure_pattern_list(
     rng = random.Random(seed)
     independent = derived.independent
     period = derived.shift_period
-    full = (1 << k) - 1
     seen: dict[int, bool] = {}  # mask -> verdict
     found = []
     for _ in range(budget):
@@ -173,22 +174,21 @@ def compute_erasure_pattern_list(
         base = 0
         for j in rng.sample(pivots, beta):
             base |= 1 << (k - 1 - j)
-        double = base | base << k  # double >> s & full is base rotated by s
-        for s in range(k):
-            cand = double >> s & full
+        rotations = _rotations(base, k)
+        for s, cand in enumerate(rotations):
             if cand not in seen:
                 # rotation s mod period came first and has the same verdict
-                ok = seen[cand] = (
-                    independent(cand) if s < period else seen[double >> (s % period) & full]
-                )
+                ok = seen[cand] = independent(cand) if s < period else seen[rotations[s % period]]
                 if ok:
                     found.append(cand)
     return PatternList._of(found, k, beta, exhaustive=False)
 
 
-def _rotate(mask: int, s: int, k: int, full: int) -> int:
-    """Cyclic shift of a support mask moving position j to (j + s) mod k."""
-    return ((mask >> s) | (mask << (k - s))) & full
+def _rotations(mask: int, k: int) -> list[int]:
+    """The k cyclic shifts of a support mask; shift s moves position j to (j + s) mod k."""
+    full = (1 << k) - 1
+    double = mask | mask << k
+    return [double >> s & full for s in range(k)]
 
 
 class _BudgetExhausted(Exception):
@@ -277,9 +277,8 @@ def _search_matrix(
     # circulant shortcut: a pattern whose k cyclic shifts are all distinct
     # and all present yields a regular matrix immediately
     row_set = set(rows)
-    full = (1 << k) - 1
     for p in rows:
-        shifts = [_rotate(p, s, k, full) for s in range(k)]
+        shifts = _rotations(p, k)
         if len(set(shifts)) == k and all(s in row_set for s in shifts):
             return _e_matrix(shifts, k, beta), True
 

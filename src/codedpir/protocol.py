@@ -450,12 +450,8 @@ def exact_privacy_check(
             queries = build(u_rows, m)
             if construction_ok:
                 construction_ok = is_mask_plus_selection(queries, u_rows, m)
-            key = None
             for s in range(n):
-                # a node handed the previous node's very object (the default
-                # assembly's parity queries) reuses its key
-                if key is None or queries[s] is not queries[s - 1]:
-                    key = tuple(itertools.chain.from_iterable(queries[s]))
+                key = tuple(itertools.chain.from_iterable(queries[s]))
                 bucket = counters[m][s]
                 bucket[key] = bucket.get(key, 0) + 1
     first = counters[1]
@@ -483,9 +479,8 @@ def verify_privacy(
     bins, so each entry's one statistic is shared by every node; the
     Bonferroni correction still counts a test per entry of every node's
     query. That queries are assembled this way at fixture size is covered
-    by the `QuerySet` construction test. Fields with more values than
-    trials count only the values drawn, so time and memory follow
-    `trials`, not the field order.
+    by the `QuerySet` construction test. Each entry counts only the values
+    drawn, so time and memory follow `trials`, not the field order.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -512,10 +507,8 @@ def verify_privacy(
     p_values: dict[float, float] = {}
     min_p = 1.0
     for m in range(1, f + 1):
-        # per mask entry, a counter per field value while there are no more
-        # values than trials (list indexing is the fastest count), else a
-        # counter per value drawn: at most `trials` counters either way
-        counts = [[0] * order if order <= trials else defaultdict(int) for _ in range(entries)]
+        # per mask entry, a counter per value drawn: at most `trials` counters
+        counts = [defaultdict(int) for _ in range(entries)]
         for _ in range(trials):
             for cell in counts:
                 cell[draw(order)] += 1
@@ -524,9 +517,8 @@ def verify_privacy(
             # an exact integer over order * trials, rounded once; while
             # trials * 2^w < 2^26 a float sum of the terms is exact, so the
             # oracle's dense float sum gives the same value
-            hits = cell.values() if isinstance(cell, dict) else cell
-            num = sum((c * order - trials) ** 2 for c in hits)
-            stat = (num + (order - len(hits)) * never_drawn) / (order * trials)
+            num = sum((c * order - trials) ** 2 for c in cell.values())
+            stat = (num + (order - len(cell)) * never_drawn) / (order * trials)
             p = p_values.get(stat)
             if p is None:
                 p = p_values[stat] = float(_chi2.sf(stat, order - 1))

@@ -142,6 +142,15 @@ class TestPatternList:
         assert {p.mask for p in pl.patterns} == pl.masks
         assert pl == PatternList(pl.patterns, 2, True)
 
+    def test_empty_listing_equals_empty_public_list(self):
+        # beta = 3 exceeds rank(P) on c1: a proven-empty list carrying k = 3
+        empty = compute_erasure_pattern_list(derived_code(c1_code()), 3)
+        public = PatternList(frozenset(), 3, True)
+        assert not empty.masks
+        assert empty == public and hash(empty) == hash(public)
+        assert empty.patterns == frozenset()
+        assert empty != PatternList(frozenset(), 3, False)
+
 
 class TestListingOracle:
     """Randomized listing against the row-reduce-per-round oracle."""

@@ -362,20 +362,6 @@ class TestPrivacy:
         multi, constr = exact_privacy_check(code, e, f=2, builder=broken)
         assert not constr
 
-    def test_exact_check_flags_selection_in_a_shared_query_object(self):
-        # every node gets the one object, so keys are reused node to node
-        def shared(u_rows, m):
-            leak = [row.copy() for row in u_rows]
-            leak[0][m - 1] ^= 1
-            return [leak] * 5
-
-        multi, constr = exact_privacy_check(c1_code(), E1, f=2, builder=shared)
-        assert not constr
-        multi, constr = exact_privacy_check(
-            c1_code(), E1, f=2, builder=lambda u_rows, m: [u_rows] * 5
-        )
-        assert multi and not constr
-
     def test_exact_check_limit(self):
         with pytest.raises(ValueError, match="limit"):
             exact_privacy_check(c1_code(), E1, f=1, limit=4)
