@@ -7,7 +7,11 @@ protocol pull beta*k distinct symbols while every node still answers k
 subqueries. The download price n/beta therefore falls as beta grows, and
 the scan below climbs beta from just under the derived code's minimum
 distance (where every pattern works) up to the rank of its parity-check
-matrix (past which no correctable pattern exists).
+matrix (past which no correctable pattern exists). A width listed at
+random is usually proven feasible by one seeded round whose support has k
+distinct, correctable rotations (a circulant orbit), without listing the
+rest; the full list, search and matrix are built only for the widths the
+scan keeps.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Literal, NamedTuple, Sequence
+from functools import cached_property, reduce
+from operator import or_
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .codes import (
     DerivedCode,
@@ -135,8 +140,8 @@ def compute_erasure_pattern_list(
         # no beta columns can be independent; this emptiness is proven
         return PatternList._of((), k, beta, exhaustive=True)
 
-    cols = derived._column_reps
     if mode == "exhaustive":
+        cols = derived._column_reps
         basis = derived.column_basis()
         found: list[int] = []
 
@@ -154,11 +159,31 @@ def compute_erasure_pattern_list(
         walk(0, 0, 0)
         return PatternList._of(found, k, beta, exhaustive=True)
 
-    rng = random.Random(seed)
     independent = derived.independent
     period = derived.shift_period
     seen: dict[int, bool] = {}  # mask -> verdict
     found = []
+    for rotations in _rounds(derived, beta, budget, seed):
+        for s, cand in enumerate(rotations):
+            if cand not in seen:
+                # rotation s mod period came first and has the same verdict
+                ok = seen[cand] = independent(cand) if s < period else seen[rotations[s % period]]
+                if ok:
+                    found.append(cand)
+    return PatternList._of(found, k, beta, exhaustive=False)
+
+
+def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator[list[int]]:
+    """The seeded rounds of the randomized listing, each as the k rotations
+    of its drawn support (see compute_erasure_pattern_list); 1 <= beta <= rank(P).
+
+    The random calls per round are one shuffle and one sample, so every
+    consumer of these rounds sees the same stream.
+    """
+    k = derived.n_tilde
+    rank = k - derived.k_tilde
+    cols = derived._column_reps
+    rng = random.Random(seed)
     for _ in range(budget):
         perm = list(range(k))
         rng.shuffle(perm)
@@ -174,14 +199,26 @@ def compute_erasure_pattern_list(
         base = 0
         for j in rng.sample(pivots, beta):
             base |= 1 << (k - 1 - j)
-        rotations = _rotations(base, k)
-        for s, cand in enumerate(rotations):
-            if cand not in seen:
-                # rotation s mod period came first and has the same verdict
-                ok = seen[cand] = independent(cand) if s < period else seen[rotations[s % period]]
-                if ok:
-                    found.append(cand)
-    return PatternList._of(found, k, beta, exhaustive=False)
+        yield _rotations(base, k)
+
+
+def _orbit_certified(derived: DerivedCode, beta: int, budget: int, seed: int) -> bool:
+    """Whether some seeded round draws a support whose k rotations are all
+    distinct and all correctable.
+
+    The randomized listing at the same seed keeps every correctable rotation
+    of every round, so it then holds that whole orbit, and _search_matrix's
+    circulant shortcut succeeds on it: the width is feasible, proven without
+    listing the other rounds. Rotations s >= shift_period reuse the verdict
+    of s mod shift_period.
+    """
+    k = derived.n_tilde
+    period = derived.shift_period
+    independent = derived.independent
+    for rotations in _rounds(derived, beta, budget, seed):
+        if len(set(rotations)) == k and all(map(independent, rotations[:period])):
+            return True
+    return False
 
 
 def _rotations(mask: int, k: int) -> list[int]:
@@ -205,23 +242,31 @@ def _exact_regular_subset(
     column that cannot reach beta even if all remaining rows covering it
     are taken cuts the branch. Raises _BudgetExhausted after `budget` node
     expansions.
+
+    Both tests run on bit-sliced counters over k-bit masks (plane b holds
+    bit b of every column's count), so a node costs O(log n_rows) int
+    operations. `room` is beta minus the column sum; `slack` is the column
+    sum plus the remaining rows covering the column minus beta, and the
+    branch is cut once it goes below zero somewhere. Taking a row lowers
+    room on its support and leaves slack as it is; skipping it lowers slack
+    there.
     """
     n_rows = len(rows)
     if n_rows < k:
         return None
-    supports = [tuple(j for j, b in enumerate(_mask_bytes(r, k)) if b) for r in rows]
-    # suffix[i][j] = number of rows from index i on with a one in column j
-    suffix = [[0] * k for _ in range(n_rows + 1)]
-    for i in range(n_rows - 1, -1, -1):
-        nxt = suffix[i + 1]
-        cur = suffix[i] = nxt[:]
-        for j in supports[i]:
-            cur[j] = nxt[j] + 1
-    colsum = [0] * k
+    full = (1 << k) - 1
+    slack: list[int] = []
+    for r in rows:
+        slack = _add_one(slack, r)  # the rows covering each column
+    below = 0
+    for _ in range(beta):
+        slack, under = _sub_one(slack, full)
+        below |= under
+    room = [full if beta >> b & 1 else 0 for b in range(beta.bit_length())]
     chosen: list[int] = []
     nodes = 0
 
-    def dfs(i: int) -> bool:
+    def dfs(i: int, room: list[int], slack: list[int], below: int) -> bool:
         # recursion only on the take branch, so the depth stays below k;
         # skipping a row iterates in place
         nonlocal nodes
@@ -234,25 +279,48 @@ def _exact_regular_subset(
                 return True
             if n_rows - i < need:
                 return False
-            sfx = suffix[i]
-            for j in range(k):
-                if colsum[j] + sfx[j] < beta:
-                    return False
-            sup = supports[i]
-            if all(colsum[j] < beta for j in sup):
-                for j in sup:
-                    colsum[j] += 1
+            if below:
+                return False
+            sup = rows[i]
+            if sup & reduce(or_, room) == sup:
                 chosen.append(i)
-                if dfs(i + 1):
+                if dfs(i + 1, _sub_one(room, sup)[0], slack, 0):
                     return True
                 chosen.pop()
-                for j in sup:
-                    colsum[j] -= 1
+            slack, below = _sub_one(slack, sup)
             i += 1
 
-    if dfs(0):
+    if dfs(0, room, slack, below):
         return [rows[i] for i in chosen]
     return None
+
+
+def _add_one(planes: list[int], mask: int) -> list[int]:
+    """Add 1 at the columns of `mask` to a bit-sliced counter, growing a
+    plane when the carry runs out."""
+    out = planes[:]
+    for b, plane in enumerate(planes):
+        out[b] = plane ^ mask
+        mask &= plane
+        if not mask:
+            return out
+    out.append(mask)
+    return out
+
+
+def _sub_one(planes: list[int], mask: int) -> tuple[list[int], int]:
+    """Subtract 1 at the columns of `mask` from a bit-sliced counter.
+
+    Returns the new planes and the columns that went below zero (their
+    borrow ran out of the planes).
+    """
+    out = planes[:]
+    for b, plane in enumerate(planes):
+        out[b] = plane ^ mask
+        mask &= ~plane
+        if not mask:
+            return out, 0
+    return out, mask
 
 
 def _search_matrix(
@@ -263,13 +331,14 @@ def _search_matrix(
     seed: int,
     subset_threshold: int,
     subset_tries: int,
-) -> tuple[EMatrix | None, bool]:
+) -> tuple[list[int] | None, bool]:
     """Core of compute_matrix; also reports whether the search was complete.
 
     Patterns are length-k support masks (see ErasurePattern.mask), which
-    sort in the order of their bit tuples. The second return value is True
-    only when infeasibility (or the found solution) is proven: the exact
-    search ran on the full pattern list and finished within budget.
+    sort in the order of their bit tuples. Returns the k rows of the matrix
+    found as masks, or None. The second return value is True only when
+    infeasibility (or the found solution) is proven: the exact search ran
+    on the full pattern list and finished within budget.
     """
     rows = sorted(set(patterns))
     if not rows:
@@ -280,16 +349,13 @@ def _search_matrix(
     for p in rows:
         shifts = _rotations(p, k)
         if len(set(shifts)) == k and all(s in row_set for s in shifts):
-            return _e_matrix(shifts, k, beta), True
+            return shifts, True
 
     if len(rows) <= subset_threshold:
         try:
-            sol = _exact_regular_subset(rows, k, beta, exact_budget)
+            return _exact_regular_subset(rows, k, beta, exact_budget), True
         except _BudgetExhausted:
             return None, False
-        if sol is not None:
-            return _e_matrix(sol, k, beta), True
-        return None, True
 
     rng = random.Random(seed)
     per_try = max(1, exact_budget // max(1, subset_tries))
@@ -301,7 +367,7 @@ def _search_matrix(
         except _BudgetExhausted:
             sol = None
         if sol is not None:
-            return _e_matrix(sol, k, beta), False
+            return sol, False
     return None, False
 
 
@@ -331,7 +397,7 @@ def compute_matrix(
     found, _ = _search_matrix(
         L.masks, k, L.beta, exact_budget, seed, subset_threshold, subset_tries
     )
-    return found
+    return None if found is None else _e_matrix(found, k, L.beta)
 
 
 @dataclass(frozen=True)
@@ -371,6 +437,32 @@ class OptimizationResult:
     extended_beta: int | None = None
 
 
+def _randomized(k: int, beta: int, cfg: OptimizerConfig) -> bool:
+    return math.comb(k, beta) > cfg.exhaustive_limit
+
+
+def _iter_seed(cfg: OptimizerConfig, beta: int) -> int:
+    return cfg.seed * 1_000_003 + beta
+
+
+def _list_and_search(
+    derived: DerivedCode, beta: int, cfg: OptimizerConfig
+) -> tuple[PatternList, list[int] | None, bool]:
+    """One width of the scan, listed and searched in full: the pattern list,
+    the matrix rows found or None, and whether the search was complete (an
+    empty list is not searched)."""
+    k = derived.n_tilde
+    mode = "randomized" if _randomized(k, beta, cfg) else "exhaustive"
+    seed = _iter_seed(cfg, beta)
+    L = compute_erasure_pattern_list(derived, beta, mode, cfg.pattern_budget, seed)
+    if not L.masks:
+        return L, None, True
+    rows, complete = _search_matrix(
+        L.masks, k, beta, cfg.exact_budget, seed, cfg.subset_threshold, cfg.subset_tries
+    )
+    return L, rows, complete
+
+
 def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Scan widths beta = d_tilde_min - 1 .. rank(P) for the widest matrix.
 
@@ -380,6 +472,18 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
     separately). The first iteration always succeeds: below the derived
     minimum distance every pattern is correctable and any shift-variant
     pattern closes into a circulant.
+
+    A randomized width is first replayed round by round: the first round
+    whose support has k distinct, correctable rotations proves the width
+    feasible, since the full list holds that orbit and the search's
+    circulant shortcut takes it (see _orbit_certified). Such a width is not
+    listed or searched while the scan runs; only the widths kept (e_opt,
+    and extended_e under keep_going) are listed, searched and built at the
+    end, from the same seed, so the result is the one listing every width
+    gives. Widths the certificate does not cover are listed and searched
+    as they are reached. `iterations` and `exhaustive` keep their meaning:
+    a certified width counts as an iteration, and its list, being
+    randomized, is not exhaustive.
     """
     cfg = config or OptimizerConfig()
     derived = derived_code(code)
@@ -395,46 +499,52 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
     bounds = theta_bounds(code, dm, dtm)
     k = code.k
     rank_p = derived.n_tilde - derived.k_tilde
-    beta = dtm - 1
-    e_opt: EMatrix | None = None
-    beta_opt = beta
     iterations = 0
     exhaustive = True
     stopped = False
-    ext_e: EMatrix | None = None
-    ext_beta: int | None = None
+    # the widest success before and after the faithful stop, as (beta, rows);
+    # rows is None at a certified width until it is built below
+    opt: tuple[int, list[int] | None] | None = None
+    ext: tuple[int, list[int] | None] | None = None
 
-    while beta <= rank_p:
+    for beta in range(dtm - 1, rank_p + 1):
         if not stopped:
             iterations += 1
-        mode = "exhaustive" if math.comb(k, beta) <= cfg.exhaustive_limit else "randomized"
-        iter_seed = cfg.seed * 1_000_003 + beta
-        L = compute_erasure_pattern_list(derived, beta, mode, cfg.pattern_budget, iter_seed)
-        if not L.exhaustive:
-            exhaustive = False
-        if L.masks:
-            E, complete = _search_matrix(
-                L.masks, k, beta, cfg.exact_budget, iter_seed, cfg.subset_threshold, cfg.subset_tries
-            )
-            if not complete:
-                exhaustive = False
-            if E is not None:
-                if stopped:
-                    ext_e, ext_beta = E, beta
-                else:
-                    e_opt, beta_opt = E, beta
-            else:
+        if _randomized(k, beta, cfg) and _orbit_certified(
+            derived, beta, cfg.pattern_budget, _iter_seed(cfg, beta)
+        ):
+            exhaustive = False  # as the randomized list it stands for would set
+            rows = None
+        else:
+            listed, rows, complete = _list_and_search(derived, beta, cfg)
+            exhaustive = exhaustive and listed.exhaustive and complete
+            if not listed.masks:
+                continue  # nothing to search: neither a success nor a stop
+            if rows is None:
                 if not stopped:
                     stopped = True
                     if not cfg.keep_going:
                         break
-        beta += 1
+                continue
+        if stopped:
+            ext = beta, rows
+        else:
+            opt = beta, rows
 
-    if e_opt is None:
+    if opt is None:
         raise RuntimeError(
             "no access matrix found even at the guaranteed initial width; "
             "raise pattern_budget"
         )
+
+    def built(beta: int, rows: list[int] | None) -> EMatrix:
+        if rows is None:
+            # the certificate promised the circulant shortcut a hit here
+            rows = _list_and_search(derived, beta, cfg)[1]
+        return _e_matrix(rows, k, beta)
+
+    beta_opt, e_opt = opt[0], built(*opt)
+    ext_beta, ext_e = (ext[0], built(*ext)) if ext else (None, None)
     return OptimizationResult(
         e_opt=e_opt,
         beta_opt=beta_opt,

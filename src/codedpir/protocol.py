@@ -411,7 +411,9 @@ def exact_privacy_check(
     pins the construction: for every mask, node l's query must be the mask
     with exactly file m's selection 1s added (the bare mask past node k),
     which catches bugs like selection leaking into parity queries. Masks go
-    through the assembly `build_queries` uses unless `builder` replaces it.
+    through the assembly `build_queries` uses unless `builder` replaces it;
+    a builder that returns fewer than n node queries, or a query with fewer
+    than k rows, raises ProtocolViolationError naming the count and file.
     """
     k, n = code.k, code.n
     beta = e.beta
@@ -448,9 +450,18 @@ def exact_privacy_check(
         u_rows = [list(flat[i * width : (i + 1) * width]) for i in range(k)]
         for m in range(1, f + 1):
             queries = build(u_rows, m)
+            if len(queries) < n:
+                raise ProtocolViolationError(
+                    f"builder returned {len(queries)} node queries for file {m}, expected {n}"
+                )
             if construction_ok:
                 construction_ok = is_mask_plus_selection(queries, u_rows, m)
             for s in range(n):
+                if len(queries[s]) < k:
+                    raise ProtocolViolationError(
+                        f"builder returned {len(queries[s])} rows at node {s} for file {m}, "
+                        f"expected {k}"
+                    )
                 key = tuple(itertools.chain.from_iterable(queries[s]))
                 bucket = counters[m][s]
                 bucket[key] = bucket.get(key, 0) + 1

@@ -354,6 +354,141 @@ def randomized_listing_oracle(p_rows, field: TinyField, beta, budget, seed) -> s
     return found
 
 
+# -- regular-subset search ---------------------------------------------------
+#
+# The package keeps its column counts bit-sliced over k-bit masks. This is
+# the same take/skip search with plain per-column lists: a table of how
+# many rows from index i on cover each column, and a scan of every column
+# at every node. It counts nodes the same way, so the two agree on where a
+# budget runs out.
+
+
+def regular_subset_oracle(rows, k, beta, budget):
+    """(outcome, nodes) of the depth-first search for k of the rows (k-bit
+    masks, position j at bit k-1-j) with every column sum beta.
+
+    `outcome` is the chosen rows, None when none exist, or "exhausted" when
+    node `budget` + 1 was reached; `nodes` is the count expanded.
+    """
+    n_rows = len(rows)
+    if n_rows < k:
+        return None, 0
+    supports = [[j for j in range(k) if r >> (k - 1 - j) & 1] for r in rows]
+    suffix = [[0] * k for _ in range(n_rows + 1)]
+    for i in range(n_rows - 1, -1, -1):
+        suffix[i] = suffix[i + 1][:]
+        for j in supports[i]:
+            suffix[i][j] += 1
+    colsum = [0] * k
+    chosen = []
+    nodes = 0
+
+    class Exhausted(Exception):
+        pass
+
+    def dfs(i):
+        nonlocal nodes
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise Exhausted
+            need = k - len(chosen)
+            if need == 0:
+                return True
+            if n_rows - i < need:
+                return False
+            if any(colsum[j] + suffix[i][j] < beta for j in range(k)):
+                return False
+            if all(colsum[j] < beta for j in supports[i]):
+                for j in supports[i]:
+                    colsum[j] += 1
+                chosen.append(i)
+                if dfs(i + 1):
+                    return True
+                chosen.pop()
+                for j in supports[i]:
+                    colsum[j] -= 1
+            i += 1
+
+    try:
+        found = dfs(0)
+    except Exhausted:
+        return "exhausted", nodes - 1
+    return ([rows[i] for i in chosen] if found else None), nodes
+
+
+# -- width scan --------------------------------------------------------------
+#
+# The package proves most randomized widths feasible with one circulant
+# orbit and builds a matrix only for the widths it keeps. This is the scan
+# run eagerly: every width is listed, searched and turned into a matrix as
+# it is reached. It borrows the listing, the search and the result type
+# from the package, so it pins the scan's control flow and bookkeeping.
+
+
+def eager_scan_oracle(code, cfg):
+    """OptimizationResult of listing and searching every width in turn."""
+    import math
+    from fractions import Fraction
+
+    from codedpir import (
+        EMatrix,
+        OptimizationResult,
+        compute_erasure_pattern_list,
+        derived_code,
+        min_distance,
+        theta_bounds,
+    )
+    from codedpir.optimizer import _search_matrix
+
+    def matrix(masks, beta):
+        return EMatrix(tuple(tuple(m >> (k - 1 - j) & 1 for j in range(k)) for m in masks), beta)
+
+    derived = derived_code(code)
+    k = code.k
+    dtm = cfg.d_tilde_min if cfg.d_tilde_min is not None else min_distance(code.p, cfg.min_distance_cap)
+    dm = cfg.d_min if cfg.d_min is not None else min_distance(code.h, cfg.min_distance_cap)
+    bounds = theta_bounds(code, dm, dtm)
+    e_opt = ext_e = ext_beta = None
+    beta_opt = iterations = 0
+    exhaustive, stopped = True, False
+    for beta in range(dtm - 1, code.parity_rank + 1):
+        if not stopped:
+            iterations += 1
+        mode = "exhaustive" if math.comb(k, beta) <= cfg.exhaustive_limit else "randomized"
+        seed = cfg.seed * 1_000_003 + beta
+        listed = compute_erasure_pattern_list(derived, beta, mode, cfg.pattern_budget, seed)
+        exhaustive = exhaustive and listed.exhaustive
+        if not listed.masks:
+            continue
+        rows, complete = _search_matrix(listed.masks, k, beta, cfg.exact_budget, seed,
+                                        cfg.subset_threshold, cfg.subset_tries)
+        exhaustive = exhaustive and complete
+        if rows is not None:
+            if stopped:
+                ext_e, ext_beta = matrix(rows, beta), beta
+            else:
+                e_opt, beta_opt = matrix(rows, beta), beta
+        elif not stopped:
+            stopped = True
+            if not cfg.keep_going:
+                break
+    return OptimizationResult(
+        e_opt=e_opt,
+        beta_opt=beta_opt,
+        theta_opt=Fraction(code.n, beta_opt),
+        theta_non_opt=bounds.non_optimized,
+        theta_lb=bounds.lower_bound,
+        theta_baseline=bounds.baseline,
+        iterations=iterations,
+        exhaustive=exhaustive,
+        d_min=dm,
+        d_tilde_min=dtm,
+        extended_e=ext_e,
+        extended_beta=ext_beta,
+    )
+
+
 # -- query layout ----------------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from codedpir.workbench import parse_code_file
 from conftest import (
     FIXTURES_DIR,
     GF2,
+    GF4,
     GF8,
     c1_code,
     make_code,
@@ -34,7 +35,12 @@ from conftest import (
     quasi_cyclic_code,
     random_systematic_code,
 )
-from oracles import TinyField, randomized_listing_oracle
+from oracles import (
+    TinyField,
+    eager_scan_oracle,
+    randomized_listing_oracle,
+    regular_subset_oracle,
+)
 
 
 def all_patterns(k, beta):
@@ -243,6 +249,83 @@ class TestComputeMatrix:
     def test_deterministic(self):
         pl = PatternList(frozenset(all_patterns(6, 2)), 2, True)
         assert compute_matrix(pl, 6, seed=5) == compute_matrix(pl, 6, seed=5)
+
+
+class TestRegularSubsetOracle:
+    """The bit-sliced search against the suffix-table oracle, node for node."""
+
+    @staticmethod
+    def _agree(rows, k, beta, budgets):
+        for budget in budgets:
+            try:
+                got = optimizer_module._exact_regular_subset(rows, k, beta, budget)
+            except optimizer_module._BudgetExhausted:
+                got = "exhausted"
+            assert got == regular_subset_oracle(rows, k, beta, budget)[0], budget
+
+    def _pin(self, rows, k, beta):
+        """Agree at budgets up to the oracle's node count N: exhausted below
+        it, the same outcome from N on."""
+        outcome, nodes = regular_subset_oracle(rows, k, beta, 10**6)
+        assert outcome != "exhausted"
+        sweep = range(1, nodes + 2) if nodes <= 300 else (1, nodes // 2, nodes - 1, nodes)
+        self._agree(rows, k, beta, sweep)
+        return outcome
+
+    def test_seeded_small_instances(self):
+        rng = random.Random(11)
+        outcomes = set()
+        for _ in range(60):
+            k = rng.randint(3, 9)
+            beta = rng.randint(1, k - 1)
+            pool = [ErasurePattern.from_support(k, c).mask
+                    for c in itertools.combinations(range(k), beta)]
+            rows = sorted(rng.sample(pool, min(len(pool), rng.randint(k, 3 * k))))
+            outcomes.add(type(self._pin(rows, k, beta)))
+        assert outcomes == {list, type(None)}
+
+    @pytest.mark.parametrize("name,beta", [("c6_array", 30), ("c7_array", 61)])
+    def test_fixture_stop_width_lists(self, name, beta):
+        # the scan's stop widths at seed 7: the exact search runs out of budget
+        d = derived_code(parse_code_file(FIXTURES_DIR / f"{name}.pchk").code)
+        listed = compute_erasure_pattern_list(d, beta, "randomized", 48, 7 * 1_000_003 + beta)
+        rows = sorted(listed.masks)
+        assert len(rows) <= OptimizerConfig().subset_threshold
+        self._agree(rows, d.n_tilde, beta, (1, 2, 121, 122, 1_000, 3_333, 20_000))
+        # one full orbit plus a few listed rows: found after ~10^3 nodes
+        orbit = optimizer_module._rotations(rows[0], d.n_tilde)
+        mixed = sorted(set(orbit) | set(random.Random(3).sample(rows, 5)))
+        assert isinstance(self._pin(mixed, d.n_tilde, beta), list)
+
+
+class TestEagerScanOracle:
+    def test_random_codes_match_eager_scan(self):
+        # every width randomized, so most are certified by one orbit; small
+        # listings make some scans stop early and a few succeed again later
+        rng = random.Random(5)
+        results = []
+        for i in range(24):
+            code = random_systematic_code(rng, (GF2, GF4)[i % 2], n_lo=8, n_hi=20,
+                                          oracle_cap_bits=40)
+            for keep_going in (False, True):
+                cfg = OptimizerConfig(seed=i, exhaustive_limit=0, pattern_budget=4,
+                                      keep_going=keep_going)
+                res = optimize_cpop(code, cfg)
+                assert res == eager_scan_oracle(code, cfg)
+                results.append((res, code.parity_rank))
+        assert any(res.beta_opt < rank for res, rank in results)
+        assert any(res.extended_beta is not None for res, _ in results)
+
+    def test_support_with_repeating_rotations_certifies_nothing(self):
+        # columns 0, 1 and columns 2, 3 are equal; at width 2 a one-round
+        # listing draws {0, 2} or {1, 3} (rotations repeat after 2 shifts)
+        # or {0, 3} or {1, 2}, and each lists two rows: no 4 x 4 matrix
+        code = make_code(GF2, [[1, 1, 0, 0], [0, 0, 1, 1]])
+        for seed in range(8):
+            cfg = OptimizerConfig(seed=seed, exhaustive_limit=0, pattern_budget=1)
+            res = optimize_cpop(code, cfg)
+            assert res == eager_scan_oracle(code, cfg)
+            assert (res.beta_opt, res.iterations) == (1, 2)
 
 
 class TestEMatrix:

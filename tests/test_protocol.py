@@ -362,6 +362,13 @@ class TestPrivacy:
         multi, constr = exact_privacy_check(code, e, f=2, builder=broken)
         assert not constr
 
+    def test_exact_check_names_short_builder_output(self):
+        # c1 has n = 5 nodes and k = 3 rows per query
+        with pytest.raises(ProtocolViolationError, match="3 node queries for file 1, expected 5"):
+            exact_privacy_check(c1_code(), E1, f=1, builder=lambda u, m: [u] * 3)
+        with pytest.raises(ProtocolViolationError, match="2 rows at node 0 for file 1, expected 3"):
+            exact_privacy_check(c1_code(), E1, f=1, builder=lambda u, m: [u[:2]] * 5)
+
     def test_exact_check_limit(self):
         with pytest.raises(ValueError, match="limit"):
             exact_privacy_check(c1_code(), E1, f=1, limit=4)
@@ -401,7 +408,8 @@ class TestPrivacy:
         report = verify_privacy(code, e, f=2, trials=trials, seed=seed)
         assert report == verify_privacy_oracle(code, e, f=2, trials=trials, seed=seed)
 
-    @pytest.mark.parametrize("width,trials", [(8, 200), (12, 20), (16, 20)])
+    # widths 1-4 run the exact check instead, covered by the fixtures
+    @pytest.mark.parametrize("width,trials", [(w, 200 if w == 8 else 20) for w in range(5, 17)])
     def test_wide_field_report_matches_oracle_in_trial_bounded_memory(self, width, trials):
         # fewer trials than field values: only the values drawn are counted
         code = make_code(FieldSpec(width), [[1, 2]])

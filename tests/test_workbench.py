@@ -235,6 +235,13 @@ class TestGoldenOutputs:
         assert main(args) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "c6_array_seed7_e.txt").read_bytes()
 
+    @pytest.mark.parametrize("name", ["c6_array", "c7_array"])
+    def test_optimize_keep_going(self, name, capsys):
+        args = ["optimize", str(FIXTURES_DIR / f"{name}.pchk"), "--seed", "7", "--keep-going"]
+        assert main(args) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / f"{name}_seed7_keep_going.txt").read_bytes()
+
     @staticmethod
     def _code_path(name):
         bundled = name in ("c1", "mds53")
