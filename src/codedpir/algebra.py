@@ -4,17 +4,16 @@ Field elements are integers in [0, 2^w): bit i holds the coefficient of x^i
 in the polynomial basis. Addition is XOR in every binary extension field;
 products and inverses are lookups in one log/antilog table pair per field,
 built from a validated irreducible modulus and shared by every spec of it.
-Matrices keep raw integer entries internally and hand out FieldElement
-wrappers at the API boundary. Vectors that linear maps act on
-as a whole (payload symbols, rows under elimination) are bit-sliced into
-one int each (BitSlices), so adding two of them is one XOR.
+Matrices hold raw integer entries. Vectors that linear maps act on as a
+whole (payload symbols, rows under elimination) are bit-sliced into one int
+each (BitSlices), so adding two of them is one XOR; one Gauss-Jordan kernel
+on such rows serves rref, matrix_rank and solve.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import xor
@@ -170,8 +169,7 @@ class FieldSpec:
 
     Instances are immutable; two specs compare equal when width and modulus
     agree. Arithmetic methods act on raw integer element values and reject
-    anything outside 0..2^width-1. Use element() to get an
-    operator-friendly FieldElement bound to this spec.
+    anything outside 0..2^width-1.
 
     Every width multiplies and inverts through the field's log/antilog
     tables (GF(2) multiplies with `&`). The unchecked kernels `_mul` and
@@ -247,9 +245,6 @@ class FieldSpec:
             and max(values) < self.order
         )
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
     def __eq__(self, other: object) -> bool:
         return self is other or (
             isinstance(other, FieldSpec)
@@ -269,70 +264,6 @@ def field_new(width: int, modulus: int | None = None) -> FieldSpec:
     return FieldSpec(width, modulus)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A single field value bound to its FieldSpec."""
-
-    value: int
-    spec: FieldSpec
-
-    def __post_init__(self):
-        self.spec.validate(self.value)
-
-    def _coerce(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldMismatchError(f"mixing {self.spec!r} with {other.spec!r}")
-        return other
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.value ^ other.value, self.spec)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.spec.mul(self.value, other.value), self.spec)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.spec.div(self.value, other.value), self.spec)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec.inv(self.value), self.spec)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value}, GF(2^{self.spec.width}))"
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def _raw_entry(field: FieldSpec, entry) -> int:
-    if isinstance(entry, FieldElement):
-        if entry.spec != field:
-            raise FieldMismatchError("matrix entry from a different field")
-        return entry.value
-    return field.validate(entry)
-
-
 class FieldMatrix:
     """Dense matrix over one FieldSpec. Treat instances as immutable."""
 
@@ -343,7 +274,7 @@ class FieldMatrix:
         for row in rows:
             vals = list(row)
             if not (vals and field.all_valid(vals)):
-                vals = [_raw_entry(field, entry) for entry in vals]
+                vals = [field.validate(entry) for entry in vals]
             data.append(vals)
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
@@ -385,9 +316,6 @@ class FieldMatrix:
 
     def values(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self._rows)
-
-    def at(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self._rows[i][j], self.field)
 
     def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_mate(other)
@@ -594,72 +522,73 @@ def bit_slices(spec: FieldSpec, ell: int) -> BitSlices:
     return BitSlices(spec, ell)
 
 
+def _gauss_jordan(
+    field: FieldSpec,
+    ncols: int,
+    a: list[int],
+    rhs: list[list[int]] | None = None,
+    rhs_slices: BitSlices | None = None,
+) -> list[int]:
+    """Gauss-Jordan elimination, in place, of rows packed by bit_slices(field, ncols).
+
+    Pivoting picks the first row with a nonzero entry in the current column;
+    over a field there are no ties to break. The pivot row is scaled to a
+    leading one and its column cleared from every other row, so `a` ends in
+    reduced row echelon form. Each right-hand-side row rhs[r], a list of
+    vectors packed by rhs_slices, goes through the operations of row a[r].
+    Returns the pivot columns in increasing order.
+    """
+    slices = bit_slices(field, ncols)
+    entry, scale, inv_fn = slices.entry, slices.scale, field._inv
+    carry = rhs is not None
+    scale_rhs = rhs_slices.scale if carry else None
+    nrows = len(a)
+    pivots: list[int] = []
+    for col in range(ncols):
+        piv = len(pivots)
+        if piv == nrows:
+            break
+        mask = slices.column_mask(col)
+        sel = next((r for r in range(piv, nrows) if a[r] & mask), None)
+        if sel is None:
+            continue
+        a[piv], a[sel] = a[sel], a[piv]
+        if carry:
+            rhs[piv], rhs[sel] = rhs[sel], rhs[piv]
+        c = entry(a[piv], col)
+        if c != 1:
+            ic = inv_fn(c)
+            a[piv] = scale(a[piv], ic)
+            if carry:
+                rhs[piv] = [scale_rhs(v, ic) for v in rhs[piv]]
+        prow = a[piv]
+        prhs = rhs[piv] if carry else None
+        for r in range(nrows):
+            if r != piv and a[r] & mask:
+                c = entry(a[r], col)
+                if c == 1:
+                    a[r] ^= prow
+                    if carry:
+                        rhs[r] = list(map(xor, rhs[r], prhs))
+                else:
+                    a[r] ^= scale(prow, c)
+                    if carry:
+                        rhs[r] = [x ^ scale_rhs(y, c) for x, y in zip(rhs[r], prhs)]
+        pivots.append(col)
+    return pivots
+
+
 def rref(M: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form of M.
 
     Returns (R, rank, pivot_cols) with pivot columns in increasing order,
-    one per leading one. Pivoting picks the first row with a nonzero entry
-    in the current column; over a field there are no ties to break.
+    one per leading one. The elimination runs bit-sliced (_gauss_jordan).
     """
-    if M.field.width == 1:
-        return _rref_gf2(M)
-    a = [list(r) for r in M._rows]
-    nrows, ncols = M.nrows, M.ncols
-    f = M.field
-    mul_fn, inv_fn = f._mul, f._inv
-    pivots: list[int] = []
-    piv = 0
-    for col in range(ncols):
-        sel = next((r for r in range(piv, nrows) if a[r][col]), None)
-        if sel is None:
-            continue
-        a[piv], a[sel] = a[sel], a[piv]
-        c = a[piv][col]
-        if c != 1:
-            ic = inv_fn(c)
-            a[piv] = [mul_fn(ic, x) for x in a[piv]]
-        prow = a[piv]
-        for r in range(nrows):
-            if r != piv and a[r][col]:
-                m = a[r][col]
-                if m == 1:
-                    a[r] = [x ^ y for x, y in zip(a[r], prow)]
-                else:
-                    a[r] = [x ^ mul_fn(m, y) for x, y in zip(a[r], prow)]
-        pivots.append(col)
-        piv += 1
-        if piv == nrows:
-            break
-    return FieldMatrix._wrap(f, a), len(pivots), tuple(pivots)
-
-
-def _rref_gf2(M: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
-    nrows, ncols = M.nrows, M.ncols
-    masks = []
-    for r in M._rows:
-        m = 0
-        for j, v in enumerate(r):
-            if v:
-                m |= 1 << j
-        masks.append(m)
-    pivots: list[int] = []
-    piv = 0
-    for col in range(ncols):
-        bit = 1 << col
-        sel = next((r for r in range(piv, nrows) if masks[r] & bit), None)
-        if sel is None:
-            continue
-        masks[piv], masks[sel] = masks[sel], masks[piv]
-        prow = masks[piv]
-        for r in range(nrows):
-            if r != piv and masks[r] & bit:
-                masks[r] ^= prow
-        pivots.append(col)
-        piv += 1
-        if piv == nrows:
-            break
-    rows = [[(m >> j) & 1 for j in range(ncols)] for m in masks]
-    return FieldMatrix._wrap(M.field, rows), len(pivots), tuple(pivots)
+    slices = bit_slices(M.field, M.ncols)
+    a = [slices.pack(r) for r in M._rows]
+    pivots = _gauss_jordan(M.field, M.ncols, a)
+    R = FieldMatrix._wrap(M.field, [list(slices.unpack(v)) for v in a])
+    return R, len(pivots), tuple(pivots)
 
 
 def matrix_rank(M: FieldMatrix) -> int:
@@ -672,67 +601,35 @@ def solve(A: FieldMatrix, B):
     A may be square or tall. B is either a FieldMatrix with matching row
     count, or a sequence of rows of storage symbols over A's field, all of
     one payload length; X then comes back as a list of rows of symbols.
-    The elimination runs bit-sliced (see BitSlices) on A's rows and on B's
-    packed rows or symbol payloads, one kernel for every field width.
+    The elimination (_gauss_jordan) runs bit-sliced on A's rows and carries
+    B's rows along, packed one int per row or one per symbol payload.
     Raises SingularSystemError, carrying the rank found, when A is
     rank-deficient, RightHandSideError when symbol rows do not fit, and
     ValueError when the system is inconsistent.
     """
     f = A.field
-    nrows, ncols = A.nrows, A.ncols
-    packed = isinstance(B, FieldMatrix)
-    if packed:
+    ncols = A.ncols
+    if isinstance(B, FieldMatrix):
         if B.field != f:
             raise FieldMismatchError("right-hand side over a different field")
         out = bit_slices(f, B.ncols)
-        b = [out.pack(r) for r in B._rows]
-        scale_b = out.scale
+        b = [[out.pack(r)] for r in B._rows]
     else:
         b, ell = _symbol_payloads(f, B)
-        payload = bit_slices(f, ell)
-        scale_b = lambda x, c: [payload.scale(v, c) for v in x]
-    if len(b) != nrows:
+        out = bit_slices(f, ell)
+    if len(b) != A.nrows:
         raise ValueError("row counts of A and B differ")
     row_slices = bit_slices(f, ncols)
     a = [row_slices.pack(r) for r in A._rows]
-    entry, scale_a, inv_fn = row_slices.entry, row_slices.scale, f._inv
-    piv = 0
-    for col in range(ncols):
-        mask = row_slices.column_mask(col)
-        sel = next((r for r in range(piv, nrows) if a[r] & mask), None)
-        if sel is None:
-            continue
-        a[piv], a[sel] = a[sel], a[piv]
-        b[piv], b[sel] = b[sel], b[piv]
-        c = entry(a[piv], col)
-        if c != 1:
-            ic = inv_fn(c)
-            a[piv] = scale_a(a[piv], ic)
-            b[piv] = scale_b(b[piv], ic)
-        prow_a, prow_b = a[piv], b[piv]
-        for r in range(nrows):
-            if r != piv and a[r] & mask:
-                c = entry(a[r], col)
-                if c == 1:
-                    a[r] ^= prow_a
-                    term = prow_b
-                else:
-                    a[r] ^= scale_a(prow_a, c)
-                    term = scale_b(prow_b, c)
-                b[r] = b[r] ^ term if packed else list(map(xor, b[r], term))
-        piv += 1
-        if piv == nrows:
-            break
-    if piv < ncols:
+    rank = len(_gauss_jordan(f, ncols, a, b, out))
+    if rank < ncols:
         raise SingularSystemError(
-            f"coefficient matrix has rank {piv}, expected full column rank {ncols}", piv
+            f"coefficient matrix has rank {rank}, expected full column rank {ncols}", rank
         )
-    if packed:
-        if any(b[ncols:]):
-            raise ValueError("inconsistent system: no solution exists")
-        return FieldMatrix._wrap(f, [list(out.unpack(v)) for v in b[:ncols]])
     if any(any(row) for row in b[ncols:]):
         raise ValueError("inconsistent system: no solution exists")
+    if isinstance(B, FieldMatrix):
+        return FieldMatrix._wrap(f, [list(out.unpack(v)) for (v,) in b[:ncols]])
     from .codes import StorageSymbol
 
     return [[StorageSymbol._of(f, ell, v) for v in row] for row in b[:ncols]]
@@ -768,22 +665,6 @@ def _symbol_payloads(field: FieldSpec, rows) -> tuple[list[list[int]], int]:
                 problem = f"has payload length {sym.ell}, entry (1, 1) {ell}"
             raise RightHandSideError(f"right-hand side entry ({i}, {j}) {problem}")
     return [[sym.bits for sym in row] for row in rows], ell
-
-
-def nullspace(M: FieldMatrix) -> list[tuple[int, ...]]:
-    """Basis of the right null space of M, one tuple per free column."""
-    R, rank, pivots = rref(M)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(M.ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * M.ncols
-        v[free] = 1
-        for i, p in enumerate(pivots):
-            v[p] = R._rows[i][free]  # negation is identity in characteristic 2
-        basis.append(tuple(v))
-    return basis
 
 
 class BitBasis:

@@ -122,10 +122,6 @@ class StorageSymbol:
         return f"StorageSymbol{self.components}"
 
 
-def zero_symbol(spec: FieldSpec, ell: int) -> StorageSymbol:
-    return StorageSymbol.from_bits(spec, ell, 0)
-
-
 # format(mask, "b") characters -> 0/1 bytes
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -180,12 +176,6 @@ class ErasurePattern:
 
     def support(self) -> tuple[int, ...]:
         return tuple(j for j, b in enumerate(self.bits) if b)
-
-    def shifted(self, s: int) -> "ErasurePattern":
-        """Cyclic shift moving position j to position (j + s) mod k."""
-        k = len(self.bits)
-        s %= k
-        return ErasurePattern(self.bits[-s:] + self.bits[:-s] if s else self.bits)
 
     def __len__(self) -> int:
         return len(self.bits)

@@ -344,12 +344,17 @@ def _search_matrix(
     if not rows:
         return None, True
     # circulant shortcut: a pattern whose k cyclic shifts are all distinct
-    # and all present yields a regular matrix immediately
+    # and all present yields a regular matrix immediately. Every rotation of
+    # a pattern has the same orbit, so one check per orbit decides them all.
     row_set = set(rows)
+    checked: set[int] = set()
     for p in rows:
+        if p in checked:
+            continue
         shifts = _rotations(p, k)
         if len(set(shifts)) == k and all(s in row_set for s in shifts):
             return shifts, True
+        checked.update(shifts)
 
     if len(rows) <= subset_threshold:
         try:

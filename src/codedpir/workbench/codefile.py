@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from ..algebra import FieldMatrix, FieldSpec
+from ..algebra import MAX_WIDTH, FieldMatrix, FieldSpec
 from ..codes import LinearCode, code_from_parity_check
 from ..optimizer import EMatrix
 
@@ -57,6 +57,10 @@ def parse_code_text(text: str, name: str = "<string>") -> CodeFile:
             if len(parts) != 2:
                 raise CodeFileError(name, line_no, "expected: field <width>")
             field_width = _parse_int(name, line_no, parts[1], "field width")
+            if not 1 <= field_width <= MAX_WIDTH:
+                raise CodeFileError(
+                    name, line_no, f"field width must be in 1..{MAX_WIDTH}, got {field_width}"
+                )
             continue
         if key == "code" and shape is None and not rows:
             if field_width is None:
@@ -147,9 +151,15 @@ def format_e_matrix(e: EMatrix) -> str:
 
 
 def parse_e_matrix_text(text: str) -> EMatrix:
+    """An access matrix from its text form; ValueError names the first
+    character that is not 0 or 1 by its 1-based line and column."""
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.strip("01"):  # some character is neither 0 nor 1
+            j = next(j for j, ch in enumerate(line) if ch not in "01")
+            col = len(raw) - len(raw.lstrip()) + j + 1
+            raise ValueError(f"line {line_no}, column {col}: {line[j]!r} is not 0 or 1")
         if line:
             rows.append(tuple(int(ch) for ch in line))
     if not rows:

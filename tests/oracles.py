@@ -281,8 +281,12 @@ def column_rank(p_rows, support, field: TinyField) -> int:
     return len(pivot_columns(sub, field)) if support else 0
 
 
-def pivot_columns(rows, field: TinyField) -> list[int]:
-    """Leading-one columns of the reduced row echelon form, in order."""
+def rref_oracle(rows, field) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """(R, rank, pivot columns) of the reduced row echelon form, one entry at a time.
+
+    `field` is a TinyField or PeasantField; pivoting picks the first row
+    with a nonzero entry in the current column.
+    """
     a = [list(r) for r in rows]
     nr, nc = len(a), len(a[0])
     pivots = []
@@ -302,7 +306,12 @@ def pivot_columns(rows, field: TinyField) -> list[int]:
         piv += 1
         if piv == nr:
             break
-    return pivots
+    return a, len(pivots), tuple(pivots)
+
+
+def pivot_columns(rows, field: TinyField) -> list[int]:
+    """Leading-one columns of the reduced row echelon form, in order."""
+    return list(rref_oracle(rows, field)[2])
 
 
 def shift_period_oracle(p_rows, field) -> int:

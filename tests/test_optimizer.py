@@ -239,12 +239,54 @@ class TestComputeMatrix:
 
     def test_circulant_shortcut_used_for_full_shift_orbits(self):
         k = 7
-        base = ErasurePattern.from_support(k, (0, 2, 3))
-        orbit = {base.shifted(s) for s in range(k)}
+        orbit = {ErasurePattern.from_support(k, ((s + j) % k for j in (0, 2, 3)))
+                 for s in range(k)}
         pl = PatternList(frozenset(orbit), 3, False)
         e = compute_matrix(pl, k)
         assert e is not None
         assert {tuple(r) for r in e.rows} == {p.bits for p in orbit}
+
+    @staticmethod
+    def _first_full_orbit(rows, k):
+        """Rotations of the first row, in sorted order, whose k rotations are
+        distinct and all listed; rotation s moves position j to (j + s) mod k."""
+        listed = set(rows)
+        for p in sorted(listed):
+            bits = format(p, f"0{k}b")
+            rots = [int(bits[k - s:] + bits[:k - s], 2) for s in range(k)]
+            if len(set(rots)) == k and listed.issuperset(rots):
+                return rots
+        return None
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_circulant_shortcut_matches_brute_reference(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        k, beta, periodic = [(8, 4, (0, 2, 4, 6)), (9, 3, (0, 3, 6)), (12, 4, (0, 3, 6, 9))][seed % 3]
+        orbits = {}
+        while len(orbits) < 6:
+            bits = format(sum(1 << (k - 1 - j) for j in rng.sample(range(k), beta)), f"0{k}b")
+            orbit = sorted({int(bits[k - s:] + bits[:k - s], 2) for s in range(k)})
+            if len(orbit) == k:
+                orbits[orbit[0]] = orbit
+        rows = []
+        for orbit in orbits.values():  # every orbit misses one rotation
+            dropped = rng.choice(orbit)
+            rows += [m for m in orbit if m != dropped]
+        if seed % 2:
+            # one orbit complete: the one whose first row sorts last
+            rows += orbits[max(orbits)]
+        # a complete orbit of a periodic support sorts first but has repeats
+        rows += [sum(1 << (k - 1 - (j + s) % k) for j in periodic) for s in range(k)]
+        expected = self._first_full_orbit(rows, k)
+        assert (expected is None) == (seed % 2 == 0)
+        calls = []
+        real = optimizer_module._rotations
+        monkeypatch.setattr(optimizer_module, "_rotations",
+                            lambda m, n: calls.append(m) or real(m, n))
+        found, _ = _search_matrix(rows, k, beta, exact_budget=0, seed=0,
+                                  subset_threshold=len(rows), subset_tries=1)
+        assert found == expected
+        assert len(calls) <= len(orbits) + 1  # one check per orbit
 
     def test_deterministic(self):
         pl = PatternList(frozenset(all_patterns(6, 2)), 2, True)

@@ -22,7 +22,6 @@ from codedpir import (
     random_file,
     recover_file,
     verify_privacy,
-    zero_symbol,
 )
 
 from conftest import GF2, GF4, c1_code, make_code, random_systematic_code
@@ -183,7 +182,7 @@ class TestNodeResponse:
         r4 = node_response(qs.q[3], arr.node_column(4))
         u = qs.u.values()
         for t in range(3):
-            expected = zero_symbol(GF2, 4)
+            expected = StorageSymbol.from_bits(GF2, 4, 0)
             for col in (0, 1):  # parity row one covers message columns 1 and 2
                 for stripe in range(2):
                     if u[t][stripe]:
@@ -266,7 +265,7 @@ class TestRecovery:
 
     def test_zero_file_recovers_zero(self):
         code = c1_code()
-        x = [[zero_symbol(GF2, 3)] * 3 for _ in range(2)]
+        x = [[StorageSymbol.from_bits(GF2, 3, 0)] * 3 for _ in range(2)]
         arr = build_storage(code, [x])
         qs = build_queries(code, E1, m=1, f=1, seed=1)
         assert recover_file(qs, collect_responses(qs, arr), code) == x
@@ -303,7 +302,7 @@ class TestRecovery:
     def test_wrong_payload_length_names_node_and_subquery(self):
         code, qs, rs = self._c1_run()
         resp = list(rs.responses[4])
-        resp[2] = zero_symbol(GF2, 5)
+        resp[2] = StorageSymbol.from_bits(GF2, 5, 0)
         with pytest.raises(ProtocolViolationError, match=r"node 5, subquery 3: payload length 5"):
             recover_file(qs, self._with_node(rs, 5, resp), code)
 

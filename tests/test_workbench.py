@@ -76,6 +76,13 @@ dtmin 3
         with pytest.raises(CodeFileError, match="outside GF"):
             parse_code_text(text)
 
+    @pytest.mark.parametrize("width", [0, 17])
+    def test_field_width_out_of_range_names_the_line(self, width):
+        text = f"# no field {width}\nfield {width}\ncode 5 3\n1 1 0 1 0\n0 1 1 0 1\n"
+        message = rf"^<string>:2: field width must be in 1\.\.16, got {width}$"
+        with pytest.raises(CodeFileError, match=message):
+            parse_code_text(text)
+
     def test_code_invariant_errors_pass_through(self):
         rate_half = "field 1\ncode 4 2\n1 0 1 0\n0 1 0 1\n"
         with pytest.raises(RateError):
@@ -100,6 +107,16 @@ class TestEMatrixFormat:
         text = format_e_matrix(e)
         assert text == "101\n110\n011\n"
         assert parse_e_matrix_text(text) == e
+
+    @pytest.mark.parametrize("text, where", [
+        ("10\n0x\n", "line 2, column 2: 'x'"),
+        ("12\n21\n", "line 1, column 2: '2'"),
+        ("\n  11\n  1a\n", "line 3, column 4: 'a'"),
+        ("10\n0 1\n", "line 2, column 2: ' '"),
+    ])
+    def test_bad_character_names_line_and_column(self, text, where):
+        with pytest.raises(ValueError, match=f"^{where} is not 0 or 1$"):
+            parse_e_matrix_text(text)
 
 
 class TestCli:
