@@ -238,7 +238,6 @@ class DerivedCode:
     n_tilde: int
     k_tilde: int
     h_tilde: FieldMatrix
-    d_tilde_min: int | None = None
 
     @cached_property
     def _column_reps(self):
@@ -322,13 +321,12 @@ class DerivedCode:
         return True
 
 
-def derived_code(code: LinearCode, d_tilde_min: int | None = None) -> DerivedCode:
+def derived_code(code: LinearCode) -> DerivedCode:
     return DerivedCode(
         field=code.field,
         n_tilde=code.k,
         k_tilde=code.k - code.parity_rank,
         h_tilde=code.p,
-        d_tilde_min=d_tilde_min,
     )
 
 

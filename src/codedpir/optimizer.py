@@ -8,10 +8,11 @@ subqueries. The download price n/beta therefore falls as beta grows, and
 the scan below climbs beta from just under the derived code's minimum
 distance (where every pattern works) up to the rank of its parity-check
 matrix (past which no correctable pattern exists). A width listed at
-random is usually proven feasible by one seeded round whose support has k
-distinct, correctable rotations (a circulant orbit), without listing the
-rest; the full list, search and matrix are built only for the widths the
-scan keeps.
+random is usually proven feasible, without being listed, by one seeded
+round whose support has k distinct, correctable rotations (a circulant
+orbit); the matrix of a width the scan keeps is the circulant of the
+smallest such orbit over all its rounds. Only the widths no round proves
+feasible are listed and searched.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .codes import (
     DerivedCode,
@@ -58,46 +59,21 @@ class EMatrix:
         return len(self.rows)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PatternList:
     """Correctable erasure patterns of one weight, held as support masks.
 
-    `masks` are length-`k` support masks (see ErasurePattern.mask); the
-    `patterns` view builds the ErasurePattern objects on first access, so
-    the width scan never makes them. `exhaustive` is True when the list
-    provably contains every correctable pattern of that weight.
-    `PatternList(patterns, beta, exhaustive)` builds a list from patterns,
-    which must share one length. An empty list has k = 0, so empty lists
-    of one weight and exhaustiveness are equal whatever their source.
+    `masks` are length-`k` support masks of weight `beta` (see
+    ErasurePattern.mask); the `patterns` view builds the ErasurePattern
+    objects on first access, so the width scan never makes them.
+    `exhaustive` is True when the list provably contains every correctable
+    pattern of that weight.
     """
 
     masks: frozenset[int]
     k: int
     beta: int
     exhaustive: bool
-
-    def __init__(self, patterns: Iterable[ErasurePattern], beta: int, exhaustive: bool):
-        patterns = frozenset(patterns)
-        lengths = {len(p) for p in patterns}
-        if len(lengths) > 1:
-            raise ValueError("pattern list mixes lengths")
-        self._fill(frozenset(p.mask for p in patterns), lengths.pop() if lengths else 0,
-                   beta, exhaustive)
-        self.__dict__["patterns"] = patterns
-
-    @classmethod
-    def _of(cls, masks: Iterable[int], k: int, beta: int, exhaustive: bool) -> "PatternList":
-        """A list from length-k support masks, trusted to fit in k bits."""
-        pl = cls.__new__(cls)
-        pl._fill(frozenset(masks), k, beta, exhaustive)
-        return pl
-
-    def _fill(self, masks: frozenset[int], k: int, beta: int, exhaustive: bool) -> None:
-        if masks and set(map(int.bit_count, masks)) != {beta}:
-            raise ValueError("pattern list mixes weights")
-        k = k if masks else 0  # empty lists compare equal whatever k they came from
-        for name, value in (("masks", masks), ("k", k), ("beta", beta), ("exhaustive", exhaustive)):
-            object.__setattr__(self, name, value)
 
     @cached_property
     def patterns(self) -> frozenset[ErasurePattern]:
@@ -138,7 +114,7 @@ def compute_erasure_pattern_list(
     rank = k - derived.k_tilde
     if beta > rank:
         # no beta columns can be independent; this emptiness is proven
-        return PatternList._of((), k, beta, exhaustive=True)
+        return PatternList(frozenset(), k, beta, exhaustive=True)
 
     if mode == "exhaustive":
         cols = derived._column_reps
@@ -157,7 +133,7 @@ def compute_erasure_pattern_list(
 
         top = 1 << (k - 1)  # position 0
         walk(0, 0, 0)
-        return PatternList._of(found, k, beta, exhaustive=True)
+        return PatternList(frozenset(found), k, beta, exhaustive=True)
 
     independent = derived.independent
     period = derived.shift_period
@@ -170,7 +146,7 @@ def compute_erasure_pattern_list(
                 ok = seen[cand] = independent(cand) if s < period else seen[rotations[s % period]]
                 if ok:
                     found.append(cand)
-    return PatternList._of(found, k, beta, exhaustive=False)
+    return PatternList(frozenset(found), k, beta, exhaustive=False)
 
 
 def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator[list[int]]:
@@ -202,23 +178,21 @@ def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator
         yield _rotations(base, k)
 
 
-def _orbit_certified(derived: DerivedCode, beta: int, budget: int, seed: int) -> bool:
-    """Whether some seeded round draws a support whose k rotations are all
-    distinct and all correctable.
+def _complete_orbits(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator[int]:
+    """The smallest rotation of each seeded round whose k rotations are all
+    distinct and all correctable, in round order.
 
-    The randomized listing at the same seed keeps every correctable rotation
-    of every round, so it then holds that whole orbit, and _search_matrix's
-    circulant shortcut succeeds on it: the width is feasible, proven without
-    listing the other rounds. Rotations s >= shift_period reuse the verdict
-    of s mod shift_period.
+    Such an orbit is complete in the randomized listing at the same seed,
+    which keeps every correctable rotation of every round, so the first
+    yield proves the width feasible without listing it. Rotations
+    s >= shift_period reuse the verdict of s mod shift_period.
     """
     k = derived.n_tilde
     period = derived.shift_period
     independent = derived.independent
     for rotations in _rounds(derived, beta, budget, seed):
         if len(set(rotations)) == k and all(map(independent, rotations[:period])):
-            return True
-    return False
+            yield min(rotations)
 
 
 def _rotations(mask: int, k: int) -> list[int]:
@@ -332,13 +306,17 @@ def _search_matrix(
     subset_threshold: int,
     subset_tries: int,
 ) -> tuple[list[int] | None, bool]:
-    """Core of compute_matrix; also reports whether the search was complete.
+    """Assemble a k x k beta-regular matrix from listed patterns.
 
-    Patterns are length-k support masks (see ErasurePattern.mask), which
-    sort in the order of their bit tuples. Returns the k rows of the matrix
-    found as masks, or None. The second return value is True only when
-    infeasibility (or the found solution) is proven: the exact search ran
-    on the full pattern list and finished within budget.
+    Tries, in order: the circulant shortcut, exact backtracking over the
+    whole (deduplicated) list when it is small enough, and otherwise exact
+    backtracking over several random subsets. Patterns are length-k support
+    masks (see ErasurePattern.mask), which sort in the order of their bit
+    tuples. Returns the k rows of the matrix found as masks, or None when
+    nothing is found within budget (a valid "infeasible or unknown"
+    outcome), and whether the search was complete: True only when
+    infeasibility (or the found solution) is proven, because the exact
+    search ran on the full pattern list and finished within budget.
     """
     rows = sorted(set(patterns))
     if not rows:
@@ -378,31 +356,6 @@ def _search_matrix(
 
 def _e_matrix(masks: Sequence[int], k: int, beta: int) -> EMatrix:
     return EMatrix(tuple(tuple(_mask_bytes(m, k)) for m in masks), beta)
-
-
-def compute_matrix(
-    L: PatternList,
-    k: int,
-    exact_budget: int = 20_000,
-    seed: int = 0,
-    subset_threshold: int = 4_000,
-    subset_tries: int = 6,
-) -> EMatrix | None:
-    """Assemble a k x k beta-regular matrix from the listed patterns.
-
-    Tries, in order: the circulant shortcut, exact backtracking over the
-    whole (deduplicated) list when it is small enough, and otherwise exact
-    backtracking over several random subsets. Returns None when nothing is
-    found within budget; that is a valid "infeasible or unknown" outcome.
-    """
-    if not L.masks:
-        return None
-    if L.k != k:
-        raise ValueError("pattern length does not match k")
-    found, _ = _search_matrix(
-        L.masks, k, L.beta, exact_budget, seed, subset_threshold, subset_tries
-    )
-    return None if found is None else _e_matrix(found, k, L.beta)
 
 
 @dataclass(frozen=True)
@@ -478,14 +431,18 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
     minimum distance every pattern is correctable and any shift-variant
     pattern closes into a circulant.
 
-    A randomized width is first replayed round by round: the first round
-    whose support has k distinct, correctable rotations proves the width
-    feasible, since the full list holds that orbit and the search's
-    circulant shortcut takes it (see _orbit_certified). Such a width is not
-    listed or searched while the scan runs; only the widths kept (e_opt,
-    and extended_e under keep_going) are listed, searched and built at the
-    end, from the same seed, so the result is the one listing every width
-    gives. Widths the certificate does not cover are listed and searched
+    A randomized width is first replayed round by round, and the first
+    round whose support has k distinct, correctable rotations proves it
+    feasible (see _complete_orbits); such a width is neither listed nor
+    searched. A width the scan keeps (e_opt, and extended_e under
+    keep_going) gets the circulant _rotations(p, k), where p is the
+    smallest yield of that round and of every later round. That is the
+    matrix listing and searching the width would give: the listing keeps
+    every correctable rotation of every round and a rotation's verdict
+    depends only on its mask, so an orbit is complete in the list exactly
+    when it is the orbit of a round that certifies; and _search_matrix's
+    circulant shortcut returns _rotations(p, k) for the smallest row p of
+    any complete orbit. Widths no round certifies are listed and searched
     as they are reached. `iterations` and `exhaustive` keep their meaning:
     a certified width counts as an iteration, and its list, being
     randomized, is not exhaustive.
@@ -507,19 +464,20 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
     iterations = 0
     exhaustive = True
     stopped = False
-    # the widest success before and after the faithful stop, as (beta, rows);
-    # rows is None at a certified width until it is built below
-    opt: tuple[int, list[int] | None] | None = None
-    ext: tuple[int, list[int] | None] | None = None
+    # the widest success before and after the faithful stop, as (beta, a
+    # function giving its matrix rows): a certified width's later rounds
+    # run only if it is kept
+    opt: tuple[int, Callable[[], list[int]]] | None = None
+    ext: tuple[int, Callable[[], list[int]]] | None = None
 
     for beta in range(dtm - 1, rank_p + 1):
         if not stopped:
             iterations += 1
-        if _randomized(k, beta, cfg) and _orbit_certified(
-            derived, beta, cfg.pattern_budget, _iter_seed(cfg, beta)
-        ):
+        orbits = _complete_orbits(derived, beta, cfg.pattern_budget, _iter_seed(cfg, beta))
+        first = next(orbits, None) if _randomized(k, beta, cfg) else None
+        if first is not None:
             exhaustive = False  # as the randomized list it stands for would set
-            rows = None
+            found = beta, lambda first=first, later=orbits: _rotations(min([first, *later]), k)
         else:
             listed, rows, complete = _list_and_search(derived, beta, cfg)
             exhaustive = exhaustive and listed.exhaustive and complete
@@ -531,10 +489,11 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
                     if not cfg.keep_going:
                         break
                 continue
+            found = beta, lambda rows=rows: rows
         if stopped:
-            ext = beta, rows
+            ext = found
         else:
-            opt = beta, rows
+            opt = found
 
     if opt is None:
         raise RuntimeError(
@@ -542,11 +501,8 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
             "raise pattern_budget"
         )
 
-    def built(beta: int, rows: list[int] | None) -> EMatrix:
-        if rows is None:
-            # the certificate promised the circulant shortcut a hit here
-            rows = _list_and_search(derived, beta, cfg)[1]
-        return _e_matrix(rows, k, beta)
+    def built(beta: int, rows: Callable[[], list[int]]) -> EMatrix:
+        return _e_matrix(rows(), k, beta)
 
     beta_opt, e_opt = opt[0], built(*opt)
     ext_beta, ext_e = (ext[0], built(*ext)) if ext else (None, None)

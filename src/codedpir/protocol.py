@@ -174,9 +174,17 @@ def _selection_offsets(
 
 
 def _layout(
-    e: EMatrix, pi: Sequence[int] | None, z: Sequence[Sequence[int]] | None
+    k: int, e: EMatrix, f: int, pi: Sequence[int] | None, z: Sequence[Sequence[int]] | None
 ) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Validated (pi, z); None picks the identity and the canonical slots."""
+    """Validated (pi, z) of access matrix e for f files on a code with k
+    message nodes; None picks the identity and the canonical slots.
+
+    Raises ValueError when e is not k x k, f < 1, or pi or z is malformed.
+    """
+    if e.k != k:
+        raise ValueError(f"access matrix is {e.k} x {e.k}, code needs {k} x {k}")
+    if f < 1:
+        raise ValueError("need at least one file")
     perm = _validate_pi(pi, e.beta) if pi is not None else tuple(range(e.beta + 1))
     slots = _validate_slots(e, z) if z is not None else _canonical_slots(e)
     return perm, slots
@@ -216,14 +224,10 @@ def build_queries(
     tests can reproduce, and recovery works for any valid override.
     """
     k, n = code.k, code.n
-    if e.k != k:
-        raise ValueError(f"access matrix is {e.k} x {e.k}, code needs {k} x {k}")
-    if f < 1:
-        raise ValueError("need at least one file")
+    perm, slots = _layout(k, e, f, pi, z)
     if not 1 <= m <= f:
         raise ValueError(f"file index {m} out of 1..{f}")
     beta = e.beta
-    perm, slots = _layout(e, pi, z)
     field = code.field
     rng = random.Random(seed)
     draw = rng.randrange
@@ -328,6 +332,14 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         raise ProtocolViolationError(
             f"stripe count {beta} must stay below k={k}; no subquery may select every node"
         )
+    if qs.e.beta != beta:
+        raise ProtocolViolationError(
+            f"query set: stripe count {beta}, but its access matrix has weight {qs.e.beta}"
+        )
+    try:
+        _layout(k, qs.e, qs.f, qs.pi, qs.z)
+    except ValueError as exc:
+        raise ProtocolViolationError(f"query set: {exc}") from exc
     ell = _check_responses(rs, code)
     field = code.field
     slices = bit_slices(field, ell)
@@ -416,13 +428,13 @@ def exact_privacy_check(
     than k rows, raises ProtocolViolationError naming the count and file.
     """
     k, n = code.k, code.n
+    perm, slots = _layout(k, e, f, pi, z)
     beta = e.beta
     order = code.field.order
     width = beta * f
     total = order ** (k * width)
     if total > limit:
         raise ValueError(f"exact check needs {total} mask enumerations, above the limit {limit}")
-    perm, slots = _layout(e, pi, z)
     offsets = {m: _selection_offsets(k, beta, m, perm, slots) for m in range(1, f + 1)}
 
     def is_mask_plus_selection(queries, u_rows: list[list[int]], m: int) -> bool:
@@ -500,8 +512,8 @@ def verify_privacy(
     k, n = code.k, code.n
     order = code.field.order
     width = e.beta * f
-    if pi is not None:  # the statistic ignores pi, but a malformed one is still an error
-        _validate_pi(pi, e.beta)
+    # the statistic ignores the layout, but a malformed one is still an error
+    _layout(k, e, f, pi, None)
 
     exact_performed = order ** (k * width) <= exact_limit
     multisets_ok = construction_ok = None

@@ -6,6 +6,7 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,7 +170,8 @@ def _table_row(path: str, args) -> tuple[str, ...]:
     cf = parse_code_file(path)
     started = time.monotonic()
     dm, dm_hint, dtm, dtm_hint = _distances(cf, args.cap)
-    result = optimize_cpop(cf.code, _config_for(cf, args))
+    # hand the scan the distances found above, so neither is searched twice
+    result = optimize_cpop(cf.code, replace(_config_for(cf, args), d_min=dm, d_tilde_min=dtm))
     elapsed = time.monotonic() - started
     return (
         cf.name,

@@ -13,7 +13,6 @@ from codedpir import (
     PatternList,
     assert_valid_e_matrix,
     compute_erasure_pattern_list,
-    compute_matrix,
     cpop,
     derived_code,
     e_matrix_violations,
@@ -21,7 +20,7 @@ from codedpir import (
     optimize_cpop,
     theta_bounds,
 )
-from codedpir.optimizer import _search_matrix
+from codedpir.optimizer import _e_matrix, _search_matrix
 from codedpir.workbench import parse_code_file
 
 from conftest import (
@@ -128,34 +127,15 @@ class TestPatternList:
         with pytest.raises(ValueError):
             compute_erasure_pattern_list(d, 4)
 
-    def test_mixed_weights_rejected(self):
-        with pytest.raises(ValueError):
-            PatternList(
-                frozenset({ErasurePattern((1, 0)), ErasurePattern((1, 1))}), 1, True
-            )
-        with pytest.raises(ValueError, match="mixes weights"):
-            PatternList._of([0b110, 0b100], 3, 2, True)
-
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(ValueError, match="mixes lengths"):
-            PatternList({ErasurePattern((1, 0)), ErasurePattern((0, 0, 1))}, 1, True)
-
     def test_listing_keeps_masks_and_builds_patterns_on_demand(self):
         d = derived_code(c1_code())
         pl = compute_erasure_pattern_list(d, 2)
         assert "patterns" not in pl.__dict__
         assert (pl.masks, pl.k) == (frozenset({0b110, 0b101, 0b011}), 3)
         assert {p.mask for p in pl.patterns} == pl.masks
-        assert pl == PatternList(pl.patterns, 2, True)
-
-    def test_empty_listing_equals_empty_public_list(self):
-        # beta = 3 exceeds rank(P) on c1: a proven-empty list carrying k = 3
-        empty = compute_erasure_pattern_list(derived_code(c1_code()), 3)
-        public = PatternList(frozenset(), 3, True)
-        assert not empty.masks
-        assert empty == public and hash(empty) == hash(public)
-        assert empty.patterns == frozenset()
-        assert empty != PatternList(frozenset(), 3, False)
+        # the cached view takes no part in equality or hashing
+        plain = PatternList(frozenset(pl.masks), 3, 2, True)
+        assert pl == plain and hash(pl) == hash(plain)
 
 
 class TestListingOracle:
@@ -198,27 +178,25 @@ class TestListingOracle:
 
 
 class TestComputeMatrix:
-    def test_all_weight_two_patterns_of_length_three(self):
-        pl = PatternList(frozenset(all_patterns(3, 2)), 2, True)
-        e = compute_matrix(pl, 3)
-        assert e is not None
-        assert_valid_e_matrix(e, derived_code(c1_code()))
+    """The matrix search, _search_matrix, on support masks."""
 
-    def test_wrong_pattern_length_rejected(self):
-        pl = PatternList(frozenset(all_patterns(4, 2)), 2, True)
-        with pytest.raises(ValueError, match="length"):
-            compute_matrix(pl, 3)
+    @staticmethod
+    def _search(patterns, k, beta, seed=0):
+        cfg = OptimizerConfig()
+        return _search_matrix([p.mask for p in patterns], k, beta, cfg.exact_budget, seed,
+                              cfg.subset_threshold, cfg.subset_tries)
+
+    def test_all_weight_two_patterns_of_length_three(self):
+        rows, complete = self._search(all_patterns(3, 2), 3, 2)
+        assert rows is not None and complete
+        assert_valid_e_matrix(_e_matrix(rows, 3, 2), derived_code(c1_code()))
 
     def test_column_never_reachable(self):
-        pl = PatternList(frozenset({ErasurePattern((1, 1, 0))}), 2, True)
-        assert compute_matrix(pl, 3) is None
+        assert self._search([ErasurePattern((1, 1, 0))], 3, 2) == (None, True)
 
     def test_weight_one_gives_permutation(self):
-        pl = PatternList(frozenset(all_patterns(5, 1)), 1, True)
-        e = compute_matrix(pl, 5)
-        assert e is not None
-        assert sorted(e.rows) == sorted(tuple(r) for r in
-                                        ([1 if i == j else 0 for j in range(5)] for i in range(5)))
+        rows, _ = self._search(all_patterns(5, 1), 5, 1)
+        assert sorted(rows) == [1 << j for j in range(5)]
 
     def test_budget_exhaustion_reported_incomplete(self):
         # no full shift orbit here, so the exact search must actually run
@@ -241,10 +219,9 @@ class TestComputeMatrix:
         k = 7
         orbit = {ErasurePattern.from_support(k, ((s + j) % k for j in (0, 2, 3)))
                  for s in range(k)}
-        pl = PatternList(frozenset(orbit), 3, False)
-        e = compute_matrix(pl, k)
-        assert e is not None
-        assert {tuple(r) for r in e.rows} == {p.bits for p in orbit}
+        rows, complete = self._search(orbit, k, 3)
+        assert complete
+        assert set(rows) == {p.mask for p in orbit}
 
     @staticmethod
     def _first_full_orbit(rows, k):
@@ -289,8 +266,8 @@ class TestComputeMatrix:
         assert len(calls) <= len(orbits) + 1  # one check per orbit
 
     def test_deterministic(self):
-        pl = PatternList(frozenset(all_patterns(6, 2)), 2, True)
-        assert compute_matrix(pl, 6, seed=5) == compute_matrix(pl, 6, seed=5)
+        patterns = all_patterns(6, 2)
+        assert self._search(patterns, 6, 2, seed=5) == self._search(patterns, 6, 2, seed=5)
 
 
 class TestRegularSubsetOracle:
@@ -368,6 +345,66 @@ class TestEagerScanOracle:
             res = optimize_cpop(code, cfg)
             assert res == eager_scan_oracle(code, cfg)
             assert (res.beta_opt, res.iterations) == (1, 2)
+
+
+class TestKeptWidths:
+    """A certified width's matrix, built from its complete orbits, against
+    the listing and search the scan no longer runs there."""
+
+    @staticmethod
+    def _searched_rows(d, beta, cfg):
+        """The rows listing and searching the width give, checked against its
+        smallest complete orbit; also whether the first orbit differs."""
+        found = list(optimizer_module._complete_orbits(
+            d, beta, cfg.pattern_budget, optimizer_module._iter_seed(cfg, beta)))
+        assert found, f"width {beta} is not certified"
+        _, rows, complete = optimizer_module._list_and_search(d, beta, cfg)
+        assert complete
+        assert optimizer_module._rotations(min(found), d.n_tilde) == rows
+        return rows, found[0] != min(found)
+
+    def _check_widths(self, code, cfg, widths):
+        d = derived_code(code)
+        checked = {beta: self._searched_rows(d, beta, cfg) for beta in widths}
+        # at some width the first certifying round is not the one the search takes
+        assert any(first_differs for _, first_differs in checked.values())
+        res = optimize_cpop(code, cfg)  # the kept width is among those checked
+        assert res.e_opt == _e_matrix(checked[res.beta_opt][0], code.k, res.beta_opt)
+
+    @pytest.mark.parametrize("name", ["c6_array", "c7_array"])
+    def test_fixture_orbits_give_the_searched_matrix(self, name):
+        cf = parse_code_file(FIXTURES_DIR / f"{name}.pchk")
+        cfg = OptimizerConfig(seed=7, d_min=cf.d_min_hint, d_tilde_min=cf.d_tilde_min_hint)
+        low, kept = cf.d_tilde_min_hint - 1, {"c6_array": 29, "c7_array": 60}[name]
+        self._check_widths(cf.code, cfg, (low, (low + kept) // 2, kept))
+
+    def test_quasi_cyclic_orbits_give_the_searched_matrix(self):
+        # shift period 4 of k = 20; every width forced randomized
+        code = quasi_cyclic_code(5)
+        cfg = OptimizerConfig(seed=0, exhaustive_limit=0, pattern_budget=8,
+                              d_min=5, d_tilde_min=7)  # this code's distances
+        self._check_widths(code, cfg, range(1, code.parity_rank + 1))
+
+    @pytest.mark.parametrize("name,keep_going,listed", [
+        ("c6_array", False, [30]),
+        ("c7_array", False, [61]),
+        ("c6_array", True, [30, 31]),
+        ("c7_array", True, [61]),
+    ])
+    def test_scan_lists_only_uncertified_widths(self, name, keep_going, listed, monkeypatch):
+        cf = parse_code_file(FIXTURES_DIR / f"{name}.pchk")
+        widths = []
+        real = optimizer_module.compute_erasure_pattern_list
+
+        def listing(derived, beta, *args):
+            widths.append(beta)
+            return real(derived, beta, *args)
+
+        monkeypatch.setattr(optimizer_module, "compute_erasure_pattern_list", listing)
+        optimize_cpop(cf.code, OptimizerConfig(seed=7, keep_going=keep_going,
+                                               d_min=cf.d_min_hint,
+                                               d_tilde_min=cf.d_tilde_min_hint))
+        assert widths == listed
 
 
 class TestEMatrix:

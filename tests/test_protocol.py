@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,19 @@ class TestRecovery:
         out[node - 1] = tuple(resp)
         return ResponseSet(responses=tuple(out))
 
+    @pytest.mark.parametrize("change,message", [
+        ({"pi": (0, 2)}, r"pi must permute 0\.\.2 and fix 0"),
+        ({"z": ((0, 0, 0),) * 3}, r"slot 0 at \(0, 0\) outside 1\.\.2"),
+        ({"e": EMatrix(((1, 1), (1, 1)), beta=2)}, "access matrix is 2 x 2, code needs 3 x 3"),
+        ({"e": EMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)), beta=1)},
+         "stripe count 2, but its access matrix has weight 1"),
+        ({"f": 0}, "need at least one file"),
+    ], ids=["short_pi", "zeroed_slots", "small_matrix", "beta_mismatch", "no_files"])
+    def test_malformed_query_set_rejected(self, change, message):
+        code, qs, rs = self._c1_run()
+        with pytest.raises(ProtocolViolationError, match="query set: " + message):
+            recover_file(replace(qs, **change), rs, code)
+
     def test_wrong_node_count_rejected(self):
         code, qs, rs = self._c1_run()
         with pytest.raises(ProtocolViolationError, match="from 5 nodes, got 4"):
@@ -385,6 +399,18 @@ class TestPrivacy:
         e = EMatrix(((1, 0), (0, 1)), beta=1)
         report = verify_privacy(code, e, f=2, trials=1500, seed=7)
         assert report.statistical_ok
+
+    @pytest.mark.parametrize("check", ["exact", "statistical"])
+    def test_malformed_layout_named(self, check):
+        def run(e, f):
+            if check == "exact":
+                return exact_privacy_check(c1_code(), e, f=f)
+            return verify_privacy(c1_code(), e, f=f, trials=10, seed=0)
+
+        with pytest.raises(ValueError, match="access matrix is 2 x 2, code needs 3 x 3"):
+            run(EMatrix(((1, 0), (0, 1)), beta=1), 1)
+        with pytest.raises(ValueError, match="need at least one file"):
+            run(E1, 0)
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):

@@ -178,6 +178,24 @@ class TestCli:
         assert Fraction(row["theta_lb"]) == Fraction(5, 2)
         assert row["exhaustive"] == "yes"
 
+    def test_table_searches_each_distance_once(self, monkeypatch, capsys):
+        import codedpir.optimizer as optimizer_module
+        import codedpir.workbench.cli as cli_module
+
+        searched = []
+        real = cli_module.min_distance
+
+        def counting(H, cap=25):
+            searched.append((H.nrows, H.ncols))
+            return real(H, cap)
+
+        monkeypatch.setattr(cli_module, "min_distance", counting)
+        monkeypatch.setattr(optimizer_module, "min_distance", counting)
+        names = ("c2like", "c3like", "c4like", "c5like")  # no distance hints
+        paths = [str(FIXTURES_DIR / f"{name}.pchk") for name in names]
+        assert main(["table", *paths, "--seed", "7"]) == 0
+        assert len(searched) == 2 * len(names)  # H and P of each code, once apiece
+
     def test_table_deterministic_output(self, capsys):
         args = ["table", str(fixture_path("c1.pchk")), str(fixture_path("mds53.pchk")),
                 "--seed", "3"]
