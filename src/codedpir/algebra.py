@@ -473,6 +473,37 @@ class BitSlices:
         """The bits of component col; `v & column_mask(col)` is 0 iff it is 0."""
         return self._column << col
 
+    def join(self, parts: Sequence[int], lengths: Sequence[int]) -> int:
+        """The packed vector whose components are those of `parts`, in order.
+
+        parts[i] is packed at length lengths[i] (by the layout of that
+        length over the same field), and the lengths sum to ell.
+        """
+        w, ell = self.width, self.ell
+        v = offset = 0
+        for part, n in zip(parts, lengths):
+            if w == 1:
+                v |= part << offset
+            else:
+                plane = (1 << n) - 1
+                for b in range(w):
+                    v |= ((part >> (b * n)) & plane) << (b * ell + offset)
+            offset += n
+        return v
+
+    def split(self, v: int, lengths: Sequence[int]) -> list[int]:
+        """The pieces join() put together, each packed at its own length."""
+        w, ell = self.width, self.ell
+        pieces, offset = [], 0
+        for n in lengths:
+            plane = (1 << n) - 1
+            piece = 0
+            for b in range(w):
+                piece |= ((v >> (b * ell + offset)) & plane) << (b * n)
+            pieces.append(piece)
+            offset += n
+        return pieces
+
     def times_x(self, v: int) -> int:
         """The packed vector times the field element x."""
         return ((v << self.ell) & self._full) ^ ((v >> self._top) * self._spread)
@@ -523,57 +554,46 @@ def bit_slices(spec: FieldSpec, ell: int) -> BitSlices:
 
 
 def _gauss_jordan(
-    field: FieldSpec,
-    ncols: int,
-    a: list[int],
-    rhs: list[list[int]] | None = None,
-    rhs_slices: BitSlices | None = None,
+    field: FieldSpec, ncols: int, rows: list[int], length: int | None = None
 ) -> list[int]:
-    """Gauss-Jordan elimination, in place, of rows packed by bit_slices(field, ncols).
+    """Gauss-Jordan elimination, in place, of rows packed by bit_slices(field, length).
 
-    Pivoting picks the first row with a nonzero entry in the current column;
-    over a field there are no ties to break. The pivot row is scaled to a
-    leading one and its column cleared from every other row, so `a` ends in
-    reduced row echelon form. Each right-hand-side row rhs[r], a list of
-    vectors packed by rhs_slices, goes through the operations of row a[r].
-    Returns the pivot columns in increasing order.
+    Each row is an augmented row [A | B]: its first ncols components are
+    the coefficients and the rest (length - ncols of them, none by default)
+    ride along. Pivoting runs over A's columns only and picks the first row
+    with a nonzero entry in the current column; over a field there are no
+    ties to break. The pivot row is scaled to a leading one and its column
+    cleared from every other row, so A ends in reduced row echelon form and
+    B holds the same row operations applied to it. Returns the pivot
+    columns in increasing order.
     """
-    slices = bit_slices(field, ncols)
+    slices = bit_slices(field, ncols if length is None else length)
     entry, scale, inv_fn = slices.entry, slices.scale, field._inv
-    carry = rhs is not None
-    scale_rhs = rhs_slices.scale if carry else None
-    nrows = len(a)
+    binary = field.width == 1  # every nonzero entry is 1: skip entry() and scale()
+    nrows = len(rows)
     pivots: list[int] = []
     for col in range(ncols):
         piv = len(pivots)
         if piv == nrows:
             break
         mask = slices.column_mask(col)
-        sel = next((r for r in range(piv, nrows) if a[r] & mask), None)
+        sel = next((r for r in range(piv, nrows) if rows[r] & mask), None)
         if sel is None:
             continue
-        a[piv], a[sel] = a[sel], a[piv]
-        if carry:
-            rhs[piv], rhs[sel] = rhs[sel], rhs[piv]
-        c = entry(a[piv], col)
-        if c != 1:
-            ic = inv_fn(c)
-            a[piv] = scale(a[piv], ic)
-            if carry:
-                rhs[piv] = [scale_rhs(v, ic) for v in rhs[piv]]
-        prow = a[piv]
-        prhs = rhs[piv] if carry else None
+        rows[piv], rows[sel] = rows[sel], rows[piv]
+        prow = rows[piv]
+        if not binary:
+            c = entry(prow, col)
+            if c != 1:
+                prow = rows[piv] = scale(prow, inv_fn(c))
         for r in range(nrows):
-            if r != piv and a[r] & mask:
-                c = entry(a[r], col)
-                if c == 1:
-                    a[r] ^= prow
-                    if carry:
-                        rhs[r] = list(map(xor, rhs[r], prhs))
+            v = rows[r]
+            if v & mask and r != piv:
+                if binary:
+                    rows[r] = v ^ prow
                 else:
-                    a[r] ^= scale(prow, c)
-                    if carry:
-                        rhs[r] = [x ^ scale_rhs(y, c) for x, y in zip(rhs[r], prhs)]
+                    c = entry(v, col)
+                    rows[r] = v ^ (prow if c == 1 else scale(prow, c))
         pivots.append(col)
     return pivots
 
@@ -601,11 +621,11 @@ def solve(A: FieldMatrix, B):
     A may be square or tall. B is either a FieldMatrix with matching row
     count, or a sequence of rows of storage symbols over A's field, all of
     one payload length; X then comes back as a list of rows of symbols.
-    The elimination (_gauss_jordan) runs bit-sliced on A's rows and carries
-    B's rows along, packed one int per row or one per symbol payload.
-    Raises SingularSystemError, carrying the rank found, when A is
-    rank-deficient, RightHandSideError when symbol rows do not fit, and
-    ValueError when the system is inconsistent.
+    Each row of A and the matching row of B are packed side by side into
+    one int, [A | B], and _gauss_jordan eliminates those rows, pivoting on
+    A's columns. Raises SingularSystemError, carrying the rank found, when
+    A is rank-deficient, RightHandSideError when symbol rows do not fit,
+    and ValueError when the system is inconsistent.
     """
     f = A.field
     ncols = A.ncols
@@ -614,25 +634,30 @@ def solve(A: FieldMatrix, B):
             raise FieldMismatchError("right-hand side over a different field")
         out = bit_slices(f, B.ncols)
         b = [[out.pack(r)] for r in B._rows]
+        lengths = [B.ncols]
     else:
         b, ell = _symbol_payloads(f, B)
-        out = bit_slices(f, ell)
+        lengths = [ell] * len(b[0])
     if len(b) != A.nrows:
         raise ValueError("row counts of A and B differ")
-    row_slices = bit_slices(f, ncols)
-    a = [row_slices.pack(r) for r in A._rows]
-    rank = len(_gauss_jordan(f, ncols, a, b, out))
+    lengths = [ncols, *lengths]
+    head = bit_slices(f, ncols)
+    joined = bit_slices(f, sum(lengths))
+    a = [joined.join([head.pack(r), *row], lengths) for r, row in zip(A._rows, b)]
+    rank = len(_gauss_jordan(f, ncols, a, joined.ell))
     if rank < ncols:
         raise SingularSystemError(
             f"coefficient matrix has rank {rank}, expected full column rank {ncols}", rank
         )
-    if any(any(row) for row in b[ncols:]):
+    # A's part of every row past the pivots is zero; a nonzero B part is 0 = b
+    if any(a[ncols:]):
         raise ValueError("inconsistent system: no solution exists")
+    x = [joined.split(v, lengths)[1:] for v in a[:ncols]]
     if isinstance(B, FieldMatrix):
-        return FieldMatrix._wrap(f, [list(out.unpack(v)) for (v,) in b[:ncols]])
+        return FieldMatrix._wrap(f, [list(out.unpack(v)) for (v,) in x])
     from .codes import StorageSymbol
 
-    return [[StorageSymbol._of(f, ell, v) for v in row] for row in b[:ncols]]
+    return [[StorageSymbol._of(f, ell, v) for v in row] for row in x]
 
 
 def _symbol_payloads(field: FieldSpec, rows) -> tuple[list[list[int]], int]:

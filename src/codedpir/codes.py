@@ -409,6 +409,6 @@ def encode_file(code: LinearCode, X: Sequence[Sequence[StorageSymbol]]) -> list[
         expanded = slices.expand([sym.bits for sym in row])
         codeword = list(row)
         for sel in selectors:
-            codeword.append(StorageSymbol.from_bits(field, ell, combine(expanded, sel)))
+            codeword.append(StorageSymbol._of(field, ell, combine(expanded, sel)))
         out.append(codeword)
     return out

@@ -5,19 +5,24 @@ first k nodes (which hold message symbols) get a uniformly random mask U
 plus a deterministic 0/1 selection block aimed at file m's columns; parity
 nodes get the bare mask. Every node returns its query matrix times its
 symbol column, so each of the k subqueries yields one symbol per node.
-Recovery reads the random interference directly off the systematic nodes a
-subquery did not select, cancels it out of the parity responses, solves
-the remaining full-rank system for the interference on selected nodes, and
-subtracts that from the selected responses to expose file symbols.
+Subquery t's answers are the mask row's interference w = (w_1..w_n), a
+codeword, plus one file symbol x_l on each systematic node l it selects.
+Recovery computes the parity syndromes s_t = P y_sys + y_par of every
+subquery at once; in characteristic 2 the interference cancels (P w_sys =
+w_par), leaving s_t = P[:, S_t] x_{S_t}. That system has full column rank
+exactly when row t of the access matrix is a correctable erasure pattern,
+and solving it exposes the selected file symbols directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain, compress, repeat
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     FieldMatrix,
@@ -250,35 +255,138 @@ def build_queries(
     )
 
 
-def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> list[StorageSymbol]:
-    """One node's answer: its query matrix times its symbol column."""
+_SPEC = attrgetter("spec")
+_ELL = attrgetter("ell")
+_BITS = attrgetter("bits")
+
+
+def _shared_ell(symbols: Sequence, field) -> int | None:
+    """The payload length of symbols that are all StorageSymbols over `field`
+    and share one length; None otherwise.
+
+    C-level passes over the whole input: isinstance, then the distinct spec
+    objects (each compared once), then the set of lengths. Callers fall
+    back to a per-symbol loop only to name a misfit.
+    """
+    if not symbols or not all(map(isinstance, symbols, repeat(StorageSymbol))):
+        return None
+    specs = list(map(_SPEC, symbols))
+    if not all(spec == field for spec in dict(zip(map(id, specs), specs)).values()):
+        return None
+    ells = set(map(_ELL, symbols))
+    return ells.pop() if len(ells) == 1 else None
+
+
+def _stored_payloads(
+    q_j: FieldMatrix, node_column: Sequence[StorageSymbol]
+) -> tuple[int, list[int]]:
+    """(payload length, packed payloads) of a node's column, checked against its query."""
     if q_j.ncols != len(node_column):
         raise ValueError(
             f"query has {q_j.ncols} columns but the node stores {len(node_column)} symbols"
         )
     field = q_j.field
-    ell = node_column[0].ell
-    for sym in node_column:
-        if sym.spec != field:
-            raise ValueError("stored symbol over a different field than the query")
-        if sym.ell != ell:
-            raise ValueError("stored symbols have inconsistent payload lengths")
-    expanded = bit_slices(field, ell).expand([sym.bits for sym in node_column])
+    ell = _shared_ell(node_column, field)
+    if ell is None:
+        ell = node_column[0].ell
+        for sym in node_column:
+            if sym.spec != field:
+                raise ValueError("stored symbol over a different field than the query")
+            if sym.ell != ell:
+                raise ValueError("stored symbols have inconsistent payload lengths")
+    return ell, list(map(_BITS, node_column))
+
+
+def _stack(payloads: Iterable[int], stride: int) -> int:
+    """Payloads side by side in one int, payload i at byte offset i * stride."""
+    return int.from_bytes(b"".join(v.to_bytes(stride, "little") for v in payloads), "little")
+
+
+def _unstack(v: int, stride: int, count: int) -> list[int]:
+    """The `count` payloads _stack put together."""
+    raw = v.to_bytes(stride * count, "little")
+    return [int.from_bytes(raw[i : i + stride], "little") for i in range(0, stride * count, stride)]
+
+
+def _answers(
+    field, ell: int, queries: Sequence[list[list[int]]], columns: Sequence[list[int]]
+) -> list[list[int]]:
+    """Packed payloads of queries[j] times columns[j], for every node j.
+
+    queries[j] holds node j's query rows as raw values and columns[j] its
+    stored payloads, all over `field` with length `ell`. A row object that
+    several nodes hold is multiplied once, against every node's expanded
+    column stacked into one int per entry (_stack, a stride of w*ell bits
+    rounded up to whole bytes), and each holder's answer is sliced out of
+    the product. A row only one node holds is multiplied against that
+    node's own column. Rows that are equal but separate objects are not
+    shared.
+    """
+    slices = bit_slices(field, ell)
     width = field.width
-    return [
-        StorageSymbol.from_bits(field, ell, combine(expanded, coefficient_bits(width, row)))
-        for row in q_j._rows
-    ]
+    stride = (width * ell + 7) // 8
+    expanded = [slices.expand(col) for col in columns]
+    holders = Counter(chain.from_iterable(set(map(id, rows)) for rows in queries))
+    shared: dict[int, list[int]] = {}
+    stacked = None
+    out = []
+    for j, (rows, column) in enumerate(zip(queries, expanded)):
+        answer = []
+        for row in rows:
+            if holders[id(row)] == 1:
+                answer.append(combine(column, coefficient_bits(width, row)))
+                continue
+            products = shared.get(id(row))
+            if products is None:
+                if stacked is None:
+                    stacked = [_stack(entries, stride) for entries in zip(*expanded)]
+                product = combine(stacked, coefficient_bits(width, row))
+                products = shared[id(row)] = _unstack(product, stride, len(columns))
+            answer.append(products[j])
+        out.append(answer)
+    return out
+
+
+def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> list[StorageSymbol]:
+    """One node's answer: its query matrix times its symbol column."""
+    ell, payloads = _stored_payloads(q_j, node_column)
+    field = q_j.field
+    (answer,) = _answers(field, ell, [q_j._rows], [payloads])
+    return [StorageSymbol._of(field, ell, v) for v in answer]
 
 
 def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
-    """Run every node's response computation against the stored array."""
+    """Every node's answer to its query, computed for all nodes at once.
+
+    The answers are node_response's, but a query row object that several
+    nodes share is multiplied only once: the mask rows every parity node
+    holds, and that each systematic node keeps wherever its selection does
+    not flip an entry. Each such row is applied to all n stored columns
+    stacked side by side, and every node's answer sliced out of the one
+    product; a row held by one node is applied to its column alone.
+    """
     if array.beta != qs.beta or array.f != qs.f:
         raise ValueError("query set and storage array disagree on beta or f")
     n = array.code.n
+    if len(qs.q) != n:
+        raise ValueError(f"query set has {len(qs.q)} node queries, the code has {n} nodes")
+    for i, row in enumerate(array.rows):
+        if len(row) != n:
+            raise ValueError(f"storage row {i + 1} holds {len(row)} symbols, the code has {n} nodes")
+    queries = list(qs.q)
+    field = queries[0].field
+    stored = [_stored_payloads(q, column) for q, column in zip(queries, zip(*array.rows))]
+    ell = stored[0][0]
+    for j, (q, (ell_j, _)) in enumerate(zip(queries, stored)):
+        if q.field != field or ell_j != ell:
+            raise ValueError(
+                f"node {j + 1} stores symbols of another field or payload length than node 1"
+            )
+    payloads = [p for _, p in stored]
+    answers = _answers(field, ell, [q._rows for q in queries], payloads)
     return ResponseSet(
         responses=tuple(
-            tuple(node_response(qs.q[j], array.node_column(j + 1))) for j in range(n)
+            tuple(StorageSymbol._of(field, ell, v) for v in answer) for answer in answers
         )
     )
 
@@ -288,6 +396,10 @@ def _check_responses(rs: ResponseSet, code: LinearCode) -> int:
     k, n = code.k, code.n
     if len(rs.responses) != n:
         raise ProtocolViolationError(f"expected responses from {n} nodes, got {len(rs.responses)}")
+    if all(len(resp) == k for resp in rs.responses):
+        ell = _shared_ell(list(chain.from_iterable(rs.responses)), code.field)
+        if ell is not None:
+            return ell
     ell = None
     for j, resp in enumerate(rs.responses):
         if len(resp) != k:
@@ -316,15 +428,17 @@ def _check_responses(rs: ResponseSet, code: LinearCode) -> int:
 def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[StorageSymbol]]:
     """Reconstruct the requested beta x k file matrix from the responses.
 
-    For each subquery t: the systematic nodes it did not select return pure
-    interference; substituting those into the parity responses leaves, per
-    parity node, a linear combination of only the unknown interference on
-    selected nodes. That system is full-rank exactly when row t of the
-    access matrix is a correctable erasure pattern. Solving it and adding
-    the result to the selected responses (subtraction and addition agree in
-    characteristic 2) exposes one file symbol per selected node. Responses
-    of the wrong count, length, field or payload length are rejected with
-    the node and subquery named.
+    Subquery t's answers y are the interference w, a codeword, plus file
+    symbol x_l on each systematic node l in S_t, the support of row t of
+    the access matrix. Every node's k payloads are stacked into one int, so
+    one pass over P gives the parity syndromes s_t = P y_sys + y_par of all
+    k subqueries. The interference cancels in characteristic 2, leaving
+    s_t = P[:, S_t] x_{S_t}; one solve per subquery then yields the
+    selected file symbols. That system has full column rank exactly when
+    row t is a correctable erasure pattern, and the syndrome must lie in
+    the span of P[:, S_t]: a response that moves it out of that span is
+    reported as inconsistent. Responses of the wrong count, length, field
+    or payload length are rejected with the node and subquery named.
     """
     k = code.k
     beta = qs.beta
@@ -342,24 +456,33 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         raise ProtocolViolationError(f"query set: {exc}") from exc
     ell = _check_responses(rs, code)
     field = code.field
+    width = field.width
     slices = bit_slices(field, ell)
+    stride = (width * ell + 7) // 8
     p_rows = code.p._rows
-    selectors = [coefficient_bits(field.width, prow) for prow in p_rows]
     responses = rs.responses
+    # x^b times node l's k payloads, stacked over the subqueries: entry l*w + b
+    stacked = []
+    for l in range(k):
+        expanded = slices.expand(map(_BITS, responses[l]))
+        stacked.extend(_stack(expanded[b::width], stride) for b in range(width))
+    syndromes = [
+        _unstack(
+            _stack(map(_BITS, responses[k + r]), stride)
+            ^ combine(stacked, coefficient_bits(width, prow)),
+            stride,
+            k,
+        )
+        for r, prow in enumerate(p_rows)
+    ]
     grid: list[list[StorageSymbol | None]] = [[None] * k for _ in range(beta)]
     for t in range(k):
         chosen = qs.e.rows[t]
         selected = [l for l in range(k) if chosen[l]]
-        # unselected systematic responses are pure interference; selected
-        # positions enter the parity cancellation as zeros
-        known = slices.expand([0 if chosen[l] else responses[l][t].bits for l in range(k)])
-        rhs = [
-            [StorageSymbol.from_bits(field, ell, responses[k + r][t].bits ^ combine(known, sel))]
-            for r, sel in enumerate(selectors)
-        ]
-        A = FieldMatrix._wrap(field, [[prow[l] for l in selected] for prow in p_rows])
+        A = FieldMatrix._wrap(field, [list(compress(prow, chosen)) for prow in p_rows])
+        rhs = [[StorageSymbol._of(field, ell, s[t])] for s in syndromes]
         try:
-            interference = solve(A, rhs)
+            symbols = solve(A, rhs)
         except SingularSystemError as exc:
             raise ProtocolViolationError(
                 f"subquery {t + 1}: interference system is singular (rank {exc.rank}); "
@@ -369,13 +492,13 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
             raise ProtocolViolationError(
                 f"subquery {t + 1}: parity responses are inconsistent with each other"
             ) from exc
-        for l, (noise,) in zip(selected, interference):
+        for l, (sym,) in zip(selected, symbols):
             stripe = qs.pi[qs.z[t][l]]
             if grid[stripe - 1][l] is not None:
                 raise ProtocolViolationError(
                     f"coordinate (stripe {stripe}, column {l + 1}) recovered twice"
                 )
-            grid[stripe - 1][l] = responses[l][t] + noise
+            grid[stripe - 1][l] = sym
     for row in grid:
         if any(sym is None for sym in row):
             raise ProtocolViolationError("recovery left gaps in the file matrix")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from dataclasses import replace
@@ -28,6 +29,8 @@ from codedpir import (
 from conftest import GF2, GF4, c1_code, make_code, random_systematic_code
 from oracles import (
     PeasantField,
+    TinyField,
+    column_rank,
     encode_oracle,
     recover_oracle,
     response_oracle,
@@ -194,6 +197,102 @@ class TestNodeResponse:
         with pytest.raises(ValueError):
             node_response(FieldMatrix.zeros(GF2, 2, 3), [sym(GF2, 0)])
 
+    def test_misfit_stored_symbols_named(self):
+        q = FieldMatrix(GF4, [[1, 1]])
+        with pytest.raises(ValueError, match="different field than the query"):
+            node_response(q, [sym(GF4, 1), sym(GF2, 1)])
+        with pytest.raises(ValueError, match="inconsistent payload lengths"):
+            node_response(q, [sym(GF4, 1), sym(GF4, 1, 2)])
+
+
+def _c6_round(ell):
+    """c6_array at the golden beta = 29 matrix: code, e, one file, its array."""
+    from codedpir.workbench import parse_code_file, parse_e_matrix_text
+    from conftest import FIXTURES_DIR, TESTS_DIR
+
+    code = parse_code_file(FIXTURES_DIR / "c6_array.pchk").code
+    e = parse_e_matrix_text((TESTS_DIR / "golden" / "c6_array_seed7_e.txt").read_text())
+    x = random_file(code.field, e.beta, code.k, ell, random.Random(29))
+    return code, e, x, build_storage(code, [x])
+
+
+class TestBatchedResponses:
+    """collect_responses against node_response and the per-component oracle."""
+
+    @staticmethod
+    def _agree(qs, arr, code, oracle):
+        rs = collect_responses(qs, arr)
+        stored = [[s.components for s in row] for row in arr.rows]
+        for j in range(code.n):
+            column = arr.node_column(j + 1)
+            assert list(rs.responses[j]) == node_response(qs.q[j], column), j + 1
+            expected = response_oracle(qs.q[j].values(), [row[j] for row in stored], oracle)
+            assert [s.components for s in rs.responses[j]] == expected, j + 1
+        return rs
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_rows_shared_or_not(self, width):
+        field = FieldSpec(width)
+        oracle = PeasantField(field.modulus, width)
+        rng = random.Random(7000 + width)
+        code = random_systematic_code(rng, field, n_lo=4, n_hi=8, oracle_cap_bits=10**6)
+        e = optimize_cpop(code, OptimizerConfig(seed=width)).e_opt
+        files = [random_file(field, e.beta, code.k, 5, rng) for _ in range(2)]
+        arr = build_storage(code, files)
+        qs = build_queries(code, e, m=2, f=2, seed=rng.randrange(10**6))
+        rs = self._agree(qs, arr, code, oracle)
+        assert recover_file(qs, rs, code) == files[1]
+        # every row its own object: nothing is shared
+        copied = replace(qs, q=tuple(FieldMatrix(field, q.values()) for q in qs.q))
+        assert collect_responses(copied, arr) == rs
+        self._agree(copied, arr, code, oracle)
+        # rows drawn from a small pool: a row object held by several nodes
+        # (over different columns) and by one node twice
+        width_q = e.beta * 2
+        pool = [[rng.randrange(field.order) for _ in range(width_q)] for _ in range(4)]
+        pooled = tuple(
+            FieldMatrix._wrap(field, [rng.choice(pool) for _ in range(code.k)])
+            for _ in range(code.n)
+        )
+        held = [set(map(id, q._rows)) for q in pooled]
+        assert any(a & b for a, b in itertools.combinations(held, 2))
+        assert any(len(ids) < code.k for ids in held)
+        self._agree(replace(qs, q=pooled), arr, code, oracle)
+
+    def test_c6_array_round_at_fixture_size(self):
+        code, e, x, arr = _c6_round(ell=3)
+        oracle = PeasantField(code.field.modulus, 1)
+        qs = build_queries(code, e, m=1, f=1, seed=61)
+        rs = self._agree(qs, arr, code, oracle)
+        answers = [[s.components for s in resp] for resp in rs.responses]
+        expected = recover_oracle(code.p.values(), e.rows, qs.pi, qs.z, e.beta, answers, oracle)
+        got = recover_file(qs, rs, code)
+        assert [[s.components for s in row] for row in got] == expected
+        assert got == x
+
+    def test_mismatched_array_rejected(self):
+        code = c1_code()
+        arr = build_storage(code, [random_file(GF2, 2, 3, 4, random.Random(1))])
+        qs = build_queries(code, E1, m=1, f=1, seed=0)
+        with pytest.raises(ValueError, match="query set has 3 node queries, the code has 5"):
+            collect_responses(replace(qs, q=qs.q[:3]), arr)
+        with pytest.raises(ValueError, match="query has 2 columns but the node stores 4"):
+            collect_responses(replace(qs, f=2), replace(arr, f=2, rows=arr.rows * 2))
+        ragged = arr.rows[:1] + (arr.rows[1][:4],)  # row 2 misses node 5's symbol
+        with pytest.raises(ValueError, match="storage row 2 holds 4 symbols, the code has 5 nodes"):
+            collect_responses(qs, replace(arr, rows=ragged))
+        narrow = tuple(row[:4] for row in arr.rows)
+        with pytest.raises(ValueError, match="storage row 1 holds 4 symbols"):
+            collect_responses(qs, replace(arr, rows=narrow))
+        mixed = [list(row) for row in arr.rows]
+        mixed[1][4] = StorageSymbol.from_bits(GF2, 3, 0)
+        with pytest.raises(ValueError, match="inconsistent payload lengths"):
+            collect_responses(qs, replace(arr, rows=tuple(map(tuple, mixed))))
+        for row in mixed:  # node 5's whole column is shorter than node 1's
+            row[4] = StorageSymbol.from_bits(GF2, 3, 0)
+        with pytest.raises(ValueError, match="node 5 stores symbols of another field or payload"):
+            collect_responses(qs, replace(arr, rows=tuple(map(tuple, mixed))))
+
 
 class TestRecovery:
     def test_reference_run_symbol_placement(self):
@@ -343,6 +442,68 @@ class TestRecovery:
         res = optimize_cpop(code, OptimizerConfig(seed=1))
         assert res.beta_opt == 4
         assert self._measured_price(code, res.e_opt, ell=3) == Fraction(3)
+
+
+class TestFaultInjection:
+    """One corrupted response symbol is reported whenever the code can see it."""
+
+    @staticmethod
+    def _instance(name):
+        from codedpir.workbench import parse_code_file
+        from conftest import FIXTURES_DIR
+
+        if name == "c1":
+            code, e, x = c1_code(), E1, random_file(GF2, 2, 3, 2, random.Random(1))
+            return code, e, x, build_storage(code, [x]), TinyField(2)
+        if name == "c6_array":
+            code, e, x, arr = _c6_round(ell=1)
+            return code, e, x, arr, TinyField(2)
+        code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
+        e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+        x = random_file(code.field, e.beta, code.k, 2, random.Random(4))
+        oracle = PeasantField(code.field.modulus, code.field.width)
+        return code, e, x, build_storage(code, [x]), oracle
+
+    @pytest.mark.parametrize("name", ["c1", "c4like", "c6_array"])
+    def test_detected_exactly_outside_the_span(self, name):
+        code, e, x, arr, oracle = self._instance(name)
+        k, n, field = code.k, code.n, code.field
+        h_rows = code.h.values()
+        qs = build_queries(code, e, m=1, f=1, seed=17)
+        rs = collect_responses(qs, arr)
+        assert recover_file(qs, rs, code) == x
+        rng = random.Random(k)
+        ell = arr.ell
+        # every (node, subquery) pair on the small codes, one subquery per node on c6
+        cases = [(j, t) for j in range(n) for t in range(k)] if k <= 10 else [
+            (j, rng.randrange(k)) for j in range(n)
+        ]
+        outcomes = set()
+        for j, t in cases:
+            support = [l for l in range(k) if e.rows[t][l]]
+            detectable = column_rank(h_rows, support + [j], oracle) > column_rank(
+                h_rows, support, oracle
+            )
+            error = StorageSymbol(field, [rng.randrange(field.order) for _ in range(ell)])
+            if error.is_zero():
+                error = StorageSymbol(field, [1] * ell)
+            responses = [list(resp) for resp in rs.responses]
+            responses[j][t] = responses[j][t] + error
+            corrupted = ResponseSet(responses=tuple(map(tuple, responses)))
+            try:
+                recover_file(qs, corrupted, code)
+                raised = None
+            except ProtocolViolationError as exc:
+                raised = str(exc)
+            if detectable:
+                assert raised and raised.startswith(f"subquery {t + 1}: "), (j, t, raised)
+            else:
+                assert raised is None, (j, t, raised)
+            outcomes.add((j in support, detectable))
+        # a selected node's error always lies in the span; on c1 (beta = n - k)
+        # every error does, on the larger codes some do not
+        assert (True, True) not in outcomes
+        assert ((False, True) in outcomes) == (name != "c1")
 
 
 class TestPrivacy:
