@@ -624,8 +624,9 @@ def solve(A: FieldMatrix, B):
     Each row of A and the matching row of B are packed side by side into
     one int, [A | B], and _gauss_jordan eliminates those rows, pivoting on
     A's columns. Raises SingularSystemError, carrying the rank found, when
-    A is rank-deficient, RightHandSideError when symbol rows do not fit,
-    and ValueError when the system is inconsistent.
+    A is rank-deficient, RightHandSideError when symbol rows are empty or
+    ragged or name a misfit symbol ("right-hand side entry (2, 1)"), and
+    ValueError when the system is inconsistent.
     """
     f = A.field
     ncols = A.ncols
@@ -636,8 +637,25 @@ def solve(A: FieldMatrix, B):
         b = [[out.pack(r)] for r in B._rows]
         lengths = [B.ncols]
     else:
-        b, ell = _symbol_payloads(f, B)
-        lengths = [ell] * len(b[0])
+        from .codes import StorageSymbol, pack_symbols
+
+        rows = [list(r) for r in B]
+        if not rows or not rows[0]:
+            raise RightHandSideError("right-hand side needs at least one row and one symbol")
+        w = len(rows[0])
+        for i, row in enumerate(rows, 1):
+            if len(row) != w:
+                raise RightHandSideError(
+                    f"right-hand side row {i} has {len(row)} symbols, row 1 has {w}"
+                )
+        ell, payloads = pack_symbols(
+            [sym for row in rows for sym in row],
+            f,
+            lambda i: f"right-hand side entry ({i // w + 1}, {i % w + 1})",
+            RightHandSideError,
+        )
+        b = [payloads[i : i + w] for i in range(0, len(payloads), w)]
+        lengths = [ell] * w
     if len(b) != A.nrows:
         raise ValueError("row counts of A and B differ")
     lengths = [ncols, *lengths]
@@ -655,41 +673,7 @@ def solve(A: FieldMatrix, B):
     x = [joined.split(v, lengths)[1:] for v in a[:ncols]]
     if isinstance(B, FieldMatrix):
         return FieldMatrix._wrap(f, [list(out.unpack(v)) for (v,) in x])
-    from .codes import StorageSymbol
-
     return [[StorageSymbol._of(f, ell, v) for v in row] for row in x]
-
-
-def _symbol_payloads(field: FieldSpec, rows) -> tuple[list[list[int]], int]:
-    """The packed payloads of rows of storage symbols, and their length.
-
-    Every entry must be a StorageSymbol over `field`, every payload of one
-    length and every row of one width; RightHandSideError names the first
-    entry that is not.
-    """
-    from .codes import StorageSymbol
-
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        raise RightHandSideError("right-hand side needs at least one row and one symbol")
-    width, ell = len(rows[0]), None
-    for i, row in enumerate(rows, 1):
-        if len(row) != width:
-            raise RightHandSideError(
-                f"right-hand side row {i} has {len(row)} symbols, row 1 has {width}"
-            )
-        for j, sym in enumerate(row, 1):
-            if not isinstance(sym, StorageSymbol):
-                problem = f"is a {type(sym).__name__}, not a StorageSymbol"
-            elif sym.spec is not field and sym.spec != field:
-                problem = f"is over {sym.spec!r}, not {field!r}"
-            elif ell is None or sym.ell == ell:
-                ell = sym.ell
-                continue
-            else:
-                problem = f"has payload length {sym.ell}, entry (1, 1) {ell}"
-            raise RightHandSideError(f"right-hand side entry ({i}, {j}) {problem}")
-    return [[sym.bits for sym in row] for row in rows], ell
 
 
 class BitBasis:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress
-from operator import or_
-from typing import Iterable, Sequence
+from itertools import compress, repeat
+from operator import attrgetter, or_
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     FieldMatrix,
@@ -380,33 +380,62 @@ def is_ml_correctable(derived: DerivedCode, pattern: ErasurePattern) -> bool:
     return derived.independent(pattern.mask)
 
 
+def pack_symbols(
+    symbols: Sequence, field: FieldSpec, where: Callable[[int], str], error: type[Exception]
+) -> tuple[int, list[int]]:
+    """(payload length, packed payloads) of StorageSymbols over `field` that
+    share one length.
+
+    The common case is C-level passes: isinstance, the distinct spec objects
+    (each compared once), the set of lengths. Otherwise a loop raises
+    `error` at the first misfit, labelled by the caller's where(position).
+    """
+    if not symbols:
+        raise error("no storage symbols given")
+    fits = all(map(isinstance, symbols, repeat(StorageSymbol)))
+    if fits:
+        specs = list(map(attrgetter("spec"), symbols))
+        fits = all(spec == field for spec in dict(zip(map(id, specs), specs)).values())
+    if not (fits and len(set(map(attrgetter("ell"), symbols))) == 1):
+        for i, sym in enumerate(symbols):
+            if not isinstance(sym, StorageSymbol):
+                problem = f"{type(sym).__name__} {sym!r} is not a storage symbol"
+            elif sym.spec != field:
+                problem = f"symbol over {sym.spec!r}, expected {field!r}"
+            elif sym.ell != symbols[0].ell:
+                problem = f"payload length {sym.ell}, {where(0)} has {symbols[0].ell}"
+            else:
+                continue
+            raise error(f"{where(i)}: {problem}")
+    return symbols[0].ell, list(map(attrgetter("bits"), symbols))
+
+
 def encode_file(code: LinearCode, X: Sequence[Sequence[StorageSymbol]]) -> list[list[StorageSymbol]]:
     """Encode a beta x k file matrix into beta codeword rows of length n.
 
     Row i keeps its k message symbols as a systematic prefix; parity symbol
     k + r is the P-row-r weighted sum of the row's message symbols, so every
-    output row satisfies H c^T = 0.
+    output row satisfies H c^T = 0. Raises ValueError when a row does not
+    hold k entries, and names a misfit symbol ("stripe 2, symbol 3").
     """
     if not X:
         raise ValueError("empty file")
     k = code.k
     field = code.field
-    ell = None
     for row in X:
         if len(row) != k:
             raise ValueError(f"file row has {len(row)} symbols, expected k={k}")
-        for sym in row:
-            if sym.spec != field:
-                raise ValueError("file symbol over a different field than the code")
-            if ell is None:
-                ell = sym.ell
-            elif sym.ell != ell:
-                raise ValueError("file symbols have inconsistent payload lengths")
+    ell, payloads = pack_symbols(
+        [sym for row in X for sym in row],
+        field,
+        lambda i: f"stripe {i // k + 1}, symbol {i % k + 1}",
+        ValueError,
+    )
     slices = bit_slices(field, ell)
     selectors = [coefficient_bits(field.width, prow) for prow in code.p._rows]
     out: list[list[StorageSymbol]] = []
-    for row in X:
-        expanded = slices.expand([sym.bits for sym in row])
+    for s, row in enumerate(X):
+        expanded = slices.expand(payloads[s * k : (s + 1) * k])
         codeword = list(row)
         for sel in selectors:
             codeword.append(StorageSymbol._of(field, ell, combine(expanded, sel)))

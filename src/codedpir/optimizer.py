@@ -509,7 +509,7 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
     return OptimizationResult(
         e_opt=e_opt,
         beta_opt=beta_opt,
-        theta_opt=Fraction(code.n, beta_opt),
+        theta_opt=cpop(code.n, k, beta_opt, k),
         theta_non_opt=bounds.non_optimized,
         theta_lb=bounds.lower_bound,
         theta_baseline=bounds.baseline,
@@ -536,20 +536,20 @@ class ThetaBounds(NamedTuple):
 
 
 def theta_bounds(code: LinearCode, d_min: int, d_tilde_min: int) -> ThetaBounds:
-    """Reference download prices for a code.
+    """Reference download prices for a code, each cpop at d = k.
 
-    lower_bound is 1/(1 - R); non_optimized is the price at width
-    d_tilde_min - 1, available without any search; baseline is the price
-    n/(d_min - 1) of the scheme driven by the code's own minimum distance,
-    which the width scan never exceeds.
+    lower_bound is 1/(1 - R), the price at width n - k; non_optimized is
+    the price at width d_tilde_min - 1, available without any search;
+    baseline is the price n/(d_min - 1) of the scheme driven by the code's
+    own minimum distance, which the width scan never exceeds.
     """
     if d_min < 2 or d_tilde_min < 2:
         raise ValueError("reference prices need d_min >= 2 and d_tilde_min >= 2")
     n, k = code.n, code.k
     return ThetaBounds(
-        lower_bound=Fraction(n, n - k),
-        non_optimized=Fraction(n, d_tilde_min - 1),
-        baseline=Fraction(n, d_min - 1),
+        lower_bound=cpop(n, k, n - k, k),
+        non_optimized=cpop(n, k, d_tilde_min - 1, k),
+        baseline=cpop(n, k, d_min - 1, k),
     )
 
 

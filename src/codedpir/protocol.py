@@ -12,6 +12,10 @@ subquery at once; in characteristic 2 the interference cancels (P w_sys =
 w_par), leaving s_t = P[:, S_t] x_{S_t}. That system has full column rank
 exactly when row t of the access matrix is a correctable erasure pattern,
 and solving it exposes the selected file symbols directly.
+
+Files, stored columns and responses are packed by codes.pack_symbols, which
+names a misfit symbol by its position: ValueError for files and stored
+columns, ProtocolViolationError for responses.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import itertools
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import attrgetter
+from itertools import chain, compress
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -32,7 +35,7 @@ from .algebra import (
     combine,
     solve,
 )
-from .codes import LinearCode, StorageSymbol, encode_file
+from .codes import LinearCode, StorageSymbol, encode_file, pack_symbols
 from .optimizer import EMatrix
 
 
@@ -104,21 +107,28 @@ class ResponseSet:
 
 
 def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSymbol]]]) -> StorageArray:
-    """Encode every stripe of every file and stack the codeword rows."""
+    """Encode every stripe of every file and stack the codeword rows.
+
+    Raises ValueError when there is no file or a file is not beta x k (beta
+    taken from file 1), and names a misfit symbol ("file 1, stripe 2, symbol 3").
+    """
     if not files:
         raise ValueError("need at least one file")
     beta = len(files[0])
     k = code.k
-    rows: list[tuple[StorageSymbol, ...]] = []
     for idx, file_matrix in enumerate(files):
         if len(file_matrix) != beta or any(len(r) != k for r in file_matrix):
             raise ValueError(f"file {idx + 1} is not a {beta} x {k} matrix")
-        for codeword in encode_file(code, file_matrix):
-            rows.append(tuple(codeword))
-    array = StorageArray(code=code, beta=beta, f=len(files), rows=tuple(rows))
-    if len({sym.ell for row in rows for sym in row}) != 1:
-        raise ValueError("files have inconsistent payload lengths")
-    return array
+    stripes = [row for file_matrix in files for row in file_matrix]
+    # checked across all files, so a misfit is named by file
+    pack_symbols(
+        [sym for row in stripes for sym in row],
+        code.field,
+        lambda i: f"file {i // (beta * k) + 1}, stripe {i // k % beta + 1}, symbol {i % k + 1}",
+        ValueError,
+    )
+    rows = tuple(map(tuple, encode_file(code, stripes)))
+    return StorageArray(code=code, beta=beta, f=len(files), rows=rows)
 
 
 def _canonical_slots(e: EMatrix) -> list[list[int]]:
@@ -255,48 +265,6 @@ def build_queries(
     )
 
 
-_SPEC = attrgetter("spec")
-_ELL = attrgetter("ell")
-_BITS = attrgetter("bits")
-
-
-def _shared_ell(symbols: Sequence, field) -> int | None:
-    """The payload length of symbols that are all StorageSymbols over `field`
-    and share one length; None otherwise.
-
-    C-level passes over the whole input: isinstance, then the distinct spec
-    objects (each compared once), then the set of lengths. Callers fall
-    back to a per-symbol loop only to name a misfit.
-    """
-    if not symbols or not all(map(isinstance, symbols, repeat(StorageSymbol))):
-        return None
-    specs = list(map(_SPEC, symbols))
-    if not all(spec == field for spec in dict(zip(map(id, specs), specs)).values()):
-        return None
-    ells = set(map(_ELL, symbols))
-    return ells.pop() if len(ells) == 1 else None
-
-
-def _stored_payloads(
-    q_j: FieldMatrix, node_column: Sequence[StorageSymbol]
-) -> tuple[int, list[int]]:
-    """(payload length, packed payloads) of a node's column, checked against its query."""
-    if q_j.ncols != len(node_column):
-        raise ValueError(
-            f"query has {q_j.ncols} columns but the node stores {len(node_column)} symbols"
-        )
-    field = q_j.field
-    ell = _shared_ell(node_column, field)
-    if ell is None:
-        ell = node_column[0].ell
-        for sym in node_column:
-            if sym.spec != field:
-                raise ValueError("stored symbol over a different field than the query")
-            if sym.ell != ell:
-                raise ValueError("stored symbols have inconsistent payload lengths")
-    return ell, list(map(_BITS, node_column))
-
-
 def _stack(payloads: Iterable[int], stride: int) -> int:
     """Payloads side by side in one int, payload i at byte offset i * stride."""
     return int.from_bytes(b"".join(v.to_bytes(stride, "little") for v in payloads), "little")
@@ -348,9 +316,17 @@ def _answers(
 
 
 def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> list[StorageSymbol]:
-    """One node's answer: its query matrix times its symbol column."""
-    ell, payloads = _stored_payloads(q_j, node_column)
+    """One node's answer: its query matrix times its symbol column.
+
+    Raises ValueError when the query's column count is not the number of
+    stored symbols, and names a misfit symbol ("stored symbol 3").
+    """
+    if q_j.ncols != len(node_column):
+        raise ValueError(
+            f"query has {q_j.ncols} columns but the node stores {len(node_column)} symbols"
+        )
     field = q_j.field
+    ell, payloads = pack_symbols(node_column, field, lambda i: f"stored symbol {i + 1}", ValueError)
     (answer,) = _answers(field, ell, [q_j._rows], [payloads])
     return [StorageSymbol._of(field, ell, v) for v in answer]
 
@@ -364,65 +340,37 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     not flip an entry. Each such row is applied to all n stored columns
     stacked side by side, and every node's answer sliced out of the one
     product; a row held by one node is applied to its column alone.
+    Raises ValueError when the shapes of queries and array disagree, and
+    names a misfit symbol ("node 5, stored symbol 2").
     """
     if array.beta != qs.beta or array.f != qs.f:
         raise ValueError("query set and storage array disagree on beta or f")
     n = array.code.n
     if len(qs.q) != n:
         raise ValueError(f"query set has {len(qs.q)} node queries, the code has {n} nodes")
+    field = array.code.field
+    nrows = len(array.rows)
+    for j, q in enumerate(qs.q):
+        if q.ncols != nrows:
+            raise ValueError(f"query has {q.ncols} columns but the node stores {nrows} symbols")
+        if q.field != field:
+            raise ValueError(f"node {j + 1}: query over another field than the code")
     for i, row in enumerate(array.rows):
         if len(row) != n:
             raise ValueError(f"storage row {i + 1} holds {len(row)} symbols, the code has {n} nodes")
-    queries = list(qs.q)
-    field = queries[0].field
-    stored = [_stored_payloads(q, column) for q, column in zip(queries, zip(*array.rows))]
-    ell = stored[0][0]
-    for j, (q, (ell_j, _)) in enumerate(zip(queries, stored)):
-        if q.field != field or ell_j != ell:
-            raise ValueError(
-                f"node {j + 1} stores symbols of another field or payload length than node 1"
-            )
-    payloads = [p for _, p in stored]
-    answers = _answers(field, ell, [q._rows for q in queries], payloads)
+    ell, payloads = pack_symbols(
+        list(chain.from_iterable(array.rows)),
+        field,
+        lambda i: f"node {i % n + 1}, stored symbol {i // n + 1}",
+        ValueError,
+    )
+    columns = [payloads[j::n] for j in range(n)]
+    answers = _answers(field, ell, [q._rows for q in qs.q], columns)
     return ResponseSet(
         responses=tuple(
             tuple(StorageSymbol._of(field, ell, v) for v in answer) for answer in answers
         )
     )
-
-
-def _check_responses(rs: ResponseSet, code: LinearCode) -> int:
-    """Payload length shared by every response symbol; names the first misfit."""
-    k, n = code.k, code.n
-    if len(rs.responses) != n:
-        raise ProtocolViolationError(f"expected responses from {n} nodes, got {len(rs.responses)}")
-    if all(len(resp) == k for resp in rs.responses):
-        ell = _shared_ell(list(chain.from_iterable(rs.responses)), code.field)
-        if ell is not None:
-            return ell
-    ell = None
-    for j, resp in enumerate(rs.responses):
-        if len(resp) != k:
-            raise ProtocolViolationError(
-                f"node {j + 1}: {len(resp)} symbols for {k} subqueries"
-                + (f" (subquery {len(resp) + 1} unanswered)" if len(resp) < k else "")
-            )
-        for t, sym in enumerate(resp):
-            where = f"node {j + 1}, subquery {t + 1}"
-            if not isinstance(sym, StorageSymbol):
-                raise ProtocolViolationError(f"{where}: not a storage symbol: {sym!r}")
-            if sym.spec != code.field:
-                raise ProtocolViolationError(
-                    f"{where}: symbol over GF(2^{sym.spec.width}), the code is over "
-                    f"GF(2^{code.field.width})"
-                )
-            if ell is None:
-                ell = sym.ell
-            elif sym.ell != ell:
-                raise ProtocolViolationError(
-                    f"{where}: payload length {sym.ell}, node 1 answered with {ell}"
-                )
-    return ell
 
 
 def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[StorageSymbol]]:
@@ -437,8 +385,9 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     selected file symbols. That system has full column rank exactly when
     row t is a correctable erasure pattern, and the syndrome must lie in
     the span of P[:, S_t]: a response that moves it out of that span is
-    reported as inconsistent. Responses of the wrong count, length, field
-    or payload length are rejected with the node and subquery named.
+    reported as inconsistent. ProtocolViolationError names a node whose
+    response is not a sequence of k symbols, and a misfit symbol ("node 3,
+    subquery 2").
     """
     k = code.k
     beta = qs.beta
@@ -454,21 +403,38 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         _layout(k, qs.e, qs.f, qs.pi, qs.z)
     except ValueError as exc:
         raise ProtocolViolationError(f"query set: {exc}") from exc
-    ell = _check_responses(rs, code)
+    n = code.n
+    if len(rs.responses) != n:
+        raise ProtocolViolationError(f"expected responses from {n} nodes, got {len(rs.responses)}")
+    for j, resp in enumerate(rs.responses):
+        if not isinstance(resp, Sequence):
+            raise ProtocolViolationError(
+                f"node {j + 1}: response is a {type(resp).__name__}, not a sequence of symbols"
+            )
+        if len(resp) != k:
+            raise ProtocolViolationError(
+                f"node {j + 1}: {len(resp)} symbols for {k} subqueries"
+                + (f" (subquery {len(resp) + 1} unanswered)" if len(resp) < k else "")
+            )
     field = code.field
+    ell, payloads = pack_symbols(
+        list(chain.from_iterable(rs.responses)),
+        field,
+        lambda i: f"node {i // k + 1}, subquery {i % k + 1}",
+        ProtocolViolationError,
+    )
     width = field.width
     slices = bit_slices(field, ell)
     stride = (width * ell + 7) // 8
     p_rows = code.p._rows
-    responses = rs.responses
     # x^b times node l's k payloads, stacked over the subqueries: entry l*w + b
     stacked = []
     for l in range(k):
-        expanded = slices.expand(map(_BITS, responses[l]))
+        expanded = slices.expand(payloads[l * k : (l + 1) * k])
         stacked.extend(_stack(expanded[b::width], stride) for b in range(width))
     syndromes = [
         _unstack(
-            _stack(map(_BITS, responses[k + r]), stride)
+            _stack(payloads[(k + r) * k : (k + r + 1) * k], stride)
             ^ combine(stacked, coefficient_bits(width, prow)),
             stride,
             k,

@@ -316,9 +316,13 @@ class TestSolve:
         a = FieldMatrix(f, [[1, 1], [0, 1]])
         sym = StorageSymbol(f, (3, 5))
         cases = {
-            r"entry \(2, 1\) is a int": [[sym], [4]],
-            r"entry \(2, 1\) is over": [[sym], [StorageSymbol(field_new(2), (1, 2))]],
-            r"entry \(2, 1\) has payload length 3": [[sym], [StorageSymbol(f, (1, 2, 3))]],
+            r"entry \(2, 1\): int 4 is not a storage symbol": [[sym], [4]],
+            r"entry \(2, 1\): symbol over FieldSpec\(width=2": [
+                [sym], [StorageSymbol(field_new(2), (1, 2))]
+            ],
+            r"entry \(2, 1\): payload length 3, right-hand side entry \(1, 1\) has 2": [
+                [sym], [StorageSymbol(f, (1, 2, 3))]
+            ],
             r"row 2 has 2 symbols": [[sym], [sym, sym]],
         }
         for message, b in cases.items():

@@ -13,16 +13,19 @@ from codedpir import (
     OptimizerConfig,
     ProtocolViolationError,
     ResponseSet,
+    RightHandSideError,
     StorageSymbol,
     build_queries,
     build_storage,
     collect_responses,
     derived_code,
+    encode_file,
     exact_privacy_check,
     node_response,
     optimize_cpop,
     random_file,
     recover_file,
+    solve,
     verify_privacy,
 )
 
@@ -199,9 +202,10 @@ class TestNodeResponse:
 
     def test_misfit_stored_symbols_named(self):
         q = FieldMatrix(GF4, [[1, 1]])
-        with pytest.raises(ValueError, match="different field than the query"):
+        with pytest.raises(ValueError, match=r"stored symbol 2: symbol over FieldSpec\(width=1"):
             node_response(q, [sym(GF4, 1), sym(GF2, 1)])
-        with pytest.raises(ValueError, match="inconsistent payload lengths"):
+        message = "stored symbol 2: payload length 2, stored symbol 1 has 1"
+        with pytest.raises(ValueError, match=message):
             node_response(q, [sym(GF4, 1), sym(GF4, 1, 2)])
 
 
@@ -286,11 +290,11 @@ class TestBatchedResponses:
             collect_responses(qs, replace(arr, rows=narrow))
         mixed = [list(row) for row in arr.rows]
         mixed[1][4] = StorageSymbol.from_bits(GF2, 3, 0)
-        with pytest.raises(ValueError, match="inconsistent payload lengths"):
+        with pytest.raises(ValueError, match="node 5, stored symbol 2: payload length 3, node 1"):
             collect_responses(qs, replace(arr, rows=tuple(map(tuple, mixed))))
         for row in mixed:  # node 5's whole column is shorter than node 1's
             row[4] = StorageSymbol.from_bits(GF2, 3, 0)
-        with pytest.raises(ValueError, match="node 5 stores symbols of another field or payload"):
+        with pytest.raises(ValueError, match="node 5, stored symbol 1: payload length 3, node 1"):
             collect_responses(qs, replace(arr, rows=tuple(map(tuple, mixed))))
 
 
@@ -409,7 +413,8 @@ class TestRecovery:
         code, qs, rs = self._c1_run()
         resp = list(rs.responses[2])
         resp[1] = StorageSymbol(GF4, resp[1].components)
-        with pytest.raises(ProtocolViolationError, match=r"node 3, subquery 2: .*GF\(2\^2\)"):
+        message = r"node 3, subquery 2: symbol over FieldSpec\(width=2"
+        with pytest.raises(ProtocolViolationError, match=message):
             recover_file(qs, self._with_node(rs, 3, resp), code)
 
     def test_wrong_payload_length_names_node_and_subquery(self):
@@ -442,6 +447,100 @@ class TestRecovery:
         res = optimize_cpop(code, OptimizerConfig(seed=1))
         assert res.beta_opt == 4
         assert self._measured_price(code, res.e_opt, ell=3) == Fraction(3)
+
+
+def _misfit_round(width):
+    """A c1-shaped code over GF(2^width) with P's entries 1 and 2^width - 1
+    (every row of E1 stays correctable), two ell = 3 files, the storage, a
+    query set for file 2 and its responses."""
+    field = FieldSpec(width)
+    c = field.order - 1
+    code = make_code(field, [[1, c, 0], [0, 1, c]])
+    rng = random.Random(width)
+    files = [random_file(field, 2, 3, 3, rng) for _ in range(2)]
+    arr = build_storage(code, files)
+    qs = build_queries(code, E1, m=2, f=2, seed=width, pi=PI1, z=Z1)
+    return code, files, arr, qs, collect_responses(qs, arr)
+
+
+def _misfit_targets(entry, width):
+    """(call, error type, slots) for one entry point: slots are the (label,
+    container, index) of every symbol it takes, and call runs it on the
+    containers as they stand."""
+    code, files, arr, qs, rs = _misfit_round(width)
+    n, k, nrows = code.n, code.k, len(arr.rows)
+    if entry == "encode_file":
+        x = [list(row) for row in files[0]]
+        slots = [(f"stripe {s + 1}, symbol {l + 1}", x[s], l) for s in range(2) for l in range(k)]
+        return (lambda: encode_file(code, x)), ValueError, slots
+    if entry == "build_storage":
+        fs = [[list(row) for row in f] for f in files]
+        slots = [
+            (f"file {m + 1}, stripe {s + 1}, symbol {l + 1}", fs[m][s], l)
+            for m in range(2) for s in range(2) for l in range(k)
+        ]
+        return (lambda: build_storage(code, fs)), ValueError, slots
+    if entry == "node_response":
+        column = list(arr.node_column(4))
+        slots = [(f"stored symbol {i + 1}", column, i) for i in range(nrows)]
+        return (lambda: node_response(qs.q[3], column)), ValueError, slots
+    if entry == "collect_responses":
+        rows = [list(row) for row in arr.rows]
+        slots = [(f"node {j + 1}, stored symbol {i + 1}", rows[i], j)
+                 for i in range(nrows) for j in range(n)]
+        return (lambda: collect_responses(qs, replace(arr, rows=tuple(map(tuple, rows))))
+                ), ValueError, slots
+    if entry == "recover_file":
+        resp = [list(r) for r in rs.responses]
+        slots = [(f"node {j + 1}, subquery {t + 1}", resp[j], t)
+                 for j in range(n) for t in range(k)]
+        return (lambda: recover_file(qs, ResponseSet(tuple(map(tuple, resp))), code)
+                ), ProtocolViolationError, slots
+    a = FieldMatrix(code.field, [[1, 0], [0, 1], [1, 1]])
+    b = [[files[0][0][0], files[0][0][1]], [files[0][1][0], files[0][1][1]],
+         [files[0][0][0] + files[0][1][0], files[0][0][1] + files[0][1][1]]]
+    slots = [(f"right-hand side entry ({i + 1}, {j + 1})", b[i], j)
+             for i in range(3) for j in range(2)]
+    return (lambda: solve(a, b)), RightHandSideError, slots
+
+
+class TestMisfitSymbolsNamed:
+    """Every entry point that takes storage symbols names a misfit by its position."""
+
+    @pytest.mark.parametrize("kind", ["non_symbol", "wrong_field", "wrong_length"])
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    @pytest.mark.parametrize("entry", [
+        "encode_file", "build_storage", "node_response", "collect_responses",
+        "recover_file", "solve",
+    ])
+    def test_misfit_named_by_position(self, entry, width, kind):
+        call, error, slots = _misfit_targets(entry, width)
+        call()  # the untouched input is accepted
+        rng = random.Random(f"{entry} {width} {kind}")
+        label, container, index = slots[rng.randrange(1, len(slots))]
+        ell = container[index].ell
+        misfit, named = {
+            "non_symbol": (4, "int 4 is not a storage symbol"),
+            "wrong_field": (StorageSymbol(GF4, [1] * ell), "symbol over FieldSpec(width=2"),
+            "wrong_length": (StorageSymbol(FieldSpec(width), [1] * (ell + 1)),
+                             f"payload length {ell + 1}, {slots[0][0]} has {ell}"),
+        }[kind]
+        container[index] = misfit
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value).startswith(f"{label}: {named}")
+
+    def test_array_without_rows_named(self):
+        code, files, arr, qs, rs = _misfit_round(1)
+        with pytest.raises(ValueError, match="query has 4 columns but the node stores 0 symbols"):
+            collect_responses(qs, replace(arr, rows=()))
+
+    def test_response_that_is_not_a_sequence_named(self):
+        code, files, arr, qs, rs = _misfit_round(4)
+        resp = list(rs.responses)
+        resp[2] = resp[2][0]  # one symbol in place of node 3's k answers
+        with pytest.raises(ProtocolViolationError, match="node 3: response is a StorageSymbol, "):
+            recover_file(qs, ResponseSet(tuple(resp)), code)
 
 
 class TestFaultInjection:
