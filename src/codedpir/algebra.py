@@ -700,12 +700,6 @@ class BitBasis:
             v ^= row
         return None
 
-    def discard(self, lead: int) -> None:
-        del self._pivots[lead]
-
-    def __len__(self) -> int:
-        return len(self._pivots)
-
 
 class FieldBasis:
     """Independence tracker over GF(2^w) for coefficient-sequence vectors."""
@@ -734,12 +728,6 @@ class FieldBasis:
             i -= 1
         return None
 
-    def discard(self, lead: int) -> None:
-        del self._pivots[lead]
-
-    def __len__(self) -> int:
-        return len(self._pivots)
-
 
 def new_basis(field: FieldSpec):
     return BitBasis() if field.width == 1 else FieldBasis(field)
@@ -761,3 +749,37 @@ def column_vectors(M: FieldMatrix) -> list:
             cols.append(m)
         return cols
     return [M.column(j) for j in range(M.ncols)]
+
+
+def _reduce_by(field: FieldSpec, v, rest: Sequence) -> list:
+    """The vectors of `rest` reduced modulo the nonzero vector v, pivot dropped.
+
+    Vectors are in column_vectors' representation. The pivot is v's first
+    nonzero coordinate p; each u in `rest` becomes u - (u[p] / v[p]) v,
+    which is zero at p, so a result is zero exactly when u is a multiple of
+    v. A column subset's residuals modulo its chosen columns are therefore
+    nonzero exactly when extending the choice keeps it independent. GF(2)
+    bitmasks keep the cleared pivot bit (one XOR per vector); wider fields
+    drop the coordinate and multiply each entry through the log tables.
+    """
+    if field.width == 1:
+        low = v & -v
+        return [u ^ v if u & low else u for u in rest]
+    exp, log = field._exp, field._log
+    size = field.order - 1
+    p = next(i for i, x in enumerate(v) if x)
+    lp = log[v[p]]
+    # log of each later entry of v / v[p], or -1 where the entry is zero
+    # (entries before p are zero in v, so they never change)
+    logs = [(log[x] - lp) % size if x else -1 for x in v[p + 1 :]]
+    out = []
+    for u in rest:
+        c = u[p]
+        head = u[:p]
+        if c:
+            lc = log[c]
+            tail = tuple(a ^ exp[lc + b] if b >= 0 else a for a, b in zip(u[p + 1 :], logs))
+        else:
+            tail = u[p + 1 :]
+        out.append(head + tail)
+    return out

@@ -18,10 +18,12 @@ from typing import Callable, Iterable, Sequence
 from .algebra import (
     FieldMatrix,
     FieldSpec,
+    _reduce_by,
     bit_slices,
     coefficient_bits,
     column_vectors,
     combine,
+    matrix_rank,
     new_basis,
 )
 
@@ -197,8 +199,6 @@ class LinearCode:
 
     @cached_property
     def parity_rank(self) -> int:
-        from .algebra import matrix_rank
-
         return matrix_rank(self.p)
 
 
@@ -274,8 +274,6 @@ class DerivedCode:
         k always passes. The test runs through `matrix_rank`, so it holds
         for every field width.
         """
-        from .algebra import matrix_rank
-
         k = self.n_tilde
         rank = k - self.k_tilde
         rows = [list(r) for r in self.h_tilde.values()]
@@ -331,38 +329,64 @@ def derived_code(code: LinearCode) -> DerivedCode:
 
 
 def min_distance(H: FieldMatrix, cap: int = 25) -> int:
-    """Minimum distance of the code H defines.
+    """Minimum distance of the code H defines: the size of the smallest
+    linearly dependent set of H's columns.
 
-    Searches for the smallest set of linearly dependent columns of H by
-    depth-first extension of independent column prefixes, pruning against
-    the best size found so far. Exact, but exponential in the worst case,
-    so matrices wider than `cap` columns are refused.
+    Any rank(H) + 1 columns are dependent, so the search starts from that
+    bound; when rank(H) equals the column count no set is dependent and
+    the code is trivial (ValueError). A depth-first walk chooses
+    independent columns in increasing order. Each node carries the later
+    columns reduced modulo the span of its chosen ones (_reduce_by), so a
+    later column extends the choice independently exactly when its
+    residual is nonzero, and a zero residual closes a dependent set one
+    larger than the choice. At the last level that can still improve on
+    the best size, two proportional residuals close one two larger: the
+    last two columns of a minimal dependent set D, sorted, are
+    proportional modulo its first |D| - 2. The walk there normalizes each
+    residual to a leading one and looks for a repeat instead of building
+    the children. Exact, but exponential in the worst case, so matrices
+    wider than `cap` columns are refused.
     """
     if H.ncols > cap:
         raise MinDistanceCapError(
             f"minimum-distance search over {H.ncols} columns exceeds the cap of {cap}; "
             "supply the value externally (dmin/dtmin hints in code files)"
         )
-    cols = column_vectors(H)
-    ncols = len(cols)
-    basis = new_basis(H.field)
-    best = ncols + 1
-
-    def walk(start: int, depth: int) -> None:
-        nonlocal best
-        for j in range(start, ncols):
-            if depth + 1 >= best:
-                return
-            lead = basis.insert(cols[j])
-            if lead is None:
-                best = depth + 1
-            else:
-                walk(j + 1, depth + 1)
-                basis.discard(lead)
-
-    walk(0, 0)
-    if best > ncols:
+    rank = matrix_rank(H)
+    if rank == H.ncols:
         raise ValueError("all columns are independent; the code is trivial and has no distance")
+    field = H.field
+    wide = field.width != 1
+    nonzero = any if wide else bool
+    exp, log, size = field._exp, field._log, field.order - 1
+    best = rank + 1
+
+    def walk(rest: list, depth: int) -> None:
+        # rest: the residuals of the columns after the last chosen one
+        nonlocal best
+        if not all(map(nonzero, rest)):
+            best = depth + 1
+            return
+        if depth + 3 >= best:
+            # only a dependent set of depth + 2 columns would improve on best
+            if wide:
+                seen = set()
+                for u in rest:
+                    lc = size - log[next(filter(None, u))]  # log of 1 / u's leading entry
+                    seen.add(tuple(exp[log[x] + lc] if x else 0 for x in u))
+                proportional = len(seen) < len(rest)
+            else:
+                proportional = len(set(rest)) < len(rest)  # over GF(2): equal
+            if proportional:
+                best = depth + 2
+            return
+        for i, v in enumerate(rest):
+            if depth + 2 >= best:
+                return
+            walk(_reduce_by(field, v, rest[i + 1 :]), depth + 1)
+
+    if best > 1:
+        walk(column_vectors(H), 0)
     return best
 
 

@@ -25,6 +25,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
+from .algebra import _reduce_by
 from .codes import (
     DerivedCode,
     ErasurePattern,
@@ -91,7 +92,13 @@ def compute_erasure_pattern_list(
 
     Exhaustive mode walks every linearly independent beta-subset of the
     parity-check columns, which equals filtering all C(k, beta) patterns
-    through the correctability test. Randomized mode runs up to `budget`
+    through the correctability test. The walk chooses columns in
+    increasing order, and each node carries the later columns reduced
+    modulo the span of its chosen ones (_reduce_by, as in min_distance):
+    a later column keeps the choice independent exactly when its residual
+    is nonzero, so a node's children are its nonzero residuals, and the
+    last level lists one pattern per nonzero residual without reducing
+    anything. Randomized mode runs up to `budget`
     rounds of: permute the columns at random, take the leading-one columns
     of the permuted matrix's reduced row echelon form, pick beta of them (an
     independent set by construction), map them back through the
@@ -117,22 +124,25 @@ def compute_erasure_pattern_list(
         return PatternList(frozenset(), k, beta, exhaustive=True)
 
     if mode == "exhaustive":
-        cols = derived._column_reps
-        basis = derived.column_basis()
+        field = derived.field
+        nonzero = any if field.width != 1 else bool
+        top = 1 << (k - 1)  # position 0
         found: list[int] = []
 
-        def walk(start: int, depth: int, mask: int) -> None:
-            if depth == beta:
-                found.append(mask)
+        def walk(rest: list, first: int, depth: int, mask: int) -> None:
+            # rest[i]: column first + i reduced modulo the chosen columns
+            room = k - (beta - depth) - first + 1  # later picks must still fit
+            if depth == beta - 1:
+                found.extend(
+                    mask | top >> (first + i) for i, u in enumerate(rest[:room]) if nonzero(u)
+                )
                 return
-            for j in range(start, k - (beta - depth) + 1):
-                lead = basis.insert(cols[j])
-                if lead is not None:
-                    walk(j + 1, depth + 1, mask | top >> j)
-                    basis.discard(lead)
+            for i, v in enumerate(rest[:room]):
+                if nonzero(v):
+                    later = _reduce_by(field, v, rest[i + 1 :])
+                    walk(later, first + i + 1, depth + 1, mask | top >> (first + i))
 
-        top = 1 << (k - 1)  # position 0
-        walk(0, 0, 0)
+        walk(derived._column_reps, 0, 0, 0)
         return PatternList(frozenset(found), k, beta, exhaustive=True)
 
     independent = derived.independent

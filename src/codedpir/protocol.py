@@ -58,6 +58,9 @@ class StorageArray:
 
     @property
     def ell(self) -> int:
+        """Payload length of the stored symbols; ValueError when none is stored."""
+        if not self.rows or not self.rows[0]:
+            raise ValueError("storage array holds no symbols, so it has no payload length")
         return self.rows[0][0].ell
 
     def node_column(self, node: int) -> tuple[StorageSymbol, ...]:
@@ -111,6 +114,8 @@ def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSym
 
     Raises ValueError when there is no file or a file is not beta x k (beta
     taken from file 1), and names a misfit symbol ("file 1, stripe 2, symbol 3").
+    encode_file checks and packs each symbol once; the symbols are checked
+    again, file by file, only when it has found a misfit.
     """
     if not files:
         raise ValueError("need at least one file")
@@ -120,15 +125,20 @@ def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSym
         if len(file_matrix) != beta or any(len(r) != k for r in file_matrix):
             raise ValueError(f"file {idx + 1} is not a {beta} x {k} matrix")
     stripes = [row for file_matrix in files for row in file_matrix]
-    # checked across all files, so a misfit is named by file
+    try:
+        encoded = encode_file(code, stripes)
+    except ValueError as err:
+        error = err
+    else:
+        return StorageArray(code=code, beta=beta, f=len(files), rows=tuple(map(tuple, encoded)))
+    # encode_file names a misfit by stripe; check again to name it by file
     pack_symbols(
         [sym for row in stripes for sym in row],
         code.field,
         lambda i: f"file {i // (beta * k) + 1}, stripe {i // k % beta + 1}, symbol {i % k + 1}",
         ValueError,
     )
-    rows = tuple(map(tuple, encode_file(code, stripes)))
-    return StorageArray(code=code, beta=beta, f=len(files), rows=rows)
+    raise error
 
 
 def _canonical_slots(e: EMatrix) -> list[list[int]]:

@@ -78,6 +78,40 @@ def quasi_cyclic_code(seed: int, field: FieldSpec = GF4, generators: int = 2, st
             return make_code(field, rows)
 
 
+def planted_matrix(rng: random.Random, field, nrows: int, ncols: int) -> list[list[int]]:
+    """Random nrows x ncols rows over `field` (a FieldSpec or an oracle field
+    with `order` and `mul`) with dependencies planted at random: maybe a
+    zero column, maybe a column proportional to another, maybe a column in
+    the span of two others. Planted columns take random places."""
+    cols = [[rng.randrange(field.order) for _ in range(nrows)] for _ in range(ncols)]
+
+    def nonzero():
+        return rng.randrange(1, field.order)
+
+    def scaled(c, col):
+        return [field.mul(c, x) for x in col]
+
+    plants = [p for p in ("zero", "pair", "span") if rng.random() < 0.4]
+    for plant in plants:
+        if plant == "zero":
+            cols[rng.randrange(ncols)] = [0] * nrows
+        elif plant == "pair" and ncols >= 2:
+            a, b = rng.sample(range(ncols), 2)
+            cols[b] = scaled(nonzero(), cols[a])
+        elif plant == "span" and ncols >= 3:
+            a, b, c = rng.sample(range(ncols), 3)
+            cols[c] = [x ^ y for x, y in zip(scaled(nonzero(), cols[a]), scaled(nonzero(), cols[b]))]
+    return [[col[i] for col in cols] for i in range(nrows)]
+
+
+def cauchy18_rows() -> list[list[int]]:
+    """P of the (18,12) Cauchy code over GF(2^16) in
+    fixtures/cauchy18_gf65536.pchk: P[i][j] = 1/(x_i + y_j) with x_i = i + 1
+    and y_j = j + 7. Every square submatrix of P is invertible (MDS)."""
+    field = FieldSpec(16)
+    return [[field.inv((i + 1) ^ (j + 7)) for j in range(12)] for i in range(6)]
+
+
 @pytest.fixture(scope="session")
 def code_corpus() -> list[LinearCode]:
     """200 random systematic codes, half over GF(2) and half over GF(4)."""

@@ -314,6 +314,34 @@ def pivot_columns(rows, field: TinyField) -> list[int]:
     return list(rref_oracle(rows, field)[2])
 
 
+def min_distance_oracle(rows, field) -> int | None:
+    """Size of the smallest linearly dependent set of columns, trying every
+    column subset in order of size; None when all columns are independent.
+
+    `field` is a TinyField or PeasantField; ranks come from rref_oracle.
+    """
+    ncols = len(rows[0])
+    for size in range(1, ncols + 1):
+        for sub in itertools.combinations(range(ncols), size):
+            if rref_oracle([[row[j] for j in sub] for row in rows], field)[1] < size:
+                return size
+    return None
+
+
+def independent_subsets_oracle(rows, beta, field) -> set[int]:
+    """Support masks of every independent beta-subset of the columns.
+
+    Column j of a k-column matrix is bit k-1-j, as in ErasurePattern.mask;
+    every C(k, beta) subset is ranked by rref_oracle.
+    """
+    k = len(rows[0])
+    return {
+        sum(1 << (k - 1 - j) for j in sub)
+        for sub in itertools.combinations(range(k), beta)
+        if rref_oracle([[row[j] for j in sub] for row in rows], field)[1] == beta
+    }
+
+
 def shift_period_oracle(p_rows, field) -> int:
     """Smallest s in 1..k whose column rotation keeps P's row space.
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from codedpir import (
     ErasurePattern,
     FieldMatrix,
+    FieldSpec,
     MinDistanceCapError,
     NotSystematicError,
     RateError,
@@ -27,8 +28,10 @@ from conftest import (
     GF4,
     GF8,
     c1_code,
+    cauchy18_rows,
     make_code,
     mds53_code,
+    planted_matrix,
     quasi_cyclic_code,
     random_systematic_code,
 )
@@ -37,6 +40,7 @@ from oracles import (
     TinyField,
     column_rank,
     ml_correctable_oracle,
+    min_distance_oracle,
     min_weight_oracle,
     nullspace_vectors,
     shift_period_oracle,
@@ -115,6 +119,40 @@ class TestMinDistance:
                 continue  # keep the q^k message enumeration small
             p_rows = [list(r) for r in code.p.values()]
             assert min_distance(code.h) == min_weight_oracle(p_rows, code.n, code.k, tiny)
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_matches_brute_force_subset_scan_at_every_width(self, width):
+        # planted zero columns, proportional pairs and span-of-two columns
+        # make the zero test and the proportional-pair test decide
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        rng = random.Random(4000 + width)
+        for _ in range(30):
+            rows = planted_matrix(rng, peasant, rng.randint(1, 5), rng.randint(2, 7))
+            expected = min_distance_oracle(rows, peasant)
+            if expected is None:
+                with pytest.raises(ValueError, match="trivial"):
+                    min_distance(FieldMatrix(field, rows))
+            else:
+                assert min_distance(FieldMatrix(field, rows)) == expected
+
+    def test_a_column_in_the_span_of_two_others(self):
+        # rank 4 starts the search at 5; the set {0, 1, 2} closes by the
+        # pair test at the node holding column 0
+        rows = [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+        assert min_distance(FieldMatrix(GF2, rows)) == 3
+        rows = [[1, 0, 3, 0, 0], [0, 1, 2, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+        assert min_distance(FieldMatrix(GF4, rows)) == 3
+
+    def test_independent_columns_are_a_trivial_code(self):
+        with pytest.raises(ValueError, match="trivial"):
+            min_distance(FieldMatrix(GF4, [[1, 0], [0, 1], [1, 1]]))
+
+    def test_wide_field_cauchy_code_is_mds(self):
+        code = make_code(FieldSpec(16), cauchy18_rows())
+        assert code.h == parse_code_file(FIXTURES_DIR / "cauchy18_gf65536.pchk").code.h
+        assert min_distance(code.h) == 7
+        assert min_distance(code.p) == 7
 
 
 class TestMlCorrectable:

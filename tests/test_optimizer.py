@@ -9,6 +9,7 @@ import codedpir.optimizer as optimizer_module
 from codedpir import (
     EMatrix,
     ErasurePattern,
+    FieldSpec,
     OptimizerConfig,
     PatternList,
     assert_valid_e_matrix,
@@ -29,14 +30,18 @@ from conftest import (
     GF4,
     GF8,
     c1_code,
+    cauchy18_rows,
     make_code,
     mds53_code,
+    planted_matrix,
     quasi_cyclic_code,
     random_systematic_code,
 )
 from oracles import (
+    PeasantField,
     TinyField,
     eager_scan_oracle,
+    independent_subsets_oracle,
     randomized_listing_oracle,
     regular_subset_oracle,
 )
@@ -91,6 +96,26 @@ class TestPatternList:
                     p for p in all_patterns(code.k, beta) if is_ml_correctable(d, p)
                 )
                 assert pl.patterns == brute
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_exhaustive_equals_brute_subset_scan_at_every_width(self, width):
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        rng = random.Random(5000 + width)
+        for _ in range(12):
+            r = rng.randint(1, 4)
+            p_rows = planted_matrix(rng, peasant, r, rng.randint(r + 1, 7))
+            d = derived_code(make_code(field, p_rows))
+            for beta in range(1, d.n_tilde + 1):
+                pl = compute_erasure_pattern_list(d, beta)
+                assert pl.exhaustive
+                assert pl.masks == independent_subsets_oracle(p_rows, beta, peasant)
+
+    def test_wide_field_cauchy_code_lists_every_pattern(self):
+        d = derived_code(make_code(FieldSpec(16), cauchy18_rows()))
+        pl = compute_erasure_pattern_list(d, 6)
+        assert pl.exhaustive and len(pl.masks) == math.comb(12, 6) == 924
+        assert compute_erasure_pattern_list(d, 7).masks == frozenset()
 
     def test_randomized_subset_of_exhaustive_and_deterministic(self):
         rng = random.Random(77)

@@ -78,6 +78,31 @@ class TestBuildStorage:
         with pytest.raises(ValueError):
             build_storage(code, [good, bad])
 
+    def test_a_valid_store_packs_each_symbol_once(self, monkeypatch):
+        import codedpir.codes as codes_module
+        import codedpir.protocol as protocol_module
+
+        packed = []
+        real = codes_module.pack_symbols
+
+        def counting(symbols, *rest):
+            packed.append(len(symbols))
+            return real(symbols, *rest)
+
+        monkeypatch.setattr(codes_module, "pack_symbols", counting)
+        monkeypatch.setattr(protocol_module, "pack_symbols", counting)
+        files = [random_file(GF2, 2, 3, 4, random.Random(s)) for s in range(2)]
+        arr = build_storage(c1_code(), files)
+        assert packed == [12]
+        assert arr.rows == tuple(map(tuple, encode_file(c1_code(), files[0] + files[1])))
+
+    def test_ell_of_empty_array_is_a_named_error(self):
+        arr = build_storage(c1_code(), [random_file(GF2, 2, 3, 5, random.Random(4))])
+        assert arr.ell == 5
+        for rows in ((), ((),)):
+            with pytest.raises(ValueError, match="holds no symbols"):
+                replace(arr, rows=rows).ell
+
 
 class TestBuildQueries:
     def test_reproduces_reference_selection_blocks(self):

@@ -264,6 +264,14 @@ class TestGoldenOutputs:
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN_DIR / "table_seed7.tsv").read_bytes()
 
+    def test_table_tsv_over_a_wide_field_code(self, capsys):
+        # no distance hints: both exact searches and the exhaustive listing
+        # run over GF(2^16)
+        path = str(FIXTURES_DIR / "cauchy18_gf65536.pchk")
+        assert main(["table", path, "--seed", "7", "--format", "tsv"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / "table_seed7_gf65536.tsv").read_bytes()
+
     def test_optimize_writes_the_c6_matrix(self, tmp_path, capsys):
         out = tmp_path / "e.txt"
         args = ["optimize", str(FIXTURES_DIR / "c6_array.pchk"), "--seed", "7", "--out", str(out)]
