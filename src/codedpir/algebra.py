@@ -7,7 +7,9 @@ built from a validated irreducible modulus and shared by every spec of it.
 Matrices hold raw integer entries. Vectors that linear maps act on as a
 whole (payload symbols, rows under elimination) are bit-sliced into one int
 each (BitSlices), so adding two of them is one XOR; one Gauss-Jordan kernel
-on such rows serves rref, matrix_rank and solve.
+on such rows serves rref, matrix_rank and solve, and one incremental
+elimination on such vectors (_extends) answers the width scan's
+independence tests at every field width.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import sys
 from array import array
 from functools import lru_cache, reduce
 from itertools import compress, repeat
-from operator import xor
-from typing import Callable, Iterable, Sequence
+from operator import or_, xor
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_WIDTH = 16
 
@@ -676,79 +678,60 @@ def solve(A: FieldMatrix, B):
     return [[StorageSymbol._of(f, ell, v) for v in row] for row in x]
 
 
-class BitBasis:
-    """Incremental linear independence tracker for GF(2) bitmask vectors."""
+def _extends(
+    field: FieldSpec, length: int, vectors: Iterable[int], keep: int = -1
+) -> Iterator[bool]:
+    """For each vector, packed by bit_slices(field, length) and masked by
+    `keep`, whether it lies outside the span of the vectors before it.
 
-    __slots__ = ("_pivots",)
-
-    def __init__(self):
-        self._pivots: dict[int, int] = {}
-
-    def insert(self, v: int) -> int | None:
-        """Reduce v against the basis; keep it if independent.
-
-        Returns the leading-bit key of the stored vector, or None when v is
-        in the span already.
-        """
-        pivots = self._pivots
+    An incremental elimination: a vector found independent is stored with a
+    leading one at its highest nonzero coordinate, and a later vector is
+    reduced by the stored row at its own highest nonzero coordinate until it
+    is zero (dependent) or leads at a coordinate no row holds. Over GF(2) a
+    coordinate is a bit, found by bit_length(), and a reduction is one XOR.
+    Wider fields fold the w planes together to find that coordinate and
+    clear it with entry() and scale().
+    """
+    table = [0] * (length + 1)  # table[b]: the stored row leading at coordinate b - 1
+    if field.width == 1:
+        for v in vectors:
+            v &= keep
+            while v:
+                b = v.bit_length()
+                row = table[b]
+                if not row:
+                    table[b] = v
+                    break
+                v ^= row
+            yield v != 0
+        return
+    slices = bit_slices(field, length)
+    entry, scale, inv_fn = slices.entry, slices.scale, field._inv
+    plane = (1 << length) - 1
+    shifts = [b * length for b in range(field.width)]
+    for v in vectors:
+        v &= keep
         while v:
-            lead = v.bit_length() - 1
-            row = pivots.get(lead)
-            if row is None:
-                pivots[lead] = v
-                return lead
-            v ^= row
-        return None
-
-
-class FieldBasis:
-    """Independence tracker over GF(2^w) for coefficient-sequence vectors."""
-
-    __slots__ = ("field", "_pivots")
-
-    def __init__(self, field: FieldSpec):
-        self.field = field
-        self._pivots: dict[int, list[int]] = {}
-
-    def insert(self, vec: Sequence[int]) -> int | None:
-        mul_fn, inv_fn = self.field._mul, self.field._inv
-        v = list(vec)
-        i = len(v) - 1
-        while i >= 0:
-            c = v[i]
-            if c == 0:
-                i -= 1
-                continue
-            row = self._pivots.get(i)
-            if row is None:
-                ic = inv_fn(c)
-                self._pivots[i] = [mul_fn(ic, x) for x in v]
-                return i
-            v = [x ^ mul_fn(c, y) for x, y in zip(v, row)]
-            i -= 1
-        return None
-
-
-def new_basis(field: FieldSpec):
-    return BitBasis() if field.width == 1 else FieldBasis(field)
+            b = (reduce(or_, map(v.__rshift__, shifts)) & plane).bit_length()
+            c = entry(v, b - 1)
+            row = table[b]
+            if not row:
+                table[b] = v if c == 1 else scale(v, inv_fn(c))
+                break
+            v ^= row if c == 1 else scale(row, c)
+        yield v != 0
 
 
 def column_vectors(M: FieldMatrix) -> list:
-    """Columns of M in the representation new_basis(M.field) consumes.
+    """Columns of M in the representation _reduce_by consumes.
 
-    GF(2) columns become bitmask integers (bit r = row r); wider fields get
-    plain value tuples.
+    GF(2) columns are packed by bit_slices(M.field, M.nrows), so bit r is
+    row r; wider fields get plain value tuples.
     """
+    cols = [M.column(j) for j in range(M.ncols)]
     if M.field.width == 1:
-        cols = []
-        for j in range(M.ncols):
-            m = 0
-            for r in range(M.nrows):
-                if M._rows[r][j]:
-                    m |= 1 << r
-            cols.append(m)
-        return cols
-    return [M.column(j) for j in range(M.ncols)]
+        return list(map(bit_slices(M.field, M.nrows).pack, cols))
+    return cols
 
 
 def _reduce_by(field: FieldSpec, v, rest: Sequence) -> list:

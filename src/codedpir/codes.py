@@ -18,13 +18,14 @@ from typing import Callable, Iterable, Sequence
 from .algebra import (
     FieldMatrix,
     FieldSpec,
+    _extends,
     _reduce_by,
     bit_slices,
     coefficient_bits,
     column_vectors,
     combine,
     matrix_rank,
-    new_basis,
+    rref,
 )
 
 
@@ -243,19 +244,17 @@ class DerivedCode:
     def _column_reps(self):
         return column_vectors(self.h_tilde)
 
-    def column_basis(self):
-        """Fresh elimination basis matching _column_reps' representation."""
-        return new_basis(self.field)
-
     @cached_property
-    def _reduced_columns(self) -> tuple[list[int], int, int]:
-        """GF(2) view of rref(P): its columns as bitmasks (bit i = row i),
-        the support mask of its pivot columns, and rank(P)."""
-        from .algebra import rref
-
+    def _reduced_columns(self) -> tuple[list[int], int, int, int]:
+        """rref(P)'s columns over its first rank(P) rows, packed by
+        bit_slices(field, rank(P)); the support mask of its pivot columns;
+        rank(P); and that layout's column_mask(0), which spreads a plane-0
+        row mask over every plane."""
         R, rank, pivots = rref(self.h_tilde)
         k = self.n_tilde
-        return column_vectors(R), sum(1 << (k - 1 - j) for j in pivots), rank
+        slices = bit_slices(self.field, rank)
+        cols = [slices.pack(R.column(j)[:rank]) for j in range(k)]
+        return cols, sum(1 << (k - 1 - j) for j in pivots), rank, slices.column_mask(0)
 
     @cached_property
     def shift_period(self) -> int:
@@ -288,35 +287,20 @@ class DerivedCode:
         """Whether the columns of P a support mask marks are linearly
         independent (see ErasurePattern.mask for the bit order).
 
-        Over GF(2) the test runs on rref(P), whose columns have the same
-        dependencies as P's. Its pivot columns are distinct unit vectors,
-        independent among themselves and spanning exactly the rows they
-        mark, so the support is independent iff its non-pivot columns, with
-        those rows masked off, are. Wider fields insert P's columns into a
-        FieldBasis.
+        The test runs on rref(P), whose columns have the same dependencies
+        as P's, at every field width. Its pivot columns are distinct unit
+        vectors, independent among themselves and spanning exactly the rows
+        they mark, so the support is independent iff its non-pivot columns,
+        with those rows masked off, are (_extends). Raises ValueError for a
+        mask outside 0..2^k - 1, which marks columns P does not have.
         """
         k = self.n_tilde
-        if self.field.width != 1:
-            basis = self.column_basis()
-            for col in compress(self._column_reps, _mask_bytes(support, k)):
-                if basis.insert(col) is None:
-                    return False
-            return True
-        cols, pivot_cols, rank = self._reduced_columns
-        keep = ~reduce(or_, compress(cols, _mask_bytes(support & pivot_cols, k)), 0)
-        table = [0] * (rank + 1)  # table[b]: the kept vector of bit length b
-        for v in compress(cols, _mask_bytes(support & ~pivot_cols, k)):
-            v &= keep
-            while v:
-                b = v.bit_length()
-                row = table[b]
-                if not row:
-                    table[b] = v
-                    break
-                v ^= row
-            else:
-                return False
-        return True
+        if not 0 <= support < 1 << k:
+            raise ValueError(f"support mask {support} marks columns outside 0..{k - 1} (k = {k})")
+        cols, pivot_cols, rank, spread = self._reduced_columns
+        rows = reduce(or_, compress(cols, _mask_bytes(support & pivot_cols, k)), 0)
+        others = compress(cols, _mask_bytes(support & ~pivot_cols, k))
+        return all(_extends(self.field, rank, others, ~(rows * spread)))
 
 
 def derived_code(code: LinearCode) -> DerivedCode:

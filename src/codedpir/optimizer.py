@@ -22,10 +22,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import compress, islice
 from operator import or_
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
-from .algebra import _reduce_by
+from .algebra import _extends, _reduce_by
 from .codes import (
     DerivedCode,
     ErasurePattern,
@@ -104,8 +105,9 @@ def compute_erasure_pattern_list(
     independent set by construction), map them back through the
     permutation, then keep every correctable cyclic shift of the resulting
     pattern. The leading-one columns of a column-permuted matrix are its
-    greedy independent prefix, so a round inserts the columns into an
-    elimination basis in permuted order instead of row-reducing. Shifts
+    greedy independent prefix, so a round feeds the columns of rref(P),
+    which have P's dependencies, to one incremental elimination (_extends)
+    in permuted order instead of row-reducing, at every field width. Shifts
     that differ by a multiple of the code's `shift_period` g have the same
     verdict, so only shifts 0..g-1 of a round's pattern run the
     correctability test and shift s reuses the verdict of shift s mod g;
@@ -163,25 +165,24 @@ def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator
     """The seeded rounds of the randomized listing, each as the k rotations
     of its drawn support (see compute_erasure_pattern_list); 1 <= beta <= rank(P).
 
-    The random calls per round are one shuffle and one sample, so every
-    consumer of these rounds sees the same stream.
+    A round's pivots are the first rank(P) columns, in shuffled order,
+    that _extends finds outside the span of the ones before them; the
+    columns are DerivedCode._reduced_columns, the same packed columns of
+    rref(P) that `independent` tests, at every field width. The random
+    calls per round are one shuffle and one sample, so every consumer of
+    these rounds sees the same stream.
     """
     k = derived.n_tilde
-    rank = k - derived.k_tilde
-    cols = derived._column_reps
+    cols, _, rank, _ = derived._reduced_columns
     rng = random.Random(seed)
     for _ in range(budget):
         perm = list(range(k))
         rng.shuffle(perm)
-        basis = derived.column_basis()
-        # the permuted matrix's pivots, already mapped back to columns of P;
-        # sample() picks by position, so it draws the same columns either way
-        pivots: list[int] = []
-        for j in perm:
-            if basis.insert(cols[j]) is not None:
-                pivots.append(j)
-                if len(pivots) == rank:
-                    break
+        # the permuted matrix's pivots (its greedy independent prefix),
+        # already mapped back to columns of P; sample() picks by position,
+        # so it draws the same columns either way
+        fresh = _extends(derived.field, rank, map(cols.__getitem__, perm))
+        pivots = list(islice(compress(perm, fresh), rank))
         base = 0
         for j in rng.sample(pivots, beta):
             base |= 1 << (k - 1 - j)
@@ -463,14 +464,24 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
         code.p, cfg.min_distance_cap
     )
     dm = cfg.d_min if cfg.d_min is not None else min_distance(code.h, cfg.min_distance_cap)
+    rank_p = derived.n_tilde - derived.k_tilde
     if dtm < 2:
         raise ValueError(
             "derived code has minimum distance 1: some message symbol appears in no "
             "parity equation, so no retrieval width is available"
         )
+    if dtm > rank_p + 1:
+        raise ValueError(
+            f"d_tilde_min {dtm} exceeds rank(P) + 1 = {rank_p + 1}: any rank(P) + 1 "
+            "columns of P are dependent"
+        )
+    if dm > dtm:
+        raise ValueError(
+            f"d_min {dm} exceeds d_tilde_min {dtm}: a derived codeword x gives the "
+            "codeword (x, 0)"
+        )
     bounds = theta_bounds(code, dm, dtm)
     k = code.k
-    rank_p = derived.n_tilde - derived.k_tilde
     iterations = 0
     exhaustive = True
     stopped = False

@@ -11,6 +11,8 @@ from codedpir.algebra import (
     ReducibleModulusError,
     RightHandSideError,
     SingularSystemError,
+    _extends,
+    bit_slices,
     field_new,
     matrix_rank,
     poly_str,
@@ -20,7 +22,7 @@ from codedpir.algebra import (
 
 from codedpir.workbench import parse_code_file
 
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, planted_matrix
 from oracles import PeasantField, TinyField, brute_rank, peasant_mul, rref_oracle
 
 
@@ -242,6 +244,51 @@ class TestRref:
         p = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code.p
         rows = [list(r) for r in p.values()]
         self._agrees_with_oracle(FieldMatrix(p.field, rows + [r[-s:] + r[:-s] for r in rows]))
+
+
+class TestExtends:
+    """The incremental elimination behind DerivedCode.independent and the
+    listing's rounds, against rref_oracle ranks of column prefixes."""
+
+    @staticmethod
+    def _expected(rows, field) -> list[bool]:
+        # column j is new exactly when it raises the rank of columns 0..j
+        ranks = [0] + [
+            rref_oracle([row[: j + 1] for row in rows], field)[1] for j in range(len(rows[0]))
+        ]
+        return [b > a for a, b in zip(ranks, ranks[1:])]
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_matches_oracle_rank_at_every_width(self, width):
+        f = field_new(width)
+        peasant = PeasantField(f.modulus, width)
+        rng = random.Random(6000 + width)
+        for _ in range(20):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 8)
+            rows = planted_matrix(rng, peasant, nr, nc)
+            slices = bit_slices(f, nr)
+            cols = [slices.pack([row[j] for row in rows]) for j in range(nc)]
+            assert list(_extends(f, nr, cols)) == self._expected(rows, peasant)
+            # masking rows off is the same as zeroing them first
+            dropped = rng.sample(range(nr), rng.randint(0, nr))
+            keep = ~(sum(1 << i for i in dropped) * slices.column_mask(0))
+            zeroed = [[0] * nc if i in dropped else row for i, row in enumerate(rows)]
+            assert list(_extends(f, nr, cols, keep)) == self._expected(zeroed, peasant)
+
+    def test_stops_where_its_consumer_stops(self):
+        # a generator: vectors past the last answer taken are never read
+        f = field_new(1)
+        seen = []
+
+        def vectors():
+            for v in (0b01, 0b10, 0b11):
+                seen.append(v)
+                yield v
+
+        answers = _extends(f, 2, vectors())
+        assert next(answers) and next(answers)
+        assert seen == [0b01, 0b10]
+        assert list(answers) == [False]
 
 
 class TestSolve:

@@ -27,6 +27,7 @@ from conftest import (
     GF2,
     GF4,
     GF8,
+    GF16,
     c1_code,
     cauchy18_rows,
     make_code,
@@ -84,6 +85,12 @@ class TestDerivedCode:
     def test_zero_parity_part(self):
         code = make_code(GF2, [[0, 0, 0], [0, 0, 0]])
         assert derived_code(code).k_tilde == 3
+
+    @pytest.mark.parametrize("field", [GF2, GF16])
+    def test_zero_parity_part_has_no_independent_column(self, field):
+        # rank(P) = 0: the reduced columns are packed at length 0
+        d = derived_code(make_code(field, [[0, 0, 0], [0, 0, 0]]))
+        assert d.independent(0) and not d.independent(0b100)
 
 
 class TestMinDistance:
@@ -166,6 +173,28 @@ class TestMlCorrectable:
         d = derived_code(c1_code())
         with pytest.raises(ValueError):
             is_ml_correctable(d, ErasurePattern((1, 0)))
+
+    @pytest.mark.parametrize("mask", [8, -8, 1 << 40, -1])
+    def test_masks_outside_the_code_rejected(self, mask):
+        # c1 has k = 3: a mask must lie in 0..7
+        with pytest.raises(ValueError, match=rf"support mask {mask} .*\(k = 3\)"):
+            derived_code(c1_code()).independent(mask)
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_independent_matches_column_rank_at_every_width(self, width):
+        # planted dependencies make both verdicts occur at every weight
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        rng = random.Random(7000 + width)
+        for _ in range(8):
+            r = rng.randint(1, 4)
+            k = rng.randint(r + 1, 8)
+            rows = planted_matrix(rng, peasant, r, k)
+            d = derived_code(make_code(field, rows))
+            for mask in rng.sample(range(1 << k), min(1 << k, 48)):
+                support = [j for j in range(k) if mask >> (k - 1 - j) & 1]
+                expected = column_rank(rows, support, peasant) == len(support)
+                assert d.independent(mask) == expected, (rows, support)
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_agrees_with_codeword_oracle(self, order):

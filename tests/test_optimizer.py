@@ -191,6 +191,22 @@ class TestListingOracle:
             assert expected
             assert {p.bits for p in got.patterns} == expected
 
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_small_codes_match_oracle_at_every_width(self, width):
+        # planted dependencies make the rounds' greedy pivots skip columns
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        rng = random.Random(8000 + width)
+        for _ in range(4):
+            r = rng.randint(1, 4)
+            rows = planted_matrix(rng, peasant, r, rng.randint(r + 1, 8))
+            d = derived_code(make_code(field, rows))
+            for beta in range(1, d.n_tilde - d.k_tilde + 1):
+                got = compute_erasure_pattern_list(d, beta, "randomized", budget=4, seed=beta)
+                expected = randomized_listing_oracle(rows, peasant, beta, 4, beta)
+                assert expected
+                assert {p.bits for p in got.patterns} == expected
+
     def test_gf4_code_forced_randomized_matches_oracle(self, code_corpus):
         code = next(c for c in code_corpus[100:] if c.parity_rank >= 3)
         d = derived_code(code)
@@ -506,6 +522,14 @@ class TestOptimize:
     def test_hints_override_search(self):
         res = optimize_cpop(c1_code(), OptimizerConfig(seed=0, d_min=2, d_tilde_min=3))
         assert res.beta_opt == 2
+
+    def test_impossible_hints_rejected(self):
+        # c1 has rank(P) = 2, so any three columns of P are dependent
+        with pytest.raises(ValueError, match=r"d_tilde_min 4 exceeds rank\(P\) \+ 1 = 3"):
+            optimize_cpop(c1_code(), OptimizerConfig(seed=0, d_min=2, d_tilde_min=4))
+        # a derived codeword x gives the codeword (x, 0)
+        with pytest.raises(ValueError, match="d_min 3 exceeds d_tilde_min 2"):
+            optimize_cpop(c1_code(), OptimizerConfig(seed=0, d_min=3, d_tilde_min=2))
 
     def test_keep_going_reports_later_success_separately(self, monkeypatch):
         rng = random.Random(0)

@@ -229,23 +229,38 @@ class TestCli:
         assert exc.value.code == 2
 
     @staticmethod
-    def _c1_with_dmin_one(tmp_path):
-        bad = tmp_path / "c1_dmin1.pchk"
-        bad.write_text(fixture_path("c1.pchk").read_text().replace("code 5 3\n", "code 5 3\ndmin 1\n"))
+    def _c1_with_hint(tmp_path, hint):
+        bad = tmp_path / f"c1_{hint.replace(' ', '')}.pchk"
+        bad.write_text(fixture_path("c1.pchk").read_text().replace("code 5 3\n", f"code 5 3\n{hint}\n"))
         return str(bad)
 
     def test_optimize_rejects_dmin_one_hint(self, tmp_path, capsys):
-        assert main(["optimize", self._c1_with_dmin_one(tmp_path), "--seed", "1"]) == 1
+        assert main(["optimize", self._c1_with_hint(tmp_path, "dmin 1"), "--seed", "1"]) == 1
         assert "error: reference prices need d_min >= 2" in capsys.readouterr().err
 
     def test_table_reports_dmin_one_hint_as_error_row(self, tmp_path, capsys):
         good = [str(fixture_path("c1.pchk")), str(fixture_path("mds53.pchk"))]
-        bad = self._c1_with_dmin_one(tmp_path)
+        bad = self._c1_with_hint(tmp_path, "dmin 1")
         rc = main(["table", good[0], bad, good[1], "--seed", "1", "--format", "tsv"])
         assert rc == 1
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [r[0] for r in rows] == ["c1", "c1_dmin1", "mds53"]
         assert rows[1][1].startswith("error: reference prices need d_min >= 2")
+        assert rows[0][4] == rows[2][4] == "2"  # beta_opt of both good codes
+
+    def test_optimize_rejects_impossible_dtmin_hint(self, tmp_path, capsys):
+        # rank(P) = 2 on c1, so no three columns of P are independent
+        assert main(["optimize", self._c1_with_hint(tmp_path, "dtmin 4"), "--seed", "1"]) == 1
+        assert "error: d_tilde_min 4 exceeds rank(P) + 1 = 3" in capsys.readouterr().err
+
+    def test_table_reports_impossible_dtmin_hint_as_error_row(self, tmp_path, capsys):
+        good = [str(fixture_path("c1.pchk")), str(fixture_path("mds53.pchk"))]
+        bad = self._c1_with_hint(tmp_path, "dtmin 4")
+        rc = main(["table", good[0], bad, good[1], "--seed", "1", "--format", "tsv"])
+        assert rc == 1
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["c1", "c1_dtmin4", "mds53"]
+        assert rows[1][1].startswith("error: d_tilde_min 4 exceeds rank(P) + 1 = 3")
         assert rows[0][4] == rows[2][4] == "2"  # beta_opt of both good codes
 
     def test_simulate_seed_required(self):
