@@ -470,16 +470,7 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
             "derived code has minimum distance 1: some message symbol appears in no "
             "parity equation, so no retrieval width is available"
         )
-    if dtm > rank_p + 1:
-        raise ValueError(
-            f"d_tilde_min {dtm} exceeds rank(P) + 1 = {rank_p + 1}: any rank(P) + 1 "
-            "columns of P are dependent"
-        )
-    if dm > dtm:
-        raise ValueError(
-            f"d_min {dm} exceeds d_tilde_min {dtm}: a derived codeword x gives the "
-            "codeword (x, 0)"
-        )
+    check_distances(code, dm, dtm)
     bounds = theta_bounds(code, dm, dtm)
     k = code.k
     iterations = 0
@@ -554,6 +545,23 @@ class ThetaBounds(NamedTuple):
     lower_bound: Fraction
     non_optimized: Fraction
     baseline: Fraction
+
+
+def check_distances(code: LinearCode, d_min: int, d_tilde_min: int) -> None:
+    """Raise ValueError when d_min and d_tilde_min, searched or hinted,
+    cannot both be the code's: d_tilde_min above rank(P) + 1, or d_min above
+    d_tilde_min."""
+    rank_p = code.parity_rank
+    if d_tilde_min > rank_p + 1:
+        raise ValueError(
+            f"d_tilde_min {d_tilde_min} exceeds rank(P) + 1 = {rank_p + 1}: any rank(P) + 1 "
+            "columns of P are dependent"
+        )
+    if d_min > d_tilde_min:
+        raise ValueError(
+            f"d_min {d_min} exceeds d_tilde_min {d_tilde_min}: a derived codeword x gives the "
+            "codeword (x, 0)"
+        )
 
 
 def theta_bounds(code: LinearCode, d_min: int, d_tilde_min: int) -> ThetaBounds:

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter, defaultdict
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Callable, Iterable, Sequence
@@ -41,6 +43,42 @@ from .optimizer import EMatrix
 
 class ProtocolViolationError(RuntimeError):
     """Responses or query structure are inconsistent with the protocol."""
+
+
+# bytes.translate table: 1 for a word's top byte with bit 7 (the word's bit 31) clear
+_CLEAR_TOP = bytes(b < 0x80 for b in range(256))
+_CHUNK = 1 << 14  # words fetched per getrandbits call at most
+
+
+def _draws(rng: random.Random, order: int, count: int) -> list[int]:
+    """Exactly [rng.randrange(order) for _ in range(count)], leaving rng in
+    exactly the state those calls leave it in; `order` is a power of two up
+    to 2^31.
+
+    On CPython, randrange(2^w) is getrandbits(w + 1), which keeps the top
+    w + 1 bits of one 32-bit Mersenne Twister word, redrawn while the top
+    bit is set. The stream is therefore the words whose bit 31 is clear,
+    each read at bits 30 .. 31 - w. Each chunk fetches at most as many
+    words as draws are still owed (one getrandbits(32 * need), first word
+    lowest), so no word past the last one randrange would read is taken.
+    The words are shifted and masked as one int, viewed as an array of
+    32-bit words, and the kept ones picked by flags from their top bytes.
+    """
+    if not 0 < order <= 1 << 31 or order & (order - 1):
+        raise ValueError(f"draw order {order} is not a power of two up to 2^31")
+    shift = 32 - order.bit_length()
+    lane = (order - 1).to_bytes(4, "little")
+    out: list[int] = []
+    while len(out) < count:
+        need = min(count - len(out), _CHUNK)
+        words = rng.getrandbits(32 * need)
+        keep = words.to_bytes(4 * need, "little")[3::4].translate(_CLEAR_TOP)
+        mask = int.from_bytes(lane * need, "little")
+        values = array("I", ((words >> shift) & mask).to_bytes(4 * need, "little"))
+        if sys.byteorder == "big":
+            values.byteswap()
+        out.extend(compress(values, keep))
+    return out
 
 
 @dataclass(frozen=True)
@@ -254,11 +292,9 @@ def build_queries(
         raise ValueError(f"file index {m} out of 1..{f}")
     beta = e.beta
     field = code.field
-    rng = random.Random(seed)
-    draw = rng.randrange
-    order = field.order
     width = beta * f
-    u_rows = [[draw(order) for _ in range(width)] for _ in range(k)]
+    drawn = _draws(random.Random(seed), field.order, k * width)
+    u_rows = [drawn[i * width : (i + 1) * width] for i in range(k)]
     u = FieldMatrix._wrap(field, u_rows)
     rows = _assemble(u_rows, n, k, _selection_offsets(k, beta, m, perm, slots))
     # nodes handed the mask's own rows (the parity nodes) share the one u
@@ -581,6 +617,9 @@ def exact_privacy_check(
     return multisets_ok, construction_ok
 
 
+_TRIAL_BLOCK = 64  # trials drawn per _draws call in verify_privacy
+
+
 def verify_privacy(
     code: LinearCode,
     e: EMatrix,
@@ -603,9 +642,17 @@ def verify_privacy(
     query. That queries are assembled this way at fixture size is covered
     by the `QuerySet` construction test. Each entry counts only the values
     drawn, so time and memory follow `trials`, not the field order.
+
+    The masks are the ones rng.randrange(order) per entry would give, in
+    trial, row, column order from random.Random(seed): _draws fetches them
+    a block of trials at a time and leaves the generator where those calls
+    would.
+    Raises ValueError unless 0 < significance < 1.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 < significance < 1:
+        raise ValueError(f"significance {significance!r} outside the open interval (0, 1)")
     from scipy.stats import chi2 as _chi2
 
     k, n = code.k, code.n
@@ -622,7 +669,6 @@ def verify_privacy(
         )
 
     rng = random.Random(seed)
-    draw = rng.randrange
     entries = k * width
     tests = f * n * entries
     never_drawn = trials * trials  # numerator share of each bin no draw hit
@@ -630,10 +676,12 @@ def verify_privacy(
     min_p = 1.0
     for m in range(1, f + 1):
         # per mask entry, a counter per value drawn: at most `trials` counters
-        counts = [defaultdict(int) for _ in range(entries)]
-        for _ in range(trials):
-            for cell in counts:
-                cell[draw(order)] += 1
+        counts = [Counter() for _ in range(entries)]
+        for start in range(0, trials, _TRIAL_BLOCK):
+            # one trial's masks are `entries` consecutive draws, entry-major
+            drawn = _draws(rng, order, min(_TRIAL_BLOCK, trials - start) * entries)
+            for c, cell in enumerate(counts):
+                cell.update(drawn[c::entries])
         for cell in counts:
             # sum over all bins of (c - trials/order)^2 / (trials/order), as
             # an exact integer over order * trials, rounded once; while
@@ -661,8 +709,11 @@ def verify_privacy(
 
 
 def random_file(field, beta: int, k: int, ell: int, rng: random.Random) -> list[list[StorageSymbol]]:
-    """A beta x k file matrix of uniformly random symbols."""
-    return [
-        [StorageSymbol(field, [rng.randrange(field.order) for _ in range(ell)]) for _ in range(k)]
-        for _ in range(beta)
-    ]
+    """A beta x k file matrix of uniformly random symbols, drawn as
+    rng.randrange(field.order) per component would draw them (_draws), one
+    stripe at a time."""
+    file = []
+    for _ in range(beta):
+        drawn = _draws(rng, field.order, k * ell)
+        file.append([StorageSymbol(field, drawn[i * ell : (i + 1) * ell]) for i in range(k)])
+    return file

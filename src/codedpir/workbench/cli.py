@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ..codes import MinDistanceCapError, derived_code, min_distance
-from ..optimizer import OptimizerConfig, optimize_cpop, theta_bounds
+from ..optimizer import OptimizerConfig, check_distances, optimize_cpop, theta_bounds
 from ..protocol import (
     ProtocolViolationError,
     build_queries,
@@ -52,7 +52,10 @@ def frac_full(x: Fraction) -> str:
 
 
 def _distances(cf: CodeFile, cap: int) -> tuple[int, bool, int, bool]:
-    """(d_min, from_hint, d_tilde_min, from_hint); hints win over search."""
+    """(d_min, from_hint, d_tilde_min, from_hint); hints win over search.
+
+    Raises ValueError when the two cannot both be the code's (check_distances).
+    """
     if cf.d_min_hint is not None:
         dm, dm_hint = cf.d_min_hint, True
     else:
@@ -61,6 +64,7 @@ def _distances(cf: CodeFile, cap: int) -> tuple[int, bool, int, bool]:
         dtm, dtm_hint = cf.d_tilde_min_hint, True
     else:
         dtm, dtm_hint = min_distance(cf.code.p, cap), False
+    check_distances(cf.code, dm, dtm)
     return dm, dm_hint, dtm, dtm_hint
 
 

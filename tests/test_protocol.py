@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from codedpir import (
     solve,
     verify_privacy,
 )
+from codedpir.protocol import _CHUNK, _draws
 
 from conftest import GF2, GF4, c1_code, make_code, random_systematic_code
 from oracles import (
@@ -701,6 +703,13 @@ class TestPrivacy:
         with pytest.raises(ValueError):
             verify_privacy(c1_code(), E1, f=1, trials=0, seed=0)
 
+    @pytest.mark.parametrize("significance", [0.0, -1.0, 1.0, 2.0, float("nan")])
+    def test_significance_outside_open_unit_interval_rejected(self, significance):
+        # at or below 0 any draw passes, from 1 up the threshold means nothing,
+        # and nan compares false with everything
+        with pytest.raises(ValueError, match=f"significance {significance!r} outside"):
+            verify_privacy(c1_code(), E1, f=1, trials=10, seed=0, significance=significance)
+
     @pytest.mark.parametrize("name", ["c1", "mds53", "c5like"])
     @pytest.mark.parametrize("seed", [5, 424242])
     @pytest.mark.parametrize("trials", [150, 400])
@@ -736,6 +745,82 @@ class TestPrivacy:
         assert peak < 100_000
         assert not report.exact_performed
         assert report == verify_privacy_oracle(code, e, f=2, trials=trials, seed=3)
+
+
+def _c5like_layout():
+    from codedpir.workbench import parse_code_file
+    from conftest import FIXTURES_DIR
+
+    code = parse_code_file(FIXTURES_DIR / "c5like.pchk").code
+    return code, optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+
+
+class TestDraws:
+    """_draws against per-entry randrange: same values, same generator state."""
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    @pytest.mark.parametrize("seed", [0, 424242])
+    def test_matches_randrange(self, width, seed):
+        mine, ref = random.Random(seed), random.Random(seed)
+        # the last count needs several getrandbits chunks
+        for count in (0, 1, 2 * _CHUNK + 3, 1):
+            assert _draws(mine, 1 << width, count) == [ref.randrange(1 << width) for _ in range(count)]
+            assert mine.random() == ref.random()
+
+    @pytest.mark.parametrize("order", [0, 3, 6, 1 << 32])
+    def test_order_must_be_a_power_of_two_up_to_2_31(self, order):
+        with pytest.raises(ValueError, match=f"draw order {order} "):
+            _draws(random.Random(0), order, 1)
+
+    @pytest.mark.parametrize("name", ["c1", "c5like"])
+    def test_query_mask_is_per_entry_randrange(self, name):
+        code, e = (c1_code(), E1) if name == "c1" else _c5like_layout()
+        qs = build_queries(code, e, m=2, f=2, seed=31)
+        rng = random.Random(31)
+        width = e.beta * 2
+        expected = [[rng.randrange(code.field.order) for _ in range(width)] for _ in range(code.k)]
+        assert [list(row) for row in qs.u.values()] == expected
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_random_file_is_per_component_randrange(self, width):
+        field = FieldSpec(width)
+        mine, ref = random.Random(17), random.Random(17)
+        x = random_file(field, 3, 4, 5, mine)
+        expected = [
+            [[ref.randrange(field.order) for _ in range(5)] for _ in range(4)] for _ in range(3)
+        ]
+        assert [[list(s.components) for s in row] for row in x] == expected
+        assert mine.random() == ref.random()
+
+    def test_privacy_counts_are_per_entry_randrange(self, monkeypatch):
+        # 150 trials: two full blocks of draws and a partial one
+        import scipy.stats
+
+        code, e = _c5like_layout()
+        f, trials, order = 2, 150, code.field.order
+        seen = set()
+
+        class Recording:
+            @staticmethod
+            def sf(stat, df):
+                seen.add(stat)
+                return chi2.sf(stat, df)
+
+        chi2 = scipy.stats.chi2
+        monkeypatch.setattr(scipy.stats, "chi2", Recording)
+        verify_privacy(code, e, f=f, trials=trials, seed=5)
+        rng = random.Random(5)
+        entries = code.k * e.beta * f
+        expected = set()
+        for _ in range(f):
+            cells = [Counter() for _ in range(entries)]
+            for _ in range(trials):
+                for cell in cells:
+                    cell[rng.randrange(order)] += 1
+            for cell in cells:
+                num = sum((c * order - trials) ** 2 for c in cell.values())
+                expected.add((num + (order - len(cell)) * trials * trials) / (order * trials))
+        assert seen == expected
 
 
 class TestWidthCoverage:

@@ -263,6 +263,17 @@ class TestCli:
         assert rows[1][1].startswith("error: d_tilde_min 4 exceeds rank(P) + 1 = 3")
         assert rows[0][4] == rows[2][4] == "2"  # beta_opt of both good codes
 
+    @pytest.mark.parametrize("hint,message", [
+        ("dtmin 4", "error: d_tilde_min 4 exceeds rank(P) + 1 = 3"),
+        ("dmin 4", "error: d_min 4 exceeds d_tilde_min 3"),
+    ])
+    def test_analyze_rejects_impossible_distance_hint(self, tmp_path, capsys, hint, message):
+        # the prices analyze would print from these hints are no price of c1
+        assert main(["analyze", self._c1_with_hint(tmp_path, hint)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_simulate_seed_required(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", str(fixture_path("c1.pchk"))])
@@ -311,6 +322,15 @@ class TestGoldenOutputs:
         assert main(args) == 0
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN_DIR / f"privacy_seed7_{name}.txt").read_bytes()
+
+    def test_privacy_over_a_wide_field_code(self, capsys):
+        # the statistical check alone at w = 16, where the dense oracle
+        # cannot run: pins the GF(2^16) mask stream end to end
+        args = ["privacy", str(FIXTURES_DIR / "cauchy18_gf65536.pchk"), "--seed", "7",
+                "--trials", "200", "--files", "1"]
+        assert main(args) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / "privacy_seed7_gf65536.txt").read_bytes()
 
     def test_module_run_raises_no_warning(self):
         # `python -m codedpir.workbench.cli` with warnings as errors, on the
