@@ -51,10 +51,14 @@ class EMatrix:
             raise ValueError("access matrix must be square")
         if any(b not in (0, 1) for r in self.rows for b in r):
             raise ValueError("access matrix entries must be 0 or 1")
-        if any(sum(r) != self.beta for r in self.rows):
-            raise ValueError(f"every row must have exactly {self.beta} ones")
-        if any(sum(col) != self.beta for col in zip(*self.rows)):
-            raise ValueError(f"every column must have exactly {self.beta} ones")
+        if self.beta < 1:
+            raise ValueError(f"access matrix weight {self.beta} is below 1")
+        for kind, lines in (("row", self.rows), ("column", zip(*self.rows))):
+            for i, line in enumerate(lines):
+                if sum(line) != self.beta:
+                    raise ValueError(
+                        f"{kind} {i} has weight {sum(line)}, expected {self.beta}"
+                    )
 
     @property
     def k(self) -> int:

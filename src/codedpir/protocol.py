@@ -21,6 +21,7 @@ columns, ProtocolViolationError for responses.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from array import array
@@ -618,6 +619,51 @@ def exact_privacy_check(
 
 
 _TRIAL_BLOCK = 64  # trials drawn per _draws call in verify_privacy
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min / _EPS  # floor for the Lentz terms, as NR's FPMIN
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with df degrees of freedom.
+
+    This is the regularized upper incomplete gamma Q(a, y) at a = df/2,
+    y = x/2 (Numerical Recipes 6.2; DiDonato & Morris 1986): below y = a + 1
+    by the power series of P = 1 - Q, above it by the continued fraction for
+    Q in the modified Lentz form. The factor y^a e^-y / Gamma(a) is joined
+    to the sum or fraction in logs, so at df = 2^16 - 1 nothing overflows
+    or underflows before the result itself does.
+    """
+    a, y = df / 2, x / 2
+    if y <= 0:
+        return 1.0
+    log_front = a * math.log(y) - y - math.lgamma(a)
+    if y < a + 1:
+        # P(a, y) = front * sum_n y^n / (a (a+1) ... (a+n))
+        term = total = 1 / a
+        denom = a
+        while term > total * _EPS:
+            denom += 1
+            term *= y / denom
+            total += term
+        return 1 - math.exp(log_front + math.log(total))
+    # Q(a, y) = front / (y+1-a - 1(1-a) / (y+3-a - 2(2-a) / (y+5-a - ...)))
+    b = y + 1 - a
+    c = 1 / _TINY
+    d = h = 1 / b
+    for i in itertools.count(1):
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1) < _EPS:
+            return math.exp(log_front + math.log(h))
 
 
 def verify_privacy(
@@ -635,10 +681,11 @@ def verify_privacy(
     When the mask space is small enough, the exact check enumerates masks
     through the assembly `build_queries` uses. The statistical check always
     runs: `trials` seeded mask draws per file index and a chi-square
-    uniformity test on every mask entry. A node's query entry is the mask
-    entry XOR a fixed 0/1 selection value, which only relabels histogram
-    bins, so each entry's one statistic is shared by every node; the
-    Bonferroni correction still counts a test per entry of every node's
+    uniformity test on every mask entry, whose p-value is the tail that
+    _chi2_sf computes from the standard library. A node's query entry is
+    the mask entry XOR a fixed 0/1 selection value, which only relabels
+    histogram bins, so each entry's one statistic is shared by every node;
+    the Bonferroni correction still counts a test per entry of every node's
     query. That queries are assembled this way at fixture size is covered
     by the `QuerySet` construction test. Each entry counts only the values
     drawn, so time and memory follow `trials`, not the field order.
@@ -647,13 +694,13 @@ def verify_privacy(
     trial, row, column order from random.Random(seed): _draws fetches them
     a block of trials at a time and leaves the generator where those calls
     would.
-    Raises ValueError unless 0 < significance < 1.
+    Raises ValueError unless `trials` is an int of at least 1 and
+    0 < significance < 1.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials {trials!r} is not an integer of at least 1")
     if not 0 < significance < 1:
         raise ValueError(f"significance {significance!r} outside the open interval (0, 1)")
-    from scipy.stats import chi2 as _chi2
 
     k, n = code.k, code.n
     order = code.field.order
@@ -691,7 +738,7 @@ def verify_privacy(
             stat = (num + (order - len(cell)) * never_drawn) / (order * trials)
             p = p_values.get(stat)
             if p is None:
-                p = p_values[stat] = float(_chi2.sf(stat, order - 1))
+                p = p_values[stat] = _chi2_sf(stat, order - 1)
             if p < min_p:
                 min_p = p
     threshold = significance / tests

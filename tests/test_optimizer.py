@@ -450,12 +450,16 @@ class TestKeptWidths:
 
 class TestEMatrix:
     def test_regularity_enforced(self):
-        with pytest.raises(ValueError):
-            EMatrix(((1, 1), (1, 0)), beta=1)
-        with pytest.raises(ValueError):
-            EMatrix(((1, 0), (1, 0)), beta=1)
-        with pytest.raises(ValueError):
-            EMatrix(((1, 0), (0, 2)), beta=1)
+        for rows, beta, message in [
+            (((1, 1), (1, 0)), 1, "row 0 has weight 2, expected 1"),
+            (((1, 0, 0), (0, 1, 0), (0, 1, 1)), 1, "row 2 has weight 2, expected 1"),
+            (((1, 0), (1, 0)), 1, "column 0 has weight 2, expected 1"),
+            (((1, 0), (0, 2)), 1, "entries must be 0 or 1"),
+            # weight 0 would build queries with no columns and no privacy tests
+            (((0, 0, 0),) * 3, 0, "access matrix weight 0 is below 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                EMatrix(rows, beta=beta)
 
     def test_validator_catches_uncorrectable_rows(self):
         code = make_code(GF2, [[1, 1, 0], [1, 1, 1]])  # columns 1 and 2 equal

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -29,7 +30,8 @@ from codedpir import (
     solve,
     verify_privacy,
 )
-from codedpir.protocol import _CHUNK, _draws
+from codedpir import protocol
+from codedpir.protocol import _CHUNK, _chi2_sf, _draws
 
 from conftest import GF2, GF4, c1_code, make_code, random_systematic_code
 from oracles import (
@@ -632,6 +634,13 @@ class TestFaultInjection:
         assert ((False, True) in outcomes) == (name != "c1")
 
 
+def assert_matches_oracle(report, expected):
+    """Every field equal, statistical_ok included, but min_p_value: the
+    oracle takes its tail from scipy, and _chi2_sf agrees to 1e-9."""
+    assert math.isclose(report.min_p_value, expected.min_p_value, rel_tol=1e-9)
+    assert replace(report, min_p_value=0.0) == replace(expected, min_p_value=0.0)
+
+
 class TestPrivacy:
     def test_exact_check_small_instances(self):
         # (3,2) code with two files: mask space 2^(2*2*2) = 2^8... k*beta*f = 2*1*2
@@ -700,8 +709,9 @@ class TestPrivacy:
             run(E1, 0)
 
     def test_trials_validation(self):
-        with pytest.raises(ValueError):
-            verify_privacy(c1_code(), E1, f=1, trials=0, seed=0)
+        for trials in (0, 2.5):
+            with pytest.raises(ValueError, match=f"trials {trials!r} is not"):
+                verify_privacy(c1_code(), E1, f=1, trials=trials, seed=0)
 
     @pytest.mark.parametrize("significance", [0.0, -1.0, 1.0, 2.0, float("nan")])
     def test_significance_outside_open_unit_interval_rejected(self, significance):
@@ -725,7 +735,7 @@ class TestPrivacy:
             code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
         e = E1 if name == "c1" else optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
         report = verify_privacy(code, e, f=2, trials=trials, seed=seed)
-        assert report == verify_privacy_oracle(code, e, f=2, trials=trials, seed=seed)
+        assert_matches_oracle(report, verify_privacy_oracle(code, e, f=2, trials=trials, seed=seed))
 
     # widths 1-4 run the exact check instead, covered by the fixtures
     @pytest.mark.parametrize("width,trials", [(w, 200 if w == 8 else 20) for w in range(5, 17)])
@@ -733,7 +743,6 @@ class TestPrivacy:
         # fewer trials than field values: only the values drawn are counted
         code = make_code(FieldSpec(width), [[1, 2]])
         e = EMatrix(((1, 0), (0, 1)), beta=1)
-        verify_privacy(code, e, f=2, trials=1, seed=0)  # imports scipy.stats untraced
         tracemalloc.start()
         try:
             report = verify_privacy(code, e, f=2, trials=trials, seed=3)
@@ -744,7 +753,44 @@ class TestPrivacy:
         # 256 KB at GF(2^12), 4 MB at GF(2^16)
         assert peak < 100_000
         assert not report.exact_performed
-        assert report == verify_privacy_oracle(code, e, f=2, trials=trials, seed=3)
+        assert_matches_oracle(report, verify_privacy_oracle(code, e, f=2, trials=trials, seed=3))
+
+
+# the smallest Bonferroni threshold of the fixtures: c7_array (n = 187,
+# k = 121) at its committed beta = 60 matrix, two files
+_FAR_THRESHOLD = 0.01 / (2 * 187 * 121 * 60 * 2)
+
+
+class TestChi2Tail:
+    """_chi2_sf against scipy at df = 2^w - 1, the degrees of freedom of
+    every field width verify_privacy tests."""
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_matches_scipy(self, width):
+        from scipy.stats import chi2
+
+        df = (1 << width) - 1
+        sd = math.sqrt(2 * df)
+        switch = df + 2  # x/2 = df/2 + 1: series below, continued fraction above
+        xs = [df, switch - 1, switch * (1 - 1e-12), switch, switch * (1 + 1e-12), switch + 1]
+        xs += [df * t / 10 for t in range(1, 61)]
+        xs += [df + s * sd for s in range(-8, 9) if df + s * sd > 0]
+        xs += [float(chi2.isf(_FAR_THRESHOLD * 10.0**-j, df)) for j in range(0, 13, 3)]
+        # far enough out that both tails are below 1e-300
+        xs += [float(chi2.isf(1e-290, df)) * t for t in (1, 1.2, 2)]
+        tiny = 0
+        for x in xs:
+            mine, ref = _chi2_sf(x, df), float(chi2.sf(x, df))
+            if ref > 1e-300:
+                assert math.isclose(mine, ref, rel_tol=1e-9), (x, mine, ref)
+            else:
+                tiny += 1
+                assert abs(mine - ref) <= 1e-300, (x, mine, ref)
+        assert tiny
+
+    @pytest.mark.parametrize("df", [1, 15, 65535])
+    def test_zero_statistic_has_tail_one(self, df):
+        assert _chi2_sf(0.0, df) == 1.0
 
 
 def _c5like_layout():
@@ -794,20 +840,15 @@ class TestDraws:
 
     def test_privacy_counts_are_per_entry_randrange(self, monkeypatch):
         # 150 trials: two full blocks of draws and a partial one
-        import scipy.stats
-
         code, e = _c5like_layout()
         f, trials, order = 2, 150, code.field.order
         seen = set()
 
-        class Recording:
-            @staticmethod
-            def sf(stat, df):
-                seen.add(stat)
-                return chi2.sf(stat, df)
+        def recording(stat, df):
+            seen.add(stat)
+            return _chi2_sf(stat, df)
 
-        chi2 = scipy.stats.chi2
-        monkeypatch.setattr(scipy.stats, "chi2", Recording)
+        monkeypatch.setattr(protocol, "_chi2_sf", recording)
         verify_privacy(code, e, f=f, trials=trials, seed=5)
         rng = random.Random(5)
         entries = code.k * e.beta * f

@@ -118,6 +118,10 @@ class TestEMatrixFormat:
         with pytest.raises(ValueError, match=f"^{where} is not 0 or 1$"):
             parse_e_matrix_text(text)
 
+    def test_weight_zero_rejected(self):
+        with pytest.raises(ValueError, match="^access matrix weight 0 is below 1$"):
+            parse_e_matrix_text("000\n000\n000\n")
+
 
 class TestCli:
     def test_analyze_c1(self, capsys):
@@ -334,20 +338,24 @@ class TestGoldenOutputs:
 
     def test_module_run_raises_no_warning(self):
         # `python -m codedpir.workbench.cli` with warnings as errors, on the
-        # package these tests import
+        # package these tests import; then the same run with scipy
+        # unimportable, since the package needs only the standard library
         import codedpir
 
         src = str(Path(codedpir.__file__).parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         args = ["privacy", self._code_path("c1"), "--seed", "7", "--trials", "500", "--files", "2"]
-        run = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "codedpir.workbench.cli", *args],
-            capture_output=True, env=env, timeout=120,
-        )
-        assert run.returncode == 0, run.stderr.decode()
-        assert run.stderr == b""
-        assert run.stdout == (GOLDEN_DIR / "privacy_seed7_c1.txt").read_bytes()
+        without_scipy = ("import runpy, sys; sys.modules['scipy'] = None; "
+                         "runpy.run_module('codedpir.workbench.cli', run_name='__main__', alter_sys=True)")
+        for launch in (["-m", "codedpir.workbench.cli"], ["-c", without_scipy]):
+            run = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", *launch, *args],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr.decode()
+            assert run.stderr == b""
+            assert run.stdout == (GOLDEN_DIR / "privacy_seed7_c1.txt").read_bytes()
 
     @pytest.mark.parametrize("name", ["c1", "mds53", "c3like"])
     def test_simulate_second_of_two_files(self, name, capsys):
