@@ -6,10 +6,12 @@ products and inverses are lookups in one log/antilog table pair per field,
 built from a validated irreducible modulus and shared by every spec of it.
 Matrices hold raw integer entries. Vectors that linear maps act on as a
 whole (payload symbols, rows under elimination) are bit-sliced into one int
-each (BitSlices), so adding two of them is one XOR; one Gauss-Jordan kernel
-on such rows serves rref, matrix_rank and solve, and one incremental
-elimination on such vectors (_extends) answers the width scan's
-independence tests at every field width.
+each (BitSlices), so adding two of them is one XOR. Three eliminations
+work on such rows: Gauss-Jordan (_gauss_jordan) serves rref and
+matrix_rank; an elimination by leading coordinate of rows that carry their
+right-hand side below their coefficients (_solve_packed) serves solve and
+the protocol's recovery; and an incremental one (_extends) answers the
+width scan's independence tests at every field width.
 """
 
 from __future__ import annotations
@@ -397,7 +399,8 @@ class BitSlices:
     """
 
     __slots__ = (
-        "width", "ell", "_order", "_bytes_in_field", "_full", "_top", "_spread", "_column"
+        "width", "ell", "_order", "_bytes_in_field", "_full", "_top", "_spread", "_column",
+        "_digits", "_planes",
     )
 
     def __init__(self, spec: FieldSpec, ell: int):
@@ -410,6 +413,10 @@ class BitSlices:
         # x^w = sum of the modulus' lower terms: where the top plane lands
         self._spread = sum(1 << (r * ell) for r in range(spec.width) if (spec.modulus >> r) & 1)
         self._column = sum(1 << (b * ell) for b in range(spec.width))  # component 0, every plane
+        # entry(): the binary digits of a component's plane bits sit every ell
+        # places, top plane first
+        self._digits = f"0{spec.width * ell}b"
+        self._planes = slice(ell - 1, None, ell or 1)
 
     def pack(self, components: Sequence[int]) -> int | None:
         """Packed form of ell components, None unless all are raw field values.
@@ -466,10 +473,9 @@ class BitSlices:
 
     def entry(self, v: int, col: int) -> int:
         """Component col of a packed vector."""
-        v >>= col
         if self.width == 1:
-            return v & 1
-        return sum(((v >> (b * self.ell)) & 1) << b for b in range(self.width))
+            return (v >> col) & 1
+        return int(format((v >> col) & self._column, self._digits)[self._planes], 2)
 
     def column_mask(self, col: int) -> int:
         """The bits of component col; `v & column_mask(col)` is 0 iff it is 0."""
@@ -555,21 +561,16 @@ def bit_slices(spec: FieldSpec, ell: int) -> BitSlices:
     return BitSlices(spec, ell)
 
 
-def _gauss_jordan(
-    field: FieldSpec, ncols: int, rows: list[int], length: int | None = None
-) -> list[int]:
-    """Gauss-Jordan elimination, in place, of rows packed by bit_slices(field, length).
+def _gauss_jordan(field: FieldSpec, ncols: int, rows: list[int]) -> list[int]:
+    """Gauss-Jordan elimination, in place, of rows packed by bit_slices(field, ncols).
 
-    Each row is an augmented row [A | B]: its first ncols components are
-    the coefficients and the rest (length - ncols of them, none by default)
-    ride along. Pivoting runs over A's columns only and picks the first row
-    with a nonzero entry in the current column; over a field there are no
-    ties to break. The pivot row is scaled to a leading one and its column
-    cleared from every other row, so A ends in reduced row echelon form and
-    B holds the same row operations applied to it. Returns the pivot
+    Pivoting picks, column by column, the first row with a nonzero entry in
+    the current column; over a field there are no ties to break. The pivot
+    row is scaled to a leading one and its column cleared from every other
+    row, so the rows end in reduced row echelon form. Returns the pivot
     columns in increasing order.
     """
-    slices = bit_slices(field, ncols if length is None else length)
+    slices = bit_slices(field, ncols)
     entry, scale, inv_fn = slices.entry, slices.scale, field._inv
     binary = field.width == 1  # every nonzero entry is 1: skip entry() and scale()
     nrows = len(rows)
@@ -617,18 +618,114 @@ def matrix_rank(M: FieldMatrix) -> int:
     return rref(M)[1]
 
 
+def _solve_packed(
+    field: FieldSpec, low: int, length: int, rows: Iterable[int], unknowns: int
+) -> list[int]:
+    """The unknowns of a linear system given by its packed augmented rows.
+
+    Each row is packed by bit_slices(field, length): its components below
+    `low` hold the right-hand side and the components from `low` up its
+    coefficients. The unknowns are `unknowns` of the coefficient
+    coordinates, and every row is zero at the others. Returns the value of
+    each unknown, packed by bit_slices(field, low), in increasing
+    coordinate order.
+
+    Rows are eliminated as _extends eliminates vectors, by their highest
+    nonzero coefficient coordinate: a row is reduced by the stored row
+    leading there until it leads where no row does, and is stored there
+    with a leading one, or until no coefficient is left, when its
+    right-hand side is the residual of an equation 0 = b. Over GF(2) a
+    coordinate is a bit, found by bit_length(), and a reduction is one XOR;
+    wider fields fold the w planes together and use entry() and scale().
+    Back-substitution from the lowest stored row up then leaves each row
+    one unknown. The rank is decided before consistency: SingularSystemError,
+    carrying the rank, when fewer than `unknowns` rows are stored, and then
+    ValueError when a residual is nonzero.
+    """
+    table = [0] * (length + 1)  # table[b]: the stored row leading at coordinate b - 1
+    inconsistent = False
+    binary = field.width == 1
+    if binary:
+        for v in rows:
+            b = v.bit_length()
+            while b > low:
+                row = table[b]
+                if not row:
+                    table[b] = v
+                    break
+                v ^= row
+                b = v.bit_length()
+            else:
+                inconsistent = inconsistent or v != 0
+    else:
+        slices = bit_slices(field, length)
+        entry, scale, inv_fn = slices.entry, slices.scale, field._inv
+        plane = (1 << length) - 1
+        shifts = [b * length for b in range(field.width)]
+        for v in rows:
+            while True:
+                b = (reduce(or_, map(v.__rshift__, shifts)) & plane).bit_length()
+                if b <= low:
+                    inconsistent = inconsistent or v != 0
+                    break
+                c = entry(v, b - 1)
+                row = table[b]
+                if not row:
+                    table[b] = v if c == 1 else scale(v, inv_fn(c))
+                    break
+                v ^= row if c == 1 else scale(row, c)
+    pivots = [b for b in range(low + 1, length + 1) if table[b]]
+    if len(pivots) < unknowns:
+        raise SingularSystemError(
+            f"coefficient matrix has rank {len(pivots)}, expected full column rank {unknowns}",
+            len(pivots),
+        )
+    if inconsistent:
+        raise ValueError("inconsistent system: no solution exists")
+    # rest: a stored row's coefficients below its leading one, shifted down
+    # by low, so that rest's bit length is a pivot's table index minus low
+    out = []
+    if binary:
+        payload = (1 << low) - 1
+        solved = [0] * (length - low + 1)  # solved[b - low]: the unknown table[b] leads at
+        for b in pivots:
+            v = table[b]
+            x = v & payload
+            rest = (v ^ (1 << (b - 1))) >> low
+            while rest:
+                j = rest.bit_length()
+                x ^= solved[j]
+                rest ^= 1 << (j - 1)
+            solved[b - low] = x
+            out.append(x)
+        return out
+    done = [0] * (length - low + 1)  # done[b - low]: table[b], its other coefficients cleared
+    for b in pivots:
+        v = table[b]
+        rest = ((reduce(or_, map(v.__rshift__, shifts)) & plane) ^ (1 << (b - 1))) >> low
+        while rest:
+            j = rest.bit_length()
+            c = entry(v, low + j - 1)
+            v ^= done[j] if c == 1 else scale(done[j], c)
+            rest ^= 1 << (j - 1)
+        done[b - low] = v
+        out.append(slices.split(v, [low])[0])
+    return out
+
+
 def solve(A: FieldMatrix, B):
     """Solve A X = B for X, requiring A to have full column rank.
 
     A may be square or tall. B is either a FieldMatrix with matching row
     count, or a sequence of rows of storage symbols over A's field, all of
     one payload length; X then comes back as a list of rows of symbols.
-    Each row of A and the matching row of B are packed side by side into
-    one int, [A | B], and _gauss_jordan eliminates those rows, pivoting on
-    A's columns. Raises SingularSystemError, carrying the rank found, when
-    A is rank-deficient, RightHandSideError when symbol rows are empty or
-    ragged or name a misfit symbol ("right-hand side entry (2, 1)"), and
-    ValueError when the system is inconsistent.
+    Each row of B and the matching row of A are packed side by side into
+    one int, [B | A] with B in the low coordinates, and _solve_packed
+    eliminates those rows by A's columns. Raises SingularSystemError,
+    carrying the rank found, when A is rank-deficient, RightHandSideError
+    when symbol rows are empty or ragged or name a misfit symbol
+    ("right-hand side entry (2, 1)"), and ValueError when the system is
+    inconsistent.
     """
     f = A.field
     ncols = A.ncols
@@ -660,19 +757,12 @@ def solve(A: FieldMatrix, B):
         lengths = [ell] * w
     if len(b) != A.nrows:
         raise ValueError("row counts of A and B differ")
-    lengths = [ncols, *lengths]
+    low = sum(lengths)
     head = bit_slices(f, ncols)
-    joined = bit_slices(f, sum(lengths))
-    a = [joined.join([head.pack(r), *row], lengths) for r, row in zip(A._rows, b)]
-    rank = len(_gauss_jordan(f, ncols, a, joined.ell))
-    if rank < ncols:
-        raise SingularSystemError(
-            f"coefficient matrix has rank {rank}, expected full column rank {ncols}", rank
-        )
-    # A's part of every row past the pivots is zero; a nonzero B part is 0 = b
-    if any(a[ncols:]):
-        raise ValueError("inconsistent system: no solution exists")
-    x = [joined.split(v, lengths)[1:] for v in a[:ncols]]
+    joined = bit_slices(f, low + ncols)
+    a = [joined.join([*row, head.pack(r)], [*lengths, ncols]) for r, row in zip(A._rows, b)]
+    rhs = bit_slices(f, low)
+    x = [rhs.split(v, lengths) for v in _solve_packed(f, low, low + ncols, a, ncols)]
     if isinstance(B, FieldMatrix):
         return FieldMatrix._wrap(f, [list(out.unpack(v)) for (v,) in x])
     return [[StorageSymbol._of(f, ell, v) for v in row] for row in x]

@@ -13,6 +13,15 @@ w_par), leaving s_t = P[:, S_t] x_{S_t}. That system has full column rank
 exactly when row t of the access matrix is a correctable erasure pattern,
 and solving it exposes the selected file symbols directly.
 
+Responses and recovery work on packed payloads. collect_responses
+multiplies each mask row once, against every stored column at a time, and
+answers a systematic node's row that is a mask row plus one selection 1 as
+that product plus the one stored symbol the 1 selects. recover_file packs
+P's rows once per call; each subquery's system is those rows masked to
+S_t's columns, with the syndrome payload carried in the same int below the
+coefficients, and one elimination on such rows (algebra._solve_packed)
+solves it.
+
 Files, stored columns and responses are packed by codes.pack_symbols, which
 names a misfit symbol by its position: ValueError for files and stored
 columns, ProtocolViolationError for responses.
@@ -36,8 +45,10 @@ from .algebra import (
     bit_slices,
     coefficient_bits,
     combine,
-    solve,
 )
+# recover_file's one solve per subquery goes through this module-level name,
+# which the benchmark's tracer rebinds to time it as algebra.solve
+from .algebra import _solve_packed as solve
 from .codes import LinearCode, StorageSymbol, encode_file, pack_symbols
 from .optimizer import EMatrix
 
@@ -324,7 +335,12 @@ def _unstack(v: int, stride: int, count: int) -> list[int]:
 
 
 def _answers(
-    field, ell: int, queries: Sequence[list[list[int]]], columns: Sequence[list[int]]
+    field,
+    ell: int,
+    queries: Sequence[list[list[int]]],
+    columns: Sequence[list[int]],
+    masks: Sequence[list[int]] = (),
+    flips: dict[tuple[int, int], int] | None = None,
 ) -> list[list[int]]:
     """Packed payloads of queries[j] times columns[j], for every node j.
 
@@ -333,31 +349,53 @@ def _answers(
     several nodes hold is multiplied once, against every node's expanded
     column stacked into one int per entry (_stack, a stride of w*ell bits
     rounded up to whole bytes), and each holder's answer is sliced out of
-    the product. A row only one node holds is multiplied against that
-    node's own column. Rows that are equal but separate objects are not
-    shared.
+    the product. `flips` maps (node j, row i) to the column c where node
+    j's row i should be masks[i] plus a 1; a row only node j holds that
+    equals masks[i] with 1 added at entry c is answered as masks[i]'s
+    shared product plus node j's stored payload c. Any other row only one
+    node holds is multiplied against that node's own column. Rows that are
+    equal but separate objects are not shared.
     """
     slices = bit_slices(field, ell)
     width = field.width
     stride = (width * ell + 7) // 8
     expanded = [slices.expand(col) for col in columns]
     holders = Counter(chain.from_iterable(set(map(id, rows)) for rows in queries))
+    flips = flips or {}
     shared: dict[int, list[int]] = {}
-    stacked = None
+    stacked: list[int] = []
+
+    def products(row: list[int]) -> list[int]:
+        got = shared.get(id(row))
+        if got is None:
+            if not stacked:
+                stacked.extend(_stack(entries, stride) for entries in zip(*expanded))
+            product = combine(stacked, coefficient_bits(width, row))
+            got = shared[id(row)] = _unstack(product, stride, len(columns))
+        return got
+
+    # masks[i] -> a private copy, flipped at one entry while a row is compared with it
+    probes: dict[int, list[int]] = {}
     out = []
     for j, (rows, column) in enumerate(zip(queries, expanded)):
         answer = []
-        for row in rows:
-            if holders[id(row)] == 1:
-                answer.append(combine(column, coefficient_bits(width, row)))
+        for i, row in enumerate(rows):
+            if holders[id(row)] > 1:
+                answer.append(products(row)[j])
                 continue
-            products = shared.get(id(row))
-            if products is None:
-                if stacked is None:
-                    stacked = [_stack(entries, stride) for entries in zip(*expanded)]
-                product = combine(stacked, coefficient_bits(width, row))
-                products = shared[id(row)] = _unstack(product, stride, len(columns))
-            answer.append(products[j])
+            c = flips.get((j, i))
+            if c is not None and i < len(masks):
+                probe = probes.get(i)
+                if probe is None:
+                    probe = probes[i] = list(masks[i])
+                if 0 <= c < len(probe):
+                    probe[c] ^= 1
+                    flipped = row == probe
+                    probe[c] ^= 1
+                    if flipped:
+                        answer.append(products(masks[i])[j] ^ columns[j][c])
+                        continue
+            answer.append(combine(column, coefficient_bits(width, row)))
         out.append(answer)
     return out
 
@@ -378,6 +416,19 @@ def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> lis
     return [StorageSymbol._of(field, ell, v) for v in answer]
 
 
+def _flips(qs: QuerySet, k: int) -> dict[tuple[int, int], int]:
+    """(node, row) -> column of every selection 1 that qs's layout puts in
+    its queries to a code with k message nodes, all 0-based; empty when the
+    layout or the file index is malformed."""
+    try:
+        perm, slots = _layout(k, qs.e, qs.f, qs.pi, qs.z)
+    except ValueError:
+        return {}
+    if not isinstance(qs.m, int) or not 1 <= qs.m <= qs.f:
+        return {}
+    return _selection_offsets(k, qs.e.beta, qs.m, perm, slots)
+
+
 def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     """Every node's answer to its query, computed for all nodes at once.
 
@@ -386,9 +437,14 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     holds, and that each systematic node keeps wherever its selection does
     not flip an entry. Each such row is applied to all n stored columns
     stacked side by side, and every node's answer sliced out of the one
-    product; a row held by one node is applied to its column alone.
-    Raises ValueError when the shapes of queries and array disagree, and
-    names a misfit symbol ("node 5, stored symbol 2").
+    product. A row that qs's layout says node l flips (_selection_offsets,
+    taken only when the layout validates and 1 <= m <= f), and that equals
+    mask row i with 1 added at that column c and nowhere else, is answered
+    as mask row i's product plus node l's stored symbol c. Any other row
+    held by one node is applied to its column alone, so a hand-built query
+    set still gets node_response's answers. Raises ValueError when the
+    shapes of queries and array disagree, and names a misfit symbol
+    ("node 5, stored symbol 2").
     """
     if array.beta != qs.beta or array.f != qs.f:
         raise ValueError("query set and storage array disagree on beta or f")
@@ -412,7 +468,8 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
         ValueError,
     )
     columns = [payloads[j::n] for j in range(n)]
-    answers = _answers(field, ell, [q._rows for q in qs.q], columns)
+    flips = _flips(qs, array.code.k)
+    answers = _answers(field, ell, [q._rows for q in qs.q], columns, qs.u._rows, flips)
     return ResponseSet(
         responses=tuple(
             tuple(StorageSymbol._of(field, ell, v) for v in answer) for answer in answers
@@ -429,10 +486,14 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     one pass over P gives the parity syndromes s_t = P y_sys + y_par of all
     k subqueries. The interference cancels in characteristic 2, leaving
     s_t = P[:, S_t] x_{S_t}; one solve per subquery then yields the
-    selected file symbols. That system has full column rank exactly when
+    selected file symbols. P's rows are packed once per call; subquery t's
+    system is P's rows masked to S_t's columns, with s_t's payload in the
+    low coordinates, and `solve` (algebra._solve_packed, bound here under
+    that name) eliminates it. That system has full column rank exactly when
     row t is a correctable erasure pattern, and the syndrome must lie in
     the span of P[:, S_t]: a response that moves it out of that span is
-    reported as inconsistent. ProtocolViolationError names a node whose
+    reported as inconsistent, after the rank, so a singular subquery is
+    reported as singular. ProtocolViolationError names a node whose
     response is not a sequence of k symbols, and a misfit symbol ("node 3,
     subquery 2").
     """
@@ -488,14 +549,21 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         )
         for r, prow in enumerate(p_rows)
     ]
+    # subquery t's system, row r: its syndrome in the low ell coordinates,
+    # P's row r masked to the columns S_t above them
+    joined = bit_slices(field, ell + k)
+    head = bit_slices(field, k)
+    coefficients = [joined.join([0, head.pack(prow)], [ell, k]) for prow in p_rows]
+    if width > 1:
+        syndromes = [[joined.join([v, 0], [ell, k]) for v in s] for s in syndromes]
     grid: list[list[StorageSymbol | None]] = [[None] * k for _ in range(beta)]
     for t in range(k):
         chosen = qs.e.rows[t]
         selected = [l for l in range(k) if chosen[l]]
-        A = FieldMatrix._wrap(field, [list(compress(prow, chosen)) for prow in p_rows])
-        rhs = [[StorageSymbol._of(field, ell, s[t])] for s in syndromes]
+        keep = joined.column_mask(ell) * sum(1 << l for l in selected)  # every plane
+        rows = [s[t] | (a & keep) for s, a in zip(syndromes, coefficients)]
         try:
-            symbols = solve(A, rhs)
+            values = solve(field, ell, ell + k, rows, len(selected))
         except SingularSystemError as exc:
             raise ProtocolViolationError(
                 f"subquery {t + 1}: interference system is singular (rank {exc.rank}); "
@@ -505,13 +573,13 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
             raise ProtocolViolationError(
                 f"subquery {t + 1}: parity responses are inconsistent with each other"
             ) from exc
-        for l, (sym,) in zip(selected, symbols):
+        for l, v in zip(selected, values):
             stripe = qs.pi[qs.z[t][l]]
             if grid[stripe - 1][l] is not None:
                 raise ProtocolViolationError(
                     f"coordinate (stripe {stripe}, column {l + 1}) recovered twice"
                 )
-            grid[stripe - 1][l] = sym
+            grid[stripe - 1][l] = StorageSymbol._of(field, ell, v)
     for row in grid:
         if any(sym is None for sym in row):
             raise ProtocolViolationError("recovery left gaps in the file matrix")

@@ -341,6 +341,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="inconsistent"):
             solve(a, b)
 
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_rank_is_decided_before_consistency(self, width):
+        # rank 1 and an inconsistent row: the singular verdict comes first
+        f = field_new(width)
+        a = FieldMatrix(f, [[1, 1], [1, 1], [0, 0]])
+        b = FieldMatrix(f, [[1], [0], [1]])
+        with pytest.raises(SingularSystemError) as exc:
+            solve(a, b)
+        assert exc.value.rank == 1
+
     def test_componentwise_symbol_solving(self):
         from codedpir.codes import StorageSymbol
 

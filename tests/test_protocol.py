@@ -303,6 +303,21 @@ class TestBatchedResponses:
         assert [[s.components for s in row] for row in got] == expected
         assert got == x
 
+    def test_c6_array_second_of_two_files_at_fixture_size(self):
+        # file 2's selection 1s sit past file 1's columns, so every flipped
+        # row is answered through the shared mask product at an offset
+        code, e, x, _ = _c6_round(ell=2)
+        y = random_file(code.field, e.beta, code.k, 2, random.Random(30))
+        arr = build_storage(code, [x, y])
+        oracle = PeasantField(code.field.modulus, 1)
+        qs = build_queries(code, e, m=2, f=2, seed=62)
+        rs = self._agree(qs, arr, code, oracle)
+        answers = [[s.components for s in resp] for resp in rs.responses]
+        expected = recover_oracle(code.p.values(), e.rows, qs.pi, qs.z, e.beta, answers, oracle)
+        got = recover_file(qs, rs, code)
+        assert [[s.components for s in row] for row in got] == expected
+        assert got == y
+
     def test_mismatched_array_rejected(self):
         code = c1_code()
         arr = build_storage(code, [random_file(GF2, 2, 3, 4, random.Random(1))])
@@ -325,6 +340,117 @@ class TestBatchedResponses:
             row[4] = StorageSymbol.from_bits(GF2, 3, 0)
         with pytest.raises(ValueError, match="node 5, stored symbol 1: payload length 3, node 1"):
             collect_responses(qs, replace(arr, rows=tuple(map(tuple, mixed))))
+
+
+class TestMaskPlusUnitShortcut:
+    """collect_responses answers a row that is a mask row plus one selection
+    1 from the shared mask product, and only such a row: every other row
+    keeps the full multiply, so hand-built query sets get node_response's
+    answers."""
+
+    @staticmethod
+    def _instance(width):
+        field = FieldSpec(width)
+        rng = random.Random(9100 + width)
+        code = random_systematic_code(rng, field, n_lo=5, n_hi=8, oracle_cap_bits=10**6)
+        e = optimize_cpop(code, OptimizerConfig(seed=width)).e_opt
+        files = [random_file(field, e.beta, code.k, 3, rng) for _ in range(2)]
+        arr = build_storage(code, files)
+        qs = build_queries(code, e, m=2, f=2, seed=rng.randrange(10**6))
+        return code, arr, qs
+
+    @staticmethod
+    def _agree(qs, arr):
+        rs = collect_responses(qs, arr)
+        for j, q in enumerate(qs.q):
+            assert list(rs.responses[j]) == node_response(q, arr.node_column(j + 1)), j + 1
+        return rs
+
+    @staticmethod
+    def _with_row(qs, node, i, row):
+        """qs with row i of node `node` (0-based) replaced by `row`."""
+        q = list(qs.q)
+        rows = [list(r) for r in q[node].values()]
+        rows[i] = row
+        q[node] = FieldMatrix(q[node].field, rows)
+        return replace(qs, q=tuple(q))
+
+    @staticmethod
+    def _a_flip(qs, code):
+        (node, i), c = next(iter(protocol._flips(qs, code.k).items()))
+        return node, i, c
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_every_flipped_row_takes_the_shortcut(self, width, monkeypatch):
+        code, arr, qs = self._instance(width)
+        rs = self._agree(qs, arr)
+        calls = []
+        real = protocol.combine
+        monkeypatch.setattr(protocol, "combine", lambda *a: calls.append(1) or real(*a))
+        assert collect_responses(qs, arr) == rs
+        assert len(calls) == code.k  # one product per mask row, none per node
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_row_with_two_flips(self, width):
+        code, arr, qs = self._instance(width)
+        node, i, c = self._a_flip(qs, code)
+        row = list(qs.q[node].row(i))
+        other = next(col for col in range(len(row)) if col != c and not arr.rows[col][node].is_zero())
+        row[other] ^= 1
+        rs = self._agree(self._with_row(qs, node, i, row), arr)
+        assert rs.responses[node][i] != collect_responses(qs, arr).responses[node][i]
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_flip_at_a_column_the_layout_does_not_name(self, width):
+        code, arr, qs = self._instance(width)
+        node, i, c = self._a_flip(qs, code)
+        row = list(qs.u.row(i))
+        other = next(
+            col for col in range(len(row))
+            if col != c and arr.rows[col][node] != arr.rows[c][node]
+        )
+        row[other] ^= 1
+        rs = self._agree(self._with_row(qs, node, i, row), arr)
+        assert rs.responses[node][i] != collect_responses(qs, arr).responses[node][i]
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_mask_row_copied_into_a_separate_object(self, width):
+        code, arr, qs = self._instance(width)
+        node, i, _ = self._a_flip(qs, code)
+        # at a flipped position, the bare mask row as its own object
+        self._agree(self._with_row(qs, node, i, list(qs.u.row(i))), arr)
+        # every node's rows copied: nothing is shared and nothing is a mask row
+        copied = replace(qs, q=tuple(FieldMatrix(q.field, q.values()) for q in qs.q))
+        assert self._agree(copied, arr) == collect_responses(qs, arr)
+        # the mask itself copied, so no query row is one of its rows
+        masked = replace(qs, u=FieldMatrix(qs.u.field, qs.u.values()))
+        assert self._agree(masked, arr) == collect_responses(qs, arr)
+
+    @pytest.mark.parametrize("change", [
+        {"pi": (0,)}, {"pi": (1, 0)}, {"z": ((0,),)}, {"z": ()}, {"m": 0}, {"m": 3}, {"m": -1},
+        {"m": 1.5}, {"m": "2"}, {"m": 1}, {"u_rows": 1},
+    ], ids=["short_pi", "pi_moves_0", "short_z", "empty_z", "m_0", "m_past_f", "m_negative",
+            "m_float", "m_str", "other_file", "short_mask"])
+    def test_malformed_or_mismatched_query_set(self, change):
+        code, arr, qs = self._instance(4)
+        if "u_rows" in change:
+            qs = replace(qs, u=FieldMatrix(qs.u.field, qs.u.values()[: change["u_rows"]]))
+        else:
+            qs = replace(qs, **change)
+        assert self._agree(qs, arr) is not None
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_valid_layout_that_names_other_columns(self, width):
+        # another valid pi: the layout validates, but its flips are not the
+        # queries' flips, so the check against the mask sends them to the
+        # full multiply
+        code, arr, qs = self._instance(width)
+        beta = qs.e.beta
+        pi = (0,) + tuple(range(beta, 0, -1))
+        if pi == qs.pi:
+            pi = (0,) + tuple(range(2, beta + 1)) + (1,)
+        assert pi != qs.pi
+        self._agree(replace(qs, pi=pi), arr)
 
 
 class TestRecovery:
@@ -383,6 +509,38 @@ class TestRecovery:
         rs = collect_responses(qs, arr)
         with pytest.raises(ProtocolViolationError, match="singular"):
             recover_file(qs, rs, code)
+
+    def test_singular_subquery_reported_before_an_inconsistent_one(self):
+        # the uncorrectable code again, now with a corrupted parity response:
+        # the rank is decided first
+        code = make_code(GF2, [[1, 1, 0], [1, 1, 1]])
+        e = EMatrix(((1, 1, 0), (1, 0, 1), (0, 1, 1)), beta=2)
+        x = random_file(GF2, 2, 3, 1, random.Random(3))
+        qs = build_queries(code, e, m=1, f=1, seed=0)
+        rs = collect_responses(qs, build_storage(code, [x]))
+        responses = [list(resp) for resp in rs.responses]
+        responses[4][0] = responses[4][0] + StorageSymbol(GF2, [1])
+        corrupted = ResponseSet(responses=tuple(map(tuple, responses)))
+        with pytest.raises(ProtocolViolationError, match=r"subquery 1: .*singular \(rank 1\)"):
+            recover_file(qs, corrupted, code)
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_corrupted_parity_response_is_inconsistent(self, width):
+        # three parity rows against beta = 1: subquery 1's system is P's
+        # column 1 alone, (1, 0, 1), and an error in parity row 2 (node 6)
+        # moves the syndrome out of its span
+        field = FieldSpec(width)
+        code = make_code(field, [[1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 0, 1]])
+        e = EMatrix(tuple(tuple(int(i == j) for j in range(4)) for i in range(4)), beta=1)
+        x = random_file(field, 1, 4, 2, random.Random(width))
+        qs = build_queries(code, e, m=1, f=1, seed=4)
+        rs = collect_responses(qs, build_storage(code, [x]))
+        assert recover_file(qs, rs, code) == x
+        responses = [list(resp) for resp in rs.responses]
+        responses[5][0] = responses[5][0] + StorageSymbol(field, [1, 0])
+        corrupted = ResponseSet(responses=tuple(map(tuple, responses)))
+        with pytest.raises(ProtocolViolationError, match="subquery 1: parity responses are inconsistent"):
+            recover_file(qs, corrupted, code)
 
     def test_full_width_subquery_rejected(self):
         # beta = k means a subquery selects every message node and recovery
