@@ -6,12 +6,13 @@ products and inverses are lookups in one log/antilog table pair per field,
 built from a validated irreducible modulus and shared by every spec of it.
 Matrices hold raw integer entries. Vectors that linear maps act on as a
 whole (payload symbols, rows under elimination) are bit-sliced into one int
-each (BitSlices), so adding two of them is one XOR. Three eliminations
-work on such rows: Gauss-Jordan (_gauss_jordan) serves rref and
-matrix_rank; an elimination by leading coordinate of rows that carry their
-right-hand side below their coefficients (_solve_packed) serves solve and
-the protocol's recovery; and an incremental one (_extends) answers the
-width scan's independence tests at every field width.
+each (BitSlices), so adding two of them is one XOR. One elimination works
+on such rows: _eliminate reduces each row by the stored row at its leading
+(highest nonzero) coordinate and stores it where no row leads, and
+_back_substitute clears the stored rows at each other's leading
+coordinates. rref and matrix_rank, solve and the protocol's recovery
+(_solve_packed), and the width scan's independence tests all run on it,
+at every field width.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from array import array
 from functools import lru_cache, reduce
 from itertools import compress, repeat
-from operator import or_, xor
+from operator import xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_WIDTH = 16
@@ -361,8 +362,7 @@ class FieldMatrix:
         return FieldMatrix(self.field, [[self._rows[i][j] for j in cols] for i in rows])
 
     def _check_mate(self, other: "FieldMatrix") -> None:
-        if not isinstance(other, FieldMatrix):
-            raise TypeError("expected a FieldMatrix")
+        _expect_matrix(other)
         if other.field != self.field:
             raise FieldMismatchError("matrices over different fields")
 
@@ -375,6 +375,11 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.nrows}x{self.ncols} over GF(2^{self.field.width}))"
+
+
+def _expect_matrix(M: object) -> None:
+    if not isinstance(M, FieldMatrix):
+        raise TypeError("expected a FieldMatrix")
 
 
 # Bit-sliced vectors: a length-ell vector over GF(2^w) is stored as w bit
@@ -400,7 +405,7 @@ class BitSlices:
 
     __slots__ = (
         "width", "ell", "_order", "_bytes_in_field", "_full", "_top", "_spread", "_column",
-        "_digits", "_planes",
+        "_digits", "_planes", "_folds", "_plane",
     )
 
     def __init__(self, spec: FieldSpec, ell: int):
@@ -417,6 +422,12 @@ class BitSlices:
         # places, top plane first
         self._digits = f"0{spec.width * ell}b"
         self._planes = slice(ell - 1, None, ell or 1)
+        self._plane = (1 << ell) - 1
+        # support(): each fold ORs the top half of the planes left onto the rest
+        self._folds, n = [], spec.width
+        while n > 1:
+            n -= n // 2
+            self._folds.append(n * ell)
 
     def pack(self, components: Sequence[int]) -> int | None:
         """Packed form of ell components, None unless all are raw field values.
@@ -456,10 +467,9 @@ class BitSlices:
         w, ell = self.width, self.ell
         if not ell:
             return ()
-        plane_mask = (1 << ell) - 1
         lanes = [0, 0]
         for b in range(w):
-            chars = format((v >> (b * ell)) & plane_mask, f"0{ell}b").encode()[::-1]
+            chars = format((v >> (b * ell)) & self._plane, f"0{ell}b").encode()[::-1]
             lanes[b >> 3] |= int.from_bytes(chars.translate(_CHAR_BITS[b & 7]), "little")
         if w <= 8:
             return tuple(lanes[0].to_bytes(ell, "little"))
@@ -476,6 +486,12 @@ class BitSlices:
         if self.width == 1:
             return (v >> col) & 1
         return int(format((v >> col) & self._column, self._digits)[self._planes], 2)
+
+    def support(self, v: int) -> int:
+        """The ell-bit mask of a packed vector's nonzero components: its planes OR-ed together."""
+        for shift in self._folds:
+            v |= v >> shift
+        return v & self._plane
 
     def column_mask(self, col: int) -> int:
         """The bits of component col; `v & column_mask(col)` is 0 iff it is 0."""
@@ -561,43 +577,92 @@ def bit_slices(spec: FieldSpec, ell: int) -> BitSlices:
     return BitSlices(spec, ell)
 
 
-def _gauss_jordan(field: FieldSpec, ncols: int, rows: list[int]) -> list[int]:
-    """Gauss-Jordan elimination, in place, of rows packed by bit_slices(field, ncols).
+def _eliminate(
+    field: FieldSpec,
+    length: int,
+    table: list[int],
+    vectors: Iterable[int],
+    low: int = 0,
+    keep: int = -1,
+) -> Iterator[int]:
+    """Forward elimination of vectors packed by bit_slices(field, length).
 
-    Pivoting picks, column by column, the first row with a nonzero entry in
-    the current column; over a field there are no ties to break. The pivot
-    row is scaled to a leading one and its column cleared from every other
-    row, so the rows end in reduced row echelon form. Returns the pivot
-    columns in increasing order.
+    table[b] holds the stored row that leads at coordinate b - 1 (its
+    highest nonzero coordinate is b - 1, with a 1 there), or 0; the caller
+    allocates it as length + 1 zeros. Each vector is masked by `keep` and
+    reduced by the stored row at its own leading coordinate until it leads
+    at or below coordinate low - 1, or leads where no row does, where it is
+    stored, scaled to a leading one. Yields, per vector, one more than the
+    coordinate it then leads at, and 0 for a vector reduced to zero: a
+    result above `low` means the vector was stored, so with low = 0 a
+    nonzero result means it lies outside the span of the vectors before
+    it. Over GF(2) a coordinate is a bit, found by bit_length(), and a
+    reduction is one XOR; wider fields find it with BitSlices.support()
+    and clear it with entry() and scale(). A generator: vectors past the
+    last result taken are never read.
     """
-    slices = bit_slices(field, ncols)
-    entry, scale, inv_fn = slices.entry, slices.scale, field._inv
-    binary = field.width == 1  # every nonzero entry is 1: skip entry() and scale()
-    nrows = len(rows)
+    if field.width == 1:
+        for v in vectors:
+            v &= keep
+            b = v.bit_length()
+            while b > low:
+                row = table[b]
+                if not row:
+                    table[b] = v
+                    break
+                v ^= row
+                b = v.bit_length()
+            yield b
+        return
+    slices = bit_slices(field, length)
+    support, entry, scale, inv_fn = slices.support, slices.entry, slices.scale, field._inv
+    for v in vectors:
+        v &= keep
+        b = support(v).bit_length()
+        while b > low:
+            c = entry(v, b - 1)
+            row = table[b]
+            if not row:
+                table[b] = v if c == 1 else scale(v, inv_fn(c))
+                break
+            v ^= row if c == 1 else scale(row, c)
+            b = support(v).bit_length()
+        yield b
+
+
+def _back_substitute(field: FieldSpec, length: int, table: list[int]) -> list[int]:
+    """Clear the rows _eliminate stored in `table` at each other's pivots.
+
+    A pivot is a stored row's leading coordinate. Rows are taken lowest
+    pivot first, and each is cleared at the pivots below its own by the
+    rows there, which are already cleared: such a row is zero at every
+    pivot but its own, so subtracting it changes no other pivot entry, and
+    the pivots to clear are read once from the row's support. Every stored
+    row ends with a 1 at its own pivot and 0 at every other. Returns the
+    pivots in increasing order.
+    """
+    slices = bit_slices(field, length)
+    support, entry, scale = slices.support, slices.entry, slices.scale
     pivots: list[int] = []
-    for col in range(ncols):
-        piv = len(pivots)
-        if piv == nrows:
-            break
-        mask = slices.column_mask(col)
-        sel = next((r for r in range(piv, nrows) if rows[r] & mask), None)
-        if sel is None:
-            continue
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        prow = rows[piv]
-        if not binary:
-            c = entry(prow, col)
-            if c != 1:
-                prow = rows[piv] = scale(prow, inv_fn(c))
-        for r in range(nrows):
-            v = rows[r]
-            if v & mask and r != piv:
-                if binary:
-                    rows[r] = v ^ prow
-                else:
-                    c = entry(v, col)
-                    rows[r] = v ^ (prow if c == 1 else scale(prow, c))
-        pivots.append(col)
+    below = 0  # the pivots cleared so far, bit p for coordinate p
+    for b in compress(range(length + 1), table):
+        v = table[b]
+        if field.width == 1:  # a row is its own support, and every entry 1
+            rest = v & below
+            while rest:
+                j = rest.bit_length()
+                v ^= table[j]
+                rest ^= 1 << (j - 1)
+        else:
+            rest = support(v) & below
+            while rest:
+                j = rest.bit_length()
+                c = entry(v, j - 1)
+                v ^= table[j] if c == 1 else scale(table[j], c)
+                rest ^= 1 << (j - 1)
+        table[b] = v
+        below |= 1 << (b - 1)
+        pivots.append(b - 1)
     return pivots
 
 
@@ -605,13 +670,21 @@ def rref(M: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form of M.
 
     Returns (R, rank, pivot_cols) with pivot columns in increasing order,
-    one per leading one. The elimination runs bit-sliced (_gauss_jordan).
+    one per leading one. Rows are packed with column j at coordinate
+    ncols - 1 - j, so that a row's leading coordinate is its first nonzero
+    column, and run through _eliminate and _back_substitute; R lists the
+    stored rows, first pivot first, above its zero rows. The reduced row
+    echelon form is unique, so the order of elimination does not show.
     """
-    slices = bit_slices(M.field, M.ncols)
-    a = [slices.pack(r) for r in M._rows]
-    pivots = _gauss_jordan(M.field, M.ncols, a)
-    R = FieldMatrix._wrap(M.field, [list(slices.unpack(v)) for v in a])
-    return R, len(pivots), tuple(pivots)
+    _expect_matrix(M)
+    f, ncols = M.field, M.ncols
+    slices = bit_slices(f, ncols)
+    table = [0] * (ncols + 1)
+    list(_eliminate(f, ncols, table, [slices.pack(r[::-1]) for r in M._rows]))  # fills table
+    coords = _back_substitute(f, ncols, table)[::-1]
+    rows = [list(slices.unpack(table[c + 1])[::-1]) for c in coords]
+    rows += [[0] * ncols for _ in range(M.nrows - len(coords))]
+    return FieldMatrix._wrap(f, rows), len(coords), tuple(ncols - 1 - c for c in coords)
 
 
 def matrix_rank(M: FieldMatrix) -> int:
@@ -630,87 +703,29 @@ def _solve_packed(
     each unknown, packed by bit_slices(field, low), in increasing
     coordinate order.
 
-    Rows are eliminated as _extends eliminates vectors, by their highest
-    nonzero coefficient coordinate: a row is reduced by the stored row
-    leading there until it leads where no row does, and is stored there
-    with a leading one, or until no coefficient is left, when its
-    right-hand side is the residual of an equation 0 = b. Over GF(2) a
-    coordinate is a bit, found by bit_length(), and a reduction is one XOR;
-    wider fields fold the w planes together and use entry() and scale().
-    Back-substitution from the lowest stored row up then leaves each row
-    one unknown. The rank is decided before consistency: SingularSystemError,
-    carrying the rank, when fewer than `unknowns` rows are stored, and then
-    ValueError when a residual is nonzero.
+    _eliminate stores the rows that keep a coefficient. A row it reduces to
+    lead at or below `low` has none left: it is an equation 0 = b, and
+    inconsistent unless it reduced to zero. _back_substitute then leaves
+    each stored row one unknown, whose value is the row's right-hand side.
+    The rank is decided before consistency: SingularSystemError, carrying
+    the rank, when fewer than `unknowns` rows are stored, and then
+    ValueError when some b is not 0.
     """
-    table = [0] * (length + 1)  # table[b]: the stored row leading at coordinate b - 1
-    inconsistent = False
-    binary = field.width == 1
-    if binary:
-        for v in rows:
-            b = v.bit_length()
-            while b > low:
-                row = table[b]
-                if not row:
-                    table[b] = v
-                    break
-                v ^= row
-                b = v.bit_length()
-            else:
-                inconsistent = inconsistent or v != 0
-    else:
-        slices = bit_slices(field, length)
-        entry, scale, inv_fn = slices.entry, slices.scale, field._inv
-        plane = (1 << length) - 1
-        shifts = [b * length for b in range(field.width)]
-        for v in rows:
-            while True:
-                b = (reduce(or_, map(v.__rshift__, shifts)) & plane).bit_length()
-                if b <= low:
-                    inconsistent = inconsistent or v != 0
-                    break
-                c = entry(v, b - 1)
-                row = table[b]
-                if not row:
-                    table[b] = v if c == 1 else scale(v, inv_fn(c))
-                    break
-                v ^= row if c == 1 else scale(row, c)
-    pivots = [b for b in range(low + 1, length + 1) if table[b]]
+    table = [0] * (length + 1)
+    residuals = [b for b in _eliminate(field, length, table, rows, low) if b <= low]
+    pivots = _back_substitute(field, length, table)
     if len(pivots) < unknowns:
         raise SingularSystemError(
             f"coefficient matrix has rank {len(pivots)}, expected full column rank {unknowns}",
             len(pivots),
         )
-    if inconsistent:
+    if any(residuals):
         raise ValueError("inconsistent system: no solution exists")
-    # rest: a stored row's coefficients below its leading one, shifted down
-    # by low, so that rest's bit length is a pivot's table index minus low
-    out = []
-    if binary:
+    if field.width == 1:
         payload = (1 << low) - 1
-        solved = [0] * (length - low + 1)  # solved[b - low]: the unknown table[b] leads at
-        for b in pivots:
-            v = table[b]
-            x = v & payload
-            rest = (v ^ (1 << (b - 1))) >> low
-            while rest:
-                j = rest.bit_length()
-                x ^= solved[j]
-                rest ^= 1 << (j - 1)
-            solved[b - low] = x
-            out.append(x)
-        return out
-    done = [0] * (length - low + 1)  # done[b - low]: table[b], its other coefficients cleared
-    for b in pivots:
-        v = table[b]
-        rest = ((reduce(or_, map(v.__rshift__, shifts)) & plane) ^ (1 << (b - 1))) >> low
-        while rest:
-            j = rest.bit_length()
-            c = entry(v, low + j - 1)
-            v ^= done[j] if c == 1 else scale(done[j], c)
-            rest ^= 1 << (j - 1)
-        done[b - low] = v
-        out.append(slices.split(v, [low])[0])
-    return out
+        return [table[p + 1] & payload for p in pivots]
+    split = bit_slices(field, length).split
+    return [split(table[p + 1], [low])[0] for p in pivots]
 
 
 def solve(A: FieldMatrix, B):
@@ -723,10 +738,11 @@ def solve(A: FieldMatrix, B):
     one int, [B | A] with B in the low coordinates, and _solve_packed
     eliminates those rows by A's columns. Raises SingularSystemError,
     carrying the rank found, when A is rank-deficient, RightHandSideError
-    when symbol rows are empty or ragged or name a misfit symbol
-    ("right-hand side entry (2, 1)"), and ValueError when the system is
-    inconsistent.
+    when symbol rows are not sequences, are empty or ragged, or name a
+    misfit symbol ("right-hand side entry (2, 1)"), and ValueError when the
+    system is inconsistent.
     """
+    _expect_matrix(A)
     f = A.field
     ncols = A.ncols
     if isinstance(B, FieldMatrix):
@@ -738,7 +754,14 @@ def solve(A: FieldMatrix, B):
     else:
         from .codes import StorageSymbol, pack_symbols
 
-        rows = [list(r) for r in B]
+        rows = list(B)
+        for i, row in enumerate(rows, 1):
+            if not isinstance(row, Sequence):
+                kind = type(row).__name__
+                raise RightHandSideError(
+                    f"right-hand side row {i} is {'an' if kind[0] in 'aeiou' else 'a'} {kind}, "
+                    "not a sequence of symbols"
+                )
         if not rows or not rows[0]:
             raise RightHandSideError("right-hand side needs at least one row and one symbol")
         w = len(rows[0])
@@ -766,50 +789,6 @@ def solve(A: FieldMatrix, B):
     if isinstance(B, FieldMatrix):
         return FieldMatrix._wrap(f, [list(out.unpack(v)) for (v,) in x])
     return [[StorageSymbol._of(f, ell, v) for v in row] for row in x]
-
-
-def _extends(
-    field: FieldSpec, length: int, vectors: Iterable[int], keep: int = -1
-) -> Iterator[bool]:
-    """For each vector, packed by bit_slices(field, length) and masked by
-    `keep`, whether it lies outside the span of the vectors before it.
-
-    An incremental elimination: a vector found independent is stored with a
-    leading one at its highest nonzero coordinate, and a later vector is
-    reduced by the stored row at its own highest nonzero coordinate until it
-    is zero (dependent) or leads at a coordinate no row holds. Over GF(2) a
-    coordinate is a bit, found by bit_length(), and a reduction is one XOR.
-    Wider fields fold the w planes together to find that coordinate and
-    clear it with entry() and scale().
-    """
-    table = [0] * (length + 1)  # table[b]: the stored row leading at coordinate b - 1
-    if field.width == 1:
-        for v in vectors:
-            v &= keep
-            while v:
-                b = v.bit_length()
-                row = table[b]
-                if not row:
-                    table[b] = v
-                    break
-                v ^= row
-            yield v != 0
-        return
-    slices = bit_slices(field, length)
-    entry, scale, inv_fn = slices.entry, slices.scale, field._inv
-    plane = (1 << length) - 1
-    shifts = [b * length for b in range(field.width)]
-    for v in vectors:
-        v &= keep
-        while v:
-            b = (reduce(or_, map(v.__rshift__, shifts)) & plane).bit_length()
-            c = entry(v, b - 1)
-            row = table[b]
-            if not row:
-                table[b] = v if c == 1 else scale(v, inv_fn(c))
-                break
-            v ^= row if c == 1 else scale(row, c)
-        yield v != 0
 
 
 def column_vectors(M: FieldMatrix) -> list:

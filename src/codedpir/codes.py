@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 from .algebra import (
     FieldMatrix,
     FieldSpec,
-    _extends,
+    _eliminate,
     _reduce_by,
     bit_slices,
     coefficient_bits,
@@ -291,8 +291,9 @@ class DerivedCode:
         as P's, at every field width. Its pivot columns are distinct unit
         vectors, independent among themselves and spanning exactly the rows
         they mark, so the support is independent iff its non-pivot columns,
-        with those rows masked off, are (_extends). Raises ValueError for a
-        mask outside 0..2^k - 1, which marks columns P does not have.
+        with those rows masked off, are: iff _eliminate stores every one of
+        them. Raises ValueError for a mask outside 0..2^k - 1, which marks
+        columns P does not have.
         """
         k = self.n_tilde
         if not 0 <= support < 1 << k:
@@ -300,7 +301,7 @@ class DerivedCode:
         cols, pivot_cols, rank, spread = self._reduced_columns
         rows = reduce(or_, compress(cols, _mask_bytes(support & pivot_cols, k)), 0)
         others = compress(cols, _mask_bytes(support & ~pivot_cols, k))
-        return all(_extends(self.field, rank, others, ~(rows * spread)))
+        return all(_eliminate(self.field, rank, [0] * (rank + 1), others, keep=~(rows * spread)))
 
 
 def derived_code(code: LinearCode) -> DerivedCode:

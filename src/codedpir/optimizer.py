@@ -26,7 +26,7 @@ from itertools import compress, islice
 from operator import or_
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
-from .algebra import _extends, _reduce_by
+from .algebra import _eliminate, _reduce_by
 from .codes import (
     DerivedCode,
     ErasurePattern,
@@ -110,7 +110,7 @@ def compute_erasure_pattern_list(
     permutation, then keep every correctable cyclic shift of the resulting
     pattern. The leading-one columns of a column-permuted matrix are its
     greedy independent prefix, so a round feeds the columns of rref(P),
-    which have P's dependencies, to one incremental elimination (_extends)
+    which have P's dependencies, to one forward elimination (_eliminate)
     in permuted order instead of row-reducing, at every field width. Shifts
     that differ by a multiple of the code's `shift_period` g have the same
     verdict, so only shifts 0..g-1 of a round's pattern run the
@@ -170,7 +170,7 @@ def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator
     of its drawn support (see compute_erasure_pattern_list); 1 <= beta <= rank(P).
 
     A round's pivots are the first rank(P) columns, in shuffled order,
-    that _extends finds outside the span of the ones before them; the
+    that _eliminate finds outside the span of the ones before them; the
     columns are DerivedCode._reduced_columns, the same packed columns of
     rref(P) that `independent` tests, at every field width. The random
     calls per round are one shuffle and one sample, so every consumer of
@@ -185,7 +185,7 @@ def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator
         # the permuted matrix's pivots (its greedy independent prefix),
         # already mapped back to columns of P; sample() picks by position,
         # so it draws the same columns either way
-        fresh = _extends(derived.field, rank, map(cols.__getitem__, perm))
+        fresh = _eliminate(derived.field, rank, [0] * (rank + 1), map(cols.__getitem__, perm))
         pivots = list(islice(compress(perm, fresh), rank))
         base = 0
         for j in rng.sample(pivots, beta):

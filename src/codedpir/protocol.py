@@ -19,8 +19,8 @@ answers a systematic node's row that is a mask row plus one selection 1 as
 that product plus the one stored symbol the 1 selects. recover_file packs
 P's rows once per call; each subquery's system is those rows masked to
 S_t's columns, with the syndrome payload carried in the same int below the
-coefficients, and one elimination on such rows (algebra._solve_packed)
-solves it.
+coefficients, and algebra._solve_packed solves it with algebra's one
+elimination kernel (forward elimination, then back-substitution).
 
 Files, stored columns and responses are packed by codes.pack_symbols, which
 names a misfit symbol by its position: ValueError for files and stored
@@ -489,11 +489,12 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     selected file symbols. P's rows are packed once per call; subquery t's
     system is P's rows masked to S_t's columns, with s_t's payload in the
     low coordinates, and `solve` (algebra._solve_packed, bound here under
-    that name) eliminates it. That system has full column rank exactly when
-    row t is a correctable erasure pattern, and the syndrome must lie in
-    the span of P[:, S_t]: a response that moves it out of that span is
-    reported as inconsistent, after the rank, so a singular subquery is
-    reported as singular. ProtocolViolationError names a node whose
+    that name) runs it through algebra's elimination kernel. That system
+    has full column rank exactly when row t is a correctable erasure
+    pattern, and the syndrome must lie in the span of P[:, S_t]: a response
+    that moves it out of that span is reported as inconsistent, after the
+    rank, so a singular subquery is reported as singular.
+    ProtocolViolationError names a node whose
     response is not a sequence of k symbols, and a misfit symbol ("node 3,
     subquery 2").
     """

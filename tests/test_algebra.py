@@ -11,7 +11,7 @@ from codedpir.algebra import (
     ReducibleModulusError,
     RightHandSideError,
     SingularSystemError,
-    _extends,
+    _eliminate,
     bit_slices,
     field_new,
     matrix_rank,
@@ -178,7 +178,7 @@ class TestRref:
         assert rank == 0
         assert pivots == ()
 
-    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 16])
     def test_idempotent_on_random_matrices(self, width):
         f = field_new(width)
         rng = random.Random(17 * width)
@@ -232,7 +232,8 @@ class TestRref:
             self._agrees_with_oracle(FieldMatrix(f, rows))
 
     @pytest.mark.parametrize(
-        "name", ["c2like", "c3like", "c4like", "c5like", "c6_array", "c7_array"]
+        "name",
+        ["c2like", "c3like", "c4like", "c5like", "c6_array", "c7_array", "cauchy18_gf65536"],
     )
     def test_fixture_parity_parts_match_oracle(self, name):
         self._agrees_with_oracle(parse_code_file(FIXTURES_DIR / f"{name}.pchk").code.p)
@@ -247,8 +248,13 @@ class TestRref:
 
 
 class TestExtends:
-    """The incremental elimination behind DerivedCode.independent and the
-    listing's rounds, against rref_oracle ranks of column prefixes."""
+    """Whether _eliminate finds each vector extends the span of those before
+    it, as DerivedCode.independent and the listing's rounds ask, against
+    rref_oracle ranks of column prefixes."""
+
+    @staticmethod
+    def _extends(f, length, vectors, keep=-1) -> list[bool]:
+        return [b > 0 for b in _eliminate(f, length, [0] * (length + 1), vectors, keep=keep)]
 
     @staticmethod
     def _expected(rows, field) -> list[bool]:
@@ -268,12 +274,12 @@ class TestExtends:
             rows = planted_matrix(rng, peasant, nr, nc)
             slices = bit_slices(f, nr)
             cols = [slices.pack([row[j] for row in rows]) for j in range(nc)]
-            assert list(_extends(f, nr, cols)) == self._expected(rows, peasant)
+            assert self._extends(f, nr, cols) == self._expected(rows, peasant)
             # masking rows off is the same as zeroing them first
             dropped = rng.sample(range(nr), rng.randint(0, nr))
             keep = ~(sum(1 << i for i in dropped) * slices.column_mask(0))
             zeroed = [[0] * nc if i in dropped else row for i, row in enumerate(rows)]
-            assert list(_extends(f, nr, cols, keep)) == self._expected(zeroed, peasant)
+            assert self._extends(f, nr, cols, keep) == self._expected(zeroed, peasant)
 
     def test_stops_where_its_consumer_stops(self):
         # a generator: vectors past the last answer taken are never read
@@ -285,10 +291,22 @@ class TestExtends:
                 seen.append(v)
                 yield v
 
-        answers = _extends(f, 2, vectors())
+        answers = _eliminate(f, 2, [0] * 3, vectors())
         assert next(answers) and next(answers)
         assert seen == [0b01, 0b10]
-        assert list(answers) == [False]
+        assert list(answers) == [0]
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_yields_one_past_the_leading_coordinate(self, width):
+        # a vector reduced to lead at or below `low` is not stored: what it
+        # then leads at is what _solve_packed reads as a residual
+        f = field_new(width)
+        c = 1 if width == 1 else 3
+        pack = bit_slices(f, 3).pack
+        table = [0] * 4
+        rows = [[1, 0, c], [0, 0, c], [1, 0, 0], [0, 1, 0], [0, 1, 0]]
+        assert list(_eliminate(f, 3, table, map(pack, rows), low=1)) == [3, 1, 1, 2, 0]
+        assert table == [0, 0, pack([0, 1, 0]), pack([f.inv(c), 0, 1])]
 
 
 class TestSolve:
@@ -385,6 +403,28 @@ class TestSolve:
         for message, b in cases.items():
             with pytest.raises(RightHandSideError, match=message):
                 solve(a, b)
+
+    def test_symbol_rows_must_be_sequences(self):
+        from codedpir.codes import StorageSymbol
+
+        f = field_new(3)
+        a = FieldMatrix(f, [[1, 1], [0, 1]])
+        sym = StorageSymbol(f, (3, 5))
+        cases = {
+            "right-hand side row 1 is an int, not a sequence of symbols": [1, 2],
+            "right-hand side row 1 is a NoneType, not a sequence of symbols": [None, [sym]],
+            "right-hand side row 2 is a StorageSymbol, not a sequence of symbols": [[sym], sym],
+        }
+        for message, b in cases.items():
+            with pytest.raises(RightHandSideError) as exc:
+                solve(a, b)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["rref", "matrix_rank", "solve"])
+    def test_matrix_arguments_must_be_matrices(self, name):
+        call = {"rref": rref, "matrix_rank": matrix_rank, "solve": lambda m: solve(m, m)}[name]
+        with pytest.raises(TypeError, match="^expected a FieldMatrix$"):
+            call([[1, 0], [0, 1]])
 
 
 class TestFieldMatrix:
