@@ -688,7 +688,11 @@ def rref(M: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
 
 
 def matrix_rank(M: FieldMatrix) -> int:
-    return rref(M)[1]
+    """Rank of M: the rows _eliminate stores, without rref's back-substitution."""
+    _expect_matrix(M)
+    f, ncols = M.field, M.ncols
+    pack = bit_slices(f, ncols).pack
+    return sum(map(bool, _eliminate(f, ncols, [0] * (ncols + 1), map(pack, M._rows))))
 
 
 def _solve_packed(
@@ -738,9 +742,9 @@ def solve(A: FieldMatrix, B):
     one int, [B | A] with B in the low coordinates, and _solve_packed
     eliminates those rows by A's columns. Raises SingularSystemError,
     carrying the rank found, when A is rank-deficient, RightHandSideError
-    when symbol rows are not sequences, are empty or ragged, or name a
-    misfit symbol ("right-hand side entry (2, 1)"), and ValueError when the
-    system is inconsistent.
+    when B is not iterable, when its symbol rows are not sequences, are
+    empty or ragged, or name a misfit symbol ("right-hand side entry
+    (2, 1)"), and ValueError when the system is inconsistent.
     """
     _expect_matrix(A)
     f = A.field
@@ -754,13 +758,15 @@ def solve(A: FieldMatrix, B):
     else:
         from .codes import StorageSymbol, pack_symbols
 
+        if not isinstance(B, Iterable):
+            raise RightHandSideError(
+                f"right-hand side is {_kind(B)}, not a FieldMatrix or rows of symbols"
+            )
         rows = list(B)
         for i, row in enumerate(rows, 1):
             if not isinstance(row, Sequence):
-                kind = type(row).__name__
                 raise RightHandSideError(
-                    f"right-hand side row {i} is {'an' if kind[0] in 'aeiou' else 'a'} {kind}, "
-                    "not a sequence of symbols"
+                    f"right-hand side row {i} is {_kind(row)}, not a sequence of symbols"
                 )
         if not rows or not rows[0]:
             raise RightHandSideError("right-hand side needs at least one row and one symbol")
@@ -789,6 +795,12 @@ def solve(A: FieldMatrix, B):
     if isinstance(B, FieldMatrix):
         return FieldMatrix._wrap(f, [list(out.unpack(v)) for (v,) in x])
     return [[StorageSymbol._of(f, ell, v) for v in row] for row in x]
+
+
+def _kind(x: object) -> str:
+    """x's type name with its article: 'an int', 'a str'."""
+    kind = type(x).__name__
+    return f"{'an' if kind[0] in 'aeiou' else 'a'} {kind}"
 
 
 def column_vectors(M: FieldMatrix) -> list:

@@ -21,9 +21,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, islice
-from operator import or_
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .algebra import _eliminate, _reduce_by
@@ -232,84 +231,73 @@ def _exact_regular_subset(
     are taken cuts the branch. Raises _BudgetExhausted after `budget` node
     expansions.
 
-    Both tests run on bit-sliced counters over k-bit masks (plane b holds
-    bit b of every column's count), so a node costs O(log n_rows) int
-    operations. `room` is beta minus the column sum; `slack` is the column
-    sum plus the remaining rows covering the column minus beta, and the
-    branch is cut once it goes below zero somewhere. Taking a row lowers
-    room on its support and leaves slack as it is; skipping it lowers slack
-    there.
+    The second test depends only on which rows remain, so it is a deadline:
+    `last[c][r]` is the index of the r-th row from the end that covers
+    column c (-1 when fewer than r do), and a column with room r (beta
+    minus its sum) is dead at row i exactly when i > last[c][r]. A frame
+    (one per taken row) fixes the room of every column, hence the columns
+    still open (`avail`) and the first row past which the branch is dead:
+    the minimum deadline, or the row past which too few rows are left.
+    Skipping a row then costs a few integer compares, and taking one copies
+    the room list.
     """
     n_rows = len(rows)
     if n_rows < k:
         return None
-    full = (1 << k) - 1
-    slack: list[int] = []
-    for r in rows:
-        slack = _add_one(slack, r)  # the rows covering each column
-    below = 0
-    for _ in range(beta):
-        slack, under = _sub_one(slack, full)
-        below |= under
-    room = [full if beta >> b & 1 else 0 for b in range(beta.bit_length())]
+    # last[c][0] = n_rows: a full column sets no deadline; the backward walk
+    # stops once every column has beta rows
+    last = [[n_rows] for _ in range(k)]
+    short = full = (1 << k) - 1
+    for i in range(n_rows - 1, -1, -1):
+        if not short:
+            break
+        m = rows[i] & short
+        while m:
+            c = m.bit_length() - 1
+            m ^= 1 << c
+            last[c].append(i)
+            if len(last[c]) > beta:
+                short ^= 1 << c
+    for at in last:
+        at.extend([-1] * (beta + 1 - len(at)))
     chosen: list[int] = []
     nodes = 0
 
-    def dfs(i: int, room: list[int], slack: list[int], below: int) -> bool:
+    def dfs(i: int, room: list[int], avail: int, need: int) -> bool:
         # recursion only on the take branch, so the depth stays below k;
         # skipping a row iterates in place
         nonlocal nodes
+        if need == 0:
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExhausted
+            return True
+        limit = min(n_rows - need, *map(list.__getitem__, last, room))
         while True:
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted
-            need = k - len(chosen)
-            if need == 0:
-                return True
-            if n_rows - i < need:
-                return False
-            if below:
+            if i > limit:
                 return False
             sup = rows[i]
-            if sup & reduce(or_, room) == sup:
+            if sup & avail == sup:
+                after = room[:]
+                left = avail
+                while sup:
+                    c = sup.bit_length() - 1
+                    sup ^= 1 << c
+                    after[c] -= 1
+                    if not after[c]:
+                        left ^= 1 << c
                 chosen.append(i)
-                if dfs(i + 1, _sub_one(room, sup)[0], slack, 0):
+                if dfs(i + 1, after, left, need - 1):
                     return True
                 chosen.pop()
-            slack, below = _sub_one(slack, sup)
             i += 1
 
-    if dfs(0, room, slack, below):
+    if dfs(0, [beta] * k, full, k):
         return [rows[i] for i in chosen]
     return None
-
-
-def _add_one(planes: list[int], mask: int) -> list[int]:
-    """Add 1 at the columns of `mask` to a bit-sliced counter, growing a
-    plane when the carry runs out."""
-    out = planes[:]
-    for b, plane in enumerate(planes):
-        out[b] = plane ^ mask
-        mask &= plane
-        if not mask:
-            return out
-    out.append(mask)
-    return out
-
-
-def _sub_one(planes: list[int], mask: int) -> tuple[list[int], int]:
-    """Subtract 1 at the columns of `mask` from a bit-sliced counter.
-
-    Returns the new planes and the columns that went below zero (their
-    borrow ran out of the planes).
-    """
-    out = planes[:]
-    for b, plane in enumerate(planes):
-        out[b] = plane ^ mask
-        mask &= ~plane
-        if not mask:
-            return out, 0
-    return out, mask
 
 
 def _search_matrix(
@@ -385,6 +373,11 @@ class OptimizerConfig:
     keep_going: bool = False
     d_min: int | None = None
     d_tilde_min: int | None = None
+
+    def __post_init__(self):
+        for name in ("exact_budget", "subset_threshold", "subset_tries"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -172,10 +172,11 @@ def cmd_privacy(args) -> int:
 
 def _table_row(path: str, args) -> tuple[str, ...]:
     cf = parse_code_file(path)
+    cfg = _config_for(cf, args)  # a bad setting fails before any search
     started = time.monotonic()
     dm, dm_hint, dtm, dtm_hint = _distances(cf, args.cap)
     # hand the scan the distances found above, so neither is searched twice
-    result = optimize_cpop(cf.code, replace(_config_for(cf, args), d_min=dm, d_tilde_min=dtm))
+    result = optimize_cpop(cf.code, replace(cfg, d_min=dm, d_tilde_min=dtm))
     elapsed = time.monotonic() - started
     return (
         cf.name,

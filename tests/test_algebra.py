@@ -420,6 +420,16 @@ class TestSolve:
                 solve(a, b)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_right_hand_side_must_be_iterable(self, width):
+        a = FieldMatrix.identity(field_new(width), 2)
+        for b, kind in ((5, "an int"), (None, "a NoneType"), (2.5, "a float")):
+            with pytest.raises(RightHandSideError) as exc:
+                solve(a, b)
+            assert str(exc.value) == (
+                f"right-hand side is {kind}, not a FieldMatrix or rows of symbols"
+            )
+
     @pytest.mark.parametrize("name", ["rref", "matrix_rank", "solve"])
     def test_matrix_arguments_must_be_matrices(self, name):
         call = {"rref": rref, "matrix_rank": matrix_rank, "solve": lambda m: solve(m, m)}[name]

@@ -312,7 +312,7 @@ class TestComputeMatrix:
 
 
 class TestRegularSubsetOracle:
-    """The bit-sliced search against the suffix-table oracle, node for node."""
+    """The deadline search against the suffix-table oracle, node for node."""
 
     @staticmethod
     def _agree(rows, k, beta, budgets):
@@ -344,18 +344,41 @@ class TestRegularSubsetOracle:
             outcomes.add(type(self._pin(rows, k, beta)))
         assert outcomes == {list, type(None)}
 
-    @pytest.mark.parametrize("name,beta", [("c6_array", 30), ("c7_array", 61)])
+    @pytest.mark.parametrize("name,beta", [("c6_array", 30), ("c6_array", 31), ("c7_array", 61)])
     def test_fixture_stop_width_lists(self, name, beta):
-        # the scan's stop widths at seed 7: the exact search runs out of budget
+        # the scan's stop widths at seed 7, and c6's keep-going width: the
+        # exact search runs out of budget, here on either side of the default
         d = derived_code(parse_code_file(FIXTURES_DIR / f"{name}.pchk").code)
         listed = compute_erasure_pattern_list(d, beta, "randomized", 48, 7 * 1_000_003 + beta)
         rows = sorted(listed.masks)
         assert len(rows) <= OptimizerConfig().subset_threshold
-        self._agree(rows, d.n_tilde, beta, (1, 2, 121, 122, 1_000, 3_333, 20_000))
+        budgets = (1, 2, 121, 122, 1_000, 3_333, 19_999, 20_000, 20_001)
+        self._agree(rows, d.n_tilde, beta, budgets)
         # one full orbit plus a few listed rows: found after ~10^3 nodes
         orbit = optimizer_module._rotations(rows[0], d.n_tilde)
         mixed = sorted(set(orbit) | set(random.Random(3).sample(rows, 5)))
         assert isinstance(self._pin(mixed, d.n_tilde, beta), list)
+
+    def test_column_short_of_beta_dead_at_the_root(self):
+        # column 3 is covered twice, so no choice reaches beta = 3 there
+        k, beta = 5, 3
+        rows = sorted(ErasurePattern.from_support(k, c).mask
+                      for c in itertools.combinations(range(k), beta) if 3 in c)[:2]
+        rows += [ErasurePattern.from_support(k, c).mask
+                 for c in itertools.combinations(range(k), beta) if 3 not in c]
+        rows.sort()
+        assert regular_subset_oracle(rows, k, beta, 10**6) == (None, 1)
+        self._agree(rows, k, beta, (0, 1, 2))
+
+    def test_every_column_full_before_the_rows_run_out(self):
+        # all 15 weight-2 rows of length 6: the last 10 alone cover every
+        # column beta times, so no deadline reaches back to the first 5
+        k, beta = 6, 2
+        rows = sorted(ErasurePattern.from_support(k, c).mask
+                      for c in itertools.combinations(range(k), beta))
+        later = rows[5:]
+        assert all(sum(r >> c & 1 for r in later) >= beta for c in range(k))
+        assert isinstance(self._pin(rows, k, beta), list)
 
 
 class TestEagerScanOracle:
@@ -534,6 +557,12 @@ class TestOptimize:
         # a derived codeword x gives the codeword (x, 0)
         with pytest.raises(ValueError, match="d_min 3 exceeds d_tilde_min 2"):
             optimize_cpop(c1_code(), OptimizerConfig(seed=0, d_min=3, d_tilde_min=2))
+
+    @pytest.mark.parametrize("name", ["exact_budget", "subset_threshold", "subset_tries"])
+    def test_negative_search_sizes_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0, got -1$"):
+            OptimizerConfig(**{name: -1})
+        assert getattr(OptimizerConfig(**{name: 0}), name) == 0
 
     def test_keep_going_reports_later_success_separately(self, monkeypatch):
         rng = random.Random(0)

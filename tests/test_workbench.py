@@ -278,6 +278,25 @@ class TestCli:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_optimize_rejects_negative_budget(self, capsys):
+        assert main(["optimize", str(fixture_path("c1.pchk")), "--seed", "1", "--budget", "-5"]) == 1
+        assert capsys.readouterr().err == "error: exact_budget must be at least 0, got -5\n"
+
+    def test_table_reports_negative_budget_as_error_rows(self, monkeypatch, capsys):
+        import codedpir.workbench.cli as cli_module
+
+        searched = []
+        monkeypatch.setattr(cli_module, "min_distance", lambda H, cap=25: searched.append(H))
+        paths = [str(fixture_path("c1.pchk")), str(fixture_path("mds53.pchk"))]
+        rc = main(["table", *paths, "--seed", "1", "--budget", "-5", "--format", "tsv"])
+        assert rc == 1
+        assert searched == []  # rejected before either distance search
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[:2] for r in rows] == [
+            ["c1", "error: exact_budget must be at least 0, got -5"],
+            ["mds53", "error: exact_budget must be at least 0, got -5"],
+        ]
+
     def test_simulate_seed_required(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", str(fixture_path("c1.pchk"))])
@@ -314,6 +333,16 @@ class TestGoldenOutputs:
         assert main(args) == 0
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN_DIR / f"{name}_seed7_keep_going.txt").read_bytes()
+
+    @pytest.mark.parametrize("budget", [116, 117])
+    def test_optimize_at_the_node_budget_boundary(self, budget, capsys):
+        # the exact search at beta = 4 succeeds at node 117: one node less
+        # and the scan stops at beta = 3, not proven
+        args = ["optimize", str(FIXTURES_DIR / "c2like.pchk"), "--seed", "7",
+                "--budget", str(budget)]
+        assert main(args) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / f"c2like_seed7_budget{budget}.txt").read_bytes()
 
     @staticmethod
     def _code_path(name):
