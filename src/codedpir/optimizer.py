@@ -91,6 +91,7 @@ def compute_erasure_pattern_list(
     mode: Literal["exhaustive", "randomized"] = "exhaustive",
     budget: int = 64,
     seed: int = 0,
+    rounds: _SeededRounds | None = None,
 ) -> PatternList:
     """Collect weight-beta erasure patterns the derived code can correct.
 
@@ -115,8 +116,10 @@ def compute_erasure_pattern_list(
     verdict, so only shifts 0..g-1 of a round's pattern run the
     correctability test and shift s reuses the verdict of shift s mod g;
     the random calls and the listed set are those of testing every shift.
-    Patterns stay support masks throughout (see PatternList). An empty list
-    is a valid result.
+    `rounds`, when given, are this width's rounds at this budget and seed
+    as optimize_cpop's certificate already drew and tested them; the
+    listing replays them and reuses their verdicts. Patterns stay support
+    masks throughout (see PatternList). An empty list is a valid result.
     """
     k = derived.n_tilde
     if not 1 <= beta <= k:
@@ -150,15 +153,20 @@ def compute_erasure_pattern_list(
         walk(derived._column_reps, 0, 0, 0)
         return PatternList(frozenset(found), k, beta, exhaustive=True)
 
-    independent = derived.independent
+    if rounds is None:
+        rounds = _SeededRounds(derived, beta, budget, seed)
     period = derived.shift_period
     seen: dict[int, bool] = {}  # mask -> verdict
     found = []
-    for rotations in _rounds(derived, beta, budget, seed):
+    for rotations, known in rounds:
         for s, cand in enumerate(rotations):
             if cand not in seen:
                 # rotation s mod period came first and has the same verdict
-                ok = seen[cand] = independent(cand) if s < period else seen[rotations[s % period]]
+                ok = seen[cand] = (
+                    _tested(derived, rotations, known, s)
+                    if s < period
+                    else seen[rotations[s % period]]
+                )
                 if ok:
                     found.append(cand)
     return PatternList(frozenset(found), k, beta, exhaustive=False)
@@ -192,20 +200,71 @@ def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator
         yield _rotations(base, k)
 
 
-def _complete_orbits(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator[int]:
+class _SeededRounds:
+    """One width's seeded rounds (_rounds), drawn once and replayed to every
+    consumer, each with the verdicts of its rotations found so far.
+
+    optimize_cpop hands the same rounds to the certificate
+    (_complete_orbits) and, at a width no round certifies, to the listing,
+    so the stop width's rounds are drawn once and no round's rotation is
+    tested twice. A drawn round is kept as its support and a dict from rotation
+    s < shift_period to its verdict (_tested); a replay rebuilds its
+    rotations.
+    """
+
+    def __init__(self, derived: DerivedCode, beta: int, budget: int, seed: int):
+        self._k = derived.n_tilde
+        self._source = _rounds(derived, beta, budget, seed)
+        self._drawn: list[tuple[int, dict[int, bool]]] = []
+
+    def __iter__(self) -> Iterator[tuple[list[int], dict[int, bool]]]:
+        """(rotations, verdicts) of every round in order: those drawn
+        already, then the rest as drawn."""
+        i = 0
+        while True:
+            if i < len(self._drawn):
+                base, known = self._drawn[i]
+                yield _rotations(base, self._k), known
+            else:
+                rotations = next(self._source, None)
+                if rotations is None:
+                    return
+                known: dict[int, bool] = {}
+                self._drawn.append((rotations[0], known))
+                yield rotations, known
+            i += 1
+
+
+def _tested(derived: DerivedCode, rotations: list[int], known: dict[int, bool], s: int) -> bool:
+    """Whether rotation s < shift_period of a round is correctable, tested
+    once per round and kept in `known`."""
+    ok = known.get(s)
+    if ok is None:
+        ok = known[s] = derived.independent(rotations[s])
+    return ok
+
+
+def _complete_orbits(
+    derived: DerivedCode, beta: int, budget: int, seed: int, rounds: _SeededRounds | None = None
+) -> Iterator[int]:
     """The smallest rotation of each seeded round whose k rotations are all
     distinct and all correctable, in round order.
 
     Such an orbit is complete in the randomized listing at the same seed,
     which keeps every correctable rotation of every round, so the first
     yield proves the width feasible without listing it. Rotations
-    s >= shift_period reuse the verdict of s mod shift_period.
+    s >= shift_period reuse the verdict of s mod shift_period. `rounds`,
+    when given, are the width's rounds at this budget and seed, shared
+    with its listing.
     """
+    if rounds is None:
+        rounds = _SeededRounds(derived, beta, budget, seed)
     k = derived.n_tilde
     period = derived.shift_period
-    independent = derived.independent
-    for rotations in _rounds(derived, beta, budget, seed):
-        if len(set(rotations)) == k and all(map(independent, rotations[:period])):
+    for rotations, known in rounds:
+        if len(set(rotations)) == k and all(
+            _tested(derived, rotations, known, s) for s in range(period)
+        ):
             yield min(rotations)
 
 
@@ -412,15 +471,16 @@ def _iter_seed(cfg: OptimizerConfig, beta: int) -> int:
 
 
 def _list_and_search(
-    derived: DerivedCode, beta: int, cfg: OptimizerConfig
+    derived: DerivedCode, beta: int, cfg: OptimizerConfig, rounds: _SeededRounds | None = None
 ) -> tuple[PatternList, list[int] | None, bool]:
     """One width of the scan, listed and searched in full: the pattern list,
     the matrix rows found or None, and whether the search was complete (an
-    empty list is not searched)."""
+    empty list is not searched). A randomized listing replays `rounds`
+    when given (see compute_erasure_pattern_list)."""
     k = derived.n_tilde
     mode = "randomized" if _randomized(k, beta, cfg) else "exhaustive"
     seed = _iter_seed(cfg, beta)
-    L = compute_erasure_pattern_list(derived, beta, mode, cfg.pattern_budget, seed)
+    L = compute_erasure_pattern_list(derived, beta, mode, cfg.pattern_budget, seed, rounds)
     if not L.masks:
         return L, None, True
     rows, complete = _search_matrix(
@@ -451,9 +511,10 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
     when it is the orbit of a round that certifies; and _search_matrix's
     circulant shortcut returns _rotations(p, k) for the smallest row p of
     any complete orbit. Widths no round certifies are listed and searched
-    as they are reached. `iterations` and `exhaustive` keep their meaning:
-    a certified width counts as an iteration, and its list, being
-    randomized, is not exhaustive.
+    as they are reached; the listing replays the rounds the certificate
+    drew and reuses their verdicts (_SeededRounds). `iterations` and
+    `exhaustive` keep their meaning: a certified width counts as an
+    iteration, and its list, being randomized, is not exhaustive.
     """
     cfg = config or OptimizerConfig()
     derived = derived_code(code)
@@ -482,13 +543,15 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
     for beta in range(dtm - 1, rank_p + 1):
         if not stopped:
             iterations += 1
-        orbits = _complete_orbits(derived, beta, cfg.pattern_budget, _iter_seed(cfg, beta))
+        seed = _iter_seed(cfg, beta)
+        rounds = _SeededRounds(derived, beta, cfg.pattern_budget, seed)
+        orbits = _complete_orbits(derived, beta, cfg.pattern_budget, seed, rounds)
         first = next(orbits, None) if _randomized(k, beta, cfg) else None
         if first is not None:
             exhaustive = False  # as the randomized list it stands for would set
             found = beta, lambda first=first, later=orbits: _rotations(min([first, *later]), k)
         else:
-            listed, rows, complete = _list_and_search(derived, beta, cfg)
+            listed, rows, complete = _list_and_search(derived, beta, cfg, rounds)
             exhaustive = exhaustive and listed.exhaustive and complete
             if not listed.masks:
                 continue  # nothing to search: neither a success nor a stop

@@ -13,30 +13,41 @@ w_par), leaving s_t = P[:, S_t] x_{S_t}. That system has full column rank
 exactly when row t of the access matrix is a correctable erasure pattern,
 and solving it exposes the selected file symbols directly.
 
-Responses and recovery work on packed payloads. collect_responses
-multiplies each mask row once, against every stored column at a time, and
-answers a systematic node's row that is a mask row plus one selection 1 as
-that product plus the one stored symbol the 1 selects. recover_file packs
-P's rows once per call; each subquery's system is those rows masked to
-S_t's columns, with the syndrome payload carried in the same int below the
-coefficients, and algebra._solve_packed solves it with algebra's one
-elimination kernel (forward elimination, then back-substitution).
+Between the stored array and the recovered file, payloads stay packed
+(codes.StorageSymbol.bits) and stacked: several payloads side by side in
+one int, each in a lane of _stride bytes, whole 64-bit words. A
+StorageArray checks and packs its symbols once, when it is built, and
+keeps every stored row stacked over the n nodes and every node's column
+stacked over the rows. collect_responses multiplies each mask row once,
+against all stored rows at a time, and moves every node's k answers into
+one int; a systematic node's row that is a mask row plus one selection 1
+is answered as that product plus the one stored payload the 1 selects.
+A ResponseSet holds those per-node ints, and recover_file reads them
+directly: one pass over P gives every syndrome, and each subquery's
+system, P's rows masked to S_t's columns with the syndrome payload in the
+same int below the coefficients, goes to algebra._solve_packed, algebra's
+one elimination kernel. StorageSymbols appear only at the edges: the
+files stored, the file recovered, and the `responses` view.
 
-Files, stored columns and responses are packed by codes.pack_symbols, which
-names a misfit symbol by its position: ValueError for files and stored
-columns, ProtocolViolationError for responses.
+Symbols are checked by codes.pack_symbols, which names a misfit by its
+position: ValueError for files and stored symbols (when the StorageArray
+is built), ProtocolViolationError for responses (when the ResponseSet is
+built).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
 import sys
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -98,20 +109,70 @@ class StorageArray:
     """Encoded contents of the whole system: beta*f rows by n columns.
 
     Rows are grouped file-major, stripe-minor; column j is what node j + 1
-    stores (f coded chunks of beta symbols each).
+    stores (f coded chunks of beta symbols each). Building one, directly,
+    through build_storage or through dataclasses.replace, checks that every
+    row holds n symbols ("storage row 2 holds 4 symbols, the code has 5
+    nodes") and that all are StorageSymbols over the code's field with one
+    payload length ("node 5, stored symbol 2: payload length 3, ..."),
+    raising ValueError, and packs them once for collect_responses (see
+    _stack_storage). An array with no rows is valid and has no payload
+    length.
     """
 
     code: LinearCode
     beta: int
     f: int
     rows: tuple[tuple[StorageSymbol, ...], ...]
+    # the rows packed once: payload length (None when nothing is stored),
+    # and _stack_storage's stacked rows and node columns
+    _ell: int | None = dataclasses.field(init=False, repr=False, compare=False)
+    _stacked: list[int] = dataclasses.field(init=False, repr=False, compare=False)
+    _columns: list[bytes] = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.code.n
+        for i, row in enumerate(self.rows):
+            if len(row) != n:
+                raise ValueError(
+                    f"storage row {i + 1} holds {len(row) or 'no'} symbols, the code has {n} nodes"
+                )
+        symbols = list(chain.from_iterable(self.rows))
+        ell, payloads = None, []
+        if symbols:
+            ell, payloads = pack_symbols(
+                symbols,
+                self.code.field,
+                lambda i: f"node {i % n + 1}, stored symbol {i // n + 1}",
+                ValueError,
+            )
+        self._pack(ell, payloads)
+
+    @classmethod
+    def _of(
+        cls, code: LinearCode, beta: int, f: int, rows: tuple[tuple[StorageSymbol, ...], ...],
+        payloads: list[int],
+    ) -> "StorageArray":
+        """The array of rows build_storage encoded, whose symbols encode_file
+        checked and made (n per row, over the code's field, one length):
+        packed from their payloads, row-major, without a second check."""
+        arr = cls.__new__(cls)
+        for name, value in (("code", code), ("beta", beta), ("f", f), ("rows", rows)):
+            object.__setattr__(arr, name, value)
+        arr._pack(rows[0][0].ell, payloads)
+        return arr
+
+    def _pack(self, ell: int | None, payloads: list[int]) -> None:
+        stacked, columns = _stack_storage(self.code.field, ell, payloads, self.code.n)
+        object.__setattr__(self, "_ell", ell)
+        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def ell(self) -> int:
         """Payload length of the stored symbols; ValueError when none is stored."""
-        if not self.rows or not self.rows[0]:
+        if self._ell is None:
             raise ValueError("storage array holds no symbols, so it has no payload length")
-        return self.rows[0][0].ell
+        return self._ell
 
     def node_column(self, node: int) -> tuple[StorageSymbol, ...]:
         """Symbols held by one node; `node` is 1-based like the queries."""
@@ -152,11 +213,85 @@ class QuerySet:
         return FieldMatrix(self.u.field, rows)
 
 
-@dataclass(frozen=True)
 class ResponseSet:
-    """One column vector of d = k symbols per node, in node order."""
+    """Every node's answers, in node order, packed: node j's payloads side by
+    side in one int (_stack at _stride), with their count.
 
-    responses: tuple[tuple[StorageSymbol, ...], ...]
+    ResponseSet(responses) takes one sequence of StorageSymbols per node,
+    all over one field with one payload length, and packs them once.
+    ProtocolViolationError names what does not fit: responses that are not
+    a sequence, a node whose response is not one ("node 3: response is a
+    StorageSymbol, ..."), and a misfit symbol ("node 3, subquery 2: ...").
+    collect_responses builds one from its packed answers. `responses` is
+    the symbols again, built on first access; equality compares the packed
+    form.
+    """
+
+    __slots__ = ("_field", "_ell", "_counts", "_stacks", "_view")
+
+    def __init__(self, responses: Sequence[Sequence[StorageSymbol]]):
+        if not isinstance(responses, Sequence):
+            raise ProtocolViolationError(
+                f"responses are a {type(responses).__name__}, not a sequence of node responses"
+            )
+        for j, resp in enumerate(responses):
+            if not isinstance(resp, Sequence):
+                raise ProtocolViolationError(
+                    f"node {j + 1}: response is a {type(resp).__name__}, not a sequence of symbols"
+                )
+        counts = tuple(map(len, responses))
+        ends = list(accumulate(counts))
+
+        def where(i: int) -> str:
+            j = bisect_right(ends, i)
+            return f"node {j + 1}, subquery {i - ends[j] + counts[j] + 1}"
+
+        symbols = list(chain.from_iterable(responses))
+        field = ell = None
+        payloads: list[int] = []
+        if symbols:
+            field = symbols[0].spec if isinstance(symbols[0], StorageSymbol) else None
+            ell, payloads = pack_symbols(symbols, field, where, ProtocolViolationError)
+        stride = _stride(field, ell) if symbols else 0
+        self._field, self._ell, self._counts = field, ell, counts
+        self._stacks = tuple(
+            _stack(payloads[end - count : end], stride) for end, count in zip(ends, counts)
+        )
+        self._view = tuple(map(tuple, responses))
+
+    @classmethod
+    def _of(
+        cls, field, ell: int, counts: tuple[int, ...], stacks: tuple[int, ...]
+    ) -> "ResponseSet":
+        """Answers already packed: node j's counts[j] payloads stacked in stacks[j]."""
+        rs = cls.__new__(cls)
+        rs._field, rs._ell, rs._counts, rs._stacks, rs._view = field, ell, counts, stacks, None
+        return rs
+
+    @property
+    def responses(self) -> tuple[tuple[StorageSymbol, ...], ...]:
+        """Node j's answers as StorageSymbols, in subquery order."""
+        if self._view is None:
+            field, ell = self._field, self._ell
+            stride = _stride(field, ell)
+            self._view = tuple(
+                tuple(StorageSymbol._of(field, ell, v) for v in _unstack(y, stride, count))
+                for y, count in zip(self._stacks, self._counts)
+            )
+        return self._view
+
+    def _key(self) -> tuple:
+        return self._field, self._ell, self._counts, self._stacks
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ResponseSet) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        counts = self._counts
+        return f"ResponseSet(nodes={len(counts)}, answers={sum(counts)}, ell={self._ell})"
 
 
 def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSymbol]]]) -> StorageArray:
@@ -165,7 +300,8 @@ def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSym
     Raises ValueError when there is no file or a file is not beta x k (beta
     taken from file 1), and names a misfit symbol ("file 1, stripe 2, symbol 3").
     encode_file checks and packs each symbol once; the symbols are checked
-    again, file by file, only when it has found a misfit.
+    again, file by file, only when it has found a misfit. The array is
+    packed from the encoded payloads (StorageArray._of), not checked again.
     """
     if not files:
         raise ValueError("need at least one file")
@@ -180,7 +316,9 @@ def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSym
     except ValueError as err:
         error = err
     else:
-        return StorageArray(code=code, beta=beta, f=len(files), rows=tuple(map(tuple, encoded)))
+        rows = tuple(map(tuple, encoded))
+        payloads = list(map(attrgetter("bits"), chain.from_iterable(rows)))
+        return StorageArray._of(code, beta, len(files), rows, payloads)
     # encode_file names a misfit by stripe; check again to name it by file
     pack_symbols(
         [sym for row in stripes for sym in row],
@@ -254,15 +392,24 @@ def _layout(
     """Validated (pi, z) of access matrix e for f files on a code with k
     message nodes; None picks the identity and the canonical slots.
 
-    Raises ValueError when e is not k x k, f < 1, or pi or z is malformed.
+    Raises ValueError when e is not k x k, f is not an integer of at least
+    1, or pi or z is malformed.
     """
     if e.k != k:
         raise ValueError(f"access matrix is {e.k} x {e.k}, code needs {k} x {k}")
+    if not isinstance(f, int):
+        raise ValueError(f"file count f = {f!r} is a {type(f).__name__}, not an integer")
     if f < 1:
         raise ValueError("need at least one file")
     perm = _validate_pi(pi, e.beta) if pi is not None else tuple(range(e.beta + 1))
     slots = _validate_slots(e, z) if z is not None else _canonical_slots(e)
     return perm, slots
+
+
+def _check_file_index(m: int, f: int) -> None:
+    """ValueError unless m is an integer file index in 1..f."""
+    if not isinstance(m, int) or not 1 <= m <= f:
+        raise ValueError(f"file index {m!r} out of 1..{f}")
 
 
 def _assemble(
@@ -300,8 +447,7 @@ def build_queries(
     """
     k, n = code.k, code.n
     perm, slots = _layout(k, e, f, pi, z)
-    if not 1 <= m <= f:
-        raise ValueError(f"file index {m} out of 1..{f}")
+    _check_file_index(m, f)
     beta = e.beta
     field = code.field
     width = beta * f
@@ -323,6 +469,11 @@ def build_queries(
     )
 
 
+def _stride(field, ell: int) -> int:
+    """Bytes of one payload's lane in a stack: its w*ell bits in whole 64-bit words."""
+    return 8 * -(-field.width * ell // 64)
+
+
 def _stack(payloads: Iterable[int], stride: int) -> int:
     """Payloads side by side in one int, payload i at byte offset i * stride."""
     return int.from_bytes(b"".join(v.to_bytes(stride, "little") for v in payloads), "little")
@@ -334,69 +485,146 @@ def _unstack(v: int, stride: int, count: int) -> list[int]:
     return [int.from_bytes(raw[i : i + stride], "little") for i in range(0, stride * count, stride)]
 
 
+def _lane_powers(field, ell: int, stride: int, count: int) -> Callable[[int], list[int]]:
+    """A function from a stack of `count` payloads at `stride` (_stack) to
+    its x^b multiples, b = 0..w-1: BitSlices.expand in every lane at once.
+
+    Times x shifts each lane's lower w-1 planes up by one and adds its top
+    plane back at the modulus' lower terms; the masks keep every plane in
+    its lane.
+    """
+    width = field.width
+    if width == 1:
+        return lambda v: [v]
+    top = (width - 1) * ell
+    ones = int.from_bytes((1).to_bytes(stride, "little") * count, "little")  # 1 in every lane
+    low, plane = ones * ((1 << top) - 1), ones * ((1 << ell) - 1)
+    terms = [r * ell for r in range(width) if (field.modulus >> r) & 1]
+
+    def powers(v: int) -> list[int]:
+        out = [v]
+        for _ in range(width - 1):
+            carry = (v >> top) & plane
+            v = (v & low) << ell
+            for shift in terms:
+                v ^= carry << shift
+            out.append(v)
+        return out
+
+    return powers
+
+
+def _stack_storage(
+    field, ell: int | None, payloads: list[int], n: int
+) -> tuple[list[int], list[bytes]]:
+    """A stored array's payloads (payloads[i * n + j] is row i's on node j)
+    laid out for _answers: the stacked rows and the node columns.
+
+    Stacked row entry i*w + b is x^b times row i's n payloads, stacked
+    (_stack at _stride), so combine() with a query row's coefficient_bits()
+    multiplies every node's column at once. Node j's column is its
+    payloads in row order, stacked the same way, as bytes.
+    """
+    if not payloads:
+        return [], [b""] * n
+    stride = _stride(field, ell)
+    raw = b"".join(map(int.to_bytes, payloads, repeat(stride), repeat("little")))
+    span = n * stride
+    powers = _lane_powers(field, ell, stride, n)
+    stacked = []
+    for at in range(0, len(raw), span):
+        stacked.extend(powers(int.from_bytes(raw[at : at + span], "little")))
+    # the words are only moved about, never read as numbers: byte order does not matter
+    words = array("Q", raw)
+    run = stride // 8
+    columns = []
+    for j in range(n):
+        column = array("Q", bytes(len(raw) // n))
+        for b in range(run):
+            column[b::run] = words[j * run + b :: n * run]
+        columns.append(column.tobytes())
+    return stacked, columns
+
+
 def _answers(
     field,
     ell: int,
+    stacked: list[int],
+    columns: list[bytes],
     queries: Sequence[list[list[int]]],
-    columns: Sequence[list[int]],
     masks: Sequence[list[int]] = (),
     flips: dict[tuple[int, int], int] | None = None,
-) -> list[list[int]]:
-    """Packed payloads of queries[j] times columns[j], for every node j.
+) -> list[int]:
+    """Node j's answers to its query rows queries[j] (raw values over
+    `field`), stacked into one int (_stack at _stride), for every node j.
 
-    queries[j] holds node j's query rows as raw values and columns[j] its
-    stored payloads, all over `field` with length `ell`. A row object that
-    several nodes hold is multiplied once, against every node's expanded
-    column stacked into one int per entry (_stack, a stride of w*ell bits
-    rounded up to whole bytes), and each holder's answer is sliced out of
-    the product. `flips` maps (node j, row i) to the column c where node
-    j's row i should be masks[i] plus a 1; a row only node j holds that
-    equals masks[i] with 1 added at entry c is answered as masks[i]'s
-    shared product plus node j's stored payload c. Any other row only one
-    node holds is multiplied against that node's own column. Rows that are
-    equal but separate objects are not shared.
+    `stacked` and `columns` are the stored payloads of length `ell` laid
+    out by _stack_storage. A row that is one of the mask rows `masks` is
+    multiplied once, against every stored row at a time, and each node's
+    answer is its lane of that product. `flips` maps (node j, row i) to
+    the column c where node j's row i should be masks[i] plus a 1; a row
+    that equals masks[i] with 1 added at entry c and nowhere else is
+    answered as masks[i]'s product plus node j's stored payload c. Any
+    other row is multiplied against node j's own column. Every node's
+    lanes are gathered from the products' bytes, and the payloads and
+    own-column products it adds are laid into one more int.
     """
-    slices = bit_slices(field, ell)
+    n = len(columns)
     width = field.width
-    stride = (width * ell + 7) // 8
-    expanded = [slices.expand(col) for col in columns]
-    holders = Counter(chain.from_iterable(set(map(id, rows)) for rows in queries))
+    stride = _stride(field, ell)
     flips = flips or {}
-    shared: dict[int, list[int]] = {}
-    stacked: list[int] = []
-
-    def products(row: list[int]) -> list[int]:
-        got = shared.get(id(row))
-        if got is None:
-            if not stacked:
-                stacked.extend(_stack(entries, stride) for entries in zip(*expanded))
-            product = combine(stacked, coefficient_bits(width, row))
-            got = shared[id(row)] = _unstack(product, stride, len(columns))
-        return got
-
+    mask_of = {id(row): i for i, row in enumerate(masks)}
     # masks[i] -> a private copy, flipped at one entry while a row is compared with it
     probes: dict[int, list[int]] = {}
-    out = []
-    for j, (rows, column) in enumerate(zip(queries, expanded)):
-        answer = []
-        for i, row in enumerate(rows):
-            if holders[id(row)] > 1:
-                answer.append(products(row)[j])
-                continue
+    # per node: the mask row whose product holds each row's lane (-1: none),
+    # and the payloads its rows add to those lanes
+    plans: list[tuple[list[int], bytearray | None]] = []
+    for j, rows in enumerate(queries):
+        marks = [mask_of.get(id(row), -1) for row in rows]
+        extra = own = None
+        for i in [i for i, m in enumerate(marks) if m < 0]:
+            row = rows[i]
             c = flips.get((j, i))
-            if c is not None and i < len(masks):
+            if c is not None and i < len(masks) and 0 <= c < len(masks[i]):
                 probe = probes.get(i)
                 if probe is None:
                     probe = probes[i] = list(masks[i])
-                if 0 <= c < len(probe):
-                    probe[c] ^= 1
-                    flipped = row == probe
-                    probe[c] ^= 1
-                    if flipped:
-                        answer.append(products(masks[i])[j] ^ columns[j][c])
-                        continue
-            answer.append(combine(column, coefficient_bits(width, row)))
-        out.append(answer)
+                probe[c] ^= 1
+                flipped = row == probe
+                probe[c] ^= 1
+            else:
+                flipped = False
+            if flipped:
+                marks[i] = i
+                add = columns[j][c * stride : (c + 1) * stride]
+            else:
+                if own is None:
+                    column = columns[j]
+                    own = bit_slices(field, ell).expand(
+                        int.from_bytes(column[a : a + stride], "little")
+                        for a in range(0, len(column), stride)
+                    )
+                add = combine(own, coefficient_bits(width, row)).to_bytes(stride, "little")
+            if extra is None:
+                extra = bytearray(stride * len(rows))
+            extra[i * stride : (i + 1) * stride] = add
+        plans.append((marks, extra))
+    used = sorted(set(chain.from_iterable(marks for marks, _ in plans)) - {-1})
+    span = n * stride
+    products = b"".join(
+        combine(stacked, coefficient_bits(width, masks[m])).to_bytes(span, "little") for m in used
+    ) + bytes(span)
+    at = [0] * len(masks) + [len(used) * span]  # at[-1]: lanes of zeros
+    for p, m in enumerate(used):
+        at[m] = p * span
+    out = []
+    for j, (marks, extra) in enumerate(plans):
+        base = j * stride
+        lanes = [products[a + base : a + base + stride] for a in map(at.__getitem__, marks)]
+        got = int.from_bytes(b"".join(lanes), "little")
+        if extra is not None:
+            got ^= int.from_bytes(extra, "little")
+        out.append(got)
     return out
 
 
@@ -412,8 +640,11 @@ def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> lis
         )
     field = q_j.field
     ell, payloads = pack_symbols(node_column, field, lambda i: f"stored symbol {i + 1}", ValueError)
-    (answer,) = _answers(field, ell, [q_j._rows], [payloads])
-    return [StorageSymbol._of(field, ell, v) for v in answer]
+    stacked, columns = _stack_storage(field, ell, payloads, 1)
+    (answer,) = _answers(field, ell, stacked, columns, [q_j._rows])
+    return [
+        StorageSymbol._of(field, ell, v) for v in _unstack(answer, _stride(field, ell), q_j.nrows)
+    ]
 
 
 def _flips(qs: QuerySet, k: int) -> dict[tuple[int, int], int]:
@@ -422,9 +653,8 @@ def _flips(qs: QuerySet, k: int) -> dict[tuple[int, int], int]:
     layout or the file index is malformed."""
     try:
         perm, slots = _layout(k, qs.e, qs.f, qs.pi, qs.z)
+        _check_file_index(qs.m, qs.f)
     except ValueError:
-        return {}
-    if not isinstance(qs.m, int) or not 1 <= qs.m <= qs.f:
         return {}
     return _selection_offsets(k, qs.e.beta, qs.m, perm, slots)
 
@@ -432,19 +662,18 @@ def _flips(qs: QuerySet, k: int) -> dict[tuple[int, int], int]:
 def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     """Every node's answer to its query, computed for all nodes at once.
 
-    The answers are node_response's, but a query row object that several
-    nodes share is multiplied only once: the mask rows every parity node
-    holds, and that each systematic node keeps wherever its selection does
-    not flip an entry. Each such row is applied to all n stored columns
-    stacked side by side, and every node's answer sliced out of the one
-    product. A row that qs's layout says node l flips (_selection_offsets,
-    taken only when the layout validates and 1 <= m <= f), and that equals
-    mask row i with 1 added at that column c and nowhere else, is answered
-    as mask row i's product plus node l's stored symbol c. Any other row
-    held by one node is applied to its column alone, so a hand-built query
-    set still gets node_response's answers. Raises ValueError when the
-    shapes of queries and array disagree, and names a misfit symbol
-    ("node 5, stored symbol 2").
+    The answers are node_response's, packed (see ResponseSet). The array
+    holds its stored rows stacked over the nodes, so each mask row is
+    multiplied once, against every node's column at a time: the rows every
+    parity node holds, and that each systematic node keeps wherever its
+    selection does not flip an entry. A row that qs's layout says node l
+    flips (_selection_offsets, taken only when the layout validates and
+    1 <= m <= f), and that equals mask row i with 1 added at that column c
+    and nowhere else, is answered as mask row i's product plus node l's
+    stored symbol c. Any other row is applied to the node's column alone,
+    so a hand-built query set still gets node_response's answers. Raises
+    ValueError when the shapes of queries and array disagree; the array's
+    symbols were checked when it was built.
     """
     if array.beta != qs.beta or array.f != qs.f:
         raise ValueError("query set and storage array disagree on beta or f")
@@ -458,23 +687,11 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
             raise ValueError(f"query has {q.ncols} columns but the node stores {nrows} symbols")
         if q.field != field:
             raise ValueError(f"node {j + 1}: query over another field than the code")
-    for i, row in enumerate(array.rows):
-        if len(row) != n:
-            raise ValueError(f"storage row {i + 1} holds {len(row)} symbols, the code has {n} nodes")
-    ell, payloads = pack_symbols(
-        list(chain.from_iterable(array.rows)),
-        field,
-        lambda i: f"node {i % n + 1}, stored symbol {i // n + 1}",
-        ValueError,
-    )
-    columns = [payloads[j::n] for j in range(n)]
     flips = _flips(qs, array.code.k)
-    answers = _answers(field, ell, [q._rows for q in qs.q], columns, qs.u._rows, flips)
-    return ResponseSet(
-        responses=tuple(
-            tuple(StorageSymbol._of(field, ell, v) for v in answer) for answer in answers
-        )
+    answers = _answers(
+        field, array.ell, array._stacked, array._columns, [q._rows for q in qs.q], qs.u._rows, flips
     )
+    return ResponseSet._of(field, array.ell, tuple(q.nrows for q in qs.q), tuple(answers))
 
 
 def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[StorageSymbol]]:
@@ -482,21 +699,22 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
 
     Subquery t's answers y are the interference w, a codeword, plus file
     symbol x_l on each systematic node l in S_t, the support of row t of
-    the access matrix. Every node's k payloads are stacked into one int, so
-    one pass over P gives the parity syndromes s_t = P y_sys + y_par of all
-    k subqueries. The interference cancels in characteristic 2, leaving
-    s_t = P[:, S_t] x_{S_t}; one solve per subquery then yields the
-    selected file symbols. P's rows are packed once per call; subquery t's
-    system is P's rows masked to S_t's columns, with s_t's payload in the
-    low coordinates, and `solve` (algebra._solve_packed, bound here under
-    that name) runs it through algebra's elimination kernel. That system
-    has full column rank exactly when row t is a correctable erasure
-    pattern, and the syndrome must lie in the span of P[:, S_t]: a response
-    that moves it out of that span is reported as inconsistent, after the
-    rank, so a singular subquery is reported as singular.
-    ProtocolViolationError names a node whose
-    response is not a sequence of k symbols, and a misfit symbol ("node 3,
-    subquery 2").
+    the access matrix. A ResponseSet holds every node's k payloads stacked
+    into one int, so one pass over P gives the parity syndromes s_t =
+    P y_sys + y_par of all k subqueries. The interference cancels in
+    characteristic 2, leaving s_t = P[:, S_t] x_{S_t}; one solve per
+    subquery then yields the selected file symbols. P's rows are packed
+    once per call; subquery t's system is P's rows masked to S_t's
+    columns, with s_t's payload in the low coordinates, and `solve`
+    (algebra._solve_packed, bound here under that name) runs it through
+    algebra's elimination kernel. That system has full column rank exactly
+    when row t is a correctable erasure pattern, and the syndrome must lie
+    in the span of P[:, S_t]: a response that moves it out of that span is
+    reported as inconsistent, after the rank, so a singular subquery is
+    reported as singular. ProtocolViolationError names a malformed query
+    set, a file index outside 1..f, a node count other than n, and a node
+    that does not answer k symbols; misfit symbols were named when the
+    ResponseSet was built.
     """
     k = code.k
     beta = qs.beta
@@ -510,45 +728,34 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         )
     try:
         _layout(k, qs.e, qs.f, qs.pi, qs.z)
+        _check_file_index(qs.m, qs.f)
     except ValueError as exc:
         raise ProtocolViolationError(f"query set: {exc}") from exc
     n = code.n
-    if len(rs.responses) != n:
-        raise ProtocolViolationError(f"expected responses from {n} nodes, got {len(rs.responses)}")
-    for j, resp in enumerate(rs.responses):
-        if not isinstance(resp, Sequence):
+    counts = rs._counts
+    if len(counts) != n:
+        raise ProtocolViolationError(f"expected responses from {n} nodes, got {len(counts)}")
+    for j, count in enumerate(counts):
+        if count != k:
             raise ProtocolViolationError(
-                f"node {j + 1}: response is a {type(resp).__name__}, not a sequence of symbols"
-            )
-        if len(resp) != k:
-            raise ProtocolViolationError(
-                f"node {j + 1}: {len(resp)} symbols for {k} subqueries"
-                + (f" (subquery {len(resp) + 1} unanswered)" if len(resp) < k else "")
+                f"node {j + 1}: {count} symbols for {k} subqueries"
+                + (f" (subquery {count + 1} unanswered)" if count < k else "")
             )
     field = code.field
-    ell, payloads = pack_symbols(
-        list(chain.from_iterable(rs.responses)),
-        field,
-        lambda i: f"node {i // k + 1}, subquery {i % k + 1}",
-        ProtocolViolationError,
-    )
-    width = field.width
-    slices = bit_slices(field, ell)
-    stride = (width * ell + 7) // 8
-    p_rows = code.p._rows
-    # x^b times node l's k payloads, stacked over the subqueries: entry l*w + b
-    stacked = []
-    for l in range(k):
-        expanded = slices.expand(payloads[l * k : (l + 1) * k])
-        stacked.extend(_stack(expanded[b::width], stride) for b in range(width))
-    syndromes = [
-        _unstack(
-            _stack(payloads[(k + r) * k : (k + r + 1) * k], stride)
-            ^ combine(stacked, coefficient_bits(width, prow)),
-            stride,
-            k,
+    if rs._field != field:
+        raise ProtocolViolationError(
+            f"node 1, subquery 1: symbol over {rs._field!r}, expected {field!r}"
         )
-        for r, prow in enumerate(p_rows)
+    ell = rs._ell
+    width = field.width
+    stride = _stride(field, ell)
+    p_rows = code.p._rows
+    # x^b times node l's k payloads: entry l*w + b
+    powers = _lane_powers(field, ell, stride, k)
+    stacked = [v for y in rs._stacks[:k] for v in powers(y)]
+    syndromes = [
+        _unstack(y ^ combine(stacked, coefficient_bits(width, prow)), stride, k)
+        for y, prow in zip(rs._stacks[k:], p_rows)
     ]
     # subquery t's system, row r: its syndrome in the low ell coordinates,
     # P's row r masked to the columns S_t above them

@@ -151,6 +151,10 @@ class TestBuildQueries:
         with pytest.raises(ValueError):
             build_queries(code, E1, m=1, f=1, seed=0, z=((1, 0, 1), (2, 1, 0), (0, 1, 2)))
 
+    def test_file_count_that_is_not_an_integer_named(self):
+        with pytest.raises(ValueError, match=r"file count f = 2\.0 is a float, not an integer"):
+            build_queries(c1_code(), E1, m=1, f=2.0, seed=3)
+
     def test_deterministic_per_seed(self):
         a = build_queries(c1_code(), E1, m=1, f=2, seed=11)
         b = build_queries(c1_code(), E1, m=1, f=2, seed=11)
@@ -453,6 +457,45 @@ class TestMaskPlusUnitShortcut:
         self._agree(replace(qs, pi=pi), arr)
 
 
+class TestPackedRound:
+    """Between build_storage and the recovered file, payloads stay packed."""
+
+    def test_round_packs_no_symbols_after_the_store(self, monkeypatch):
+        import codedpir.codes as codes_module
+
+        code, e, x, arr = _c6_round(ell=4)
+        packed = []
+        real = codes_module.pack_symbols
+
+        def counting(symbols, *rest):
+            packed.append(len(symbols))
+            return real(symbols, *rest)
+
+        monkeypatch.setattr(codes_module, "pack_symbols", counting)
+        monkeypatch.setattr(protocol, "pack_symbols", counting)
+        qs = build_queries(code, e, m=1, f=1, seed=5)
+        rs = collect_responses(qs, arr)
+        assert recover_file(qs, rs, code) == x
+        assert packed == []
+
+    @pytest.mark.parametrize("ell", [1, 3, 8, 64])
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_response_set_rebuilt_from_its_symbols(self, width, ell):
+        # payloads of 1 to 1024 bits, in lanes of one to sixteen 64-bit words;
+        # the symbols' packing and collect_responses' must agree
+        field = FieldSpec(width)
+        rng = random.Random(9500 + width * 100 + ell)
+        code = random_systematic_code(rng, field, n_lo=5, n_hi=8, oracle_cap_bits=10**6)
+        e = optimize_cpop(code, OptimizerConfig(seed=width)).e_opt
+        files = [random_file(field, e.beta, code.k, ell, rng) for _ in range(2)]
+        qs = build_queries(code, e, m=2, f=2, seed=rng.randrange(10**6))
+        rs = collect_responses(qs, build_storage(code, files))
+        rebuilt = ResponseSet(rs.responses)
+        assert rebuilt == rs and hash(rebuilt) == hash(rs)
+        assert rebuilt.responses == rs.responses
+        assert recover_file(qs, rebuilt, code) == recover_file(qs, rs, code) == files[1]
+
+
 class TestRecovery:
     def test_reference_run_symbol_placement(self):
         qs = build_queries(c1_code(), E1, m=1, f=1, seed=0, pi=PI1, z=Z1)
@@ -579,11 +622,19 @@ class TestRecovery:
         ({"e": EMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)), beta=1)},
          "stripe count 2, but its access matrix has weight 1"),
         ({"f": 0}, "need at least one file"),
-    ], ids=["short_pi", "zeroed_slots", "small_matrix", "beta_mismatch", "no_files"])
+        ({"f": 2, "m": 3}, r"file index 3 out of 1\.\.2"),
+    ], ids=["short_pi", "zeroed_slots", "small_matrix", "beta_mismatch", "no_files",
+            "file_index_past_f"])
     def test_malformed_query_set_rejected(self, change, message):
         code, qs, rs = self._c1_run()
         with pytest.raises(ProtocolViolationError, match="query set: " + message):
             recover_file(replace(qs, **change), rs, code)
+
+    def test_responses_that_are_not_a_sequence_named(self):
+        code, qs, rs = self._c1_run()
+        message = "responses are a NoneType, not a sequence"
+        with pytest.raises(ProtocolViolationError, match=message):
+            recover_file(qs, ResponseSet(responses=None), code)
 
     def test_wrong_node_count_rejected(self):
         code, qs, rs = self._c1_run()

@@ -395,3 +395,16 @@ class TestGoldenOutputs:
         assert main(args) == 0
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN_DIR / f"simulate_seed7_{name}.txt").read_bytes()
+
+    # the retrieve-array benchmark's shape (f = 4, ell = 64 over GF(2): one
+    # 64-bit word per payload), and a GF(2^4) payload of 3 symbols, whose 12
+    # bits fill part of a word
+    @pytest.mark.parametrize("name,files,payload,target,golden", [
+        ("c7_array", "4", "64", "3", "simulate_seed7_c7_array_f4_l64.txt"),
+        ("c5like", "2", "3", "1", "simulate_seed7_c5like_f2_l3.txt"),
+    ])
+    def test_simulate_at_other_shapes(self, name, files, payload, target, golden, capsys):
+        args = ["simulate", self._code_path(name), "--seed", "7", "--files", files,
+                "--payload", payload, "--target", target]
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN_DIR / golden).read_bytes()
