@@ -13,21 +13,25 @@ w_par), leaving s_t = P[:, S_t] x_{S_t}. That system has full column rank
 exactly when row t of the access matrix is a correctable erasure pattern,
 and solving it exposes the selected file symbols directly.
 
-Between the stored array and the recovered file, payloads stay packed
-(codes.StorageSymbol.bits) and stacked: several payloads side by side in
-one int, each in a lane of _stride bytes, whole 64-bit words. A
-StorageArray checks and packs its symbols once, when it is built, and
-keeps every stored row stacked over the n nodes and every node's column
-stacked over the rows. collect_responses multiplies each mask row once,
-against all stored rows at a time, and moves every node's k answers into
-one int; a systematic node's row that is a mask row plus one selection 1
-is answered as that product plus the one stored payload the 1 selects.
-A ResponseSet holds those per-node ints, and recover_file reads them
-directly: one pass over P gives every syndrome, and each subquery's
-system, P's rows masked to S_t's columns with the syndrome payload in the
-same int below the coefficients, goes to algebra._solve_packed, algebra's
-one elimination kernel. StorageSymbols appear only at the edges: the
-files stored, the file recovered, and the `responses` view.
+A QuerySet from build_queries holds its queries as the mask plus the
+selection offsets (_selection_offsets), not row by row; its `q` is a view
+that _assemble writes out on first read. Between the stored array and the
+recovered file, payloads stay packed (codes.StorageSymbol.bits) and
+stacked: several payloads side by side in one int, each in a lane of
+_stride bytes, whole 64-bit words. A StorageArray checks and packs its
+symbols once, when it is built, and keeps every stored row stacked over
+the n nodes and every node's column stacked over the rows. For a built
+query set, collect_responses multiplies each mask row once, against all
+stored rows at a time, gathers every node's k answers into one int, and
+adds one stored payload per selection 1; it reads no query row. Queries
+given explicitly are multiplied against each node's own column, as
+node_response does. A ResponseSet holds the per-node ints, and
+recover_file reads them directly: one pass over P gives every syndrome,
+and each subquery's system, P's rows masked to S_t's columns with the
+syndrome payload in the same int below the coefficients, goes to
+algebra._solve_packed, algebra's one elimination kernel. StorageSymbols
+appear only at the edges: the files stored, the file recovered, and the
+`responses` view.
 
 Symbols are checked by codes.pack_symbols, which names a misfit by its
 position: ValueError for files and stored symbols (when the StorageArray
@@ -190,6 +194,12 @@ class QuerySet:
     stripe slot (1..beta) that subquery i + 1 draws from node l + 1, or 0
     when that subquery does not select node l + 1; pi permutes the slots
     into actual stripe indices and fixes 0.
+
+    A set from build_queries holds its queries as the mask u plus the
+    selection offsets of its validated layout, not row by row: q is a
+    read-only view, assembled (_assemble) on first read and the same
+    objects after that. A set made any other way, dataclasses.replace
+    included (it reads q), holds q as given.
     """
 
     m: int
@@ -200,6 +210,28 @@ class QuerySet:
     e: EMatrix
     pi: tuple[int, ...]
     z: tuple[tuple[int, ...], ...]
+    # (node count, _selection_offsets) of a set build_queries made; None when q is given
+    _view = None
+
+    @classmethod
+    def _of(cls, n: int, offsets: dict[tuple[int, int], int], **fields) -> "QuerySet":
+        """The set of validated `fields` (all but q) whose n node queries
+        are u plus the selection 1s at `offsets`; q is left to __getattr__."""
+        qs = cls.__new__(cls)
+        qs.__dict__.update(fields, _view=(n, offsets))
+        return qs
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: a built set's q before its first read
+        if name != "q" or self._view is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n, offsets = self._view
+        u = self.u
+        rows = _assemble(u._rows, n, u.nrows, offsets)
+        # nodes handed the mask's own rows (the parity nodes) share the one u
+        q = tuple(u if r is u._rows else FieldMatrix._wrap(u.field, r) for r in rows)
+        self.__dict__["q"] = q
+        return q
 
     def v_block(self, l: int) -> FieldMatrix:
         """The k x beta selection block of node l's query (l in 1..k)."""
@@ -280,6 +312,11 @@ class ResponseSet:
             )
         return self._view
 
+    @property
+    def downloaded(self) -> int:
+        """Base-field symbols downloaded: the answers times their payload length."""
+        return sum(self._counts) * (self._ell or 0)
+
     def _key(self) -> tuple:
         return self._field, self._ell, self._counts, self._stacks
 
@@ -337,13 +374,14 @@ def _canonical_slots(e: EMatrix) -> list[list[int]]:
     which makes the beta*k recovered coordinates automatically distinct.
     """
     k = e.k
-    z = [[0] * k for _ in range(k)]
-    for l in range(k):
-        slot = 0
-        for i in range(k):
-            if e.rows[i][l]:
-                slot += 1
-                z[i][l] = slot
+    used = [0] * k  # slots handed out so far, per column
+    z = []
+    for row in e.rows:
+        slots = [0] * k
+        for l in compress(range(k), row):
+            used[l] += 1
+            slots[l] = used[l]
+        z.append(slots)
     return z
 
 
@@ -383,7 +421,7 @@ def _selection_offsets(
     query, at the column of stripe pi[z[i][l]] of file m.
     """
     base = (m - 1) * beta - 1
-    return {(l, i): base + pi[z[i][l]] for l in range(k) for i in range(k) if z[i][l]}
+    return {(l, i): base + pi[row[l]] for i, row in enumerate(z) for l in compress(range(k), row)}
 
 
 def _layout(
@@ -438,34 +476,32 @@ def build_queries(
     pi: Sequence[int] | None = None,
     z: Sequence[Sequence[int]] | None = None,
 ) -> QuerySet:
-    """Draw the mask and assemble all n query matrices for file m.
+    """Draw the mask and lay out all n query matrices for file m: the mask
+    plus the selection 1s of the validated layout, written out row by row
+    only when the set's q is read (see QuerySet).
 
     pi may be any permutation of 0..beta fixing 0; z may override the
     canonical stripe-slot assignment as long as each column of the access
     matrix still uses each slot exactly once. Both default to choices that
     tests can reproduce, and recovery works for any valid override.
     """
-    k, n = code.k, code.n
+    k = code.k
     perm, slots = _layout(k, e, f, pi, z)
     _check_file_index(m, f)
     beta = e.beta
-    field = code.field
     width = beta * f
-    drawn = _draws(random.Random(seed), field.order, k * width)
-    u_rows = [drawn[i * width : (i + 1) * width] for i in range(k)]
-    u = FieldMatrix._wrap(field, u_rows)
-    rows = _assemble(u_rows, n, k, _selection_offsets(k, beta, m, perm, slots))
-    # nodes handed the mask's own rows (the parity nodes) share the one u
-    queries = [u if r is u_rows else FieldMatrix._wrap(field, r) for r in rows]
-    return QuerySet(
+    drawn = _draws(random.Random(seed), code.field.order, k * width)
+    u = FieldMatrix._wrap(code.field, [drawn[i * width : (i + 1) * width] for i in range(k)])
+    return QuerySet._of(
+        code.n,
+        _selection_offsets(k, beta, m, perm, slots),
         m=m,
         f=f,
         beta=beta,
         u=u,
-        q=tuple(queries),
         e=e,
         pi=perm,
-        z=tuple(tuple(r) for r in slots),
+        z=tuple(map(tuple, slots)),
     )
 
 
@@ -518,7 +554,7 @@ def _stack_storage(
     field, ell: int | None, payloads: list[int], n: int
 ) -> tuple[list[int], list[bytes]]:
     """A stored array's payloads (payloads[i * n + j] is row i's on node j)
-    laid out for _answers: the stacked rows and the node columns.
+    laid out for collect_responses: the stacked rows and the node columns.
 
     Stacked row entry i*w + b is x^b times row i's n payloads, stacked
     (_stack at _stride), so combine() with a query row's coefficient_bits()
@@ -534,6 +570,12 @@ def _stack_storage(
     stacked = []
     for at in range(0, len(raw), span):
         stacked.extend(powers(int.from_bytes(raw[at : at + span], "little")))
+    return stacked, _gather(raw, n, stride)
+
+
+def _gather(raw: bytes, n: int, stride: int) -> list[bytes]:
+    """Lanes of `stride` bytes laid out row by row, n per row, regrouped
+    node by node: entry j is lane j of every row, in row order."""
     # the words are only moved about, never read as numbers: byte order does not matter
     words = array("Q", raw)
     run = stride // 8
@@ -543,89 +585,17 @@ def _stack_storage(
         for b in range(run):
             column[b::run] = words[j * run + b :: n * run]
         columns.append(column.tobytes())
-    return stacked, columns
+    return columns
 
 
-def _answers(
-    field,
-    ell: int,
-    stacked: list[int],
-    columns: list[bytes],
-    queries: Sequence[list[list[int]]],
-    masks: Sequence[list[int]] = (),
-    flips: dict[tuple[int, int], int] | None = None,
+def _column_products(
+    field, ell: int, payloads: Sequence[int], rows: Iterable[Sequence[int]]
 ) -> list[int]:
-    """Node j's answers to its query rows queries[j] (raw values over
-    `field`), stacked into one int (_stack at _stride), for every node j.
-
-    `stacked` and `columns` are the stored payloads of length `ell` laid
-    out by _stack_storage. A row that is one of the mask rows `masks` is
-    multiplied once, against every stored row at a time, and each node's
-    answer is its lane of that product. `flips` maps (node j, row i) to
-    the column c where node j's row i should be masks[i] plus a 1; a row
-    that equals masks[i] with 1 added at entry c and nowhere else is
-    answered as masks[i]'s product plus node j's stored payload c. Any
-    other row is multiplied against node j's own column. Every node's
-    lanes are gathered from the products' bytes, and the payloads and
-    own-column products it adds are laid into one more int.
-    """
-    n = len(columns)
+    """Each query row (raw values over `field`) times one node's stored
+    payloads of length `ell`: the answers' payloads, in row order."""
+    own = bit_slices(field, ell).expand(payloads)
     width = field.width
-    stride = _stride(field, ell)
-    flips = flips or {}
-    mask_of = {id(row): i for i, row in enumerate(masks)}
-    # masks[i] -> a private copy, flipped at one entry while a row is compared with it
-    probes: dict[int, list[int]] = {}
-    # per node: the mask row whose product holds each row's lane (-1: none),
-    # and the payloads its rows add to those lanes
-    plans: list[tuple[list[int], bytearray | None]] = []
-    for j, rows in enumerate(queries):
-        marks = [mask_of.get(id(row), -1) for row in rows]
-        extra = own = None
-        for i in [i for i, m in enumerate(marks) if m < 0]:
-            row = rows[i]
-            c = flips.get((j, i))
-            if c is not None and i < len(masks) and 0 <= c < len(masks[i]):
-                probe = probes.get(i)
-                if probe is None:
-                    probe = probes[i] = list(masks[i])
-                probe[c] ^= 1
-                flipped = row == probe
-                probe[c] ^= 1
-            else:
-                flipped = False
-            if flipped:
-                marks[i] = i
-                add = columns[j][c * stride : (c + 1) * stride]
-            else:
-                if own is None:
-                    column = columns[j]
-                    own = bit_slices(field, ell).expand(
-                        int.from_bytes(column[a : a + stride], "little")
-                        for a in range(0, len(column), stride)
-                    )
-                add = combine(own, coefficient_bits(width, row)).to_bytes(stride, "little")
-            if extra is None:
-                extra = bytearray(stride * len(rows))
-            extra[i * stride : (i + 1) * stride] = add
-        plans.append((marks, extra))
-    used = sorted(set(chain.from_iterable(marks for marks, _ in plans)) - {-1})
-    span = n * stride
-    products = b"".join(
-        combine(stacked, coefficient_bits(width, masks[m])).to_bytes(span, "little") for m in used
-    ) + bytes(span)
-    at = [0] * len(masks) + [len(used) * span]  # at[-1]: lanes of zeros
-    for p, m in enumerate(used):
-        at[m] = p * span
-    out = []
-    for j, (marks, extra) in enumerate(plans):
-        base = j * stride
-        lanes = [products[a + base : a + base + stride] for a in map(at.__getitem__, marks)]
-        got = int.from_bytes(b"".join(lanes), "little")
-        if extra is not None:
-            got ^= int.from_bytes(extra, "little")
-        out.append(got)
-    return out
+    return [combine(own, coefficient_bits(width, row)) for row in rows]
 
 
 def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> list[StorageSymbol]:
@@ -640,58 +610,66 @@ def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> lis
         )
     field = q_j.field
     ell, payloads = pack_symbols(node_column, field, lambda i: f"stored symbol {i + 1}", ValueError)
-    stacked, columns = _stack_storage(field, ell, payloads, 1)
-    (answer,) = _answers(field, ell, stacked, columns, [q_j._rows])
-    return [
-        StorageSymbol._of(field, ell, v) for v in _unstack(answer, _stride(field, ell), q_j.nrows)
-    ]
-
-
-def _flips(qs: QuerySet, k: int) -> dict[tuple[int, int], int]:
-    """(node, row) -> column of every selection 1 that qs's layout puts in
-    its queries to a code with k message nodes, all 0-based; empty when the
-    layout or the file index is malformed."""
-    try:
-        perm, slots = _layout(k, qs.e, qs.f, qs.pi, qs.z)
-        _check_file_index(qs.m, qs.f)
-    except ValueError:
-        return {}
-    return _selection_offsets(k, qs.e.beta, qs.m, perm, slots)
+    answers = _column_products(field, ell, payloads, q_j._rows)
+    return [StorageSymbol._of(field, ell, v) for v in answers]
 
 
 def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     """Every node's answer to its query, computed for all nodes at once.
 
-    The answers are node_response's, packed (see ResponseSet). The array
-    holds its stored rows stacked over the nodes, so each mask row is
-    multiplied once, against every node's column at a time: the rows every
-    parity node holds, and that each systematic node keeps wherever its
-    selection does not flip an entry. A row that qs's layout says node l
-    flips (_selection_offsets, taken only when the layout validates and
-    1 <= m <= f), and that equals mask row i with 1 added at that column c
-    and nowhere else, is answered as mask row i's product plus node l's
-    stored symbol c. Any other row is applied to the node's column alone,
-    so a hand-built query set still gets node_response's answers. Raises
+    The answers are node_response's, packed (see ResponseSet). For a set
+    build_queries made, no query row is read: the array holds its stored
+    rows stacked over the nodes, so each mask row is multiplied once,
+    against every node's column at a time; every node's k lanes are
+    gathered into one int, and each selection 1, at row i and column c of
+    node l's query, adds node l's stored payload c to its answer i. Queries
+    given explicitly are multiplied against each node's own column. Raises
     ValueError when the shapes of queries and array disagree; the array's
     symbols were checked when it was built.
     """
     if array.beta != qs.beta or array.f != qs.f:
         raise ValueError("query set and storage array disagree on beta or f")
     n = array.code.n
-    if len(qs.q) != n:
-        raise ValueError(f"query set has {len(qs.q)} node queries, the code has {n} nodes")
+    view = qs._view
+    # a built set's queries all have the mask's shape and field
+    queries = (qs.u,) if view else qs.q
+    count = view[0] if view else len(queries)
+    if count != n:
+        raise ValueError(f"query set has {count} node queries, the code has {n} nodes")
     field = array.code.field
     nrows = len(array.rows)
-    for j, q in enumerate(qs.q):
+    for j, q in enumerate(queries):
         if q.ncols != nrows:
             raise ValueError(f"query has {q.ncols} columns but the node stores {nrows} symbols")
         if q.field != field:
             raise ValueError(f"node {j + 1}: query over another field than the code")
-    flips = _flips(qs, array.code.k)
-    answers = _answers(
-        field, array.ell, array._stacked, array._columns, [q._rows for q in qs.q], qs.u._rows, flips
+    ell = array.ell
+    stride = _stride(field, ell)
+    columns = array._columns
+    if view is None:
+        answers = []
+        for column, q in zip(columns, queries):
+            payloads = [
+                int.from_bytes(column[a : a + stride], "little")
+                for a in range(0, len(column), stride)
+            ]
+            answers.append(_stack(_column_products(field, ell, payloads, q._rows), stride))
+        return ResponseSet._of(field, ell, tuple(q.nrows for q in queries), tuple(answers))
+    u_rows = qs.u._rows
+    k = len(u_rows)
+    width = field.width
+    products = b"".join(
+        combine(array._stacked, coefficient_bits(width, row)).to_bytes(n * stride, "little")
+        for row in u_rows
     )
-    return ResponseSet._of(field, array.ell, tuple(q.nrows for q in qs.q), tuple(answers))
+    answers = [int.from_bytes(lanes, "little") for lanes in _gather(products, n, stride)]
+    # per systematic node, the stored payload each row's selection 1 adds
+    added = [[bytes(stride)] * k for _ in range(k)]
+    for (l, i), c in view[1].items():
+        added[l][i] = columns[l][c * stride : (c + 1) * stride]
+    for l, lanes in enumerate(added):
+        answers[l] ^= int.from_bytes(b"".join(lanes), "little")
+    return ResponseSet._of(field, ell, (k,) * n, tuple(answers))
 
 
 def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[StorageSymbol]]:
@@ -726,11 +704,13 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         raise ProtocolViolationError(
             f"query set: stripe count {beta}, but its access matrix has weight {qs.e.beta}"
         )
-    try:
-        _layout(k, qs.e, qs.f, qs.pi, qs.z)
-        _check_file_index(qs.m, qs.f)
-    except ValueError as exc:
-        raise ProtocolViolationError(f"query set: {exc}") from exc
+    # a built set's layout was validated by build_queries, for a code with e.k message nodes
+    if qs._view is None or qs.e.k != k:
+        try:
+            _layout(k, qs.e, qs.f, qs.pi, qs.z)
+            _check_file_index(qs.m, qs.f)
+        except ValueError as exc:
+            raise ProtocolViolationError(f"query set: {exc}") from exc
     n = code.n
     counts = rs._counts
     if len(counts) != n:

@@ -136,7 +136,7 @@ def cmd_simulate(args) -> int:
     rs = collect_responses(qs, array)
     recovered = recover_file(qs, rs, code)
     ok = recovered == files[args.target - 1]
-    downloaded = sum(sym.ell for resp in rs.responses for sym in resp)
+    downloaded = rs.downloaded
     retrieved = sum(sym.ell for row in recovered for sym in row)
     theta = Fraction(downloaded, retrieved)
     print(f"name: {cf.name}")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -347,10 +348,10 @@ class TestBatchedResponses:
 
 
 class TestMaskPlusUnitShortcut:
-    """collect_responses answers a row that is a mask row plus one selection
-    1 from the shared mask product, and only such a row: every other row
-    keeps the full multiply, so hand-built query sets get node_response's
-    answers."""
+    """collect_responses answers a set build_queries made from the shared
+    mask products plus one stored payload per selection 1, and only such a
+    set: a set whose queries are given (dataclasses.replace) keeps the full
+    multiply, so hand-built query sets get node_response's answers."""
 
     @staticmethod
     def _instance(width):
@@ -380,9 +381,15 @@ class TestMaskPlusUnitShortcut:
         return replace(qs, q=tuple(q))
 
     @staticmethod
-    def _a_flip(qs, code):
-        (node, i), c = next(iter(protocol._flips(qs, code.k).items()))
-        return node, i, c
+    def _a_flip(qs):
+        """The first selection 1 of qs's layout: (node, row, column), 0-based."""
+        grids = selection_grid_oracle(qs.e, qs.f, qs.m, qs.pi, qs.z)
+        return next(
+            (node, i, row.index(1))
+            for node, grid in enumerate(grids)
+            for i, row in enumerate(grid)
+            if 1 in row
+        )
 
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_every_flipped_row_takes_the_shortcut(self, width, monkeypatch):
@@ -397,7 +404,7 @@ class TestMaskPlusUnitShortcut:
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_row_with_two_flips(self, width):
         code, arr, qs = self._instance(width)
-        node, i, c = self._a_flip(qs, code)
+        node, i, c = self._a_flip(qs)
         row = list(qs.q[node].row(i))
         other = next(col for col in range(len(row)) if col != c and not arr.rows[col][node].is_zero())
         row[other] ^= 1
@@ -407,7 +414,7 @@ class TestMaskPlusUnitShortcut:
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_flip_at_a_column_the_layout_does_not_name(self, width):
         code, arr, qs = self._instance(width)
-        node, i, c = self._a_flip(qs, code)
+        node, i, c = self._a_flip(qs)
         row = list(qs.u.row(i))
         other = next(
             col for col in range(len(row))
@@ -420,7 +427,7 @@ class TestMaskPlusUnitShortcut:
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_mask_row_copied_into_a_separate_object(self, width):
         code, arr, qs = self._instance(width)
-        node, i, _ = self._a_flip(qs, code)
+        node, i, _ = self._a_flip(qs)
         # at a flipped position, the bare mask row as its own object
         self._agree(self._with_row(qs, node, i, list(qs.u.row(i))), arr)
         # every node's rows copied: nothing is shared and nothing is a mask row
@@ -446,8 +453,8 @@ class TestMaskPlusUnitShortcut:
     @pytest.mark.parametrize("width", [1, 4])
     def test_valid_layout_that_names_other_columns(self, width):
         # another valid pi: the layout validates, but its flips are not the
-        # queries' flips, so the check against the mask sends them to the
-        # full multiply
+        # queries' flips; the replaced set holds its queries as given, so
+        # they go to the full multiply
         code, arr, qs = self._instance(width)
         beta = qs.e.beta
         pi = (0,) + tuple(range(beta, 0, -1))
@@ -455,6 +462,74 @@ class TestMaskPlusUnitShortcut:
             pi = (0,) + tuple(range(2, beta + 1)) + (1,)
         assert pi != qs.pi
         self._agree(replace(qs, pi=pi), arr)
+
+
+class TestQueryView:
+    """A built query set holds the mask plus its selection; q is a view."""
+
+    @staticmethod
+    def _instance(width, f):
+        field = FieldSpec(width)
+        rng = random.Random(9300 + 10 * width + f)
+        code = random_systematic_code(rng, field, n_lo=5, n_hi=8, oracle_cap_bits=10**6)
+        e = optimize_cpop(code, OptimizerConfig(seed=width)).e_opt
+        files = [random_file(field, e.beta, code.k, 3, rng) for _ in range(f)]
+        return code, e, files, build_storage(code, files), rng.randrange(10**6)
+
+    @pytest.mark.parametrize("f", [1, 2])
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_view_is_mask_plus_oracle_selection(self, width, f):
+        code, e, _, _, seed = self._instance(width, f)
+        pi = (0,) + tuple(range(e.beta, 0, -1))
+        for m in range(1, f + 1):
+            qs = build_queries(code, e, m=m, f=f, seed=seed, pi=pi)
+            grids = selection_grid_oracle(e, f, m, pi)
+            u = qs.u.values()
+            first = qs.q
+            assert len(first) == code.n
+            for l, q in enumerate(first):
+                if l < code.k:
+                    diff = [[a ^ b for a, b in zip(qr, ur)] for qr, ur in zip(q.values(), u)]
+                    assert diff == grids[l], (m, l + 1)
+                else:
+                    assert q == qs.u, (m, l + 1)
+            assert qs.q is first and all(map(operator.is_, qs.q, first))
+            assert replace(qs, q=tuple(qs.q)) == qs
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_round_assembles_no_row_and_validates_its_layout_once(self, width, monkeypatch):
+        code, e, files, arr, seed = self._instance(width, 2)
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(protocol, name)
+            return lambda *args: calls.update([name]) or real(*args)
+
+        for name in ("_assemble", "_layout"):
+            monkeypatch.setattr(protocol, name, counted(name))
+        qs = build_queries(code, e, m=2, f=2, seed=seed)
+        rs = collect_responses(qs, arr)
+        assert recover_file(qs, rs, code) == files[1]
+        assert calls == {"_layout": 1}
+        # against a code with another k, the layout is validated again
+        wider = make_code(code.field, [[1] * (code.k + 1)])
+        message = f"query set: access matrix is {code.k} x {code.k}, code needs"
+        with pytest.raises(ProtocolViolationError, match=message):
+            recover_file(qs, rs, wider)
+
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_view_keeps_the_shape_checks(self, width):
+        code, e, files, arr, seed = self._instance(width, 1)
+        qs = build_queries(code, e, m=1, f=1, seed=seed)
+        short = replace(arr, rows=arr.rows[:-1])
+        message = f"query has {e.beta} columns but the node stores {e.beta - 1} symbols"
+        with pytest.raises(ValueError, match=message):
+            collect_responses(qs, short)
+        other = FieldSpec(17 - width)
+        ones = make_code(other, [[1] * code.k for _ in range(code.n - code.k)])
+        foreign = build_storage(ones, [random_file(other, e.beta, code.k, 3, random.Random(width))])
+        with pytest.raises(ValueError, match="node 1: query over another field than the code"):
+            collect_responses(qs, foreign)
 
 
 class TestPackedRound:
