@@ -260,6 +260,10 @@ class FieldSpec:
     def __hash__(self) -> int:
         return hash((self.width, self.modulus))
 
+    def __reduce__(self):
+        # pickled as its width and modulus; the tables are rebuilt on load
+        return FieldSpec, (self.width, self.modulus)
+
     def __repr__(self) -> str:
         return f"FieldSpec(width={self.width}, modulus={poly_str(self.modulus)})"
 

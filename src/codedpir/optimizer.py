@@ -113,9 +113,10 @@ def compute_erasure_pattern_list(
     which have P's dependencies, to one forward elimination (_eliminate)
     in permuted order instead of row-reducing, at every field width. Shifts
     that differ by a multiple of the code's `shift_period` g have the same
-    verdict, so only shifts 0..g-1 of a round's pattern run the
-    correctability test and shift s reuses the verdict of shift s mod g;
-    the random calls and the listed set are those of testing every shift.
+    verdict, so only shifts 1..g-1 of a round's pattern run the
+    correctability test (shift 0, the drawn support, is independent by
+    construction) and shift s reuses the verdict of shift s mod g; the
+    random calls and the listed set are those of testing every shift.
     `rounds`, when given, are this width's rounds at this budget and seed
     as optimize_cpop's certificate already drew and tested them; the
     listing replays them and reuses their verdicts. Patterns stay support
@@ -209,7 +210,9 @@ class _SeededRounds:
     so the stop width's rounds are drawn once and no round's rotation is
     tested twice. A drawn round is kept as its support and a dict from rotation
     s < shift_period to its verdict (_tested); a replay rebuilds its
-    rotations.
+    rotations. Rotation 0 is the drawn support itself, beta of the round's
+    greedy pivots, independent by construction: its verdict is recorded as
+    True when the round is drawn, without a test.
     """
 
     def __init__(self, derived: DerivedCode, beta: int, budget: int, seed: int):
@@ -229,7 +232,7 @@ class _SeededRounds:
                 rotations = next(self._source, None)
                 if rotations is None:
                     return
-                known: dict[int, bool] = {}
+                known = {0: True}
                 self._drawn.append((rotations[0], known))
                 yield rotations, known
             i += 1

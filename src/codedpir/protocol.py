@@ -807,71 +807,91 @@ def exact_privacy_check(
     limit: int = 1 << 16,
     builder: Callable[[list[list[int]], int], Sequence[Sequence[Sequence[int]]]] | None = None,
 ) -> tuple[bool, bool]:
-    """Enumerate every mask and compare query distributions across files.
+    """Run every mask through the query assembly and check each query against
+    the construction; compare query distributions across files.
 
     Returns (multisets_ok, construction_ok). The first is the privacy
     statement itself: at every node, the multiset of query matrices over
     all masks is identical no matter which file is requested. The second
     pins the construction: for every mask, node l's query must be the mask
     with exactly file m's selection 1s added (the bare mask past node k),
-    which catches bugs like selection leaking into parity queries. Masks go
-    through the assembly `build_queries` uses unless `builder` replaces it;
-    a builder that returns fewer than n node queries, or a query with fewer
-    than k rows, raises ProtocolViolationError naming the count and file.
+    which catches bugs like selection leaking into parity queries. Every
+    mask, for every file, goes through the assembly `build_queries` uses
+    unless `builder` replaces it; a builder that returns fewer than n node
+    queries, or a query with fewer than k rows, raises
+    ProtocolViolationError naming the count and file.
+
+    The masks are numbered in itertools.product order, so mask j's entry p
+    (p = i*width + col) is digit p of j in base 2^w, the w bits from w*(size
+    - 1 - p) up, size = k*width. Adding 1 to that entry flips the lowest of
+    them, so node s's correct query for file m and mask j is mask j ^
+    shift[m][s], shift[m][s] the XOR of those bits over the node's
+    selection 1s. Each query is compared with that mask from the table:
+    k rows of width entries each, holding its entries in order (lists and
+    tuples alike). It is judged against the mask itself, not the rows the
+    builder was handed. When every query matches, node s's queries for
+    file m are the masks permuted by j -> j ^ shift[m][s], a bijection, so
+    every file shows every node each mask exactly once: the multisets are
+    equal and (True, True) follows with nothing counted. At the first
+    (mask j, file m) that does not match, construction_ok is False and
+    counting starts: each query before it counts once as its mask i ^
+    shift (all i < j, and i = j for files before m), and every query from
+    it on counts by its entries, row after row, so multisets_ok is the
+    verdict of counting every query.
     """
     k, n = code.k, code.n
     perm, slots = _layout(k, e, f, pi, z)
     beta = e.beta
     order = code.field.order
     width = beta * f
-    total = order ** (k * width)
+    size = k * width
+    total = order ** size
     if total > limit:
         raise ValueError(f"exact check needs {total} mask enumerations, above the limit {limit}")
     offsets = {m: _selection_offsets(k, beta, m, perm, slots) for m in range(1, f + 1)}
-
-    def is_mask_plus_selection(queries, u_rows: list[list[int]], m: int) -> bool:
-        # node l's row i with file m's selection 1 (if any) taken out is U's row i
-        if len(queries) != n:
-            return False
-        for l, q in enumerate(queries):
-            if len(q) != k:
-                return False
-            for i, (row, u_row) in enumerate(zip(q, u_rows)):
-                row = list(row)
-                col = offsets[m].get((l, i))
-                if col is not None and col < len(row):
-                    row[col] ^= 1
-                if row != u_row:
-                    return False
-        return True
-
+    w = code.field.width
+    shift = {m: [0] * n for m in offsets}
+    for m, at in offsets.items():
+        for (l, i), col in at.items():
+            shift[m][l] ^= 1 << w * (size - 1 - i * width - col)
+    masks = list(itertools.product(range(order), repeat=size))
     build = builder or (lambda u_rows, m: _assemble(u_rows, n, k, offsets[m]))
-    counters: dict[int, list[dict[tuple[int, ...], int]]] = {
-        m: [dict() for _ in range(n)] for m in range(1, f + 1)
-    }
-    construction_ok = True
-    for flat in itertools.product(range(order), repeat=k * width):
+    lengths = [width] * k
+    # per file, per node: query entries -> count, kept from the first mismatch on
+    counters: dict[int, list[Counter]] | None = None
+    for j, flat in enumerate(masks):
         u_rows = [list(flat[i * width : (i + 1) * width]) for i in range(k)]
-        for m in range(1, f + 1):
+        for m, node_shift in shift.items():
             queries = build(u_rows, m)
             if len(queries) < n:
                 raise ProtocolViolationError(
                     f"builder returned {len(queries)} node queries for file {m}, expected {n}"
                 )
-            if construction_ok:
-                construction_ok = is_mask_plus_selection(queries, u_rows, m)
+            ok = counters is None and len(queries) == n
             for s in range(n):
-                if len(queries[s]) < k:
+                q = queries[s]
+                if len(q) < k:
                     raise ProtocolViolationError(
-                        f"builder returned {len(queries[s])} rows at node {s} for file {m}, "
-                        f"expected {k}"
+                        f"builder returned {len(q)} rows at node {s} for file {m}, expected {k}"
                     )
-                key = tuple(itertools.chain.from_iterable(queries[s]))
-                bucket = counters[m][s]
-                bucket[key] = bucket.get(key, 0) + 1
+                if ok:
+                    ok = [*map(len, q)] == lengths and (
+                        tuple(chain.from_iterable(q)) == masks[j ^ node_shift[s]]
+                    )
+            if ok:
+                continue
+            if counters is None:
+                # the queries so far matched: i < j, and i = j for the files before m
+                counters = {
+                    mm: [Counter(masks[i ^ t] for i in range(j + (mm < m))) for t in ts]
+                    for mm, ts in shift.items()
+                }
+            for s, bucket in enumerate(counters[m]):
+                bucket[tuple(chain.from_iterable(queries[s]))] += 1
+    if counters is None:
+        return True, True
     first = counters[1]
-    multisets_ok = all(counters[m] == first for m in range(2, f + 1))
-    return multisets_ok, construction_ok
+    return all(c == first for c in counters.values()), False
 
 
 _TRIAL_BLOCK = 64  # trials drawn per _draws call in verify_privacy

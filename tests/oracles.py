@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 # GF(4) with modulus x^2 + x + 1: elements 0..3
 _GF4_MUL = {
@@ -547,6 +548,48 @@ def selection_grid_oracle(e, f, m, pi=None, z=None):
                 slot = rank if z is None else z[i][l]
                 grids[l][i][(m - 1) * beta + perm[slot] - 1] = 1
     return grids
+
+
+# -- exact privacy check -----------------------------------------------------
+#
+# The package counts nothing while every query matches the construction and
+# derives equal multisets from that match. This is the check done the direct
+# way: every node's queries counted for every mask and file, and every query
+# compared row by row with an untouched copy of the mask plus the selection
+# grid above.
+
+
+def exact_privacy_oracle(code, e, f, builder, pi=None, z=None):
+    """(multisets_ok, construction_ok) of `builder`'s queries over every mask.
+
+    builder(u_rows, m) gets its own list-of-lists copy of each mask and
+    returns the n node queries for file m, as exact_privacy_check's
+    builder does. Only the first n queries are counted, each by its entries
+    row after row. Node l's query matches when, as k lists of entries, it
+    is the mask plus node l's selection grid for file m (l = 1..k), or the
+    bare mask (l > k).
+    """
+    k, n = code.k, code.n
+    order = code.field.order
+    width = e.beta * f
+    zero = [[0] * width for _ in range(k)]
+    grids = {m: selection_grid_oracle(e, f, m, pi, z) + [zero] * (n - k) for m in range(1, f + 1)}
+    counts = {m: [Counter() for _ in range(n)] for m in range(1, f + 1)}
+    construction_ok = True
+    for flat in itertools.product(range(order), repeat=k * width):
+        mask = [flat[i * width : (i + 1) * width] for i in range(k)]
+        for m in range(1, f + 1):
+            queries = builder([list(row) for row in mask], m)
+            expected = [
+                [[u ^ g for u, g in zip(row, grid_row)] for row, grid_row in zip(mask, grid)]
+                for grid in grids[m]
+            ]
+            sent = [[list(row) for row in q] for q in queries]
+            construction_ok = construction_ok and sent == expected
+            for s in range(n):
+                counts[m][s][tuple(itertools.chain.from_iterable(queries[s]))] += 1
+    multisets_ok = all(counts[m] == counts[1] for m in range(2, f + 1))
+    return multisets_ok, construction_ok
 
 
 # -- statistical privacy check -----------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -93,6 +94,18 @@ class TestFieldArithmetic:
             assert f.mul(a, b) == oracle.mul(a, b)
             if b:
                 assert f.inv(b) == oracle.inv(b)
+
+    @pytest.mark.parametrize("width, modulus", [(1, None), (4, None), (4, 0b11111), (16, None)])
+    def test_pickle_round_trip(self, width, modulus):
+        f = field_new(width, modulus)
+        data = pickle.dumps(f)
+        g = pickle.loads(data)
+        assert g == f and g.modulus == f.modulus
+        assert len(data) < 100  # width and modulus; the tables are rebuilt on load
+        rng = random.Random(width)
+        for _ in range(50):
+            a, b = rng.randrange(f.order), rng.randrange(f.order)
+            assert g.mul(a, b) == peasant_mul(a, b, f.modulus, width)
 
     def test_specs_of_one_field_share_tables(self):
         for width, modulus in [(16, None), (16, 0x1002B), (4, None)]:

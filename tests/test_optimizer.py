@@ -411,6 +411,27 @@ class TestEagerScanOracle:
             assert (res.beta_opt, res.iterations) == (1, 2)
 
 
+class TestRotationZero:
+    """Rotation 0 of a seeded round is beta of its greedy pivots, so
+    _SeededRounds records it correctable without testing it."""
+
+    @pytest.mark.parametrize("name", ["c6_array", "c7_array"])
+    def test_drawn_supports_are_independent(self, name):
+        d = derived_code(parse_code_file(FIXTURES_DIR / f"{name}.pchk").code)
+        rank = d.n_tilde - d.k_tilde
+        for beta in (1, rank // 4, rank // 2, 3 * rank // 4, rank):
+            for rotations in optimizer_module._rounds(d, beta, 16, beta):
+                assert d.independent(rotations[0]), (beta, rotations[0])
+
+    def test_seeded_rounds_record_rotation_zero_untested(self, monkeypatch):
+        d = derived_code(parse_code_file(FIXTURES_DIR / "c6_array.pchk").code)
+        tested = []
+        monkeypatch.setattr(type(d), "independent", lambda self, mask: tested.append(mask))
+        rounds = optimizer_module._SeededRounds(d, 10, 4, 3)
+        assert [known for _, known in rounds] == [{0: True}] * 4
+        assert tested == []
+
+
 class TestKeptWidths:
     """A certified width's matrix, built from its complete orbits, against
     the listing and search the scan no longer runs there."""

@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -34,12 +35,13 @@ from codedpir import (
 from codedpir import protocol
 from codedpir.protocol import _CHUNK, _chi2_sf, _draws
 
-from conftest import GF2, GF4, c1_code, make_code, random_systematic_code
+from conftest import GF2, GF4, GF8, GF16, c1_code, make_code, random_systematic_code
 from oracles import (
     PeasantField,
     TinyField,
     column_rank,
     encode_oracle,
+    exact_privacy_oracle,
     recover_oracle,
     response_oracle,
     selection_grid_oracle,
@@ -53,6 +55,21 @@ Z1 = ((2, 0, 1), (1, 2, 0), (0, 1, 2))
 
 def sym(field, *values):
     return StorageSymbol(field, values)
+
+
+class TestPickle:
+    def test_field_holders_round_trip(self):
+        # what worker processes would be sent: a code, its derived code, a
+        # stored array and a built query set, at w = 1 and w = 4
+        for code in (c1_code(), make_code(GF16, [[1, 2, 3], [4, 5, 6]])):
+            e = E1 if code.k == 3 else EMatrix(((1, 0, 1), (1, 1, 0), (0, 1, 1)), beta=2)
+            array = build_storage(code, [random_file(code.field, 2, 3, 4, random.Random(1))] * 2)
+            qs = build_queries(code, e, 2, 2, seed=5)
+            for obj in (code, derived_code(code), array, qs):
+                assert pickle.loads(pickle.dumps(obj)) == obj
+            qs_copy, array_copy = pickle.loads(pickle.dumps((qs, array)))
+            assert qs_copy.q == qs.q
+            assert collect_responses(qs_copy, array_copy) == collect_responses(qs, array)
 
 
 class TestBuildStorage:
@@ -966,6 +983,38 @@ class TestPrivacy:
         with pytest.raises(ValueError, match="limit"):
             exact_privacy_check(c1_code(), E1, f=1, limit=4)
 
+    def test_correct_builder_counts_nothing(self, monkeypatch):
+        # equal multisets follow from the construction match: no counter is
+        # made unless a query fails to match
+        made = []
+
+        class Recording(Counter):
+            def __init__(self, *args):
+                made.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(protocol, "Counter", Recording)
+        assert exact_privacy_check(c1_code(), E1, f=2) == (True, True)
+        assert made == []
+
+        rotated = _exact_builders(c1_code(), E1, 2, None, None)["columns rotated"]
+        assert exact_privacy_check(c1_code(), E1, f=2, builder=rotated) == (True, False)
+        assert len(made) == 2 * 5  # one per file and node
+
+    def test_builder_editing_its_rows_is_judged_against_the_mask(self):
+        # the rows a builder is handed are not the reference: one that flips
+        # an entry in place, then adds the selection to what it flipped, is
+        # the construction for another mask
+        code = make_code(GF2, [[1, 1]])
+        e = EMatrix(((1, 0), (0, 1)), beta=1)
+        correct = _exact_builders(code, e, 2, None, None)["correct"]
+
+        def editing(u_rows, m):
+            u_rows[0][0] ^= 1
+            return correct(u_rows, m)
+
+        assert exact_privacy_check(code, e, f=2, builder=editing) == (True, False)
+
     def test_statistical_check_passes_on_c1(self):
         report = verify_privacy(c1_code(), E1, f=1, trials=3000, seed=42)
         assert report.exact_performed
@@ -1038,6 +1087,107 @@ class TestPrivacy:
         assert peak < 100_000
         assert not report.exact_performed
         assert_matches_oracle(report, verify_privacy_oracle(code, e, f=2, trials=trials, seed=3))
+
+
+def _exact_builders(code, e, f, pi, z):
+    """Query builders for exact_privacy_check, keyed by name, written from
+    the oracle's selection grids: the construction, and ways to miss it."""
+    k, n = code.k, code.n
+    order = code.field.order
+    width = e.beta * f
+    last = order ** (k * width) - 1
+    grids = {m: selection_grid_oracle(e, f, m, pi, z) for m in range(1, f + 1)}
+
+    def correct(u_rows, m):
+        sent = [
+            [[u ^ g for u, g in zip(row, grid_row)] for row, grid_row in zip(u_rows, grids[m][l])]
+            for l in range(k)
+        ]
+        return sent + [[list(row) for row in u_rows] for _ in range(n - k)]
+
+    def index(u_rows):
+        j = 0
+        for v in itertools.chain.from_iterable(u_rows):
+            j = j * order + v
+        return j
+
+    def rows_of(j):
+        digits = [j // order ** p % order for p in reversed(range(k * width))]
+        return [digits[i * width : (i + 1) * width] for i in range(k)]
+
+    def parity_leak(u_rows, m):
+        queries = correct(u_rows, m)
+        for q in queries[k:]:
+            q[0][0] = (m - 1) % order
+        return queries
+
+    def dropped_late(u_rows, m):
+        # the last mask's file-f query at node 1 leaves out its selection
+        queries = correct(u_rows, m)
+        if m == f and index(u_rows) == last:
+            queries[0] = [list(row) for row in u_rows]
+        return queries
+
+    def exchanged_late(u_rows, m):
+        # file f's queries for the last two masks are each other's
+        j = index(u_rows)
+        if m == f and j >= last - 1:
+            return correct(rows_of(j ^ 1), m)
+        return correct(u_rows, m)
+
+    def columns_rotated(u_rows, m):
+        return [[[*row[1:], row[0]] for row in q] for q in correct(u_rows, m)]
+
+    def shifted_entry(u_rows, m):
+        # row 1's first entry moved to the end of row 0: the entries, read
+        # row after row, are the construction's
+        return [[q[0] + q[1][:1], q[1][1:], *q[2:]] for q in correct(u_rows, m)]
+
+    return {
+        "correct": correct,
+        "tuple rows": lambda u, m: [list(map(tuple, q)) for q in correct(u, m)],
+        "parity leak": parity_leak,
+        "dropped late": dropped_late,
+        "exchanged late": exchanged_late,
+        "columns rotated": columns_rotated,
+        "n + 1 queries": lambda u, m: [*correct(u, m), [list(row) for row in u]],
+        "k + 1 rows": lambda u, m: [[*q, [0] * width] for q in correct(u, m)],
+        "long rows": lambda u, m: [[[*row, 0] for row in q] for q in correct(u, m)],
+        "short rows": lambda u, m: [[row[:-1] for row in q] for q in correct(u, m)],
+        "shifted entry": shifted_entry,
+    }
+
+
+# (3,2) codes at w = 1, 2, 3 with f = 1 and 2 (4,096 masks at w = 3), and
+# c1 at beta = 2 with the pi and z overrides
+_EXACT_INSTANCES = [
+    (field.width, [[1, min(2, field.order - 1)]], EMatrix(((1, 0), (0, 1)), beta=1), f, None, None)
+    for field in (GF2, GF4, GF8)
+    for f in (1, 2)
+] + [(1, None, E1, 1, PI1, Z1)]
+
+
+class TestExactCheckOracle:
+    """exact_privacy_check against the counting oracle, which counts every
+    query and compares each with an untouched copy of the mask."""
+
+    @pytest.mark.parametrize("width,p_rows,e,f,pi,z", _EXACT_INSTANCES)
+    def test_verdicts_match_the_oracle(self, width, p_rows, e, f, pi, z):
+        code = c1_code() if p_rows is None else make_code(FieldSpec(width), p_rows)
+        builders = _exact_builders(code, e, f, pi, z)
+        verdicts = {}
+        for name, builder in builders.items():
+            verdicts[name] = exact_privacy_check(code, e, f, pi=pi, z=z, builder=builder)
+            assert verdicts[name] == exact_privacy_oracle(code, e, f, builder, pi=pi, z=z), name
+        assert exact_privacy_check(code, e, f, pi=pi, z=z) == verdicts["correct"] == (True, True)
+        assert verdicts["tuple rows"] == (True, True)
+        for name in ("exchanged late", "n + 1 queries", "k + 1 rows", "long rows",
+                     "short rows", "shifted entry"):
+            assert verdicts[name] == (True, False), name
+        if f == 2:
+            assert verdicts["parity leak"] == verdicts["dropped late"] == (False, False)
+        if e.beta * f > 1:  # a one-column query has nothing to rotate
+            assert verdicts["columns rotated"] == (True, False)
 
 
 # the smallest Bonferroni threshold of the fixtures: c7_array (n = 187,
