@@ -72,15 +72,20 @@ class ProtocolViolationError(RuntimeError):
     """Responses or query structure are inconsistent with the protocol."""
 
 
-# bytes.translate table: 1 for a word's top byte with bit 7 (the word's bit 31) clear
+# bytes.translate tables over a 32-bit word's top byte: 1 where its bit 7
+# (the word's bit 31) is clear; the set ones, to delete; and, per w <= 7, the
+# byte's bits 6 .. 7 - w, which are the word's bits 30 .. 31 - w
 _CLEAR_TOP = bytes(b < 0x80 for b in range(256))
+_SET_TOP = bytes(range(0x80, 0x100))
+_TOP_BITS = [bytes(b >> (7 - w) for b in range(256)) for w in range(8)]
 _CHUNK = 1 << 14  # words fetched per getrandbits call at most
 
 
-def _draws(rng: random.Random, order: int, count: int) -> list[int]:
-    """Exactly [rng.randrange(order) for _ in range(count)], leaving rng in
-    exactly the state those calls leave it in; `order` is a power of two up
-    to 2^31.
+def _draw_values(rng: random.Random, order: int, count: int) -> bytes | array:
+    """The values of [rng.randrange(order) for _ in range(count)], leaving
+    rng in exactly the state those calls leave it in; `order` is a power of
+    two up to 2^31. They come as bytes up to order 2^7, as an array of
+    32-bit values above it: one byte or four per draw, no int object each.
 
     On CPython, randrange(2^w) is getrandbits(w + 1), which keeps the top
     w + 1 bits of one 32-bit Mersenne Twister word, redrawn while the top
@@ -88,14 +93,26 @@ def _draws(rng: random.Random, order: int, count: int) -> list[int]:
     each read at bits 30 .. 31 - w. Each chunk fetches at most as many
     words as draws are still owed (one getrandbits(32 * need), first word
     lowest), so no word past the last one randrange would read is taken.
-    The words are shifted and masked as one int, viewed as an array of
-    32-bit words, and the kept ones picked by flags from their top bytes.
+    For w <= 7 those bits lie in the word's top byte, so a chunk is one
+    bytes.translate of its top bytes: the ones with bit 7 set deleted, the
+    rest mapped to their bits 6 .. 7 - w. Wider values are shifted and
+    masked as one int, viewed as an array of 32-bit words, and the kept
+    ones picked by flags from their top bytes.
     """
     if not 0 < order <= 1 << 31 or order & (order - 1):
         raise ValueError(f"draw order {order} is not a power of two up to 2^31")
-    shift = 32 - order.bit_length()
+    w = order.bit_length() - 1
+    if w <= 7:
+        table = _TOP_BITS[w]
+        out = bytearray()
+        while len(out) < count:
+            need = min(count - len(out), _CHUNK)
+            top = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+            out += top.translate(table, _SET_TOP)
+        return bytes(out)
+    shift = 31 - w
     lane = (order - 1).to_bytes(4, "little")
-    out: list[int] = []
+    out = array("I")
     while len(out) < count:
         need = min(count - len(out), _CHUNK)
         words = rng.getrandbits(32 * need)
@@ -106,6 +123,12 @@ def _draws(rng: random.Random, order: int, count: int) -> list[int]:
             values.byteswap()
         out.extend(compress(values, keep))
     return out
+
+
+def _draws(rng: random.Random, order: int, count: int) -> list[int]:
+    """_draw_values as a list: exactly [rng.randrange(order) for _ in
+    range(count)], with rng left where those calls leave it."""
+    return list(_draw_values(rng, order, count))
 
 
 @dataclass(frozen=True)
@@ -798,6 +821,12 @@ class PrivacyReport:
         return exact_ok and self.statistical_ok
 
 
+def _check_limit(name: str, limit: int) -> None:
+    """ValueError unless a mask-count limit is an integer."""
+    if not isinstance(limit, int):
+        raise ValueError(f"{name} {limit!r} is not an integer")
+
+
 def exact_privacy_check(
     code: LinearCode,
     e: EMatrix,
@@ -819,26 +848,32 @@ def exact_privacy_check(
     mask, for every file, goes through the assembly `build_queries` uses
     unless `builder` replaces it; a builder that returns fewer than n node
     queries, or a query with fewer than k rows, raises
-    ProtocolViolationError naming the count and file.
+    ProtocolViolationError naming the count and file. A `limit` that is not
+    an integer raises ValueError, as does a mask space above it.
 
     The masks are numbered in itertools.product order, so mask j's entry p
     (p = i*width + col) is digit p of j in base 2^w, the w bits from w*(size
-    - 1 - p) up, size = k*width. Adding 1 to that entry flips the lowest of
-    them, so node s's correct query for file m and mask j is mask j ^
-    shift[m][s], shift[m][s] the XOR of those bits over the node's
-    selection 1s. Each query is compared with that mask from the table:
-    k rows of width entries each, holding its entries in order (lists and
-    tuples alike). It is judged against the mask itself, not the rows the
-    builder was handed. When every query matches, node s's queries for
-    file m are the masks permuted by j -> j ^ shift[m][s], a bijection, so
-    every file shows every node each mask exactly once: the multisets are
-    equal and (True, True) follows with nothing counted. At the first
-    (mask j, file m) that does not match, construction_ok is False and
-    counting starts: each query before it counts once as its mask i ^
-    shift (all i < j, and i = j for files before m), and every query from
-    it on counts by its entries, row after row, so multisets_ok is the
-    verdict of counting every query.
+    - 1 - p) up, size = k*width, and row i of mask j is digit group i of j
+    in base 2^(w*width). One list per row value is made, and expect[j]
+    holds mask j's k rows as references to them; the builder gets fresh
+    copies of those rows for each file, so a builder that edits what it is
+    handed is still judged against the mask. Adding 1 to entry p flips the
+    lowest bit of its digit, so node s's correct query for file m and mask
+    j is mask j ^ shift[m][s], shift[m][s] the XOR of those bits over the
+    node's selection 1s. Each query is compared with expect[j ^ shift]
+    as one list of row lists; only when that fails is it held to the same
+    test entry by entry: k rows of width entries each, holding the mask's
+    entries in order (so tuple rows match too). When every query
+    matches, node s's queries for file m are the masks permuted by j -> j ^
+    shift[m][s], a bijection, so every file shows every node each mask
+    exactly once: the multisets are equal and (True, True) follows with
+    nothing counted. At the first (mask j, file m) that does not match,
+    construction_ok is False and counting starts: each query before it
+    counts once as its mask i ^ shift (all i < j, and i = j for files
+    before m), and every query from it on counts by its entries, row after
+    row, so multisets_ok is the verdict of counting every query.
     """
+    _check_limit("limit", limit)
     k, n = code.k, code.n
     perm, slots = _layout(k, e, f, pi, z)
     beta = e.beta
@@ -854,15 +889,19 @@ def exact_privacy_check(
     for m, at in offsets.items():
         for (l, i), col in at.items():
             shift[m][l] ^= 1 << w * (size - 1 - i * width - col)
-    masks = list(itertools.product(range(order), repeat=size))
+    rows = [list(row) for row in itertools.product(range(order), repeat=width)]
+    expect = [list(mask) for mask in itertools.product(rows, repeat=k)]
     build = builder or (lambda u_rows, m: _assemble(u_rows, n, k, offsets[m]))
     lengths = [width] * k
+
+    def flat(j: int) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(expect[j]))
+
     # per file, per node: query entries -> count, kept from the first mismatch on
     counters: dict[int, list[Counter]] | None = None
-    for j, flat in enumerate(masks):
-        u_rows = [list(flat[i * width : (i + 1) * width]) for i in range(k)]
+    for j, mask in enumerate(expect):
         for m, node_shift in shift.items():
-            queries = build(u_rows, m)
+            queries = build([row.copy() for row in mask], m)
             if len(queries) < n:
                 raise ProtocolViolationError(
                     f"builder returned {len(queries)} node queries for file {m}, expected {n}"
@@ -874,16 +913,16 @@ def exact_privacy_check(
                     raise ProtocolViolationError(
                         f"builder returned {len(q)} rows at node {s} for file {m}, expected {k}"
                     )
-                if ok:
+                if ok and q != expect[j ^ node_shift[s]]:
                     ok = [*map(len, q)] == lengths and (
-                        tuple(chain.from_iterable(q)) == masks[j ^ node_shift[s]]
+                        tuple(chain.from_iterable(q)) == flat(j ^ node_shift[s])
                     )
             if ok:
                 continue
             if counters is None:
                 # the queries so far matched: i < j, and i = j for the files before m
                 counters = {
-                    mm: [Counter(masks[i ^ t] for i in range(j + (mm < m))) for t in ts]
+                    mm: [Counter(flat(i ^ t) for i in range(j + (mm < m))) for t in ts]
                     for mm, ts in shift.items()
                 }
             for s, bucket in enumerate(counters[m]):
@@ -894,7 +933,10 @@ def exact_privacy_check(
     return all(c == first for c in counters.values()), False
 
 
-_TRIAL_BLOCK = 64  # trials drawn per _draws call in verify_privacy
+# trials drawn per _draw_values call in verify_privacy: _BLOCK_DRAWS mask
+# entries rounded down to whole trials, and never fewer than _TRIAL_BLOCK
+_TRIAL_BLOCK = 64
+_BLOCK_DRAWS = 1 << 17
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min / _EPS  # floor for the Lentz terms, as NR's FPMIN
 
@@ -964,17 +1006,22 @@ def verify_privacy(
     the Bonferroni correction still counts a test per entry of every node's
     query. That queries are assembled this way at fixture size is covered
     by the `QuerySet` construction test. Each entry counts only the values
-    drawn, so time and memory follow `trials`, not the field order.
+    drawn, so the counters follow `trials`, not the field order.
 
     The masks are the ones rng.randrange(order) per entry would give, in
-    trial, row, column order from random.Random(seed): _draws fetches them
-    a block of trials at a time and leaves the generator where those calls
-    would.
-    Raises ValueError unless `trials` is an int of at least 1 and
-    0 < significance < 1.
+    trial, row, column order from random.Random(seed): _draw_values fetches
+    them a block of whole trials at a time, about _BLOCK_DRAWS entries but
+    at least _TRIAL_BLOCK trials, and leaves the generator where those
+    calls would. A block holds one byte per entry up to order 2^7 and four
+    above it, and each entry's values in it are counted by one
+    Counter.update of a strided slice, so the draws held at once follow
+    the block, max(_BLOCK_DRAWS, _TRIAL_BLOCK * k*beta*f), not `trials`.
+    Raises ValueError unless `trials` is an int of at least 1, `exact_limit`
+    is an int and 0 < significance < 1.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials {trials!r} is not an integer of at least 1")
+    _check_limit("exact_limit", exact_limit)
     if not 0 < significance < 1:
         raise ValueError(f"significance {significance!r} outside the open interval (0, 1)")
 
@@ -993,6 +1040,7 @@ def verify_privacy(
 
     rng = random.Random(seed)
     entries = k * width
+    block = max(_TRIAL_BLOCK, _BLOCK_DRAWS // entries)
     tests = f * n * entries
     never_drawn = trials * trials  # numerator share of each bin no draw hit
     p_values: dict[float, float] = {}
@@ -1000,9 +1048,9 @@ def verify_privacy(
     for m in range(1, f + 1):
         # per mask entry, a counter per value drawn: at most `trials` counters
         counts = [Counter() for _ in range(entries)]
-        for start in range(0, trials, _TRIAL_BLOCK):
+        for start in range(0, trials, block):
             # one trial's masks are `entries` consecutive draws, entry-major
-            drawn = _draws(rng, order, min(_TRIAL_BLOCK, trials - start) * entries)
+            drawn = _draw_values(rng, order, min(block, trials - start) * entries)
             for c, cell in enumerate(counts):
                 cell.update(drawn[c::entries])
         for cell in counts:

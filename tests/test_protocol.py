@@ -33,7 +33,7 @@ from codedpir import (
     verify_privacy,
 )
 from codedpir import protocol
-from codedpir.protocol import _CHUNK, _chi2_sf, _draws
+from codedpir.protocol import _CHUNK, _chi2_sf, _draw_values, _draws
 
 from conftest import GF2, GF4, GF8, GF16, c1_code, make_code, random_systematic_code
 from oracles import (
@@ -983,6 +983,37 @@ class TestPrivacy:
         with pytest.raises(ValueError, match="limit"):
             exact_privacy_check(c1_code(), E1, f=1, limit=4)
 
+    @pytest.mark.parametrize("limit", [None, 2.5])
+    def test_limit_that_is_not_an_integer_named(self, limit):
+        with pytest.raises(ValueError, match=f"^limit {limit!r} is not an integer"):
+            exact_privacy_check(c1_code(), E1, f=1, limit=limit)
+        with pytest.raises(ValueError, match=f"^exact_limit {limit!r} is not an integer"):
+            verify_privacy(c1_code(), E1, f=1, trials=10, seed=0, exact_limit=limit)
+
+    def test_exact_check_memory_at_the_limit(self):
+        # 2^16 masks of 16 entries: the shared row lists and one list of k
+        # references per mask, where a tuple of entries per mask took 11 MB.
+        # A correct builder adds nothing that lasts, so the table is the
+        # peak. This builder stops the check at its first call: the whole
+        # check, traced, peaks at 5.3 MB but runs ~13x slower
+        code = make_code(GF2, [[1, 1]])
+        e = EMatrix(((1, 0), (0, 1)), beta=1)
+
+        class Stop(Exception):
+            pass
+
+        def stop(u_rows, m):
+            raise Stop
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                exact_privacy_check(code, e, f=8, builder=stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
     def test_correct_builder_counts_nothing(self, monkeypatch):
         # equal multisets follow from the construction match: no counter is
         # made unless a query fails to match
@@ -1069,6 +1100,32 @@ class TestPrivacy:
         e = E1 if name == "c1" else optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
         report = verify_privacy(code, e, f=2, trials=trials, seed=seed)
         assert_matches_oracle(report, verify_privacy_oracle(code, e, f=2, trials=trials, seed=seed))
+
+    @pytest.mark.parametrize("width", [5, 7, 8])
+    def test_report_matches_oracle_across_draw_chunks(self, width):
+        # 9,000 trials of 4 entries: one draw request of 36,000 values over
+        # several getrandbits chunks, kept as bytes up to w = 7 and as 32-bit
+        # values at w = 8
+        code = make_code(FieldSpec(width), [[1, 2]])
+        e = EMatrix(((1, 0), (0, 1)), beta=1)
+        trials = 9000
+        assert trials * code.k * e.beta * 2 > 2 * _CHUNK
+        report = verify_privacy(code, e, f=2, trials=trials, seed=11)
+        assert not report.exact_performed
+        assert_matches_oracle(report, verify_privacy_oracle(code, e, f=2, trials=trials, seed=11))
+
+    def test_memory_follows_the_block_not_the_trials(self):
+        # c5like at f = 2 draws 144 entries per trial: 20,000 trials drawn
+        # at once would hold 2.9 MB of draws, a block holds about 131 KB
+        code, e = _c5like_layout()
+        tracemalloc.start()
+        try:
+            report = verify_privacy(code, e, f=2, trials=20_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 20_000 and not report.exact_performed
+        assert peak < 1_000_000
 
     # widths 1-4 run the exact check instead, covered by the fixtures
     @pytest.mark.parametrize("width,trials", [(w, 200 if w == 8 else 20) for w in range(5, 17)])
@@ -1247,6 +1304,16 @@ class TestDraws:
             assert _draws(mine, 1 << width, count) == [ref.randrange(1 << width) for _ in range(count)]
             assert mine.random() == ref.random()
 
+    @pytest.mark.parametrize("width", range(8))
+    def test_bytes_kernel_matches_randrange(self, width):
+        # up to order 2^7 the values come as bytes, one translate per chunk
+        mine, ref = random.Random(width), random.Random(width)
+        for count in (0, 1, 2 * _CHUNK + 3, 1):
+            drawn = _draw_values(mine, 1 << width, count)
+            assert isinstance(drawn, bytes)
+            assert list(drawn) == [ref.randrange(1 << width) for _ in range(count)]
+            assert mine.getstate() == ref.getstate()
+
     @pytest.mark.parametrize("order", [0, 3, 6, 1 << 32])
     def test_order_must_be_a_power_of_two_up_to_2_31(self, order):
         with pytest.raises(ValueError, match=f"draw order {order} "):
@@ -1273,9 +1340,10 @@ class TestDraws:
         assert mine.random() == ref.random()
 
     def test_privacy_counts_are_per_entry_randrange(self, monkeypatch):
-        # 150 trials: two full blocks of draws and a partial one
+        # 150 trials in blocks of 64: two full blocks of draws and a partial one
         code, e = _c5like_layout()
         f, trials, order = 2, 150, code.field.order
+        monkeypatch.setattr(protocol, "_BLOCK_DRAWS", 1)
         seen = set()
 
         def recording(stat, df):

@@ -349,8 +349,9 @@ class TestGoldenOutputs:
         bundled = name in ("c1", "mds53")
         return str(fixture_path(f"{name}.pchk") if bundled else FIXTURES_DIR / f"{name}.pchk")
 
-    # gf4_32: the exact check at w > 1, on a (3,2) code over GF(2^2)
-    @pytest.mark.parametrize("name", ["c1", "mds53", "c2like", "c5like", "gf4_32"])
+    # gf4_32: the exact check at w > 1, on a (3,2) code over GF(2^2);
+    # gf128_64: the widest field whose mask draws are kept as bytes
+    @pytest.mark.parametrize("name", ["c1", "mds53", "c2like", "c5like", "gf4_32", "gf128_64"])
     def test_privacy_two_files(self, name, capsys):
         args = ["privacy", self._code_path(name), "--seed", "7", "--trials", "500", "--files", "2"]
         assert main(args) == 0
