@@ -202,6 +202,43 @@ class LinearCode:
     def parity_rank(self) -> int:
         return matrix_rank(self.p)
 
+    @cached_property
+    def row_shift(self) -> tuple[int, tuple[int, ...]]:
+        """(g, perm): the smallest shift g > 0 whose column rotation maps P's
+        rows onto P's rows, and the map it makes.
+
+        Rotating P's columns by g moves column c to (c + g) mod k and turns
+        row i into row perm[i], so P[perm[i]][c + g] = P[i][c]. A dict from
+        row to indices matches the rotated rows to P's, repeated rows one to
+        one, so perm is a permutation. Shifts that pass compose and invert,
+        so they form a subgroup of Z_k; its smallest member divides k and
+        generates it, so the first divisor of k that passes, tried in
+        ascending order, is g. g = k always passes, with the identity.
+
+        recover_file solves the subqueries whose supports differ by a
+        multiple of g as one system (see there). Every such shift keeps P's
+        row space, so DerivedCode.shift_period divides g, but it can be
+        smaller: on c1 it is 1 and g is 3.
+        """
+        k = self.k
+        rows = list(map(tuple, self.p._rows))
+        at: dict[tuple[int, ...], list[int]] = {}
+        for i, row in enumerate(rows):
+            at.setdefault(row, []).append(i)
+        for g in range(1, k):
+            if k % g:
+                continue
+            free = {row: list(found) for row, found in at.items()}
+            perm = []
+            for row in rows:
+                found = free.get(row[-g:] + row[:-g])
+                if not found:
+                    break
+                perm.append(found.pop())
+            else:
+                return g, tuple(perm)
+        return k, tuple(range(len(rows)))
+
 
 def code_from_parity_check(H: FieldMatrix) -> LinearCode:
     """Validate H = (P | I) and wrap it as a LinearCode.
@@ -272,6 +309,12 @@ class DerivedCode:
         the first divisor of k that passes, tried in ascending order, is g.
         k always passes. The test runs through `matrix_rank`, so it holds
         for every field width.
+
+        This is a row-space test, and LinearCode.row_shift a row-permutation
+        test: a shift that maps P's rows onto P's rows keeps its row space,
+        but not the other way round (on c1 this period is 1 and row_shift's
+        is 3). The scan needs only equal column dependencies, so it keeps
+        the smaller, row-space period; recovery needs the row map.
         """
         k = self.n_tilde
         rank = k - self.k_tilde

@@ -26,12 +26,14 @@ stored rows at a time, gathers every node's k answers into one int, and
 adds one stored payload per selection 1; it reads no query row. Queries
 given explicitly are multiplied against each node's own column, as
 node_response does. A ResponseSet holds the per-node ints, and
-recover_file reads them directly: one pass over P gives every syndrome,
-and each subquery's system, P's rows masked to S_t's columns with the
-syndrome payload in the same int below the coefficients, goes to
-algebra._solve_packed, algebra's one elimination kernel. StorageSymbols
-appear only at the edges: the files stored, the file recovered, and the
-`responses` view.
+recover_file reads them directly: one pass over P gives every syndrome.
+Subqueries whose supports differ by a multiple of the code's row shift
+(LinearCode.row_shift) share one system, P's rows masked to the first
+one's support with each member's syndromes in a lane below the
+coefficients, and each such class goes to algebra._solve_packed,
+algebra's one elimination kernel, once. StorageSymbols appear only at
+the edges: the files stored, the file recovered, and the `responses`
+view.
 
 Symbols are checked by codes.pack_symbols, which names a misfit by its
 position: ValueError for files and stored symbols (when the StorageArray
@@ -61,8 +63,9 @@ from .algebra import (
     coefficient_bits,
     combine,
 )
-# recover_file's one solve per subquery goes through this module-level name,
-# which the benchmark's tracer rebinds to time it as algebra.solve
+# recover_file's one solve per class of subqueries goes through this
+# module-level name, which the benchmark's tracer rebinds to time it as
+# algebra.solve
 from .algebra import _solve_packed as solve
 from .codes import LinearCode, StorageSymbol, encode_file, pack_symbols
 from .optimizer import EMatrix
@@ -79,6 +82,7 @@ _CLEAR_TOP = bytes(b < 0x80 for b in range(256))
 _SET_TOP = bytes(range(0x80, 0x100))
 _TOP_BITS = [bytes(b >> (7 - w) for b in range(256)) for w in range(8)]
 _CHUNK = 1 << 14  # words fetched per getrandbits call at most
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 bytes -> binary digits
 
 
 def _draw_values(rng: random.Random, order: int, count: int) -> bytes | array:
@@ -695,6 +699,35 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     return ResponseSet._of(field, ell, (k,) * n, tuple(answers))
 
 
+def _shift_classes(
+    rows: Sequence[Sequence[int]], g: int
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The access matrix's rows grouped by shifts of their supports by
+    multiples of g: per class, its first row's support mask (bit l for
+    column l) and its members in row order, (t, j) when row t's support is
+    the first row's shifted by g*j (column l to (l + g*j) mod k).
+
+    The first member has j = 0, and the classes come in the order of their
+    first rows. Rows with equal supports share a class and a j.
+    """
+    k = len(rows)
+    full = (1 << k) - 1
+    supports = [int(bytes(row[::-1]).translate(_DIGITS), 2) for row in rows]
+    waiting: dict[int, list[int]] = {}
+    for t, mask in enumerate(supports):
+        waiting.setdefault(mask, []).append(t)
+    classes = []
+    for mask in supports:
+        if mask not in waiting:
+            continue
+        members = []
+        for j in range(k // g):
+            turned = ((mask << g * j) | (mask >> (k - g * j))) & full
+            members += [(t, j) for t in waiting.pop(turned, ())]
+        classes.append((mask, sorted(members)))
+    return classes
+
+
 def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[StorageSymbol]]:
     """Reconstruct the requested beta x k file matrix from the responses.
 
@@ -703,19 +736,40 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     the access matrix. A ResponseSet holds every node's k payloads stacked
     into one int, so one pass over P gives the parity syndromes s_t =
     P y_sys + y_par of all k subqueries. The interference cancels in
-    characteristic 2, leaving s_t = P[:, S_t] x_{S_t}; one solve per
-    subquery then yields the selected file symbols. P's rows are packed
-    once per call; subquery t's system is P's rows masked to S_t's
-    columns, with s_t's payload in the low coordinates, and `solve`
-    (algebra._solve_packed, bound here under that name) runs it through
-    algebra's elimination kernel. That system has full column rank exactly
-    when row t is a correctable erasure pattern, and the syndrome must lie
-    in the span of P[:, S_t]: a response that moves it out of that span is
-    reported as inconsistent, after the rank, so a singular subquery is
-    reported as singular. ProtocolViolationError names a malformed query
-    set, a file index outside 1..f, a node count other than n, and a node
-    that does not answer k symbols; misfit symbols were named when the
-    ResponseSet was built.
+    characteristic 2, leaving s_t = P[:, S_t] x_{S_t}, whose solution is
+    the selected file symbols.
+
+    Subqueries related by the code's row shift share one solve. Rotating
+    P's columns by g (code.row_shift) turns row i into row perm[i], so when
+    S_t' is S_t shifted by g*j, row perm^j(i) of t''s system is row i of
+    t's with every unknown c renamed c + g*j. The subqueries of a class
+    (_shift_classes) therefore share t's coefficients, P's rows masked to
+    S_t, and ride side by side in lanes below them: in stacked row i,
+    member t''s lane holds its syndrome at row perm^j(i), and the lane's
+    value for unknown c is t''s file symbol c + g*j. Over GF(2) a lane is
+    a payload's stride of bits; wider fields lay out lanes of ell
+    components with BitSlices.join and split. `solve`
+    (algebra._solve_packed, bound here under that name) runs each class
+    through algebra's elimination kernel once. A code with g = k has one
+    subquery per class, one solve each.
+
+    A system has full column rank exactly when its row of the access matrix
+    is a correctable erasure pattern, and every member of a class shares
+    the rank. The syndrome must lie in the span of P[:, S_t]: a response
+    that moves it out of that span is inconsistent, which is decided lane
+    by lane: the members of a failing class are solved again alone. The
+    smallest failing subquery is reported, as singular before
+    inconsistent.
+    ProtocolViolationError names that, a malformed query set, a file index
+    outside 1..f, a node count other than n, and a node that does not
+    answer k symbols; misfit symbols were named when the ResponseSet was
+    built.
+
+    Every cell of the file matrix is written exactly once, so the grid needs
+    no check: the layout was validated (by build_queries, or here), so pi
+    permutes 1..beta and every column l of the access matrix gives each
+    slot 1..beta to exactly one subquery, and (stripe pi[z[t][l]], column
+    l) runs over the beta x k cells once as (t, l) runs over the selections.
     """
     k = code.k
     beta = qs.beta
@@ -757,44 +811,103 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     powers = _lane_powers(field, ell, stride, k)
     stacked = [v for y in rs._stacks[:k] for v in powers(y)]
     syndromes = [
-        _unstack(y ^ combine(stacked, coefficient_bits(width, prow)), stride, k)
+        y ^ combine(stacked, coefficient_bits(width, prow))
         for y, prow in zip(rs._stacks[k:], p_rows)
     ]
-    # subquery t's system, row r: its syndrome in the low ell coordinates,
-    # P's row r masked to the columns S_t above them
-    joined = bit_slices(field, ell + k)
+    g, perm = code.row_shift
+    turns = [range(len(p_rows))]  # turns[j][i] = perm^j(i)
+    for _ in range(k // g - 1):
+        turns.append([perm[i] for i in turns[-1]])
     head = bit_slices(field, k)
-    coefficients = [joined.join([0, head.pack(prow)], [ell, k]) for prow in p_rows]
-    if width > 1:
-        syndromes = [[joined.join([v, 0], [ell, k]) for v in s] for s in syndromes]
+    coefficients = list(map(head.pack, p_rows))
+    spread = head.column_mask(0)  # component 0 of every plane
+    # a class's system holds one lane of right-hand sides per member below
+    # the coefficients: assemble() builds its rows and says where the
+    # coefficients start, unpack() reads every lane of every unknown, in
+    # that order
+    if width == 1:
+        # a lane is a payload's stride, as in the stacks: bytes in, _unstack out
+        syndromes = [
+            [raw[a : a + stride] for a in range(0, k * stride, stride)]
+            for raw in (y.to_bytes(k * stride, "little") for y in syndromes)
+        ]
+
+        def assemble(members: list[tuple[int, int]], keep: int) -> tuple[int, list[int]]:
+            low = len(members) * 8 * stride
+            return low, [
+                int.from_bytes(b"".join([syndromes[turns[j][i]][t] for t, j in members]), "little")
+                | (a & keep) << low
+                for i, a in enumerate(coefficients)
+            ]
+
+        def unpack(values: list[int], count: int) -> list[int]:
+            return _unstack(_stack(values, count * stride), stride, count * len(values))
+
+    else:
+        # a lane is ell components in every plane: BitSlices.join and split
+        syndromes = [_unstack(y, stride, k) for y in syndromes]
+
+        def assemble(members: list[tuple[int, int]], keep: int) -> tuple[int, list[int]]:
+            low = len(members) * ell
+            join = bit_slices(field, low + k).join
+            lengths = [ell] * len(members) + [k]
+            return low, [
+                join([*(syndromes[turns[j][i]][t] for t, j in members), a & keep], lengths)
+                for i, a in enumerate(coefficients)
+            ]
+
+        def unpack(values: list[int], count: int) -> list[int]:
+            split = bit_slices(field, ell * count).split
+            return [v for packed in values for v in split(packed, [ell] * count)]
+
+    def lanes(members: list[tuple[int, int]], keep: int) -> list[list[int]]:
+        """Per member, the values of its unknowns: one solve."""
+        count = len(members)
+        low, rows = assemble(members, keep)
+        values = solve(field, low, low + k, rows, beta)
+        if count == 1:  # the lane is the whole right-hand side
+            return [values]
+        values = unpack(values, count)
+        return [values[at::count] for at in range(count)]
+
+    pi, z, make = qs.pi, qs.z, StorageSymbol._of
     grid: list[list[StorageSymbol | None]] = [[None] * k for _ in range(beta)]
-    for t in range(k):
-        chosen = qs.e.rows[t]
-        selected = [l for l in range(k) if chosen[l]]
-        keep = joined.column_mask(ell) * sum(1 << l for l in selected)  # every plane
-        rows = [s[t] | (a & keep) for s, a in zip(syndromes, coefficients)]
+    failed: tuple[int, ValueError] | None = None  # the smallest failing subquery
+    for mask, members in _shift_classes(qs.e.rows, g):
+        first = members[0][0]
+        if failed and failed[0] < first:
+            break
+        keep = spread * mask
         try:
-            values = solve(field, ell, ell + k, rows, len(selected))
-        except SingularSystemError as exc:
+            solved = lanes(members, keep)
+        except ValueError:
+            # singular in every lane or inconsistent in some: the first
+            # member that fails alone, for which the rank is decided first
+            for member in members:
+                try:
+                    lanes([member], keep)
+                except ValueError as exc:
+                    if failed is None or member[0] < failed[0]:
+                        failed = (member[0], exc)
+                    break
+            continue
+        chosen = [l for l in range(k) if mask >> l & 1]
+        shifted = {j: [(l + g * j) % k for l in chosen] for _, j in members}
+        for (t, j), values in zip(members, solved):
+            slots = z[t]
+            for c, v in zip(shifted[j], values):
+                grid[pi[slots[c]] - 1][c] = make(field, ell, v)
+    if failed:
+        t, exc = failed
+        if isinstance(exc, SingularSystemError):
             raise ProtocolViolationError(
                 f"subquery {t + 1}: interference system is singular (rank {exc.rank}); "
                 "the access pattern is not correctable or responses are inconsistent"
             ) from exc
-        except ValueError as exc:
-            raise ProtocolViolationError(
-                f"subquery {t + 1}: parity responses are inconsistent with each other"
-            ) from exc
-        for l, v in zip(selected, values):
-            stripe = qs.pi[qs.z[t][l]]
-            if grid[stripe - 1][l] is not None:
-                raise ProtocolViolationError(
-                    f"coordinate (stripe {stripe}, column {l + 1}) recovered twice"
-                )
-            grid[stripe - 1][l] = StorageSymbol._of(field, ell, v)
-    for row in grid:
-        if any(sym is None for sym in row):
-            raise ProtocolViolationError("recovery left gaps in the file matrix")
-    return [list(row) for row in grid]  # type: ignore[arg-type]
+        raise ProtocolViolationError(
+            f"subquery {t + 1}: parity responses are inconsistent with each other"
+        ) from exc
+    return grid  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

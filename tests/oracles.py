@@ -365,6 +365,20 @@ def shift_period_oracle(p_rows, field) -> int:
     raise AssertionError("rotating by k is the identity")
 
 
+def row_shift_oracle(p_rows) -> int:
+    """Smallest s in 1..k whose column rotation (column c to (c + s) mod k)
+    turns P's rows into P's rows, counted with repeats.
+
+    Tries every s, divisor of k or not, and compares the multisets of rows.
+    """
+    k = len(p_rows[0])
+    rows = Counter(map(tuple, p_rows))
+    for s in range(1, k + 1):
+        if Counter(tuple(row[k - s:]) + tuple(row[: k - s]) for row in p_rows) == rows:
+            return s
+    raise AssertionError("rotating by k is the identity")
+
+
 def randomized_listing_oracle(p_rows, field: TinyField, beta, budget, seed) -> set[tuple]:
     """Weight-beta correctable patterns found by `budget` seeded rounds.
 

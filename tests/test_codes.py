@@ -44,6 +44,7 @@ from oracles import (
     min_distance_oracle,
     min_weight_oracle,
     nullspace_vectors,
+    row_shift_oracle,
     shift_period_oracle,
     support_mask,
 )
@@ -296,6 +297,62 @@ class TestShiftPeriod:
         mask = ErasurePattern.from_support(k, support).mask
         rotated = ErasurePattern.from_support(k, [(j + s) % k for j in support]).mask
         assert d.independent(rotated) == d.independent(mask)
+
+
+class TestRowShift:
+    """LinearCode.row_shift: the smallest column shift that maps P's rows
+    onto P's rows, and the row permutation it makes."""
+
+    @staticmethod
+    def _check(code):
+        g, perm = code.row_shift
+        rows = code.p.values()
+        k = code.k
+        assert g == row_shift_oracle(rows)
+        assert sorted(perm) == list(range(len(rows)))
+        for i, row in enumerate(rows):
+            assert all(rows[perm[i]][(c + g) % k] == row[c] for c in range(k)), i
+        return g, perm
+
+    @pytest.mark.parametrize("name", ["c6_array", "c7_array"])
+    def test_array_codes_shift_by_eleven(self, name):
+        code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
+        g, perm = self._check(code)
+        assert g == 11
+        assert perm != tuple(range(len(perm)))
+
+    @pytest.mark.parametrize(
+        "name", ["c2like", "c3like", "c4like", "c5like", "cauchy18_gf65536"]
+    )
+    def test_no_shift_below_k(self, name):
+        code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
+        assert self._check(code) == (code.k, tuple(range(code.n - code.k)))
+
+    def test_c1_differs_from_the_shift_period(self):
+        # rotating by 1 keeps c1's row space (the even-weight words) but
+        # turns (0, 1, 1) into (1, 0, 1), which is no row of P
+        code = c1_code()
+        assert self._check(code) == (3, (0, 1))
+        assert derived_code(code).shift_period == 1
+
+    def test_repeated_rows_matched_one_to_one(self):
+        a, b = [1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0]
+        code = make_code(GF2, [a, a, b, b])
+        g, perm = self._check(code)
+        assert g == 3
+        assert sorted(perm[:2]) == [2, 3] and sorted(perm[2:]) == [0, 1]
+
+    def test_repeats_must_match_in_number(self):
+        # rotating by 3 swaps a and b, but a appears twice and b once
+        a, b = [1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0]
+        code = make_code(GF2, [a, a, b])
+        assert self._check(code) == (6, (0, 1, 2))
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 16])
+    def test_quasi_cyclic_codes(self, width):
+        code = quasi_cyclic_code(width, field=FieldSpec(width), size=3)
+        g, _ = self._check(code)
+        assert 4 % g == 0
 
 
 class TestEncodeFile:

@@ -35,7 +35,16 @@ from codedpir import (
 from codedpir import protocol
 from codedpir.protocol import _CHUNK, _chi2_sf, _draw_values, _draws
 
-from conftest import GF2, GF4, GF8, GF16, c1_code, make_code, random_systematic_code
+from conftest import (
+    GF2,
+    GF4,
+    GF8,
+    GF16,
+    c1_code,
+    make_code,
+    quasi_cyclic_code,
+    random_systematic_code,
+)
 from oracles import (
     PeasantField,
     TinyField,
@@ -1407,3 +1416,139 @@ class TestWidthCoverage:
             expected = recover_oracle(p_rows, e.rows, qs.pi, qs.z, e.beta, answers, oracle)
             assert [[s.components for s in row] for row in got] == expected == comps[m - 1]
             assert got == files[m - 1]
+
+    @staticmethod
+    def _lanes_match_oracle(code, e, oracle, rng):
+        """Rounds at payloads within, filling and past a 64-bit word: recover_file
+        against the per-component oracle and the stored file."""
+        for ell in (1, 3, 64, 65):
+            f = 2
+            m = rng.randint(1, f)
+            files = [random_file(code.field, e.beta, code.k, ell, rng) for _ in range(f)]
+            qs = build_queries(code, e, m=m, f=f, seed=rng.randrange(10**6))
+            rs = collect_responses(qs, build_storage(code, files))
+            answers = [[s.components for s in resp] for resp in rs.responses]
+            got = recover_file(qs, rs, code)
+            expected = recover_oracle(
+                code.p.values(), e.rows, qs.pi, qs.z, e.beta, answers, oracle
+            )
+            assert [[s.components for s in row] for row in got] == expected
+            assert got == files[m - 1]
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_two_lane_class_matches_oracle(self, width):
+        # P = (a b 0 0 / 0 0 a b): shifting its columns by 2 swaps its rows,
+        # and the scan's rows with supports {1, 2} and {0, 3} share a class
+        field = FieldSpec(width)
+        rng = random.Random(6400 + width)
+        a, b = rng.randrange(1, field.order), rng.randrange(1, field.order)
+        code = make_code(field, [[a, b, 0, 0], [0, 0, a, b]])
+        e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+        assert e.beta == 2 and code.row_shift == (2, (1, 0))
+        assert [(1, 0), (2, 1)] in [m for _, m in protocol._shift_classes(e.rows, 2)]
+        self._lanes_match_oracle(code, e, PeasantField(field.modulus, width), rng)
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_circulant_access_matches_oracle(self, width):
+        # a quasi-cyclic (18,12) code and an access matrix whose row t is row
+        # 0's support shifted by t: k/g lanes per class, up to perm^(k/g - 1)
+        field = FieldSpec(width)
+        oracle = PeasantField(field.modulus, width)
+        rng = random.Random(6500 + width)
+        code = quasi_cyclic_code(width, field=field, size=3)
+        k, p_rows = code.k, code.p.values()
+        g = code.row_shift[0]
+        assert g < k
+        while True:
+            start = rng.sample(range(k), 3)
+            supports = [[(c + t) % k for c in start] for t in range(k)]
+            if all(column_rank(p_rows, s, oracle) == 3 for s in supports):
+                break
+        e = EMatrix(tuple(tuple(int(l in s) for l in range(k)) for s in supports), beta=3)
+        classes = [m for _, m in protocol._shift_classes(e.rows, g)]
+        assert len(classes) == g and all(len(m) == k // g for m in classes)
+        self._lanes_match_oracle(code, e, oracle, rng)
+
+
+def _corrupt(rs, cells, field):
+    """The responses with an all-ones error added at each (node, subquery), 0-based."""
+    responses = [list(resp) for resp in rs.responses]
+    for j, t in cells:
+        responses[j][t] = responses[j][t] + StorageSymbol(field, [1] * responses[j][t].ell)
+    return ResponseSet(responses=tuple(map(tuple, responses)))
+
+
+def _detectable_parity_node(code, e, t, oracle):
+    """The first parity node (0-based) whose error moves subquery t's syndrome
+    out of the span of P[:, S_t]."""
+    h_rows = code.h.values()
+    support = [l for l in range(code.k) if e.rows[t][l]]
+    base = column_rank(h_rows, support, oracle)
+    return next(
+        j for j in range(code.k, code.n) if column_rank(h_rows, support + [j], oracle) > base
+    )
+
+
+class TestShiftClassErrors:
+    """Subqueries that share one solve still fail one by one, in order."""
+
+    def test_c7_inconsistent_lanes_named_in_order(self):
+        from codedpir.workbench import parse_code_file
+        from conftest import FIXTURES_DIR
+
+        cf = parse_code_file(FIXTURES_DIR / "c7_array.pchk")
+        code = cf.code
+        config = OptimizerConfig(seed=7, d_min=cf.d_min_hint, d_tilde_min=cf.d_tilde_min_hint)
+        e = optimize_cpop(code, config).e_opt
+        assert e.beta == 60 and code.row_shift[0] == 11
+        # subquery 12 rides in subquery 1's class, in its second lane
+        classes = {m[0][0]: m for _, m in protocol._shift_classes(e.rows, 11)}
+        assert classes[0][1] == (11, 1)
+        x = random_file(code.field, e.beta, code.k, 2, random.Random(12))
+        qs = build_queries(code, e, m=1, f=1, seed=12)
+        rs = collect_responses(qs, build_storage(code, [x]))
+        assert recover_file(qs, rs, code) == x
+        oracle = TinyField(2)
+        twelve = (_detectable_parity_node(code, e, 11, oracle), 11)
+        two = (_detectable_parity_node(code, e, 1, oracle), 1)
+        with pytest.raises(
+            ProtocolViolationError, match=r"^subquery 12: parity responses are inconsistent"
+        ):
+            recover_file(qs, _corrupt(rs, [twelve], code.field), code)
+        with pytest.raises(
+            ProtocolViolationError, match=r"^subquery 2: parity responses are inconsistent"
+        ):
+            recover_file(qs, _corrupt(rs, [twelve, two], code.field), code)
+
+    # (7,4): shifting P's columns by 2 swaps its first two rows and keeps
+    # its third. Supports {0, 1} and {2, 3} are singular (rank 1); {1, 2}
+    # and {0, 3} are not, with one spare equation that an error on node 5
+    # (parity row 1) breaks.
+    SINGULAR = r"^subquery 1: interference system is singular \(rank 1\)"
+
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("supports,classes,corrupted,message", [
+        # subquery 2, the second lane of subquery 1's class, before the
+        # singular class of subqueries 3 and 4
+        (({1, 2}, {0, 3}, {0, 1}, {2, 3}), [[(0, 0), (1, 1)], [(2, 0), (3, 1)]], [1],
+         r"^subquery 2: parity responses are inconsistent"),
+        # the singular class of subqueries 1 and 3 before subquery 4's lane
+        (({0, 1}, {1, 2}, {2, 3}, {0, 3}), [[(0, 0), (2, 1)], [(1, 0), (3, 1)]], [3], SINGULAR),
+        # singular before inconsistent within subquery 1
+        (({0, 1}, {1, 2}, {2, 3}, {0, 3}), [[(0, 0), (2, 1)], [(1, 0), (3, 1)]], [0, 3], SINGULAR),
+        # subquery 4's lane fails in the first class solved, but the singular
+        # class after it starts at subquery 2
+        (({1, 2}, {0, 1}, {2, 3}, {0, 3}), [[(0, 0), (3, 1)], [(1, 0), (2, 1)]], [3],
+         r"^subquery 2: interference system is singular \(rank 1\)"),
+    ], ids=["lane_first", "singular_first", "singular_within", "singular_after_a_later_lane"])
+    def test_smallest_failing_subquery_named(self, width, supports, classes, corrupted, message):
+        field = FieldSpec(width)
+        code = make_code(field, [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
+        assert code.row_shift == (2, (1, 0, 2))
+        e = EMatrix(tuple(tuple(int(l in s) for l in range(4)) for s in supports), beta=2)
+        assert [m for _, m in protocol._shift_classes(e.rows, 2)] == classes
+        x = random_file(field, 2, 4, 3, random.Random(width))
+        qs = build_queries(code, e, m=1, f=1, seed=5)
+        rs = collect_responses(qs, build_storage(code, [x]))
+        with pytest.raises(ProtocolViolationError, match=message):
+            recover_file(qs, _corrupt(rs, [(4, t) for t in corrupted], field), code)

@@ -389,8 +389,11 @@ class TestGoldenOutputs:
             assert run.stdout == (GOLDEN_DIR / "privacy_seed7_c1.txt").read_bytes()
 
     # c7_array: a 60-unknown recovery per subquery, at fixture size;
-    # cauchy18_gf65536: solve and back-substitution at w = 16
-    @pytest.mark.parametrize("name", ["c1", "mds53", "c3like", "c7_array", "cauchy18_gf65536"])
+    # cauchy18_gf65536: solve and back-substitution at w = 16;
+    # gf16_shift2: subqueries 2 and 3 share one solve in two GF(2^4) lanes
+    @pytest.mark.parametrize(
+        "name", ["c1", "mds53", "c3like", "c7_array", "cauchy18_gf65536", "gf16_shift2"]
+    )
     def test_simulate_second_of_two_files(self, name, capsys):
         args = ["simulate", self._code_path(name), "--seed", "7", "--files", "2",
                 "--payload", "8", "--target", "2"]
