@@ -184,6 +184,40 @@ class ErasurePattern:
         return len(self.bits)
 
 
+def row_shift(p: FieldMatrix) -> tuple[int, tuple[int, ...]]:
+    """(g, perm): the smallest shift g > 0 whose column rotation maps P's
+    rows onto P's rows, and the map it makes; k = P.ncols.
+
+    Rotating P's columns by g moves column c to (c + g) mod k and turns row
+    i into row perm[i], so P[perm[i]][c + g] = P[i][c]. A dict from row to
+    indices matches the rotated rows to P's, repeated rows one to one, so
+    perm is a permutation. Shifts that pass compose and invert, so they
+    form a subgroup of Z_k; its smallest member divides k and generates it,
+    so the first divisor of k that passes, tried in ascending order, is g.
+    g = k always passes, with the identity. The one shift symmetry of a
+    code: the width scan reuses verdicts modulo g (DerivedCode.row_shift)
+    and recovery shares solves across it (LinearCode.row_shift).
+    """
+    k = p.ncols
+    rows = list(map(tuple, p._rows))
+    at: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(rows):
+        at.setdefault(row, []).append(i)
+    for g in range(1, k):
+        if k % g:
+            continue
+        free = {row: list(found) for row, found in at.items()}
+        perm = []
+        for row in rows:
+            found = free.get(row[-g:] + row[:-g])
+            if not found:
+                break
+            perm.append(found.pop())
+        else:
+            return g, tuple(perm)
+    return k, tuple(range(len(rows)))
+
+
 @dataclass(frozen=True)
 class LinearCode:
     """Systematic (n, k) code defined by H = (P | I)."""
@@ -204,40 +238,9 @@ class LinearCode:
 
     @cached_property
     def row_shift(self) -> tuple[int, tuple[int, ...]]:
-        """(g, perm): the smallest shift g > 0 whose column rotation maps P's
-        rows onto P's rows, and the map it makes.
-
-        Rotating P's columns by g moves column c to (c + g) mod k and turns
-        row i into row perm[i], so P[perm[i]][c + g] = P[i][c]. A dict from
-        row to indices matches the rotated rows to P's, repeated rows one to
-        one, so perm is a permutation. Shifts that pass compose and invert,
-        so they form a subgroup of Z_k; its smallest member divides k and
-        generates it, so the first divisor of k that passes, tried in
-        ascending order, is g. g = k always passes, with the identity.
-
-        recover_file solves the subqueries whose supports differ by a
-        multiple of g as one system (see there). Every such shift keeps P's
-        row space, so DerivedCode.shift_period divides g, but it can be
-        smaller: on c1 it is 1 and g is 3.
-        """
-        k = self.k
-        rows = list(map(tuple, self.p._rows))
-        at: dict[tuple[int, ...], list[int]] = {}
-        for i, row in enumerate(rows):
-            at.setdefault(row, []).append(i)
-        for g in range(1, k):
-            if k % g:
-                continue
-            free = {row: list(found) for row, found in at.items()}
-            perm = []
-            for row in rows:
-                found = free.get(row[-g:] + row[:-g])
-                if not found:
-                    break
-                perm.append(found.pop())
-            else:
-                return g, tuple(perm)
-        return k, tuple(range(len(rows)))
+        """row_shift(P): recover_file solves the subqueries whose supports
+        differ by a multiple of g as one system (see there)."""
+        return row_shift(self.p)
 
 
 def code_from_parity_check(H: FieldMatrix) -> LinearCode:
@@ -294,37 +297,14 @@ class DerivedCode:
         return cols, sum(1 << (k - 1 - j) for j in pivots), rank, slices.column_mask(0)
 
     @cached_property
-    def shift_period(self) -> int:
-        """Smallest shift s > 0 whose column rotation keeps P's row space.
-
-        Rotating P's columns by s moves column j to (j + s) mod k; the shift
-        passes when rank([P; P rotated by s]) = rank(P). Equal row spaces
-        give each matrix's rows as combinations of the other's, so P and
-        the rotated P have the same column dependencies, and the rotated
-        P's column j + s is P's column j. The columns a support marks are
-        therefore independent exactly when those of its rotation by s are:
-        `independent(rotate(m, s)) == independent(m)` for every mask m.
-        Passing shifts compose, so they form a subgroup of Z_k; its
-        smallest member g divides k and every member is a multiple of g, so
-        the first divisor of k that passes, tried in ascending order, is g.
-        k always passes. The test runs through `matrix_rank`, so it holds
-        for every field width.
-
-        This is a row-space test, and LinearCode.row_shift a row-permutation
-        test: a shift that maps P's rows onto P's rows keeps its row space,
-        but not the other way round (on c1 this period is 1 and row_shift's
-        is 3). The scan needs only equal column dependencies, so it keeps
-        the smaller, row-space period; recovery needs the row map.
-        """
-        k = self.n_tilde
-        rank = k - self.k_tilde
-        rows = [list(r) for r in self.h_tilde.values()]
-        for s in range(1, k):
-            if k % s == 0:
-                stacked = rows + [r[-s:] + r[:-s] for r in rows]
-                if matrix_rank(FieldMatrix(self.field, stacked)) == rank:
-                    return s
-        return k
+    def row_shift(self) -> tuple[int, tuple[int, ...]]:
+        """row_shift(P). Rotating a support by g keeps its verdict: the
+        rotation maps P's rows onto P's rows, so it keeps P's row space and
+        with it P's column dependencies, and the rotated P's column j + g is
+        P's column j. So `independent(rotate(m, g)) == independent(m)` for
+        every mask m, and the randomized listing tests rotations 0..g-1 of
+        a round only (see optimizer.compute_erasure_pattern_list)."""
+        return row_shift(self.h_tilde)
 
     def independent(self, support: int) -> bool:
         """Whether the columns of P a support mask marks are linearly

@@ -112,9 +112,9 @@ def compute_erasure_pattern_list(
     greedy independent prefix, so a round feeds the columns of rref(P),
     which have P's dependencies, to one forward elimination (_eliminate)
     in permuted order instead of row-reducing, at every field width. Shifts
-    that differ by a multiple of the code's `shift_period` g have the same
-    verdict, so only shifts 1..g-1 of a round's pattern run the
-    correctability test (shift 0, the drawn support, is independent by
+    that differ by a multiple of the code's row shift g
+    (DerivedCode.row_shift) have the same verdict, so only shifts 1..g-1 of
+    a round's pattern run the correctability test (shift 0, the drawn support, is independent by
     construction) and shift s reuses the verdict of shift s mod g; the
     random calls and the listed set are those of testing every shift.
     `rounds`, when given, are this width's rounds at this budget and seed
@@ -156,17 +156,15 @@ def compute_erasure_pattern_list(
 
     if rounds is None:
         rounds = _SeededRounds(derived, beta, budget, seed)
-    period = derived.shift_period
+    g = derived.row_shift[0]
     seen: dict[int, bool] = {}  # mask -> verdict
     found = []
     for rotations, known in rounds:
         for s, cand in enumerate(rotations):
             if cand not in seen:
-                # rotation s mod period came first and has the same verdict
+                # rotation s mod g came first and has the same verdict
                 ok = seen[cand] = (
-                    _tested(derived, rotations, known, s)
-                    if s < period
-                    else seen[rotations[s % period]]
+                    _tested(derived, rotations, known, s) if s < g else seen[rotations[s % g]]
                 )
                 if ok:
                     found.append(cand)
@@ -208,9 +206,9 @@ class _SeededRounds:
     optimize_cpop hands the same rounds to the certificate
     (_complete_orbits) and, at a width no round certifies, to the listing,
     so the stop width's rounds are drawn once and no round's rotation is
-    tested twice. A drawn round is kept as its support and a dict from rotation
-    s < shift_period to its verdict (_tested); a replay rebuilds its
-    rotations. Rotation 0 is the drawn support itself, beta of the round's
+    tested twice. A drawn round is kept as its support and a dict from
+    rotation s < g (DerivedCode.row_shift) to its verdict (_tested); a
+    replay rebuilds its rotations. Rotation 0 is the drawn support itself, beta of the round's
     greedy pivots, independent by construction: its verdict is recorded as
     True when the round is drawn, without a test.
     """
@@ -239,8 +237,8 @@ class _SeededRounds:
 
 
 def _tested(derived: DerivedCode, rotations: list[int], known: dict[int, bool], s: int) -> bool:
-    """Whether rotation s < shift_period of a round is correctable, tested
-    once per round and kept in `known`."""
+    """Whether rotation s < g (DerivedCode.row_shift) of a round is
+    correctable, tested once per round and kept in `known`."""
     ok = known.get(s)
     if ok is None:
         ok = known[s] = derived.independent(rotations[s])
@@ -255,18 +253,18 @@ def _complete_orbits(
 
     Such an orbit is complete in the randomized listing at the same seed,
     which keeps every correctable rotation of every round, so the first
-    yield proves the width feasible without listing it. Rotations
-    s >= shift_period reuse the verdict of s mod shift_period. `rounds`,
+    yield proves the width feasible without listing it. Rotations s >= g
+    (DerivedCode.row_shift) reuse the verdict of s mod g. `rounds`,
     when given, are the width's rounds at this budget and seed, shared
     with its listing.
     """
     if rounds is None:
         rounds = _SeededRounds(derived, beta, budget, seed)
     k = derived.n_tilde
-    period = derived.shift_period
+    g = derived.row_shift[0]
     for rotations, known in rounds:
         if len(set(rotations)) == k and all(
-            _tested(derived, rotations, known, s) for s in range(period)
+            _tested(derived, rotations, known, s) for s in range(g)
         ):
             yield min(rotations)
 

@@ -20,16 +20,17 @@ recovered file, payloads stay packed (codes.StorageSymbol.bits) and
 stacked: several payloads side by side in one int, each in a lane of
 _stride bytes, whole 64-bit words. A StorageArray checks and packs its
 symbols once, when it is built, and keeps every stored row stacked over
-the n nodes and every node's column stacked over the rows. For a built
-query set, collect_responses multiplies each mask row once, against all
-stored rows at a time, gathers every node's k answers into one int, and
-adds one stored payload per selection 1; it reads no query row. Queries
-given explicitly are multiplied against each node's own column, as
-node_response does. A ResponseSet holds the per-node ints, and
-recover_file reads them directly: one pass over P gives every syndrome.
-Subqueries whose supports differ by a multiple of the code's row shift
-(LinearCode.row_shift) share one system, P's rows masked to the first
-one's support with each member's syndromes in a lane below the
+the n nodes, once at every field width, and every node's column stacked
+over the rows. For a built query set, collect_responses multiplies each
+mask row once, against all stored rows at a time (_lane_product, Horner's
+rule over the coefficients' bit planes), gathers every node's k answers
+into one int, and adds one stored payload per selection 1; it reads no
+query row. Queries given explicitly are multiplied against each node's
+own column, as node_response does. A ResponseSet holds the per-node ints,
+and recover_file reads them directly: one pass over P gives every
+syndrome. Subqueries whose supports differ by a multiple of the code's
+row shift (LinearCode.row_shift) share one system, P's rows masked to the
+first one's support with each member's syndromes in a lane below the
 coefficients, and each such class goes to algebra._solve_packed,
 algebra's one elimination kernel, once. StorageSymbols appear only at
 the edges: the files stored, the file recovered, and the `responses`
@@ -261,12 +262,17 @@ class QuerySet:
         return q
 
     def v_block(self, l: int) -> FieldMatrix:
-        """The k x beta selection block of node l's query (l in 1..k)."""
-        k = len(self.z)
+        """The k x beta selection block of node l's query (l in 1..k).
+
+        Reads the layout through _layout, so a malformed pi or z (a
+        dataclasses.replace'd set) raises ValueError naming it.
+        """
+        k = self.e.k
         if not 1 <= l <= k:
             raise ValueError(f"only the first {k} nodes carry a selection block")
+        pi, z = _layout(k, self.e, self.f, self.pi, self.z)
         rows = [[0] * self.beta for _ in range(k)]
-        for (node, i), col in _selection_offsets(k, self.beta, 1, self.pi, self.z).items():
+        for (node, i), col in _selection_offsets(k, self.beta, 1, pi, z).items():
             if node == l - 1:
                 rows[i][col] = 1
         return FieldMatrix(self.u.field, rows)
@@ -548,33 +554,40 @@ def _unstack(v: int, stride: int, count: int) -> list[int]:
     return [int.from_bytes(raw[i : i + stride], "little") for i in range(0, stride * count, stride)]
 
 
-def _lane_powers(field, ell: int, stride: int, count: int) -> Callable[[int], list[int]]:
-    """A function from a stack of `count` payloads at `stride` (_stack) to
-    its x^b multiples, b = 0..w-1: BitSlices.expand in every lane at once.
+def _lane_product(
+    field, ell: int, stride: int, count: int
+) -> Callable[[Sequence[int], Sequence[int]], int]:
+    """A function from stacks of `count` payloads at `stride` (_stack) and
+    one raw coefficient per stack to their weighted sum, in every lane at
+    once.
 
-    Times x shifts each lane's lower w-1 planes up by one and adds its top
-    plane back at the modulus' lower terms; the masks keep every plane in
-    its lane.
+    A coefficient is the sum of its bit planes c_b x^b, so the sum is
+    Horner's x(...x(S_{w-1})...) + S_0 over the plane sums S_b, each one
+    combine() of the stacks plane b of coefficient_bits() marks (GF(2) is
+    one combine). Times x shifts each lane's lower w-1 planes up by one and
+    adds its top plane back at the modulus' lower terms; the masks keep
+    every plane in its lane.
     """
     width = field.width
     if width == 1:
-        return lambda v: [v]
+        return combine
     top = (width - 1) * ell
     ones = int.from_bytes((1).to_bytes(stride, "little") * count, "little")  # 1 in every lane
     low, plane = ones * ((1 << top) - 1), ones * ((1 << ell) - 1)
     terms = [r * ell for r in range(width) if (field.modulus >> r) & 1]
 
-    def powers(v: int) -> list[int]:
-        out = [v]
-        for _ in range(width - 1):
+    def product(stacks: Sequence[int], coefficients: Sequence[int]) -> int:
+        bits = coefficient_bits(width, coefficients)
+        v = combine(stacks, bits[width - 1 :: width])
+        for b in range(width - 2, -1, -1):
             carry = (v >> top) & plane
             v = (v & low) << ell
             for shift in terms:
                 v ^= carry << shift
-            out.append(v)
-        return out
+            v ^= combine(stacks, bits[b::width])
+        return v
 
-    return powers
+    return product
 
 
 def _stack_storage(
@@ -583,20 +596,17 @@ def _stack_storage(
     """A stored array's payloads (payloads[i * n + j] is row i's on node j)
     laid out for collect_responses: the stacked rows and the node columns.
 
-    Stacked row entry i*w + b is x^b times row i's n payloads, stacked
-    (_stack at _stride), so combine() with a query row's coefficient_bits()
-    multiplies every node's column at once. Node j's column is its
-    payloads in row order, stacked the same way, as bytes.
+    Stacked row i is row i's n payloads, stacked (_stack at _stride), so
+    _lane_product() with a query row multiplies every node's column at
+    once. Node j's column is its payloads in row order, stacked the same
+    way, as bytes.
     """
     if not payloads:
         return [], [b""] * n
     stride = _stride(field, ell)
     raw = b"".join(map(int.to_bytes, payloads, repeat(stride), repeat("little")))
     span = n * stride
-    powers = _lane_powers(field, ell, stride, n)
-    stacked = []
-    for at in range(0, len(raw), span):
-        stacked.extend(powers(int.from_bytes(raw[at : at + span], "little")))
+    stacked = [int.from_bytes(raw[at : at + span], "little") for at in range(0, len(raw), span)]
     return stacked, _gather(raw, n, stride)
 
 
@@ -619,10 +629,10 @@ def _column_products(
     field, ell: int, payloads: Sequence[int], rows: Iterable[Sequence[int]]
 ) -> list[int]:
     """Each query row (raw values over `field`) times one node's stored
-    payloads of length `ell`: the answers' payloads, in row order."""
-    own = bit_slices(field, ell).expand(payloads)
-    width = field.width
-    return [combine(own, coefficient_bits(width, row)) for row in rows]
+    payloads of length `ell`: the answers' payloads, in row order. A
+    payload is a stack of one (_lane_product)."""
+    product = _lane_product(field, ell, _stride(field, ell), 1)
+    return [product(payloads, row) for row in rows]
 
 
 def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> list[StorageSymbol]:
@@ -684,10 +694,9 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
         return ResponseSet._of(field, ell, tuple(q.nrows for q in queries), tuple(answers))
     u_rows = qs.u._rows
     k = len(u_rows)
-    width = field.width
+    product = _lane_product(field, ell, stride, n)
     products = b"".join(
-        combine(array._stacked, coefficient_bits(width, row)).to_bytes(n * stride, "little")
-        for row in u_rows
+        product(array._stacked, row).to_bytes(n * stride, "little") for row in u_rows
     )
     answers = [int.from_bytes(lanes, "little") for lanes in _gather(products, n, stride)]
     # per systematic node, the stored payload each row's selection 1 adds
@@ -807,13 +816,9 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     width = field.width
     stride = _stride(field, ell)
     p_rows = code.p._rows
-    # x^b times node l's k payloads: entry l*w + b
-    powers = _lane_powers(field, ell, stride, k)
-    stacked = [v for y in rs._stacks[:k] for v in powers(y)]
-    syndromes = [
-        y ^ combine(stacked, coefficient_bits(width, prow))
-        for y, prow in zip(rs._stacks[k:], p_rows)
-    ]
+    product = _lane_product(field, ell, stride, k)
+    stacked = rs._stacks[:k]
+    syndromes = [y ^ product(stacked, prow) for y, prow in zip(rs._stacks[k:], p_rows)]
     g, perm = code.row_shift
     turns = [range(len(p_rows))]  # turns[j][i] = perm^j(i)
     for _ in range(k // g - 1):

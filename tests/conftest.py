@@ -67,7 +67,7 @@ def quasi_cyclic_code(seed: int, field: FieldSpec = GF4, generators: int = 2, st
 
     Read with column j as (j // step, j % step), P is a grid of size x size
     circulant blocks. Rotating P's columns by `step` only permutes its rows,
-    so its shift period divides `step`, below k.
+    so its row shift (codes.row_shift) divides `step`, below k.
     """
     rng = random.Random(seed)
     k = step * size

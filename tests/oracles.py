@@ -343,28 +343,6 @@ def independent_subsets_oracle(rows, beta, field) -> set[int]:
     }
 
 
-def shift_period_oracle(p_rows, field) -> int:
-    """Smallest s in 1..k whose column rotation keeps P's row space.
-
-    Tries every s, divisor of k or not, and compares the rank of P stacked
-    on its rotation with the rank of P, by this module's own elimination
-    over a TinyField or PeasantField.
-    """
-    k = len(p_rows[0])
-
-    def rank(rows):
-        if field.order == 2:
-            return _gf2_rank(support_mask(row) for row in rows)
-        return len(pivot_columns(rows, field))
-
-    base = rank(p_rows)
-    for s in range(1, k + 1):
-        rotated = [list(row[k - s:]) + list(row[: k - s]) for row in p_rows]
-        if rank([list(row) for row in p_rows] + rotated) == base:
-            return s
-    raise AssertionError("rotating by k is the identity")
-
-
 def row_shift_oracle(p_rows) -> int:
     """Smallest s in 1..k whose column rotation (column c to (c + s) mod k)
     turns P's rows into P's rows, counted with repeats.

@@ -254,7 +254,8 @@ class TestRref:
     @pytest.mark.parametrize("name", ["c6_array", "c7_array"])
     @pytest.mark.parametrize("s", [1, 11])
     def test_stacked_rotations_match_oracle(self, name, s):
-        # the matrices DerivedCode.shift_period ranks
+        # P stacked on its rotation by s: by 11, P's rows are permuted (the
+        # array codes' row shift), so the stack keeps rank(P); by 1 it does not
         p = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code.p
         rows = [list(r) for r in p.values()]
         self._agrees_with_oracle(FieldMatrix(p.field, rows + [r[-s:] + r[:-s] for r in rows]))

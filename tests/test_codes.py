@@ -45,7 +45,6 @@ from oracles import (
     min_weight_oracle,
     nullspace_vectors,
     row_shift_oracle,
-    shift_period_oracle,
     support_mask,
 )
 
@@ -262,7 +261,8 @@ class TestMlCorrectable:
 
 
 class TestShiftPeriod:
-    """Rotation symmetry of P, the basis of the listing's verdict reuse."""
+    """The code's one shift symmetry as the width scan reads it
+    (DerivedCode.row_shift), the basis of the listing's verdict reuse."""
 
     QC = quasi_cyclic_code(5)
     C7 = parse_code_file(FIXTURES_DIR / "c7_array.pchk").code
@@ -275,13 +275,13 @@ class TestShiftPeriod:
             code = self.QC
         else:
             code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
-        f = code.field
-        oracle_field = TinyField(f.order) if f.order <= 4 else PeasantField(f.modulus, f.width)
-        period = derived_code(code).shift_period
-        assert period == shift_period_oracle([list(r) for r in code.p.values()], oracle_field)
-        assert code.k % period == 0
+        # the scan's detector is recovery's, on the same P
+        g, perm = derived_code(code).row_shift
+        assert (g, perm) == code.row_shift
+        assert g == row_shift_oracle(code.p.values())
+        assert code.k % g == 0
         if name in ("c6_array", "c7_array", "qc_gf4"):
-            assert period < code.k
+            assert g < code.k
 
     @pytest.mark.parametrize("name", ["c7_array", "qc_gf4"])
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -290,7 +290,7 @@ class TestShiftPeriod:
         code = self.C7 if name == "c7_array" else self.QC
         d = derived_code(code)
         # weights around rank(P), where both verdicts occur
-        k, g, rank = code.k, d.shift_period, code.parity_rank
+        k, g, rank = code.k, d.row_shift[0], code.parity_rank
         beta = data.draw(st.integers(max(1, rank - 4), min(k, rank + 1)), label="beta")
         support = data.draw(st.permutations(range(k)), label="order")[:beta]
         s = g * data.draw(st.integers(0, k // g - 1), label="multiple")
@@ -327,13 +327,6 @@ class TestRowShift:
     def test_no_shift_below_k(self, name):
         code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
         assert self._check(code) == (code.k, tuple(range(code.n - code.k)))
-
-    def test_c1_differs_from_the_shift_period(self):
-        # rotating by 1 keeps c1's row space (the even-weight words) but
-        # turns (0, 1, 1) into (1, 0, 1), which is no row of P
-        code = c1_code()
-        assert self._check(code) == (3, (0, 1))
-        assert derived_code(code).shift_period == 1
 
     def test_repeated_rows_matched_one_to_one(self):
         a, b = [1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0]

@@ -180,16 +180,39 @@ class TestListingOracle:
             assert {p.bits for p in got.patterns} == expected
 
     def test_quasi_cyclic_gf4_code_matches_oracle(self):
-        # shift period 4 of k = 20: shift s reuses the verdict of s mod 4
+        # row shift 4 of k = 20: shift s reuses the verdict of s mod 4
         code = quasi_cyclic_code(5)
         d = derived_code(code)
-        assert d.shift_period < code.k
+        assert d.row_shift[0] < code.k
         rows = [list(r) for r in code.p.values()]
         for beta in range(1, code.parity_rank + 1):
             got = compute_erasure_pattern_list(d, beta, "randomized", budget=4, seed=beta)
             expected = randomized_listing_oracle(rows, TinyField(4), beta, 4, beta)
             assert expected
             assert {p.bits for p in got.patterns} == expected
+
+    def test_c1_random_listing_matches_oracle(self):
+        # rotating c1's columns by 1 keeps P's row space (the even-weight
+        # words) but turns (0, 1, 1) into (1, 0, 1), no row of P: the scan
+        # reads the row shift 3 = k and so tests every rotation
+        code = c1_code()
+        d = derived_code(code)
+        assert d.row_shift == (3, (0, 1))
+        rows = [list(r) for r in code.p.values()]
+        cfg = OptimizerConfig(seed=7, exhaustive_limit=0)
+        res = optimize_cpop(code, cfg)
+        assert not res.exhaustive
+        expected = {}
+        for beta in range(1, code.parity_rank + 1):
+            seed = optimizer_module._iter_seed(cfg, beta)
+            got = compute_erasure_pattern_list(d, beta, "randomized", cfg.pattern_budget, seed)
+            expected[beta] = randomized_listing_oracle(
+                rows, TinyField(2), beta, cfg.pattern_budget, seed
+            )
+            assert expected[beta]
+            assert {p.bits for p in got.patterns} == expected[beta]
+        # the certified width's circulant is made of rows its listing keeps
+        assert set(res.e_opt.rows) <= expected[res.beta_opt]
 
     @pytest.mark.parametrize("width", range(1, 17))
     def test_small_codes_match_oracle_at_every_width(self, width):

@@ -142,6 +142,19 @@ class TestBuildQueries:
         assert qs.v_block(2).values() == ((0, 0), (1, 0), (0, 1))
         assert qs.v_block(3).values() == ((0, 1), (0, 0), (1, 0))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"z": ((5, 0, 1), (1, 2, 0), (0, 1, 2))}, r"slot 5 at \(0, 0\) outside 1..2"),
+            ({"pi": (0,)}, r"pi must permute 0..2 and fix 0"),
+        ],
+        ids=["slot_out_of_range", "short_pi"],
+    )
+    def test_v_block_of_a_malformed_layout_is_a_named_error(self, change, message):
+        qs = replace(build_queries(c1_code(), E1, m=1, f=1, seed=9), **change)
+        with pytest.raises(ValueError, match=message):
+            qs.v_block(1)
+
     def test_parity_queries_are_bare_mask(self):
         qs = build_queries(c1_code(), E1, m=1, f=2, seed=4)
         assert qs.q[3] == qs.u
@@ -422,8 +435,13 @@ class TestMaskPlusUnitShortcut:
         code, arr, qs = self._instance(width)
         rs = self._agree(qs, arr)
         calls = []
-        real = protocol.combine
-        monkeypatch.setattr(protocol, "combine", lambda *a: calls.append(1) or real(*a))
+        real = protocol._lane_product
+
+        def counting(*lanes):
+            product = real(*lanes)
+            return lambda *a: calls.append(1) or product(*a)
+
+        monkeypatch.setattr(protocol, "_lane_product", counting)
         assert collect_responses(qs, arr) == rs
         assert len(calls) == code.k  # one product per mask row, none per node
 
