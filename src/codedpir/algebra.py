@@ -12,7 +12,11 @@ on such rows: _eliminate reduces each row by the stored row at its leading
 _back_substitute clears the stored rows at each other's leading
 coordinates. rref and matrix_rank, solve and the protocol's recovery
 (_solve_packed), and the width scan's independence tests all run on it,
-at every field width.
+at every field width. The minimum-distance search and the exhaustive
+pattern listing instead reduce columns one pivot at a time (_reduce_by):
+up to GF(2^8) a column is one int with one byte per row, scaled by a
+constant with one bytes.translate through that constant's product table
+(_product_tables, built once per field); wider fields keep value tuples.
 """
 
 from __future__ import annotations
@@ -167,6 +171,31 @@ def _log_tables(width: int, modulus: int) -> tuple[array, array]:
     for i in range(size):
         log[exp[i]] = i
     return exp, log
+
+
+@lru_cache(maxsize=8)
+def _product_tables(width: int, modulus: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """Per-constant product tables of GF(2^width), width <= 8, for bytes.translate.
+
+    times[c][x] = c * x for every field value x (entries from 2^width up
+    are 0 and never read), so translating a vector held one byte per
+    component scales it by c in one C-level pass. over[c] is times[1 / c]
+    (over[0] is times[0]), the table that scales a vector whose component
+    is c to a 1 there. 2^width tables of 256 bytes, built once per field:
+    times[g^(i+1)] is times[g^i] translated through times[g], for the
+    generator g of the log tables.
+    """
+    exp, log = _log_tables(width, modulus)
+    order, size = 1 << width, (1 << width) - 1
+    pad = bytes(256 - order)
+    by_g = bytes([0, *(exp[log[x] + 1] for x in range(1, order))]) + pad
+    times = [bytes(256)] * order
+    table = bytes(range(order)) + pad  # times[1]
+    for i in range(size):
+        times[exp[i]] = table
+        table = table.translate(by_g)
+    over = [times[0]] + [times[exp[size - log[c]]] for c in range(1, order)]
+    return tuple(times), tuple(over)
 
 
 class FieldSpec:
@@ -810,30 +839,63 @@ def _kind(x: object) -> str:
 def column_vectors(M: FieldMatrix) -> list:
     """Columns of M in the representation _reduce_by consumes.
 
-    GF(2) columns are packed by bit_slices(M.field, M.nrows), so bit r is
-    row r; wider fields get plain value tuples.
+    Up to GF(2^8) a column is one int with one byte per row, row r in byte
+    r (bits 8r..8r+7): its lanes. Adding two columns is one XOR, scaling
+    one is one bytes.translate through a product table (_product_tables),
+    and a column is zero exactly when its int is 0. Wider fields get plain
+    value tuples: 16-bit lanes measured slower there than one log-table
+    multiply per entry.
     """
-    cols = [M.column(j) for j in range(M.ncols)]
-    if M.field.width == 1:
-        return list(map(bit_slices(M.field, M.nrows).pack, cols))
-    return cols
+    if M.field.width <= 8:
+        return [int.from_bytes(bytes(col), "little") for col in zip(*M._rows)]
+    return [M.column(j) for j in range(M.ncols)]
 
 
-def _reduce_by(field: FieldSpec, v, rest: Sequence) -> list:
-    """The vectors of `rest` reduced modulo the nonzero vector v, pivot dropped.
+def _walk_tables(field: FieldSpec) -> tuple:
+    """The tables _reduce_by and _proportional_keys take, fetched once per
+    walk: _product_tables at w <= 8, the log/antilog pair above."""
+    if field.width <= 8:
+        return _product_tables(field.width, field.modulus)
+    return field._exp, field._log
 
-    Vectors are in column_vectors' representation. The pivot is v's first
-    nonzero coordinate p; each u in `rest` becomes u - (u[p] / v[p]) v,
-    which is zero at p, so a result is zero exactly when u is a multiple of
-    v. A column subset's residuals modulo its chosen columns are therefore
-    nonzero exactly when extending the choice keeps it independent. GF(2)
-    bitmasks keep the cleared pivot bit (one XOR per vector); wider fields
-    drop the coordinate and multiply each entry through the log tables.
+
+def _nonzero(field: FieldSpec) -> Callable[[object], bool]:
+    """The nonzero test of column_vectors' representation: bool for byte
+    lanes, any for tuples."""
+    return bool if field.width <= 8 else any
+
+
+def _reduce_by(field: FieldSpec, tables: tuple, v, rest: Sequence) -> list:
+    """The vectors of `rest` reduced modulo the nonzero vector v.
+
+    Vectors are in column_vectors' representation and `tables` is
+    _walk_tables(field). The pivot is v's first nonzero coordinate p; each
+    u in `rest` becomes u - (u[p] / v[p]) v, which is zero at p, so a
+    result is zero exactly when u is a multiple of v. A column subset's
+    residuals modulo its chosen columns are therefore nonzero exactly when
+    extending the choice keeps it independent.
+
+    On byte lanes p is v's lowest nonzero lane. v is scaled to a 1 there by
+    one translate, and each u with u[p] = c != 0 becomes u XOR (v scaled
+    by c): one more translate through times[c] (none when c is 1, so GF(2)
+    never translates) and one XOR. The cleared lane stays, as a zero byte.
+    Tuples drop coordinate p and multiply each entry through the log tables.
     """
-    if field.width == 1:
-        low = v & -v
-        return [u ^ v if u & low else u for u in rest]
-    exp, log = field._exp, field._log
+    if field.width <= 8:
+        times, over = tables
+        shift = ((v & -v).bit_length() - 1) & -8  # the lowest nonzero lane's first bit
+        c = v >> shift & 255
+        raw = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+        if c != 1:
+            raw = raw.translate(over[c])
+            v = int.from_bytes(raw, "little")
+        return [
+            (u ^ v if a == 1 else u ^ int.from_bytes(raw.translate(times[a]), "little"))
+            if (a := u >> shift & 255)
+            else u
+            for u in rest
+        ]
+    exp, log = tables
     size = field.order - 1
     p = next(i for i, x in enumerate(v) if x)
     lp = log[v[p]]
@@ -851,3 +913,34 @@ def _reduce_by(field: FieldSpec, v, rest: Sequence) -> list:
             tail = u[p + 1 :]
         out.append(head + tail)
     return out
+
+
+def _proportional_keys(field: FieldSpec, tables: tuple, rest: Sequence) -> list:
+    """One key per nonzero vector of `rest`, equal exactly for proportional vectors.
+
+    Vectors are in column_vectors' representation and `tables` is
+    _walk_tables(field). A byte-lane vector is scaled to a 1 at its lowest
+    nonzero lane: one translate through over[c], none when c is 1. A
+    tuple of two entries (a, b) is keyed by log b - log a modulo 2^w - 1,
+    with distinct markers for a = 0 and b = 0; a longer tuple is scaled to
+    a leading one entry by entry.
+    """
+    if field.width <= 8:
+        over = tables[1]
+        keys = []
+        for u in rest:
+            c = u >> (((u & -u).bit_length() - 1) & -8) & 255  # u's lowest nonzero lane
+            if c != 1:
+                raw = u.to_bytes((u.bit_length() + 7) >> 3, "little")
+                u = int.from_bytes(raw.translate(over[c]), "little")
+            keys.append(u)
+        return keys
+    exp, log = tables
+    size = field.order - 1
+    if rest and len(rest[0]) == 2:
+        return [-1 if not a else -2 if not b else (log[b] - log[a]) % size for a, b in rest]
+    keys = []
+    for u in rest:
+        lc = size - log[next(filter(None, u))]  # log of 1 / u's leading entry
+        keys.append(tuple(exp[log[x] + lc] if x else 0 for x in u))
+    return keys

@@ -19,7 +19,10 @@ from .algebra import (
     FieldMatrix,
     FieldSpec,
     _eliminate,
+    _nonzero,
+    _proportional_keys,
     _reduce_by,
+    _walk_tables,
     bit_slices,
     coefficient_bits,
     column_vectors,
@@ -242,6 +245,21 @@ class LinearCode:
         differ by a multiple of g as one system (see there)."""
         return row_shift(self.p)
 
+    @cached_property
+    def _packed_parity_rows(self) -> list[int]:
+        """P's rows packed by bit_slices(field, k): recover_file's coefficients."""
+        return list(map(bit_slices(self.field, self.k).pack, self.p._rows))
+
+    @cached_property
+    def _row_turns(self) -> list[Sequence[int]]:
+        """turns[j][i] = perm^j(i) for j = 0..k/g - 1, (g, perm) = row_shift:
+        the row of P that row i becomes after j shifts by g."""
+        g, perm = self.row_shift
+        turns: list[Sequence[int]] = [range(len(perm))]
+        for _ in range(self.k // g - 1):
+            turns.append([perm[i] for i in turns[-1]])
+        return turns
+
 
 def code_from_parity_check(H: FieldMatrix) -> LinearCode:
     """Validate H = (P | I) and wrap it as a LinearCode.
@@ -350,10 +368,16 @@ def min_distance(H: FieldMatrix, cap: int = 25) -> int:
     larger than the choice. At the last level that can still improve on
     the best size, two proportional residuals close one two larger: the
     last two columns of a minimal dependent set D, sorted, are
-    proportional modulo its first |D| - 2. The walk there normalizes each
-    residual to a leading one and looks for a repeat instead of building
-    the children. Exact, but exponential in the worst case, so matrices
-    wider than `cap` columns are refused.
+    proportional modulo its first |D| - 2. The walk there keys each
+    residual by its direction (_proportional_keys) and looks for a repeat
+    instead of building the children. Up to GF(2^8) the residuals are
+    byte-lane ints (column_vectors): a zero residual is the int 0, and a
+    key is the residual scaled to a 1 at its lowest nonzero lane, one
+    translate.
+    Wider fields hold tuples; when two coordinates remain (the last level
+    of every MDS search) a residual (a, b) is keyed by log b - log a alone.
+    Exact, but exponential in the worst case, so matrices wider than `cap`
+    columns are refused.
     """
     if H.ncols > cap:
         raise MinDistanceCapError(
@@ -364,9 +388,7 @@ def min_distance(H: FieldMatrix, cap: int = 25) -> int:
     if rank == H.ncols:
         raise ValueError("all columns are independent; the code is trivial and has no distance")
     field = H.field
-    wide = field.width != 1
-    nonzero = any if wide else bool
-    exp, log, size = field._exp, field._log, field.order - 1
+    tables, nonzero = _walk_tables(field), _nonzero(field)
     best = rank + 1
 
     def walk(rest: list, depth: int) -> None:
@@ -377,21 +399,13 @@ def min_distance(H: FieldMatrix, cap: int = 25) -> int:
             return
         if depth + 3 >= best:
             # only a dependent set of depth + 2 columns would improve on best
-            if wide:
-                seen = set()
-                for u in rest:
-                    lc = size - log[next(filter(None, u))]  # log of 1 / u's leading entry
-                    seen.add(tuple(exp[log[x] + lc] if x else 0 for x in u))
-                proportional = len(seen) < len(rest)
-            else:
-                proportional = len(set(rest)) < len(rest)  # over GF(2): equal
-            if proportional:
+            if len(set(_proportional_keys(field, tables, rest))) < len(rest):
                 best = depth + 2
             return
         for i, v in enumerate(rest):
             if depth + 2 >= best:
                 return
-            walk(_reduce_by(field, v, rest[i + 1 :]), depth + 1)
+            walk(_reduce_by(field, tables, v, rest[i + 1 :]), depth + 1)
 
     if best > 1:
         walk(column_vectors(H), 0)

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import compress, islice
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
-from .algebra import _eliminate, _reduce_by
+from .algebra import _eliminate, _nonzero, _proportional_keys, _reduce_by, _walk_tables
 from .codes import (
     DerivedCode,
     ErasurePattern,
@@ -101,9 +101,12 @@ def compute_erasure_pattern_list(
     increasing order, and each node carries the later columns reduced
     modulo the span of its chosen ones (_reduce_by, as in min_distance):
     a later column keeps the choice independent exactly when its residual
-    is nonzero, so a node's children are its nonzero residuals, and the
-    last level lists one pattern per nonzero residual without reducing
-    anything. Randomized mode runs up to `budget`
+    is nonzero, so a node's children are its nonzero residuals. The last
+    two picks reduce nothing: nonzero residuals u and a later u' complete
+    a pattern exactly when u' is no multiple of u, so each nonzero residual
+    is keyed by its direction once (_proportional_keys, as in min_distance's
+    pair test) and the pairs with distinct keys are listed. Up to GF(2^8)
+    the columns are byte lanes (column_vectors). Randomized mode runs up to `budget`
     rounds of: permute the columns at random, take the leading-one columns
     of the permuted matrix's reduced row echelon form, pick beta of them (an
     independent set by construction), map them back through the
@@ -134,21 +137,33 @@ def compute_erasure_pattern_list(
 
     if mode == "exhaustive":
         field = derived.field
-        nonzero = any if field.width != 1 else bool
+        tables, nonzero = _walk_tables(field), _nonzero(field)
         top = 1 << (k - 1)  # position 0
         found: list[int] = []
 
         def walk(rest: list, first: int, depth: int, mask: int) -> None:
             # rest[i]: column first + i reduced modulo the chosen columns
             room = k - (beta - depth) - first + 1  # later picks must still fit
-            if depth == beta - 1:
+            if depth == beta - 1:  # beta = 1: every nonzero column
                 found.extend(
                     mask | top >> (first + i) for i, u in enumerate(rest[:room]) if nonzero(u)
                 )
                 return
+            if depth == beta - 2:
+                # the last two picks: nonzero residuals u, then u' after it,
+                # extend the choice exactly when u' is no multiple of u
+                live = [first + i for i, u in enumerate(rest) if nonzero(u)]
+                keys = _proportional_keys(field, tables, list(filter(nonzero, rest)))
+                for a, (j, key) in enumerate(zip(live, keys)):
+                    if j >= first + room:
+                        break
+                    pick = mask | top >> j
+                    later = zip(live[a + 1 :], keys[a + 1 :])
+                    found.extend(pick | top >> j2 for j2, key2 in later if key2 != key)
+                return
             for i, v in enumerate(rest[:room]):
                 if nonzero(v):
-                    later = _reduce_by(field, v, rest[i + 1 :])
+                    later = _reduce_by(field, tables, v, rest[i + 1 :])
                     walk(later, first + i + 1, depth + 1, mask | top >> (first + i))
 
         walk(derived._column_reps, 0, 0, 0)
@@ -435,7 +450,10 @@ class OptimizerConfig:
     d_tilde_min: int | None = None
 
     def __post_init__(self):
-        for name in ("exact_budget", "subset_threshold", "subset_tries"):
+        for name in (
+            "exhaustive_limit", "pattern_budget", "exact_budget", "subset_threshold",
+            "subset_tries", "min_distance_cap",
+        ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
 

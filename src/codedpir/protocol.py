@@ -819,13 +819,10 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     product = _lane_product(field, ell, stride, k)
     stacked = rs._stacks[:k]
     syndromes = [y ^ product(stacked, prow) for y, prow in zip(rs._stacks[k:], p_rows)]
-    g, perm = code.row_shift
-    turns = [range(len(p_rows))]  # turns[j][i] = perm^j(i)
-    for _ in range(k // g - 1):
-        turns.append([perm[i] for i in turns[-1]])
-    head = bit_slices(field, k)
-    coefficients = list(map(head.pack, p_rows))
-    spread = head.column_mask(0)  # component 0 of every plane
+    g = code.row_shift[0]
+    turns = code._row_turns  # turns[j][i] = perm^j(i)
+    coefficients = code._packed_parity_rows
+    spread = bit_slices(field, k).column_mask(0)  # component 0 of every plane
     # a class's system holds one lane of right-hand sides per member below
     # the coefficients: assemble() builds its rows and says where the
     # coefficients start, unpack() reads every lane of every unknown, in

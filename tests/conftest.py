@@ -104,6 +104,26 @@ def planted_matrix(rng: random.Random, field, nrows: int, ncols: int) -> list[li
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
+def tall_planted_matrix(
+    rng: random.Random, field, nrows: int, rank: int, ncols: int
+) -> list[list[int]]:
+    """nrows x ncols rows, each a random combination of a planted_matrix's
+    `rank` rows: columns of nrows entries (past one 64-bit word at nrows > 8
+    bytes) whose dependencies are those of the planted rows, so oracles that
+    try every column subset stop by rank + 1. No column is zero."""
+    base = planted_matrix(rng, field, rank, ncols)
+    while not all(any(col) for col in zip(*base)):
+        base = planted_matrix(rng, field, rank, ncols)
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for b in base:
+            c = rng.randrange(field.order)
+            row = [x ^ field.mul(c, y) for x, y in zip(row, b)]
+        rows.append(row)
+    return rows
+
+
 def cauchy18_rows() -> list[list[int]]:
     """P of the (18,12) Cauchy code over GF(2^16) in
     fixtures/cauchy18_gf65536.pchk: P[i][j] = 1/(x_i + y_j) with x_i = i + 1

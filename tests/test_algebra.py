@@ -13,7 +13,12 @@ from codedpir.algebra import (
     RightHandSideError,
     SingularSystemError,
     _eliminate,
+    _product_tables,
+    _proportional_keys,
+    _reduce_by,
+    _walk_tables,
     bit_slices,
+    column_vectors,
     field_new,
     matrix_rank,
     poly_str,
@@ -259,6 +264,65 @@ class TestRref:
         p = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code.p
         rows = [list(r) for r in p.values()]
         self._agrees_with_oracle(FieldMatrix(p.field, rows + [r[-s:] + r[:-s] for r in rows]))
+
+
+class TestWalkKernels:
+    """The distance search's and listing's column kernels: byte lanes and
+    their product tables up to GF(2^8), the two-coordinate pair key above."""
+
+    @pytest.mark.parametrize("width,modulus", [
+        *((w, None) for w in range(1, 9)), (8, 0b100011011),
+    ])
+    def test_product_tables_match_mul(self, width, modulus):
+        f = field_new(width, modulus)
+        times, over = _product_tables(width, f.modulus)
+        assert len(times) == len(over) == f.order
+        assert all(len(t) == 256 and not any(t[f.order:]) for t in times)
+        for c in range(f.order):  # every pair, 65,536 at w = 8
+            assert list(times[c][: f.order]) == [f.mul(c, x) for x in range(f.order)]
+        assert over[0] is times[0]
+        assert all(over[c] is times[f.inv(c)] for c in range(1, f.order))
+
+    @pytest.mark.parametrize("width", [1, 4, 8])
+    def test_reduce_by_clears_the_pivot_lane(self, width):
+        f = field_new(width)
+        peasant = PeasantField(f.modulus, width)
+        rng = random.Random(900 + width)
+        for _ in range(20):
+            nrows = rng.randint(1, 12)
+            cols = [[rng.randrange(f.order) for _ in range(nrows)] for _ in range(6)]
+            p = rng.randrange(nrows)
+            v = [0] * p + [rng.randrange(1, f.order)] + cols[0][p + 1 :]
+            lanes = column_vectors(FieldMatrix(f, [list(r) for r in zip(v, *cols)]))
+            got = _reduce_by(f, _walk_tables(f), lanes[0], lanes[1:])
+            inv = f.inv(v[p])
+            expected = [
+                [x ^ peasant.mul(peasant.mul(u[p], inv), y) for x, y in zip(u, v)] for u in cols
+            ]
+            assert got == [int.from_bytes(bytes(u), "little") for u in expected]
+
+    @pytest.mark.parametrize("width", [9, 12, 16])
+    def test_two_coordinate_keys_equal_exactly_for_proportional_pairs(self, width):
+        f = field_new(width)
+        rng = random.Random(950 + width)
+        pairs = {(0, rng.randrange(1, f.order)), (rng.randrange(1, f.order), 0)}
+        while len(pairs) < 12:
+            pairs.add((rng.randrange(f.order), rng.randrange(f.order)))
+        pairs.discard((0, 0))
+        pairs = sorted(pairs)
+        pairs += [
+            (f.mul(c, a), f.mul(c, b)) for a, b in pairs for c in rng.sample(range(2, f.order), 2)
+        ]
+        tables = _walk_tables(f)
+        keys = _proportional_keys(f, tables, pairs)
+        # three coordinates take the entry-by-entry path
+        longer = _proportional_keys(f, tables, [(0, a, b) for a, b in pairs])
+
+        def proportional(u, v):  # a cross product of zero
+            return f.mul(u[0], v[1]) == f.mul(u[1], v[0])
+
+        for (u, ku, lu), (v, kv, lv) in itertools.combinations(zip(pairs, keys, longer), 2):
+            assert (ku == kv) == (lu == lv) == proportional(u, v)
 
 
 class TestExtends:

@@ -35,6 +35,7 @@ from conftest import (
     planted_matrix,
     quasi_cyclic_code,
     random_systematic_code,
+    tall_planted_matrix,
 )
 from oracles import (
     PeasantField,
@@ -142,6 +143,43 @@ class TestMinDistance:
                     min_distance(FieldMatrix(field, rows))
             else:
                 assert min_distance(FieldMatrix(field, rows)) == expected
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8])
+    def test_matches_brute_force_on_columns_past_eight_lanes(self, width):
+        # 9-12 rows: byte-lane columns longer than one 64-bit word
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        rng = random.Random(4100 + width)
+        for _ in range(25):
+            rank = rng.randint(2, 6)
+            rows = tall_planted_matrix(
+                rng, peasant, rng.randint(9, 12), rank, rng.randint(rank + 1, 10)
+            )
+            assert min_distance(FieldMatrix(field, rows)) == min_distance_oracle(rows, peasant)
+
+    @pytest.mark.parametrize("width", [9, 12, 16])
+    def test_two_coordinate_pair_test_matches_oracle(self, width):
+        # 2-4 rows, so the pair test meets residuals of two coordinates; a
+        # quarter of the entries 0, so many residuals have a zero in either
+        # coordinate; a planted proportional pair or a column in the span
+        # of two others
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        rng = random.Random(4200 + width)
+
+        def entry():
+            return rng.randrange(1, field.order) if rng.random() < 0.75 else 0
+
+        for _ in range(40):
+            nrows = rng.randint(2, 4)
+            ncols = rng.randint(nrows + 1, nrows + 3)
+            cols = [[entry() for _ in range(nrows)] for _ in range(ncols)]
+            a, b, c = rng.sample(range(len(cols)), 3)
+            x, y = rng.randrange(1, field.order), rng.choice([0, rng.randrange(1, field.order)])
+            cols[c] = [peasant.mul(x, s) ^ peasant.mul(y, t) for s, t in zip(cols[a], cols[b])]
+            rows = [[col[i] for col in cols] for i in range(nrows)]
+            expected = min_distance_oracle(rows, peasant)
+            assert min_distance(FieldMatrix(field, rows)) == expected
 
     def test_a_column_in_the_span_of_two_others(self):
         # rank 4 starts the search at 5; the set {0, 1, 2} closes by the

@@ -7,8 +7,10 @@ import pytest
 
 import codedpir.optimizer as optimizer_module
 from codedpir import (
+    DerivedCode,
     EMatrix,
     ErasurePattern,
+    FieldMatrix,
     FieldSpec,
     OptimizerConfig,
     PatternList,
@@ -18,6 +20,7 @@ from codedpir import (
     derived_code,
     e_matrix_violations,
     is_ml_correctable,
+    matrix_rank,
     optimize_cpop,
     theta_bounds,
 )
@@ -36,6 +39,7 @@ from conftest import (
     planted_matrix,
     quasi_cyclic_code,
     random_systematic_code,
+    tall_planted_matrix,
 )
 from oracles import (
     PeasantField,
@@ -106,6 +110,26 @@ class TestPatternList:
             r = rng.randint(1, 4)
             p_rows = planted_matrix(rng, peasant, r, rng.randint(r + 1, 7))
             d = derived_code(make_code(field, p_rows))
+            for beta in range(1, d.n_tilde + 1):
+                pl = compute_erasure_pattern_list(d, beta)
+                assert pl.exhaustive
+                assert pl.masks == independent_subsets_oracle(p_rows, beta, peasant)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8])
+    def test_exhaustive_equals_brute_subset_scan_past_eight_lanes(self, width):
+        # 9-12 rows: byte-lane columns longer than one 64-bit word
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        rng = random.Random(5100 + width)
+        for _ in range(8):
+            rank = rng.randint(2, 5)
+            p_rows = tall_planted_matrix(
+                rng, peasant, rng.randint(9, 12), rank, rng.randint(rank + 1, 9)
+            )
+            # P has more rows than columns here, so no systematic code of
+            # rate above 1/2 has it: build the derived code directly
+            h = FieldMatrix(field, p_rows)
+            d = DerivedCode(field, h.ncols, h.ncols - matrix_rank(h), h)
             for beta in range(1, d.n_tilde + 1):
                 pl = compute_erasure_pattern_list(d, beta)
                 assert pl.exhaustive
@@ -602,7 +626,10 @@ class TestOptimize:
         with pytest.raises(ValueError, match="d_min 3 exceeds d_tilde_min 2"):
             optimize_cpop(c1_code(), OptimizerConfig(seed=0, d_min=3, d_tilde_min=2))
 
-    @pytest.mark.parametrize("name", ["exact_budget", "subset_threshold", "subset_tries"])
+    @pytest.mark.parametrize("name", [
+        "exact_budget", "subset_threshold", "subset_tries", "pattern_budget",
+        "exhaustive_limit", "min_distance_cap",
+    ])
     def test_negative_search_sizes_rejected(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be at least 0, got -1$"):
             OptimizerConfig(**{name: -1})

@@ -33,6 +33,7 @@ from codedpir import (
     verify_privacy,
 )
 from codedpir import protocol
+from codedpir.algebra import BitSlices
 from codedpir.protocol import _CHUNK, _chi2_sf, _draw_values, _draws
 
 from conftest import (
@@ -636,6 +637,38 @@ class TestRecovery:
             qs = build_queries(code, E1, m=1, f=1, seed=seed, pi=PI1, z=Z1)
             rs = collect_responses(qs, arr)
             assert recover_file(qs, rs, code) == x
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_set_up_is_held_per_code(self, width, monkeypatch):
+        # P's packed rows and the row shift's powers are built by the first
+        # recovery only; a second on the same code packs no row of P
+        field = FieldSpec(width)
+        code = quasi_cyclic_code(width, field=field, size=3)
+        assert code.row_shift[0] < code.k
+        e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+        rng = random.Random(width)
+        x = random_file(field, e.beta, code.k, 5, rng)
+        qs = build_queries(code, e, m=1, f=1, seed=rng.randrange(10**6))
+        rs = collect_responses(qs, build_storage(code, [x]))
+        p_rows = code.p._rows
+        packed = []
+        pack = BitSlices.pack
+
+        def counting_pack(slices, components):
+            packed.extend(i for i, row in enumerate(p_rows) if components is row)
+            return pack(slices, components)
+
+        monkeypatch.setattr(BitSlices, "pack", counting_pack)
+        assert recover_file(qs, rs, code) == x
+        assert sorted(packed) == list(range(code.n - code.k))
+        packed.clear()
+        got = recover_file(qs, rs, code)
+        assert packed == []
+        answers = [[sym.components for sym in resp] for resp in rs.responses]
+        oracle = PeasantField(field.modulus, width)
+        expected = recover_oracle(code.p.values(), e.rows, qs.pi, qs.z, e.beta, answers, oracle)
+        assert [[sym.components for sym in row] for row in got] == expected
+        assert got == x
 
     def test_round_trip_is_pi_invariant(self):
         code = c1_code()

@@ -297,6 +297,19 @@ class TestCli:
             ["mds53", "error: exact_budget must be at least 0, got -5"],
         ]
 
+    def test_table_rejects_negative_cap_before_any_search(self, monkeypatch, capsys):
+        import codedpir.workbench.cli as cli_module
+
+        searched = []
+        monkeypatch.setattr(cli_module, "min_distance", lambda H, cap=25: searched.append(H))
+        path = str(fixture_path("mds53.pchk"))
+        assert main(["table", path, "--seed", "1", "--cap", "-1", "--format", "tsv"]) == 1
+        assert searched == []
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[:2] for r in rows] == [
+            ["mds53", "error: min_distance_cap must be at least 0, got -1"],
+        ]
+
     def test_simulate_seed_required(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", str(fixture_path("c1.pchk"))])
@@ -312,6 +325,14 @@ class TestGoldenOutputs:
         assert main(["table", *paths, "--seed", "7", "--format", "tsv"]) == 0
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN_DIR / "table_seed7.tsv").read_bytes()
+
+    def test_table_tsv_over_a_gf256_code(self, capsys):
+        # no distance hints, entries at and above 128: both distance searches
+        # and every width's exhaustive listing run on byte lanes at w = 8
+        path = str(FIXTURES_DIR / "gf256_16_10.pchk")
+        assert main(["table", path, "--seed", "7", "--format", "tsv"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / "table_seed7_gf256.tsv").read_bytes()
 
     def test_table_tsv_over_a_wide_field_code(self, capsys):
         # no distance hints: both exact searches and the exhaustive listing
