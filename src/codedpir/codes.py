@@ -50,7 +50,9 @@ class StorageSymbol:
     Payload symbols conceptually live in the degree-ell extension of the
     base field, but the protocol only ever adds them and scales them by
     base-field values, so a coefficient vector carries everything. It is
-    held bit-sliced in `bits` (see BitSlices); `components` is a view.
+    held bit-sliced in `bits` (see BitSlices); `components` is a view. A
+    symbol has no arithmetic of its own: the library adds and scales the
+    packed `bits`, many payloads at a time.
     """
 
     __slots__ = ("spec", "ell", "bits", "_components")
@@ -91,27 +93,6 @@ class StorageSymbol:
         if self._components is None:
             self._components = bit_slices(self.spec, self.ell).unpack(self.bits)
         return self._components
-
-    def __add__(self, other: "StorageSymbol") -> "StorageSymbol":
-        if not isinstance(other, StorageSymbol):
-            return NotImplemented
-        if other.ell != self.ell or (other.spec is not self.spec and other.spec != self.spec):
-            raise ValueError("adding symbols of different fields or lengths")
-        return StorageSymbol._of(self.spec, self.ell, self.bits ^ other.bits)
-
-    __sub__ = __add__  # characteristic 2
-
-    def scale(self, value: int) -> "StorageSymbol":
-        """Component-wise product with a raw base-field value."""
-        self.spec.validate(value)
-        if value == 1:
-            return self
-        return StorageSymbol._of(
-            self.spec, self.ell, bit_slices(self.spec, self.ell).scale(self.bits, value)
-        )
-
-    def is_zero(self) -> bool:
-        return not self.bits
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -13,21 +13,22 @@ w_par), leaving s_t = P[:, S_t] x_{S_t}. That system has full column rank
 exactly when row t of the access matrix is a correctable erasure pattern,
 and solving it exposes the selected file symbols directly.
 
-A QuerySet from build_queries holds its queries as the mask plus the
-selection offsets (_selection_offsets), not row by row; its `q` is a view
-that _assemble writes out on first read. Between the stored array and the
-recovered file, payloads stay packed (codes.StorageSymbol.bits) and
-stacked: several payloads side by side in one int, each in a lane of
-_stride bytes, whole 64-bit words. A StorageArray checks and packs its
-symbols once, when it is built, and keeps every stored row stacked over
-the n nodes, once at every field width, and every node's column stacked
-over the rows. For a built query set, collect_responses multiplies each
-mask row once, against all stored rows at a time (_lane_product, Horner's
-rule over the coefficients' bit planes), gathers every node's k answers
-into one int, and adds one stored payload per selection 1; it reads no
-query row. Queries given explicitly are multiplied against each node's
-own column, as node_response does. A ResponseSet holds the per-node ints,
-and recover_file reads them directly: one pass over P gives every
+A QuerySet holds the mask and the layout (e, pi, z) that places file m's
+selection 1s, validated once when the set is built; its queries are
+derived from them, never stored: the offsets of the selection 1s
+(_selection_offsets) are kept, and `q` is a view that _assemble writes out
+on first read. Between the stored array and the recovered file, payloads
+stay packed (codes.StorageSymbol.bits) and stacked: several payloads side
+by side in one int, each in a lane of _stride bytes, whole 64-bit words.
+A StorageArray checks and packs its symbols once, when it is built, and
+keeps every stored row stacked over the n nodes, once at every field
+width, and every node's column stacked over the rows. collect_responses
+multiplies each mask row once, against all stored rows at a time
+(_lane_product, Horner's rule over the coefficients' bit planes), gathers
+every node's k answers into one int, and adds one stored payload per
+selection 1; it reads no query row. node_response is the same product for
+one node and a query given row by row. A ResponseSet holds the per-node
+ints, and recover_file reads them directly: one pass over P gives every
 syndrome. Subqueries whose supports differ by a multiple of the code's
 row shift (LinearCode.row_shift) share one system, P's rows masked to the
 first one's support with each member's syndromes in a lane below the
@@ -53,6 +54,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -216,65 +218,75 @@ class StorageArray:
 
 @dataclass(frozen=True)
 class QuerySet:
-    """Everything the user generated for one retrieval.
+    """Everything the user generated for one retrieval: the mask u and the
+    layout that places file m's selection block in the n node queries.
 
-    q[l - 1] is the k x (beta*f) query matrix for node l. z[i][l] gives the
-    stripe slot (1..beta) that subquery i + 1 draws from node l + 1, or 0
-    when that subquery does not select node l + 1; pi permutes the slots
-    into actual stripe indices and fixes 0.
+    q[l - 1] is the k x (beta*f) query matrix for node l: u plus one 1 per
+    subquery that selects node l, for l <= k, and u itself past node k.
+    z[i][l] gives the stripe slot (1..beta) that subquery i + 1 draws from
+    node l + 1, or 0 when that subquery does not select node l + 1; pi
+    permutes the slots into actual stripe indices and fixes 0.
 
-    A set from build_queries holds its queries as the mask u plus the
-    selection offsets of its validated layout, not row by row: q is a
-    read-only view, assembled (_assemble) on first read and the same
-    objects after that. A set made any other way, dataclasses.replace
-    included (it reads q), holds q as given.
+    The queries are derived, never stored: building a set, directly,
+    through build_queries or through dataclasses.replace, validates its
+    layout once (_layout, then the file index m in 1..f, a node count of
+    at least k and a k x (beta*f) mask), raising ValueError, and keeps the
+    selection offsets (_selection_offsets). q is a read-only view of u plus
+    those offsets, assembled (_assemble) on first read and the same objects
+    after that, so it cannot disagree with the layout.
     """
 
+    n: int
     m: int
     f: int
-    beta: int
     u: FieldMatrix
-    q: tuple[FieldMatrix, ...]
     e: EMatrix
     pi: tuple[int, ...]
     z: tuple[tuple[int, ...], ...]
-    # (node count, _selection_offsets) of a set build_queries made; None when q is given
-    _view = None
+    # (node, row) -> column of every selection 1, from the validated layout
+    _offsets: dict[tuple[int, int], int] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
-    @classmethod
-    def _of(cls, n: int, offsets: dict[tuple[int, int], int], **fields) -> "QuerySet":
-        """The set of validated `fields` (all but q) whose n node queries
-        are u plus the selection 1s at `offsets`; q is left to __getattr__."""
-        qs = cls.__new__(cls)
-        qs.__dict__.update(fields, _view=(n, offsets))
-        return qs
+    def __post_init__(self):
+        u, f, m = self.u, self.f, self.m
+        # the mask's rows are the subqueries of the code it was drawn for
+        k = u.nrows
+        pi, z = _layout(k, self.e, f, self.pi, self.z)
+        if not isinstance(m, int) or not 1 <= m <= f:
+            raise ValueError(f"file index {m!r} out of 1..{f}")
+        if not isinstance(self.n, int) or self.n < k:
+            raise ValueError(f"node count {self.n!r} is not an integer of at least k={k}")
+        if u.ncols != self.beta * f:
+            raise ValueError(f"mask has {u.ncols} columns, the layout needs beta*f = {self.beta * f}")
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "z", tuple(map(tuple, z)))
+        object.__setattr__(self, "_offsets", _selection_offsets(k, self.beta, m, pi, z))
 
-    def __getattr__(self, name: str):
-        # reached only for a missing attribute: a built set's q before its first read
-        if name != "q" or self._view is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        n, offsets = self._view
+    @property
+    def beta(self) -> int:
+        """Stripes per file: the access matrix's weight."""
+        return self.e.beta
+
+    @cached_property
+    def q(self) -> tuple[FieldMatrix, ...]:
+        """The n node queries, u plus the selection 1s, built on first read."""
         u = self.u
-        rows = _assemble(u._rows, n, u.nrows, offsets)
+        rows = _assemble(u._rows, self.n, u.nrows, self._offsets)
         # nodes handed the mask's own rows (the parity nodes) share the one u
-        q = tuple(u if r is u._rows else FieldMatrix._wrap(u.field, r) for r in rows)
-        self.__dict__["q"] = q
-        return q
+        return tuple(u if r is u._rows else FieldMatrix._wrap(u.field, r) for r in rows)
 
     def v_block(self, l: int) -> FieldMatrix:
-        """The k x beta selection block of node l's query (l in 1..k).
-
-        Reads the layout through _layout, so a malformed pi or z (a
-        dataclasses.replace'd set) raises ValueError naming it.
-        """
+        """The k x beta selection block of node l's query (l in 1..k)."""
         k = self.e.k
         if not 1 <= l <= k:
             raise ValueError(f"only the first {k} nodes carry a selection block")
-        pi, z = _layout(k, self.e, self.f, self.pi, self.z)
-        rows = [[0] * self.beta for _ in range(k)]
-        for (node, i), col in _selection_offsets(k, self.beta, 1, pi, z).items():
+        beta = self.beta
+        base = (self.m - 1) * beta
+        rows = [[0] * beta for _ in range(k)]
+        for (node, i), col in self._offsets.items():
             if node == l - 1:
-                rows[i][col] = 1
+                rows[i][col - base] = 1
         return FieldMatrix(self.u.field, rows)
 
 
@@ -477,12 +489,6 @@ def _layout(
     return perm, slots
 
 
-def _check_file_index(m: int, f: int) -> None:
-    """ValueError unless m is an integer file index in 1..f."""
-    if not isinstance(m, int) or not 1 <= m <= f:
-        raise ValueError(f"file index {m!r} out of 1..{f}")
-
-
 def _assemble(
     u_rows: list[list[int]], n: int, k: int, offsets: dict[tuple[int, int], int]
 ) -> list[list[list[int]]]:
@@ -509,9 +515,9 @@ def build_queries(
     pi: Sequence[int] | None = None,
     z: Sequence[Sequence[int]] | None = None,
 ) -> QuerySet:
-    """Draw the mask and lay out all n query matrices for file m: the mask
-    plus the selection 1s of the validated layout, written out row by row
-    only when the set's q is read (see QuerySet).
+    """Draw the mask for file m's retrieval: the QuerySet of the mask and
+    the layout (e, pi, z), which validates the layout once; its node
+    queries are derived from them (see QuerySet).
 
     pi may be any permutation of 0..beta fixing 0; z may override the
     canonical stripe-slot assignment as long as each column of the access
@@ -519,23 +525,11 @@ def build_queries(
     tests can reproduce, and recovery works for any valid override.
     """
     k = code.k
-    perm, slots = _layout(k, e, f, pi, z)
-    _check_file_index(m, f)
-    beta = e.beta
-    width = beta * f
+    # a file count that is not an integer draws nothing; the set's check names it
+    width = e.beta * f if isinstance(f, int) else 0
     drawn = _draws(random.Random(seed), code.field.order, k * width)
     u = FieldMatrix._wrap(code.field, [drawn[i * width : (i + 1) * width] for i in range(k)])
-    return QuerySet._of(
-        code.n,
-        _selection_offsets(k, beta, m, perm, slots),
-        m=m,
-        f=f,
-        beta=beta,
-        u=u,
-        e=e,
-        pi=perm,
-        z=tuple(map(tuple, slots)),
-    )
+    return QuerySet(code.n, m, f, u, e, pi, z)
 
 
 def _stride(field, ell: int) -> int:
@@ -625,16 +619,6 @@ def _gather(raw: bytes, n: int, stride: int) -> list[bytes]:
     return columns
 
 
-def _column_products(
-    field, ell: int, payloads: Sequence[int], rows: Iterable[Sequence[int]]
-) -> list[int]:
-    """Each query row (raw values over `field`) times one node's stored
-    payloads of length `ell`: the answers' payloads, in row order. A
-    payload is a stack of one (_lane_product)."""
-    product = _lane_product(field, ell, _stride(field, ell), 1)
-    return [product(payloads, row) for row in rows]
-
-
 def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> list[StorageSymbol]:
     """One node's answer: its query matrix times its symbol column.
 
@@ -647,52 +631,39 @@ def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> lis
         )
     field = q_j.field
     ell, payloads = pack_symbols(node_column, field, lambda i: f"stored symbol {i + 1}", ValueError)
-    answers = _column_products(field, ell, payloads, q_j._rows)
-    return [StorageSymbol._of(field, ell, v) for v in answers]
+    # the payloads are a stack of one (_lane_product)
+    product = _lane_product(field, ell, _stride(field, ell), 1)
+    return [StorageSymbol._of(field, ell, product(payloads, row)) for row in q_j._rows]
 
 
 def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     """Every node's answer to its query, computed for all nodes at once.
 
-    The answers are node_response's, packed (see ResponseSet). For a set
-    build_queries made, no query row is read: the array holds its stored
-    rows stacked over the nodes, so each mask row is multiplied once,
-    against every node's column at a time; every node's k lanes are
-    gathered into one int, and each selection 1, at row i and column c of
-    node l's query, adds node l's stored payload c to its answer i. Queries
-    given explicitly are multiplied against each node's own column. Raises
-    ValueError when the shapes of queries and array disagree; the array's
-    symbols were checked when it was built.
+    The answers are node_response's, packed (see ResponseSet), but no query
+    row is read: the array holds its stored rows stacked over the nodes, so
+    each mask row is multiplied once, against every node's column at a
+    time; every node's k lanes are gathered into one int, and each
+    selection 1, at row i and column c of node l's query, adds node l's
+    stored payload c to its answer i. Raises ValueError when the query set
+    and the array disagree on beta, f, the node count, the query width or
+    the field; the array's symbols were checked when it was built.
     """
     if array.beta != qs.beta or array.f != qs.f:
         raise ValueError("query set and storage array disagree on beta or f")
     n = array.code.n
-    view = qs._view
-    # a built set's queries all have the mask's shape and field
-    queries = (qs.u,) if view else qs.q
-    count = view[0] if view else len(queries)
-    if count != n:
-        raise ValueError(f"query set has {count} node queries, the code has {n} nodes")
+    if qs.n != n:
+        raise ValueError(f"query set has {qs.n} node queries, the code has {n} nodes")
     field = array.code.field
     nrows = len(array.rows)
-    for j, q in enumerate(queries):
-        if q.ncols != nrows:
-            raise ValueError(f"query has {q.ncols} columns but the node stores {nrows} symbols")
-        if q.field != field:
-            raise ValueError(f"node {j + 1}: query over another field than the code")
+    u = qs.u  # every node's query has the mask's shape and field
+    if u.ncols != nrows:
+        raise ValueError(f"query has {u.ncols} columns but the node stores {nrows} symbols")
+    if u.field != field:
+        raise ValueError("node 1: query over another field than the code")
     ell = array.ell
     stride = _stride(field, ell)
     columns = array._columns
-    if view is None:
-        answers = []
-        for column, q in zip(columns, queries):
-            payloads = [
-                int.from_bytes(column[a : a + stride], "little")
-                for a in range(0, len(column), stride)
-            ]
-            answers.append(_stack(_column_products(field, ell, payloads, q._rows), stride))
-        return ResponseSet._of(field, ell, tuple(q.nrows for q in queries), tuple(answers))
-    u_rows = qs.u._rows
+    u_rows = u._rows
     k = len(u_rows)
     product = _lane_product(field, ell, stride, n)
     products = b"".join(
@@ -701,7 +672,7 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     answers = [int.from_bytes(lanes, "little") for lanes in _gather(products, n, stride)]
     # per systematic node, the stored payload each row's selection 1 adds
     added = [[bytes(stride)] * k for _ in range(k)]
-    for (l, i), c in view[1].items():
+    for (l, i), c in qs._offsets.items():
         added[l][i] = columns[l][c * stride : (c + 1) * stride]
     for l, lanes in enumerate(added):
         answers[l] ^= int.from_bytes(b"".join(lanes), "little")
@@ -769,13 +740,13 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     by lane: the members of a failing class are solved again alone. The
     smallest failing subquery is reported, as singular before
     inconsistent.
-    ProtocolViolationError names that, a malformed query set, a file index
-    outside 1..f, a node count other than n, and a node that does not
-    answer k symbols; misfit symbols were named when the ResponseSet was
-    built.
+    ProtocolViolationError names that, a query set drawn for a code with
+    another k, responses from a node count other than n, and a node that
+    does not answer k symbols; misfit symbols were named when the
+    ResponseSet was built, and a malformed layout when the QuerySet was.
 
     Every cell of the file matrix is written exactly once, so the grid needs
-    no check: the layout was validated (by build_queries, or here), so pi
+    no check: the set validated its layout when it was built, so pi
     permutes 1..beta and every column l of the access matrix gives each
     slot 1..beta to exactly one subquery, and (stripe pi[z[t][l]], column
     l) runs over the beta x k cells once as (t, l) runs over the selections.
@@ -786,17 +757,11 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         raise ProtocolViolationError(
             f"stripe count {beta} must stay below k={k}; no subquery may select every node"
         )
-    if qs.e.beta != beta:
+    # the set validated its layout when it was built, for a code with e.k message nodes
+    if qs.e.k != k:
         raise ProtocolViolationError(
-            f"query set: stripe count {beta}, but its access matrix has weight {qs.e.beta}"
+            f"query set: access matrix is {qs.e.k} x {qs.e.k}, code needs {k} x {k}"
         )
-    # a built set's layout was validated by build_queries, for a code with e.k message nodes
-    if qs._view is None or qs.e.k != k:
-        try:
-            _layout(k, qs.e, qs.f, qs.pi, qs.z)
-            _check_file_index(qs.m, qs.f)
-        except ValueError as exc:
-            raise ProtocolViolationError(f"query set: {exc}") from exc
     n = code.n
     counts = rs._counts
     if len(counts) != n:

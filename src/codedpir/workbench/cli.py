@@ -51,11 +51,13 @@ def frac_full(x: Fraction) -> str:
     return f"{frac_exact(x)} ({frac_approx(x)})"
 
 
-def _distances(cf: CodeFile, cap: int) -> tuple[int, bool, int, bool]:
-    """(d_min, from_hint, d_tilde_min, from_hint); hints win over search.
+def _distances(cf: CodeFile, cfg: OptimizerConfig) -> tuple[int, bool, int, bool]:
+    """(d_min, from_hint, d_tilde_min, from_hint); hints win over a search
+    capped at cfg.min_distance_cap, which cfg checked when it was made.
 
     Raises ValueError when the two cannot both be the code's (check_distances).
     """
+    cap = cfg.min_distance_cap
     if cf.d_min_hint is not None:
         dm, dm_hint = cf.d_min_hint, True
     else:
@@ -71,7 +73,8 @@ def _distances(cf: CodeFile, cap: int) -> tuple[int, bool, int, bool]:
 def cmd_analyze(args) -> int:
     cf = parse_code_file(args.file)
     code = cf.code
-    dm, dm_hint, dtm, dtm_hint = _distances(cf, args.cap)
+    # a bad cap fails before any search, hinted distances or not
+    dm, dm_hint, dtm, dtm_hint = _distances(cf, OptimizerConfig(min_distance_cap=args.cap))
     bounds = theta_bounds(code, dm, dtm)
     derived = derived_code(code)
     print(f"name: {cf.name}")
@@ -174,7 +177,7 @@ def _table_row(path: str, args) -> tuple[str, ...]:
     cf = parse_code_file(path)
     cfg = _config_for(cf, args)  # a bad setting fails before any search
     started = time.monotonic()
-    dm, dm_hint, dtm, dtm_hint = _distances(cf, args.cap)
+    dm, dm_hint, dtm, dtm_hint = _distances(cf, cfg)
     # hand the scan the distances found above, so neither is searched twice
     result = optimize_cpop(cf.code, replace(cfg, d_min=dm, d_tilde_min=dtm))
     elapsed = time.monotonic() - started

@@ -20,6 +20,7 @@ from codedpir import (
     min_distance,
 )
 
+from codedpir.algebra import bit_slices
 from codedpir.workbench import parse_code_file
 
 from conftest import (
@@ -41,6 +42,7 @@ from oracles import (
     PeasantField,
     TinyField,
     column_rank,
+    combine_components,
     ml_correctable_oracle,
     min_distance_oracle,
     min_weight_oracle,
@@ -395,14 +397,15 @@ class TestEncodeFile:
         x = [self._symbols(GF2, [1, 0, 1]), self._symbols(GF2, [0, 1, 1])]
         enc = encode_file(code, x)
         for row in enc:
-            assert row[3] == row[0] + row[1]
-            assert row[4] == row[1] + row[2]
+            # a sum of symbols is the XOR of their packed bits
+            assert row[3].bits == row[0].bits ^ row[1].bits
+            assert row[4].bits == row[1].bits ^ row[2].bits
 
     def test_zero_file(self):
         code = c1_code()
         x = [[StorageSymbol.from_bits(GF2, 4, 0)] * 3 for _ in range(2)]
         enc = encode_file(code, x)
-        assert all(sym.is_zero() for row in enc for sym in row)
+        assert all(sym.bits == 0 for row in enc for sym in row)
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_rows_satisfy_parity_checks(self, order):
@@ -439,21 +442,29 @@ class TestEncodeFile:
 
 class TestSymbolsAndPatterns:
     def test_symbol_arithmetic(self):
+        # a symbol has no arithmetic of its own: the library XORs and scales
+        # its packed bits, which must be the component-wise sum and product
+        oracle = PeasantField(GF8.modulus, GF8.width)
+        slices = bit_slices(GF8, 3)
         a = StorageSymbol(GF8, (1, 2, 3))
         b = StorageSymbol(GF8, (4, 0, 3))
-        assert (a + b).components == (5, 2, 0)
-        assert (a - b) == (a + b)
-        assert a.scale(0).is_zero()
-        assert a.scale(1) is a
-        assert a.scale(2).components == tuple(GF8.mul(2, c) for c in (1, 2, 3))
+        total = StorageSymbol.from_bits(GF8, 3, a.bits ^ b.bits)
+        assert total.components == combine_components([1, 1], [a.components, b.components], oracle)
+        assert total.components == (5, 2, 0)
+        for c in range(GF8.order):
+            scaled = slices.unpack(slices.scale(a.bits, c))
+            assert scaled == combine_components([c], [a.components], oracle)
 
     def test_symbol_mismatches(self):
-        with pytest.raises(ValueError):
-            StorageSymbol(GF2, (1,)) + StorageSymbol(GF2, (1, 0))
-        with pytest.raises(ValueError):
-            StorageSymbol(GF2, (1,)) + StorageSymbol(GF4, (1,))
+        # one payload per (field, length): symbols over another field or of
+        # another length are other symbols, and an empty one is no symbol
+        assert StorageSymbol(GF2, (1,)) != StorageSymbol(GF2, (1, 0))
+        assert StorageSymbol(GF2, (1,)) != StorageSymbol(GF4, (1,))
+        assert StorageSymbol(GF4, (1, 2)) == StorageSymbol.from_bits(GF4, 2, 0b1001)
         with pytest.raises(ValueError):
             StorageSymbol(GF2, ())
+        with pytest.raises(ValueError, match="does not fit 2 planes of 2 bits"):
+            StorageSymbol.from_bits(GF4, 2, 1 << 4)
 
     def test_pattern_helpers(self):
         p = ErasurePattern((1, 0, 1, 0))

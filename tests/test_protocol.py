@@ -3,6 +3,7 @@ import math
 import operator
 import pickle
 import random
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -33,7 +34,7 @@ from codedpir import (
     verify_privacy,
 )
 from codedpir import protocol
-from codedpir.algebra import BitSlices
+from codedpir.algebra import BitSlices, bit_slices
 from codedpir.protocol import _CHUNK, _chi2_sf, _draw_values, _draws
 
 from conftest import (
@@ -50,6 +51,7 @@ from oracles import (
     PeasantField,
     TinyField,
     column_rank,
+    combine_components,
     encode_oracle,
     exact_privacy_oracle,
     recover_oracle,
@@ -65,6 +67,11 @@ Z1 = ((2, 0, 1), (1, 2, 0), (0, 1, 2))
 
 def sym(field, *values):
     return StorageSymbol(field, values)
+
+
+def plus(a, b):
+    """The sum of two symbols of one field and length: their packed bits XORed."""
+    return StorageSymbol.from_bits(a.spec, a.ell, a.bits ^ b.bits)
 
 
 class TestPickle:
@@ -92,8 +99,8 @@ class TestBuildStorage:
         for i in range(2):
             row = arr.rows[i]
             assert row[:3] == tuple(x[i])
-            assert row[3] == x[i][0] + x[i][1]
-            assert row[4] == x[i][1] + x[i][2]
+            assert row[3] == plus(x[i][0], x[i][1])
+            assert row[4] == plus(x[i][1], x[i][2])
 
     def test_two_identical_files_repeat_blocks(self):
         code = c1_code()
@@ -152,9 +159,10 @@ class TestBuildQueries:
         ids=["slot_out_of_range", "short_pi"],
     )
     def test_v_block_of_a_malformed_layout_is_a_named_error(self, change, message):
-        qs = replace(build_queries(c1_code(), E1, m=1, f=1, seed=9), **change)
+        # a malformed layout never reaches v_block: the set is refused when built
+        qs = build_queries(c1_code(), E1, m=1, f=1, seed=9)
         with pytest.raises(ValueError, match=message):
-            qs.v_block(1)
+            replace(qs, **change)
 
     def test_parity_queries_are_bare_mask(self):
         qs = build_queries(c1_code(), E1, m=1, f=2, seed=4)
@@ -236,7 +244,7 @@ class TestNodeResponse:
     def test_zero_query_zero_response(self):
         col = [sym(GF2, 1), sym(GF2, 0)]
         q = FieldMatrix.zeros(GF2, 3, 2)
-        assert all(s.is_zero() for s in node_response(q, col))
+        assert all(s.bits == 0 for s in node_response(q, col))
 
     def test_selector_rows_return_stored_symbols(self):
         col = [sym(GF4, 1, 2), sym(GF4, 3, 0), sym(GF4, 2, 2)]
@@ -250,7 +258,7 @@ class TestNodeResponse:
         qb = FieldMatrix(GF4, [[rng.randrange(4) for _ in range(4)] for _ in range(2)])
         ra, rb = node_response(qa, col), node_response(qb, col)
         rsum = node_response(qa + qb, col)
-        assert rsum == [x + y for x, y in zip(ra, rb)]
+        assert rsum == [plus(x, y) for x, y in zip(ra, rb)]
 
     def test_parity_response_is_interference_sum(self):
         # node 4 of the reference run answers with sums of the two
@@ -263,12 +271,10 @@ class TestNodeResponse:
         r4 = node_response(qs.q[3], arr.node_column(4))
         u = qs.u.values()
         for t in range(3):
-            expected = StorageSymbol.from_bits(GF2, 4, 0)
-            for col in (0, 1):  # parity row one covers message columns 1 and 2
-                for stripe in range(2):
-                    if u[t][stripe]:
-                        expected = expected + x[stripe][col].scale(u[t][stripe])
-            assert r4[t] == expected
+            # parity row one covers message columns 1 and 2
+            vectors = [x[stripe][col].components for col in (0, 1) for stripe in range(2)]
+            coeffs = [u[t][stripe] for col in (0, 1) for stripe in range(2)]
+            assert r4[t].components == combine_components(coeffs, vectors, TinyField(2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -320,12 +326,11 @@ class TestBatchedResponses:
         qs = build_queries(code, e, m=2, f=2, seed=rng.randrange(10**6))
         rs = self._agree(qs, arr, code, oracle)
         assert recover_file(qs, rs, code) == files[1]
-        # every row its own object: nothing is shared
-        copied = replace(qs, q=tuple(FieldMatrix(field, q.values()) for q in qs.q))
-        assert collect_responses(copied, arr) == rs
-        self._agree(copied, arr, code, oracle)
+        # the parity nodes share the mask itself, and the answers above agree
+        assert all(q is qs.u for q in qs.q[code.k:])
         # rows drawn from a small pool: a row object held by several nodes
-        # (over different columns) and by one node twice
+        # (over different columns) and by one node twice, answered by
+        # node_response against the oracle
         width_q = e.beta * 2
         pool = [[rng.randrange(field.order) for _ in range(width_q)] for _ in range(4)]
         pooled = tuple(
@@ -335,7 +340,11 @@ class TestBatchedResponses:
         held = [set(map(id, q._rows)) for q in pooled]
         assert any(a & b for a, b in itertools.combinations(held, 2))
         assert any(len(ids) < code.k for ids in held)
-        self._agree(replace(qs, q=pooled), arr, code, oracle)
+        stored = [[s.components for s in row] for row in arr.rows]
+        for j, q in enumerate(pooled):
+            expected = response_oracle(q.values(), [row[j] for row in stored], oracle)
+            answers = node_response(q, arr.node_column(j + 1))
+            assert [s.components for s in answers] == expected, j + 1
 
     def test_c6_array_round_at_fixture_size(self):
         code, e, x, arr = _c6_round(ell=3)
@@ -368,9 +377,9 @@ class TestBatchedResponses:
         arr = build_storage(code, [random_file(GF2, 2, 3, 4, random.Random(1))])
         qs = build_queries(code, E1, m=1, f=1, seed=0)
         with pytest.raises(ValueError, match="query set has 3 node queries, the code has 5"):
-            collect_responses(replace(qs, q=qs.q[:3]), arr)
+            collect_responses(replace(qs, n=3), arr)
         with pytest.raises(ValueError, match="query has 2 columns but the node stores 4"):
-            collect_responses(replace(qs, f=2), replace(arr, f=2, rows=arr.rows * 2))
+            collect_responses(qs, replace(arr, rows=arr.rows * 2))
         ragged = arr.rows[:1] + (arr.rows[1][:4],)  # row 2 misses node 5's symbol
         with pytest.raises(ValueError, match="storage row 2 holds 4 symbols, the code has 5 nodes"):
             collect_responses(qs, replace(arr, rows=ragged))
@@ -388,10 +397,10 @@ class TestBatchedResponses:
 
 
 class TestMaskPlusUnitShortcut:
-    """collect_responses answers a set build_queries made from the shared
-    mask products plus one stored payload per selection 1, and only such a
-    set: a set whose queries are given (dataclasses.replace) keeps the full
-    multiply, so hand-built query sets get node_response's answers."""
+    """collect_responses answers from the shared mask products plus one
+    stored payload per selection 1. A QuerySet's queries are derived from
+    its mask and layout, so a set changed through dataclasses.replace is
+    either refused when built or answered as its own queries say."""
 
     @staticmethod
     def _instance(width):
@@ -402,7 +411,7 @@ class TestMaskPlusUnitShortcut:
         files = [random_file(field, e.beta, code.k, 3, rng) for _ in range(2)]
         arr = build_storage(code, files)
         qs = build_queries(code, e, m=2, f=2, seed=rng.randrange(10**6))
-        return code, arr, qs
+        return code, arr, qs, files
 
     @staticmethod
     def _agree(qs, arr):
@@ -411,29 +420,9 @@ class TestMaskPlusUnitShortcut:
             assert list(rs.responses[j]) == node_response(q, arr.node_column(j + 1)), j + 1
         return rs
 
-    @staticmethod
-    def _with_row(qs, node, i, row):
-        """qs with row i of node `node` (0-based) replaced by `row`."""
-        q = list(qs.q)
-        rows = [list(r) for r in q[node].values()]
-        rows[i] = row
-        q[node] = FieldMatrix(q[node].field, rows)
-        return replace(qs, q=tuple(q))
-
-    @staticmethod
-    def _a_flip(qs):
-        """The first selection 1 of qs's layout: (node, row, column), 0-based."""
-        grids = selection_grid_oracle(qs.e, qs.f, qs.m, qs.pi, qs.z)
-        return next(
-            (node, i, row.index(1))
-            for node, grid in enumerate(grids)
-            for i, row in enumerate(grid)
-            if 1 in row
-        )
-
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_every_flipped_row_takes_the_shortcut(self, width, monkeypatch):
-        code, arr, qs = self._instance(width)
+        code, arr, qs, _ = self._instance(width)
         rs = self._agree(qs, arr)
         calls = []
         real = protocol._lane_product
@@ -447,66 +436,55 @@ class TestMaskPlusUnitShortcut:
         assert len(calls) == code.k  # one product per mask row, none per node
 
     @pytest.mark.parametrize("width", [1, 4, 16])
-    def test_row_with_two_flips(self, width):
-        code, arr, qs = self._instance(width)
-        node, i, c = self._a_flip(qs)
-        row = list(qs.q[node].row(i))
-        other = next(col for col in range(len(row)) if col != c and not arr.rows[col][node].is_zero())
-        row[other] ^= 1
-        rs = self._agree(self._with_row(qs, node, i, row), arr)
-        assert rs.responses[node][i] != collect_responses(qs, arr).responses[node][i]
-
-    @pytest.mark.parametrize("width", [1, 4, 16])
-    def test_flip_at_a_column_the_layout_does_not_name(self, width):
-        code, arr, qs = self._instance(width)
-        node, i, c = self._a_flip(qs)
-        row = list(qs.u.row(i))
-        other = next(
-            col for col in range(len(row))
-            if col != c and arr.rows[col][node] != arr.rows[c][node]
-        )
-        row[other] ^= 1
-        rs = self._agree(self._with_row(qs, node, i, row), arr)
-        assert rs.responses[node][i] != collect_responses(qs, arr).responses[node][i]
-
-    @pytest.mark.parametrize("width", [1, 4, 16])
     def test_mask_row_copied_into_a_separate_object(self, width):
-        code, arr, qs = self._instance(width)
-        node, i, _ = self._a_flip(qs)
-        # at a flipped position, the bare mask row as its own object
-        self._agree(self._with_row(qs, node, i, list(qs.u.row(i))), arr)
-        # every node's rows copied: nothing is shared and nothing is a mask row
-        copied = replace(qs, q=tuple(FieldMatrix(q.field, q.values()) for q in qs.q))
-        assert self._agree(copied, arr) == collect_responses(qs, arr)
-        # the mask itself copied, so no query row is one of its rows
+        # the mask copied, so no query row is one of the first set's rows
+        code, arr, qs, _ = self._instance(width)
         masked = replace(qs, u=FieldMatrix(qs.u.field, qs.u.values()))
+        assert masked == qs
+        rows = [{id(r) for q in one.q for r in q._rows} for one in (masked, qs)]
+        assert not rows[0] & rows[1]
         assert self._agree(masked, arr) == collect_responses(qs, arr)
 
-    @pytest.mark.parametrize("change", [
-        {"pi": (0,)}, {"pi": (1, 0)}, {"z": ((0,),)}, {"z": ()}, {"m": 0}, {"m": 3}, {"m": -1},
-        {"m": 1.5}, {"m": "2"}, {"m": 1}, {"u_rows": 1},
+    @pytest.mark.parametrize("change, message", [
+        ({"pi": (0,)}, r"pi must permute 0\.\.\d+ and fix 0"),
+        ({"pi": (1, 0)}, r"pi must permute"),
+        ({"z": ((0,),)}, r"slot assignment must be \d+ x \d+"),
+        ({"z": ()}, r"slot assignment must be"),
+        ({"m": 0}, r"file index 0 out of 1\.\.2"),
+        ({"m": 3}, r"file index 3 out of 1\.\.2"),
+        ({"m": -1}, r"file index -1 out of"),
+        ({"m": 1.5}, r"file index 1\.5 out of"),
+        ({"m": "2"}, r"file index '2' out of"),
+        ({"m": 1}, None),
+        ({"u_rows": 1}, r"access matrix is \d+ x \d+, code needs 1 x 1"),
     ], ids=["short_pi", "pi_moves_0", "short_z", "empty_z", "m_0", "m_past_f", "m_negative",
             "m_float", "m_str", "other_file", "short_mask"])
-    def test_malformed_or_mismatched_query_set(self, change):
-        code, arr, qs = self._instance(4)
+    def test_malformed_or_mismatched_query_set(self, change, message):
+        # a layout that does not hold is refused when the set is built; one
+        # that holds (another file) is answered as its own queries say
+        code, arr, qs, files = self._instance(4)
         if "u_rows" in change:
-            qs = replace(qs, u=FieldMatrix(qs.u.field, qs.u.values()[: change["u_rows"]]))
-        else:
-            qs = replace(qs, **change)
-        assert self._agree(qs, arr) is not None
+            change = {"u": FieldMatrix(qs.u.field, qs.u.values()[: change["u_rows"]])}
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                replace(qs, **change)
+            return
+        other = replace(qs, **change)
+        assert recover_file(other, self._agree(other, arr), code) == files[0]
 
     @pytest.mark.parametrize("width", [1, 4])
     def test_valid_layout_that_names_other_columns(self, width):
-        # another valid pi: the layout validates, but its flips are not the
-        # queries' flips; the replaced set holds its queries as given, so
-        # they go to the full multiply
-        code, arr, qs = self._instance(width)
+        # another valid pi: the replaced set's queries follow it, so they are
+        # answered as they now read and recovery still returns file m
+        code, arr, qs, files = self._instance(width)
         beta = qs.e.beta
         pi = (0,) + tuple(range(beta, 0, -1))
         if pi == qs.pi:
             pi = (0,) + tuple(range(2, beta + 1)) + (1,)
         assert pi != qs.pi
-        self._agree(replace(qs, pi=pi), arr)
+        other = replace(qs, pi=pi)
+        assert other.q != qs.q
+        assert recover_file(other, self._agree(other, arr), code) == files[1]
 
 
 class TestQueryView:
@@ -539,7 +517,10 @@ class TestQueryView:
                 else:
                     assert q == qs.u, (m, l + 1)
             assert qs.q is first and all(map(operator.is_, qs.q, first))
-            assert replace(qs, q=tuple(qs.q)) == qs
+            # q is derived, never given: replace rebuilds it from the layout
+            with pytest.raises(TypeError):
+                replace(qs, q=first)
+            assert replace(qs) == qs and replace(qs).q == first
 
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_round_assembles_no_row_and_validates_its_layout_once(self, width, monkeypatch):
@@ -714,7 +695,7 @@ class TestRecovery:
         qs = build_queries(code, e, m=1, f=1, seed=0)
         rs = collect_responses(qs, build_storage(code, [x]))
         responses = [list(resp) for resp in rs.responses]
-        responses[4][0] = responses[4][0] + StorageSymbol(GF2, [1])
+        responses[4][0] = plus(responses[4][0], StorageSymbol(GF2, [1]))
         corrupted = ResponseSet(responses=tuple(map(tuple, responses)))
         with pytest.raises(ProtocolViolationError, match=r"subquery 1: .*singular \(rank 1\)"):
             recover_file(qs, corrupted, code)
@@ -732,7 +713,7 @@ class TestRecovery:
         rs = collect_responses(qs, build_storage(code, [x]))
         assert recover_file(qs, rs, code) == x
         responses = [list(resp) for resp in rs.responses]
-        responses[5][0] = responses[5][0] + StorageSymbol(field, [1, 0])
+        responses[5][0] = plus(responses[5][0], StorageSymbol(field, [1, 0]))
         corrupted = ResponseSet(responses=tuple(map(tuple, responses)))
         with pytest.raises(ProtocolViolationError, match="subquery 1: parity responses are inconsistent"):
             recover_file(qs, corrupted, code)
@@ -771,16 +752,19 @@ class TestRecovery:
         ({"pi": (0, 2)}, r"pi must permute 0\.\.2 and fix 0"),
         ({"z": ((0, 0, 0),) * 3}, r"slot 0 at \(0, 0\) outside 1\.\.2"),
         ({"e": EMatrix(((1, 1), (1, 1)), beta=2)}, "access matrix is 2 x 2, code needs 3 x 3"),
-        ({"e": EMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)), beta=1)},
-         "stripe count 2, but its access matrix has weight 1"),
+        ({"e": EMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)), beta=1), "pi": (0, 1),
+          "z": ((1, 0, 0), (0, 1, 0), (0, 0, 1))},
+         r"mask has 2 columns, the layout needs beta\*f = 1"),
         ({"f": 0}, "need at least one file"),
         ({"f": 2, "m": 3}, r"file index 3 out of 1\.\.2"),
     ], ids=["short_pi", "zeroed_slots", "small_matrix", "beta_mismatch", "no_files",
             "file_index_past_f"])
     def test_malformed_query_set_rejected(self, change, message):
+        # refused with a named ValueError when the set is built, so no
+        # recovery ever reads a layout that does not hold
         code, qs, rs = self._c1_run()
-        with pytest.raises(ProtocolViolationError, match="query set: " + message):
-            recover_file(replace(qs, **change), rs, code)
+        with pytest.raises(ValueError, match="^" + message):
+            replace(qs, **change)
 
     def test_responses_that_are_not_a_sequence_named(self):
         code, qs, rs = self._c1_run()
@@ -888,7 +872,7 @@ def _misfit_targets(entry, width):
                 ), ProtocolViolationError, slots
     a = FieldMatrix(code.field, [[1, 0], [0, 1], [1, 1]])
     b = [[files[0][0][0], files[0][0][1]], [files[0][1][0], files[0][1][1]],
-         [files[0][0][0] + files[0][1][0], files[0][0][1] + files[0][1][1]]]
+         [plus(files[0][0][0], files[0][1][0]), plus(files[0][0][1], files[0][1][1])]]
     slots = [(f"right-hand side entry ({i + 1}, {j + 1})", b[i], j)
              for i in range(3) for j in range(2)]
     return (lambda: solve(a, b)), RightHandSideError, slots
@@ -974,10 +958,10 @@ class TestFaultInjection:
                 h_rows, support, oracle
             )
             error = StorageSymbol(field, [rng.randrange(field.order) for _ in range(ell)])
-            if error.is_zero():
+            if not error.bits:
                 error = StorageSymbol(field, [1] * ell)
             responses = [list(resp) for resp in rs.responses]
-            responses[j][t] = responses[j][t] + error
+            responses[j][t] = plus(responses[j][t], error)
             corrupted = ResponseSet(responses=tuple(map(tuple, responses)))
             try:
                 recover_file(qs, corrupted, code)
@@ -1449,7 +1433,8 @@ class TestWidthCoverage:
                     for i, c in enumerate(s.components)
                 )
             c = rng.randrange(1, field.order)
-            scaled = files[0][0][0].scale(c).components
+            slices = bit_slices(field, ell)
+            scaled = slices.unpack(slices.scale(files[0][0][0].bits, c))
             assert scaled == tuple(oracle.mul(c, v) for v in comps[0][0][0])
 
             arr = build_storage(code, files)
@@ -1525,7 +1510,7 @@ def _corrupt(rs, cells, field):
     """The responses with an all-ones error added at each (node, subquery), 0-based."""
     responses = [list(resp) for resp in rs.responses]
     for j, t in cells:
-        responses[j][t] = responses[j][t] + StorageSymbol(field, [1] * responses[j][t].ell)
+        responses[j][t] = plus(responses[j][t], StorageSymbol(field, [1] * responses[j][t].ell))
     return ResponseSet(responses=tuple(map(tuple, responses)))
 
 
@@ -1603,3 +1588,79 @@ class TestShiftClassErrors:
         rs = collect_responses(qs, build_storage(code, [x]))
         with pytest.raises(ProtocolViolationError, match=message):
             recover_file(qs, _corrupt(rs, [(4, t) for t in corrupted], field), code)
+
+
+# what a refused query set or round may say: each names the part that does not hold
+_TAMPER_ERRORS = (
+    r"pi must permute", r"slot ", r"column \d+ does not use each stripe slot",
+    r"file index ", r"need at least one file", r"node count ", r"mask has \d+ columns",
+    r"query set has \d+ node queries, the code has \d+ nodes",
+    r"query set and storage array disagree on beta or f",
+)
+
+
+def _tampered(rng, qs, code):
+    """One field of qs replaced at random: (kind, the changes for replace)."""
+    beta, k = qs.beta, code.k
+    kind = rng.choice(["pi", "pi_moves_0", "z", "m", "f", "u", "n"])
+    if kind == "pi":
+        return kind, {"pi": (0, *rng.sample(range(1, beta + 1), beta))}
+    if kind == "pi_moves_0":
+        pi = (0,)
+        while pi[0] == 0:
+            pi = tuple(rng.sample(range(beta + 1), beta + 1))
+        return kind, {"pi": pi}
+    if kind == "z":
+        z = [list(row) for row in qs.z]
+        i, l = rng.randrange(k), rng.randrange(k)
+        z[i][l] = rng.choice([s for s in range(beta + 2) if s != z[i][l]])
+        return kind, {"z": tuple(map(tuple, z))}
+    if kind == "m":
+        return kind, {"m": rng.choice([v for v in (-1, 0, 1, 2, 3, 4, 1.5) if v != qs.m])}
+    if kind == "f":
+        return kind, {"f": rng.choice([v for v in (0, 1, 2, 3, 4) if v != qs.f])}
+    if kind == "u":
+        rows = [list(row) for row in qs.u.values()]
+        i, c = rng.randrange(k), rng.randrange(len(rows[0]))
+        rows[i][c] ^= rng.randrange(1, code.field.order)
+        return kind, {"u": FieldMatrix(code.field, rows)}
+    return kind, {"n": rng.choice([k - 1, k, code.n - 1, code.n + 1, float(code.n)])}
+
+
+class TestTamperedQuerySets:
+    """A query set changed through dataclasses.replace, one field at a time,
+    either recovers the file its own m names or is refused with a named
+    ValueError or ProtocolViolationError: its queries follow its layout, so
+    the answers and the recovery read the same layout."""
+
+    @pytest.mark.parametrize("name", ["c2like", "gf4_32", "gf16_shift2", "c3like"])
+    def test_right_file_or_a_named_error(self, name):
+        from codedpir.workbench import parse_code_file
+        from conftest import FIXTURES_DIR
+
+        code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
+        e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+        f = 3
+        rng = random.Random(f"tamper {name}")
+        files = [random_file(code.field, e.beta, code.k, 2, rng) for _ in range(f)]
+        arr = build_storage(code, files)
+        outcomes = Counter()
+        for trial in range(150):
+            qs = build_queries(code, e, m=rng.randint(1, f), f=f, seed=rng.randrange(10**6))
+            kind, change = _tampered(rng, qs, code)
+            try:
+                tampered = replace(qs, **change)
+                got = recover_file(tampered, collect_responses(tampered, arr), code)
+            except (ValueError, ProtocolViolationError) as exc:
+                assert any(re.search(p, str(exc)) for p in _TAMPER_ERRORS), (trial, change, exc)
+                outcomes[kind, "refused"] += 1
+                continue
+            assert got == files[tampered.m - 1], (trial, change)
+            outcomes[kind, "recovered"] += 1
+        # a valid shuffle of the slots or another mask always recovers; a pi
+        # that moves 0 or a changed slot never does
+        for kind in ("pi", "u"):
+            assert outcomes[kind, "recovered"] and not outcomes[kind, "refused"], kind
+        for kind in ("pi_moves_0", "z"):
+            assert outcomes[kind, "refused"] and not outcomes[kind, "recovered"], kind
+        assert outcomes["m", "recovered"] and outcomes["m", "refused"]

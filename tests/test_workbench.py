@@ -310,6 +310,19 @@ class TestCli:
             ["mds53", "error: min_distance_cap must be at least 0, got -1"],
         ]
 
+    @pytest.mark.parametrize("name", ["c3like", "c6_array"])
+    def test_analyze_rejects_negative_cap_before_any_search(self, name, monkeypatch, capsys):
+        # c3like searches both distances; c6_array takes both from hints
+        import codedpir.workbench.cli as cli_module
+
+        searched = []
+        monkeypatch.setattr(cli_module, "min_distance", lambda H, cap=25: searched.append(H))
+        assert main(["analyze", str(FIXTURES_DIR / f"{name}.pchk"), "--cap", "-1"]) == 1
+        assert searched == []
+        captured = capsys.readouterr()
+        assert captured.err == "error: min_distance_cap must be at least 0, got -1\n"
+        assert captured.out == ""
+
     def test_simulate_seed_required(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", str(fixture_path("c1.pchk"))])
