@@ -6,9 +6,14 @@ products and inverses are lookups in one log/antilog table pair per field,
 built from a validated irreducible modulus and shared by every spec of it.
 Matrices hold raw integer entries. Vectors that linear maps act on as a
 whole (payload symbols, rows under elimination) are bit-sliced into one int
-each (BitSlices), so adding two of them is one XOR. One elimination works
-on such rows: _eliminate reduces each row by the stored row at its leading
-(highest nonzero) coordinate and stores it where no row leads, and
+each (BitSlices), so adding two of them is one XOR. This module is the one
+that knows the payload format: it also stacks packed payloads side by side
+in lanes of whole 64-bit words (_stride, _stack, _unstack), and one product
+multiplies stacks by raw coefficients in every lane at once
+(_lane_product): encoding, node responses and recovery's syndromes all run
+on it, at every field width. One elimination works on packed rows:
+_eliminate reduces each row by the stored row at its leading (highest
+nonzero) coordinate and stores it where no row leads, and
 _back_substitute clears the stored rows at each other's leading
 coordinates. rref and matrix_rank, solve and the protocol's recovery
 (_solve_packed), and the width scan's independence tests all run on it,
@@ -58,10 +63,6 @@ class ReducibleModulusError(ValueError):
 
 class FieldMismatchError(ValueError):
     """Two operands belong to different field specs."""
-
-
-class RightHandSideError(ValueError):
-    """solve() got symbol rows of mixed types, fields, payload lengths or widths."""
 
 
 class SingularSystemError(ValueError):
@@ -421,7 +422,8 @@ def _expect_matrix(M: object) -> None:
 # Python int, plane b at bits [b*ell, (b+1)*ell). Adding vectors is then
 # one XOR, and every linear map (encoding, node responses, elimination)
 # becomes XORs of whole packed ints: the bit-matrix technique of XOR-based
-# Cauchy Reed-Solomon coding. Only BitSlices reads or writes this layout.
+# Cauchy Reed-Solomon coding. Only this module reads or writes this layout:
+# BitSlices for one vector, _lane_product for stacks of them.
 
 # byte value -> b"0"/b"1" for bit b of the byte, and the reverse lookups
 _BIT_CHARS = [bytes(48 + ((v >> b) & 1) for v in range(256)) for b in range(8)]
@@ -561,53 +563,78 @@ class BitSlices:
             offset += n
         return pieces
 
-    def times_x(self, v: int) -> int:
-        """The packed vector times the field element x."""
-        return ((v << self.ell) & self._full) ^ ((v >> self._top) * self._spread)
-
     def scale(self, v: int, c: int) -> int:
-        """The packed vector times the raw field value c."""
+        """The packed vector times the raw field value c: v, v x, v x^2, ...
+        added where c has a bit."""
         acc = 0
         while c:
             if c & 1:
                 acc ^= v
             c >>= 1
-            if c:
-                v = self.times_x(v)
+            if c:  # times x: each plane up one, the top plane back at the modulus' terms
+                v = ((v << self.ell) & self._full) ^ ((v >> self._top) * self._spread)
         return acc
-
-    def expand(self, vectors: Iterable[int]) -> list[int]:
-        """x^b times each vector, b = 0..w-1 per vector, in that order.
-
-        A raw field value c = sum of c_b x^b selects entries b of a vector's
-        run by its bits, so a combination sum_s c_s v_s of the vectors is the
-        XOR of the entries coefficient_bits() marks.
-        """
-        if self.width == 1:
-            return list(vectors)
-        out = []
-        for v in vectors:
-            for _ in range(self.width):
-                out.append(v)
-                v = self.times_x(v)
-        return out
-
-
-def coefficient_bits(width: int, coeffs: Sequence[int]) -> Sequence[int]:
-    """Selector over BitSlices.expand() output for raw coefficients."""
-    if width == 1:
-        return coeffs
-    return [(c >> b) & 1 for c in coeffs for b in range(width)]
-
-
-def combine(expanded: Sequence[int], selector: Sequence[int]) -> int:
-    """XOR of the expanded vectors a coefficient_bits() selector marks."""
-    return reduce(xor, compress(expanded, selector), 0)
 
 
 @lru_cache(maxsize=256)
 def bit_slices(spec: FieldSpec, ell: int) -> BitSlices:
     return BitSlices(spec, ell)
+
+
+# Stacked lanes: several packed payloads side by side in one int, each in a
+# lane of _stride bytes, so one XOR adds every lane at once.
+
+
+def _stride(field: FieldSpec, ell: int) -> int:
+    """Bytes of one payload's lane in a stack: its w*ell bits in whole 64-bit words."""
+    return 8 * -(-field.width * ell // 64)
+
+
+def _stack(payloads: Iterable[int], stride: int) -> int:
+    """Payloads side by side in one int, payload i at byte offset i * stride."""
+    return int.from_bytes(b"".join(v.to_bytes(stride, "little") for v in payloads), "little")
+
+
+def _unstack(v: int, stride: int, count: int) -> list[int]:
+    """The `count` payloads _stack put together."""
+    raw = v.to_bytes(stride * count, "little")
+    return [int.from_bytes(raw[i : i + stride], "little") for i in range(0, stride * count, stride)]
+
+
+def _lane_product(
+    field: FieldSpec, ell: int, stride: int, count: int
+) -> Callable[[Sequence[int], Sequence[int]], int]:
+    """A function from stacks of `count` payloads of length ell at `stride`
+    (_stack) and one raw coefficient per stack to their weighted sum, in
+    every lane at once.
+
+    A coefficient c is the sum of its bit planes c_b x^b, so the sum is
+    Horner's x(...x(S_{w-1})...) + S_0 over the plane sums S_b, each the
+    XOR of the stacks whose coefficient has bit b set (GF(2) is one such
+    XOR). Times x shifts each lane's lower w-1 planes up by one and adds
+    its top plane back at the modulus' lower terms; the masks keep every
+    plane in its lane.
+    """
+    width = field.width
+    if width == 1:
+        return lambda stacks, coefficients: reduce(xor, compress(stacks, coefficients), 0)
+    top = (width - 1) * ell
+    ones = int.from_bytes((1).to_bytes(stride, "little") * count, "little")  # 1 in every lane
+    low, plane = ones * ((1 << top) - 1), ones * ((1 << ell) - 1)
+    terms = [r * ell for r in range(width) if (field.modulus >> r) & 1]
+
+    def product(stacks: Sequence[int], coefficients: Sequence[int]) -> int:
+        bits = [(c >> b) & 1 for c in coefficients for b in range(width)]
+        v = reduce(xor, compress(stacks, bits[width - 1 :: width]), 0)
+        for b in range(width - 2, -1, -1):
+            carry = (v >> top) & plane
+            v = (v & low) << ell
+            for shift in terms:
+                v ^= carry << shift
+            v ^= reduce(xor, compress(stacks, bits[b::width]), 0)
+        return v
+
+    return product
 
 
 def _eliminate(
@@ -765,69 +792,30 @@ def _solve_packed(
     return [split(table[p + 1], [low])[0] for p in pivots]
 
 
-def solve(A: FieldMatrix, B):
+def solve(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
     """Solve A X = B for X, requiring A to have full column rank.
 
-    A may be square or tall. B is either a FieldMatrix with matching row
-    count, or a sequence of rows of storage symbols over A's field, all of
-    one payload length; X then comes back as a list of rows of symbols.
-    Each row of B and the matching row of A are packed side by side into
-    one int, [B | A] with B in the low coordinates, and _solve_packed
-    eliminates those rows by A's columns. Raises SingularSystemError,
-    carrying the rank found, when A is rank-deficient, RightHandSideError
-    when B is not iterable, when its symbol rows are not sequences, are
-    empty or ragged, or name a misfit symbol ("right-hand side entry
-    (2, 1)"), and ValueError when the system is inconsistent.
+    A may be square or tall, and B is a FieldMatrix over A's field with
+    A's row count. Each row of B and the matching row of A are packed side
+    by side into one int, [B | A] with B in the low coordinates, and
+    _solve_packed eliminates those rows by A's columns. Raises TypeError
+    naming the kind of a right-hand side that is not a FieldMatrix
+    ("right-hand side is an int, not a FieldMatrix"), SingularSystemError,
+    carrying the rank found, when A is rank-deficient, and ValueError when
+    the system is inconsistent.
     """
     _expect_matrix(A)
-    f = A.field
-    ncols = A.ncols
-    if isinstance(B, FieldMatrix):
-        if B.field != f:
-            raise FieldMismatchError("right-hand side over a different field")
-        out = bit_slices(f, B.ncols)
-        b = [[out.pack(r)] for r in B._rows]
-        lengths = [B.ncols]
-    else:
-        from .codes import StorageSymbol, pack_symbols
-
-        if not isinstance(B, Iterable):
-            raise RightHandSideError(
-                f"right-hand side is {_kind(B)}, not a FieldMatrix or rows of symbols"
-            )
-        rows = list(B)
-        for i, row in enumerate(rows, 1):
-            if not isinstance(row, Sequence):
-                raise RightHandSideError(
-                    f"right-hand side row {i} is {_kind(row)}, not a sequence of symbols"
-                )
-        if not rows or not rows[0]:
-            raise RightHandSideError("right-hand side needs at least one row and one symbol")
-        w = len(rows[0])
-        for i, row in enumerate(rows, 1):
-            if len(row) != w:
-                raise RightHandSideError(
-                    f"right-hand side row {i} has {len(row)} symbols, row 1 has {w}"
-                )
-        ell, payloads = pack_symbols(
-            [sym for row in rows for sym in row],
-            f,
-            lambda i: f"right-hand side entry ({i // w + 1}, {i % w + 1})",
-            RightHandSideError,
-        )
-        b = [payloads[i : i + w] for i in range(0, len(payloads), w)]
-        lengths = [ell] * w
-    if len(b) != A.nrows:
+    if not isinstance(B, FieldMatrix):
+        raise TypeError(f"right-hand side is {_kind(B)}, not a FieldMatrix")
+    f, low, ncols = A.field, B.ncols, A.ncols
+    if B.field != f:
+        raise FieldMismatchError("right-hand side over a different field")
+    if B.nrows != A.nrows:
         raise ValueError("row counts of A and B differ")
-    low = sum(lengths)
-    head = bit_slices(f, ncols)
-    joined = bit_slices(f, low + ncols)
-    a = [joined.join([*row, head.pack(r)], [*lengths, ncols]) for r, row in zip(A._rows, b)]
-    rhs = bit_slices(f, low)
-    x = [rhs.split(v, lengths) for v in _solve_packed(f, low, low + ncols, a, ncols)]
-    if isinstance(B, FieldMatrix):
-        return FieldMatrix._wrap(f, [list(out.unpack(v)) for (v,) in x])
-    return [[StorageSymbol._of(f, ell, v) for v in row] for row in x]
+    pack, unpack = bit_slices(f, low + ncols).pack, bit_slices(f, low).unpack
+    rows = [pack([*b_row, *a_row]) for b_row, a_row in zip(B._rows, A._rows)]
+    x = _solve_packed(f, low, low + ncols, rows, ncols)
+    return FieldMatrix._wrap(f, [list(unpack(v)) for v in x])
 
 
 def _kind(x: object) -> str:

@@ -3,7 +3,9 @@
 A storage code is given by its parity-check matrix H = (P | I). The derived
 code on the k message coordinates has parity-check matrix P; its erasure
 correction capability decides which sets of message nodes a retrieval
-subquery may touch at once.
+subquery may touch at once. encode_file stacks each message column over
+the file's stripes and computes each parity column with one
+algebra._lane_product, the product responses and recovery also use.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ from .algebra import (
     FieldMatrix,
     FieldSpec,
     _eliminate,
+    _kind,
+    _lane_product,
     _nonzero,
     _proportional_keys,
     _reduce_by,
+    _stack,
+    _stride,
+    _unstack,
     _walk_tables,
     bit_slices,
-    coefficient_bits,
     column_vectors,
-    combine,
     matrix_rank,
     rref,
 )
@@ -437,34 +442,43 @@ def pack_symbols(
     return symbols[0].ell, list(map(attrgetter("bits"), symbols))
 
 
+def _check_rows(rows: Sequence, length: int, where: Callable[[int], str], what: str) -> None:
+    """Raise ValueError at the first row that is not a sequence of `length`
+    entries (`what` names them), labelled by the caller's where(its 1-based
+    position)."""
+    for s, row in enumerate(rows, 1):
+        if not isinstance(row, Sequence):
+            raise ValueError(f"{where(s)} is {_kind(row)}, not a sequence of {what}")
+        if len(row) != length:
+            raise ValueError(f"{where(s)} has {len(row)} {what}, expected {length}")
+
+
 def encode_file(code: LinearCode, X: Sequence[Sequence[StorageSymbol]]) -> list[list[StorageSymbol]]:
     """Encode a beta x k file matrix into beta codeword rows of length n.
 
     Row i keeps its k message symbols as a systematic prefix; parity symbol
     k + r is the P-row-r weighted sum of the row's message symbols, so every
-    output row satisfies H c^T = 0. Raises ValueError when a row does not
-    hold k entries, and names a misfit symbol ("stripe 2, symbol 3").
+    output row satisfies H c^T = 0. Message column l of every row is
+    stacked into one int (algebra._stack), so each parity column is one
+    _lane_product over the k stacks, for all rows at once. Raises
+    ValueError when a row is not a sequence of k entries ("stripe 1 is a
+    StorageSymbol, ...") and names a misfit symbol ("stripe 2, symbol 3").
     """
     if not X:
         raise ValueError("empty file")
-    k = code.k
-    field = code.field
-    for row in X:
-        if len(row) != k:
-            raise ValueError(f"file row has {len(row)} symbols, expected k={k}")
+    k, field = code.k, code.field
+    _check_rows(X, k, lambda s: f"stripe {s}", "symbols")
     ell, payloads = pack_symbols(
         [sym for row in X for sym in row],
         field,
         lambda i: f"stripe {i // k + 1}, symbol {i % k + 1}",
         ValueError,
     )
-    slices = bit_slices(field, ell)
-    selectors = [coefficient_bits(field.width, prow) for prow in code.p._rows]
-    out: list[list[StorageSymbol]] = []
-    for s, row in enumerate(X):
-        expanded = slices.expand(payloads[s * k : (s + 1) * k])
-        codeword = list(row)
-        for sel in selectors:
-            codeword.append(StorageSymbol._of(field, ell, combine(expanded, sel)))
-        out.append(codeword)
-    return out
+    beta, stride = len(X), _stride(field, ell)
+    columns = [_stack(payloads[l::k], stride) for l in range(k)]
+    product = _lane_product(field, ell, stride, beta)
+    parity = [_unstack(product(columns, prow), stride, beta) for prow in code.p._rows]
+    return [
+        [*row, *(StorageSymbol._of(field, ell, col[s]) for col in parity)]
+        for s, row in enumerate(X)
+    ]

@@ -19,21 +19,22 @@ derived from them, never stored: the offsets of the selection 1s
 (_selection_offsets) are kept, and `q` is a view that _assemble writes out
 on first read. Between the stored array and the recovered file, payloads
 stay packed (codes.StorageSymbol.bits) and stacked: several payloads side
-by side in one int, each in a lane of _stride bytes, whole 64-bit words.
+by side in one int, each in a lane of whole 64-bit words (algebra._stack).
 A StorageArray checks and packs its symbols once, when it is built, and
 keeps every stored row stacked over the n nodes, once at every field
 width, and every node's column stacked over the rows. collect_responses
 multiplies each mask row once, against all stored rows at a time
-(_lane_product, Horner's rule over the coefficients' bit planes), gathers
-every node's k answers into one int, and adds one stored payload per
-selection 1; it reads no query row. node_response is the same product for
-one node and a query given row by row. A ResponseSet holds the per-node
-ints, and recover_file reads them directly: one pass over P gives every
-syndrome. Subqueries whose supports differ by a multiple of the code's
-row shift (LinearCode.row_shift) share one system, P's rows masked to the
-first one's support with each member's syndromes in a lane below the
-coefficients, and each such class goes to algebra._solve_packed,
-algebra's one elimination kernel, once. StorageSymbols appear only at
+(algebra._lane_product, Horner's rule over the coefficients' bit planes,
+the product encode_file also uses), gathers every node's k answers into
+one int, and adds one stored payload per selection 1; it reads no query
+row. node_response is the same product for one node and a query given
+row by row. A ResponseSet holds the per-node ints, and recover_file
+reads them directly: one pass over P, the same product again, gives
+every syndrome. Subqueries whose supports differ by a multiple of the
+code's row shift (LinearCode.row_shift) share one system, P's rows
+masked to the first one's support with each member's syndromes in a
+lane below the coefficients, and each such class goes to
+algebra._solve_packed, algebra's one elimination kernel, once. StorageSymbols appear only at
 the edges: the files stored, the file recovered, and the `responses`
 view.
 
@@ -57,20 +58,22 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     FieldMatrix,
     SingularSystemError,
+    _lane_product,
+    _stack,
+    _stride,
+    _unstack,
     bit_slices,
-    coefficient_bits,
-    combine,
 )
 # recover_file's one solve per class of subqueries goes through this
 # module-level name, which the benchmark's tracer rebinds to time it as
 # algebra.solve
 from .algebra import _solve_packed as solve
-from .codes import LinearCode, StorageSymbol, encode_file, pack_symbols
+from .codes import LinearCode, StorageSymbol, _check_rows, encode_file, pack_symbols
 from .optimizer import EMatrix
 
 
@@ -379,19 +382,22 @@ class ResponseSet:
 def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSymbol]]]) -> StorageArray:
     """Encode every stripe of every file and stack the codeword rows.
 
-    Raises ValueError when there is no file or a file is not beta x k (beta
-    taken from file 1), and names a misfit symbol ("file 1, stripe 2, symbol 3").
-    encode_file checks and packs each symbol once; the symbols are checked
-    again, file by file, only when it has found a misfit. The array is
-    packed from the encoded payloads (StorageArray._of), not checked again.
+    Raises ValueError when there is no file, a file is not a sequence of
+    as many stripes as file 1 ("file 2 has 3 stripes, expected 2"), or a
+    stripe is not a sequence of k symbols ("file 1, stripe 2 is a
+    StorageSymbol, not a sequence of symbols"), and names a misfit symbol
+    ("file 1, stripe 2, symbol 3"). encode_file checks and packs each
+    symbol once; the symbols are checked again, file by file, only when it
+    has found a misfit. The array is packed from the encoded payloads
+    (StorageArray._of), not checked again.
     """
     if not files:
         raise ValueError("need at least one file")
-    beta = len(files[0])
     k = code.k
-    for idx, file_matrix in enumerate(files):
-        if len(file_matrix) != beta or any(len(r) != k for r in file_matrix):
-            raise ValueError(f"file {idx + 1} is not a {beta} x {k} matrix")
+    beta = len(files[0]) if isinstance(files[0], Sequence) else 0  # else named next
+    _check_rows(files, beta, lambda idx: f"file {idx}", "stripes")
+    for idx, file_matrix in enumerate(files, 1):
+        _check_rows(file_matrix, k, lambda s: f"file {idx}, stripe {s}", "symbols")
     stripes = [row for file_matrix in files for row in file_matrix]
     try:
         encoded = encode_file(code, stripes)
@@ -530,58 +536,6 @@ def build_queries(
     drawn = _draws(random.Random(seed), code.field.order, k * width)
     u = FieldMatrix._wrap(code.field, [drawn[i * width : (i + 1) * width] for i in range(k)])
     return QuerySet(code.n, m, f, u, e, pi, z)
-
-
-def _stride(field, ell: int) -> int:
-    """Bytes of one payload's lane in a stack: its w*ell bits in whole 64-bit words."""
-    return 8 * -(-field.width * ell // 64)
-
-
-def _stack(payloads: Iterable[int], stride: int) -> int:
-    """Payloads side by side in one int, payload i at byte offset i * stride."""
-    return int.from_bytes(b"".join(v.to_bytes(stride, "little") for v in payloads), "little")
-
-
-def _unstack(v: int, stride: int, count: int) -> list[int]:
-    """The `count` payloads _stack put together."""
-    raw = v.to_bytes(stride * count, "little")
-    return [int.from_bytes(raw[i : i + stride], "little") for i in range(0, stride * count, stride)]
-
-
-def _lane_product(
-    field, ell: int, stride: int, count: int
-) -> Callable[[Sequence[int], Sequence[int]], int]:
-    """A function from stacks of `count` payloads at `stride` (_stack) and
-    one raw coefficient per stack to their weighted sum, in every lane at
-    once.
-
-    A coefficient is the sum of its bit planes c_b x^b, so the sum is
-    Horner's x(...x(S_{w-1})...) + S_0 over the plane sums S_b, each one
-    combine() of the stacks plane b of coefficient_bits() marks (GF(2) is
-    one combine). Times x shifts each lane's lower w-1 planes up by one and
-    adds its top plane back at the modulus' lower terms; the masks keep
-    every plane in its lane.
-    """
-    width = field.width
-    if width == 1:
-        return combine
-    top = (width - 1) * ell
-    ones = int.from_bytes((1).to_bytes(stride, "little") * count, "little")  # 1 in every lane
-    low, plane = ones * ((1 << top) - 1), ones * ((1 << ell) - 1)
-    terms = [r * ell for r in range(width) if (field.modulus >> r) & 1]
-
-    def product(stacks: Sequence[int], coefficients: Sequence[int]) -> int:
-        bits = coefficient_bits(width, coefficients)
-        v = combine(stacks, bits[width - 1 :: width])
-        for b in range(width - 2, -1, -1):
-            carry = (v >> top) & plane
-            v = (v & low) << ell
-            for shift in terms:
-                v ^= carry << shift
-            v ^= combine(stacks, bits[b::width])
-        return v
-
-    return product
 
 
 def _stack_storage(
@@ -778,7 +732,6 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
             f"node 1, subquery 1: symbol over {rs._field!r}, expected {field!r}"
         )
     ell = rs._ell
-    width = field.width
     stride = _stride(field, ell)
     p_rows = code.p._rows
     product = _lane_product(field, ell, stride, k)
@@ -792,7 +745,7 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     # the coefficients: assemble() builds its rows and says where the
     # coefficients start, unpack() reads every lane of every unknown, in
     # that order
-    if width == 1:
+    if field.width == 1:
         # a lane is a payload's stride, as in the stacks: bytes in, _unstack out
         syndromes = [
             [raw[a : a + stride] for a in range(0, k * stride, stride)]

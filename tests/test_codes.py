@@ -43,6 +43,7 @@ from oracles import (
     TinyField,
     column_rank,
     combine_components,
+    encode_oracle,
     ml_correctable_oracle,
     min_distance_oracle,
     min_weight_oracle,
@@ -407,27 +408,28 @@ class TestEncodeFile:
         enc = encode_file(code, x)
         assert all(sym.bits == 0 for row in enc for sym in row)
 
-    @pytest.mark.parametrize("order", [2, 4])
+    # widths 1, 2, 7, 8, 9 and 16; payloads of 1, 3, 64 and 65 components,
+    # whose w*ell bits fill part of a lane's last 64-bit word, all of it, or
+    # spill one bit into the next; one stripe (a stack of one lane) or five
+    @pytest.mark.parametrize("order", [2, 4, 128, 256, 512, 65536])
     def test_rows_satisfy_parity_checks(self, order):
-        field = GF2 if order == 2 else GF4
-        tiny = TinyField(order)
+        field = FieldSpec(order.bit_length() - 1)
+        oracle = PeasantField(field.modulus, field.width)
         rng = random.Random(order)
-        for _ in range(10):
-            code = random_systematic_code(rng, field, n_lo=4, n_hi=10)
+        for ell, stripes in itertools.product((1, 3, 64, 65), (1, 5)):
+            # nothing here enumerates the derived code, so its size is not capped
+            code = random_systematic_code(rng, field, n_lo=4, n_hi=10, oracle_cap_bits=1 << 10)
             x = [
-                [StorageSymbol(field, [rng.randrange(field.order) for _ in range(3)])
-                 for _ in range(code.k)]
-                for _ in range(2)
+                [tuple(rng.randrange(field.order) for _ in range(ell)) for _ in range(code.k)]
+                for _ in range(stripes)
             ]
-            for row in encode_file(code, x):
+            encoded = encode_file(code, [[StorageSymbol(field, v) for v in row] for row in x])
+            expected = encode_oracle(code.p.values(), x, oracle)
+            assert [[sym.components for sym in row] for row in encoded] == expected
+            for row in expected:
                 # syndrome computed directly from H with oracle arithmetic
                 for hrow in code.h.values():
-                    for comp in range(3):
-                        s = 0
-                        for c, sym in zip(hrow, row):
-                            if c:
-                                s ^= tiny.mul(c, sym.components[comp])
-                        assert s == 0
+                    assert combine_components(hrow, row, oracle) == (0,) * ell
 
     def test_dimension_mismatch(self):
         code = c1_code()

@@ -18,7 +18,6 @@ from codedpir import (
     OptimizerConfig,
     ProtocolViolationError,
     ResponseSet,
-    RightHandSideError,
     StorageSymbol,
     build_queries,
     build_storage,
@@ -30,7 +29,6 @@ from codedpir import (
     optimize_cpop,
     random_file,
     recover_file,
-    solve,
     verify_privacy,
 )
 from codedpir import protocol
@@ -864,18 +862,10 @@ def _misfit_targets(entry, width):
                  for i in range(nrows) for j in range(n)]
         return (lambda: collect_responses(qs, replace(arr, rows=tuple(map(tuple, rows))))
                 ), ValueError, slots
-    if entry == "recover_file":
-        resp = [list(r) for r in rs.responses]
-        slots = [(f"node {j + 1}, subquery {t + 1}", resp[j], t)
-                 for j in range(n) for t in range(k)]
-        return (lambda: recover_file(qs, ResponseSet(tuple(map(tuple, resp))), code)
-                ), ProtocolViolationError, slots
-    a = FieldMatrix(code.field, [[1, 0], [0, 1], [1, 1]])
-    b = [[files[0][0][0], files[0][0][1]], [files[0][1][0], files[0][1][1]],
-         [plus(files[0][0][0], files[0][1][0]), plus(files[0][0][1], files[0][1][1])]]
-    slots = [(f"right-hand side entry ({i + 1}, {j + 1})", b[i], j)
-             for i in range(3) for j in range(2)]
-    return (lambda: solve(a, b)), RightHandSideError, slots
+    resp = [list(r) for r in rs.responses]
+    slots = [(f"node {j + 1}, subquery {t + 1}", resp[j], t) for j in range(n) for t in range(k)]
+    return (lambda: recover_file(qs, ResponseSet(tuple(map(tuple, resp))), code)
+            ), ProtocolViolationError, slots
 
 
 class TestMisfitSymbolsNamed:
@@ -885,7 +875,7 @@ class TestMisfitSymbolsNamed:
     @pytest.mark.parametrize("width", [1, 4, 16])
     @pytest.mark.parametrize("entry", [
         "encode_file", "build_storage", "node_response", "collect_responses",
-        "recover_file", "solve",
+        "recover_file",
     ])
     def test_misfit_named_by_position(self, entry, width, kind):
         call, error, slots = _misfit_targets(entry, width)
@@ -903,6 +893,24 @@ class TestMisfitSymbolsNamed:
         with pytest.raises(error) as info:
             call()
         assert str(info.value).startswith(f"{label}: {named}")
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_flat_stripe_named(self, width):
+        # a file handed as one stripe, or a stripe as one symbol: a flat list
+        # of symbols where rows of them belong
+        code, files, arr, qs, rs = _misfit_round(width)
+        stripe = list(files[0][0])
+        for call, message in (
+            (lambda: build_storage(code, [stripe]),
+             "file 1, stripe 1 is a StorageSymbol, not a sequence of symbols"),
+            (lambda: build_storage(code, stripe),
+             "file 1 is a StorageSymbol, not a sequence of stripes"),
+            (lambda: encode_file(code, stripe),
+             "stripe 1 is a StorageSymbol, not a sequence of symbols"),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_array_without_rows_named(self):
         code, files, arr, qs, rs = _misfit_round(1)
