@@ -592,12 +592,19 @@ def _stride(field: FieldSpec, ell: int) -> int:
 
 def _stack(payloads: Iterable[int], stride: int) -> int:
     """Payloads side by side in one int, payload i at byte offset i * stride."""
-    return int.from_bytes(b"".join(v.to_bytes(stride, "little") for v in payloads), "little")
+    raw = b"".join(map(int.to_bytes, payloads, repeat(stride), repeat("little")))
+    return int.from_bytes(raw, "little")
 
 
 def _unstack(v: int, stride: int, count: int) -> list[int]:
     """The `count` payloads _stack put together."""
     raw = v.to_bytes(stride * count, "little")
+    if stride == 8:
+        # one word per payload: read them all as one array, no slice each
+        words = array("Q", raw)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words.tolist()
     return [int.from_bytes(raw[i : i + stride], "little") for i in range(0, stride * count, stride)]
 
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .algebra import _eliminate, _nonzero, _proportional_keys, _reduce_by, _walk_tables
@@ -39,20 +40,32 @@ from .codes import (
 
 @dataclass(frozen=True)
 class EMatrix:
-    """Square binary access matrix with constant row and column weight."""
+    """Square binary access matrix with constant row and column weight.
+
+    Its rows are held as tuples of ints, whatever sequences they were given
+    as, so a matrix is hashable and its cached layout cannot go stale.
+    """
 
     rows: tuple[tuple[int, ...], ...]
     beta: int
 
     def __post_init__(self):
-        k = len(self.rows)
-        if any(len(r) != k for r in self.rows):
+        rows = tuple(map(tuple, self.rows))
+        k = len(rows)
+        if any(len(r) != k for r in rows):
             raise ValueError("access matrix must be square")
-        if any(b not in (0, 1) for r in self.rows for b in r):
+        try:
+            entries = bytes(chain.from_iterable(rows))
+            bits = not entries.translate(None, b"\x00\x01")
+        except (TypeError, ValueError):  # an entry that is no int in 0..255
+            bits = False
+        if not bits:
             raise ValueError("access matrix entries must be 0 or 1")
         if self.beta < 1:
             raise ValueError(f"access matrix weight {self.beta} is below 1")
-        for kind, lines in (("row", self.rows), ("column", zip(*self.rows))):
+        rows = tuple(tuple(entries[i * k : (i + 1) * k]) for i in range(k))
+        object.__setattr__(self, "rows", rows)
+        for kind, lines in (("row", rows), ("column", zip(*rows))):
             for i, line in enumerate(lines):
                 if sum(line) != self.beta:
                     raise ValueError(
@@ -62,6 +75,43 @@ class EMatrix:
     @property
     def k(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def canonical_slots(self) -> tuple[tuple[int, ...], ...]:
+        """The default stripe-slot assignment z, rank order down each column:
+        column l lists its selected rows in increasing order and hands them
+        slots 1..beta, so z[i][l] is row i's slot on column l (0 where row i
+        does not select l). Every column uses each slot exactly once, which
+        makes the beta*k recovered coordinates distinct."""
+        used = [0] * self.k  # slots handed out so far, per column
+        z = []
+        for row in self.rows:
+            slots = [0] * self.k
+            for l in compress(range(self.k), row):
+                used[l] += 1
+                slots[l] = used[l]
+            z.append(tuple(slots))
+        return tuple(z)
+
+    @cached_property
+    def _canonical_lanes(self) -> array:
+        """_selection_lanes of canonical_slots."""
+        return _selection_lanes(self.canonical_slots, self.beta)
+
+
+def _selection_lanes(z: Sequence[Sequence[int]], beta: int) -> array:
+    """The selection list (row i, node l, slot z[i][l]) of a k x k slot
+    assignment, compact: one int per (i, l), row-major.
+
+    Lay the payloads a selection draws out slot by slot, k lanes to a slot,
+    and one zero lane after them. Entry i*k + l is then the lane row i
+    draws from node l, (z[i][l] - 1)*k + l, or beta*k, the zero lane, where
+    row i selects no node l.
+    """
+    k = len(z)
+    return array(
+        "I", [(s - 1) * k + l if s else beta * k for row in z for l, s in enumerate(row)]
+    )
 
 
 @dataclass(frozen=True)

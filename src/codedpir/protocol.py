@@ -15,18 +15,19 @@ and solving it exposes the selected file symbols directly.
 
 A QuerySet holds the mask and the layout (e, pi, z) that places file m's
 selection 1s, validated once when the set is built; its queries are
-derived from them, never stored: the offsets of the selection 1s
-(_selection_offsets) are kept, and `q` is a view that _assemble writes out
-on first read. Between the stored array and the recovered file, payloads
+derived from them, never stored. The default z is the access matrix's
+own canonical_slots and its selection list (EMatrix._canonical_lanes),
+derived once per matrix; `q` is a view that _assemble writes out on
+first read. Between the stored array and the recovered file, payloads
 stay packed (codes.StorageSymbol.bits) and stacked: several payloads side
 by side in one int, each in a lane of whole 64-bit words (algebra._stack).
 A StorageArray checks and packs its symbols once, when it is built, and
 keeps every stored row stacked over the n nodes, once at every field
-width, and every node's column stacked over the rows. collect_responses
-multiplies each mask row once, against all stored rows at a time
-(algebra._lane_product, Horner's rule over the coefficients' bit planes,
-the product encode_file also uses), gathers every node's k answers into
-one int, and adds one stored payload per selection 1; it reads no query
+width. collect_responses multiplies each mask row once, against all
+stored rows at a time (algebra._lane_product, Horner's rule over the
+coefficients' bit planes, the product encode_file also uses), adds what
+the row's selection 1s draw, laid out by one gather over the selection
+list, and gathers every node's k answers into one int; it reads no query
 row. node_response is the same product for one node and a query given
 row by row. A ResponseSet holds the per-node ints, and recover_file
 reads them directly: one pass over P, the same product again, gives
@@ -34,9 +35,11 @@ every syndrome. Subqueries whose supports differ by a multiple of the
 code's row shift (LinearCode.row_shift) share one system, P's rows
 masked to the first one's support with each member's syndromes in a
 lane below the coefficients, and each such class goes to
-algebra._solve_packed, algebra's one elimination kernel, once. StorageSymbols appear only at
-the edges: the files stored, the file recovered, and the `responses`
-view.
+algebra._solve_packed, algebra's one elimination kernel, once. The
+solved payloads go straight into a PackedFile, the file recovered, which
+builds StorageSymbols only when its rows are read. StorageSymbols appear
+only at the edges: the files stored, the recovered file's rows, and the
+`responses` view.
 
 Symbols are checked by codes.pack_symbols, which names a misfit by its
 position: ValueError for files and stored symbols (when the StorageArray
@@ -54,11 +57,12 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import attrgetter
-from typing import Callable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable
 
 from .algebra import (
     FieldMatrix,
@@ -74,7 +78,7 @@ from .algebra import (
 # algebra.solve
 from .algebra import _solve_packed as solve
 from .codes import LinearCode, StorageSymbol, _check_rows, encode_file, pack_symbols
-from .optimizer import EMatrix
+from .optimizer import EMatrix, _selection_lanes
 
 
 class ProtocolViolationError(RuntimeError):
@@ -161,10 +165,9 @@ class StorageArray:
     f: int
     rows: tuple[tuple[StorageSymbol, ...], ...]
     # the rows packed once: payload length (None when nothing is stored),
-    # and _stack_storage's stacked rows and node columns
+    # and _stack_storage's stacked rows
     _ell: int | None = dataclasses.field(init=False, repr=False, compare=False)
     _stacked: list[int] = dataclasses.field(init=False, repr=False, compare=False)
-    _columns: list[bytes] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.code.n
@@ -199,10 +202,8 @@ class StorageArray:
         return arr
 
     def _pack(self, ell: int | None, payloads: list[int]) -> None:
-        stacked, columns = _stack_storage(self.code.field, ell, payloads, self.code.n)
         object.__setattr__(self, "_ell", ell)
-        object.__setattr__(self, "_stacked", stacked)
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_stacked", _stack_storage(self.code.field, ell, payloads, self.code.n))
 
     @property
     def ell(self) -> int:
@@ -233,10 +234,12 @@ class QuerySet:
     The queries are derived, never stored: building a set, directly,
     through build_queries or through dataclasses.replace, validates its
     layout once (_layout, then the file index m in 1..f, a node count of
-    at least k and a k x (beta*f) mask), raising ValueError, and keeps the
-    selection offsets (_selection_offsets). q is a read-only view of u plus
-    those offsets, assembled (_assemble) on first read and the same objects
-    after that, so it cannot disagree with the layout.
+    at least k and a k x (beta*f) mask), raising ValueError. The default z
+    is the access matrix's own canonical_slots, taken as it is, and so is
+    its selection list (_lanes), which collect_responses and recover_file
+    read. q is a read-only view of u plus the selection offsets
+    (_selection_offsets), assembled (_assemble) on first read and the same
+    objects after that, so it cannot disagree with the layout.
     """
 
     n: int
@@ -246,10 +249,6 @@ class QuerySet:
     e: EMatrix
     pi: tuple[int, ...]
     z: tuple[tuple[int, ...], ...]
-    # (node, row) -> column of every selection 1, from the validated layout
-    _offsets: dict[tuple[int, int], int] = dataclasses.field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         u, f, m = self.u, self.f, self.m
@@ -263,13 +262,23 @@ class QuerySet:
         if u.ncols != self.beta * f:
             raise ValueError(f"mask has {u.ncols} columns, the layout needs beta*f = {self.beta * f}")
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "z", tuple(map(tuple, z)))
-        object.__setattr__(self, "_offsets", _selection_offsets(k, self.beta, m, pi, z))
+        object.__setattr__(self, "z", z)
 
     @property
     def beta(self) -> int:
         """Stripes per file: the access matrix's weight."""
         return self.e.beta
+
+    @cached_property
+    def _offsets(self) -> dict[tuple[int, int], int]:
+        """(node, row) -> column of every selection 1 (_selection_offsets)."""
+        return _selection_offsets(self.e.k, self.beta, self.m, self.pi, self.z)
+
+    @cached_property
+    def _lanes(self) -> Sequence[int]:
+        """The selection list of z, compact (optimizer._selection_lanes)."""
+        e = self.e
+        return e._canonical_lanes if self.z is e.canonical_slots else _selection_lanes(self.z, e.beta)
 
     @cached_property
     def q(self) -> tuple[FieldMatrix, ...]:
@@ -379,6 +388,73 @@ class ResponseSet:
         return f"ResponseSet(nodes={len(counts)}, answers={sum(counts)}, ell={self._ell})"
 
 
+class PackedFile(Sequence):
+    """A file matrix held packed: `field`, the payload length `ell`, `k`
+    symbols to a row, and the rows' payloads (StorageSymbol.bits),
+    row-major, as one tuple, `payloads`. recover_file returns one.
+
+    As a sequence it is its rows of StorageSymbols (`rows`), built on first
+    read, as ResponseSet.responses is. It equals another PackedFile of the
+    same field, ell, k and payloads, and, either way round, a nested
+    sequence of StorageSymbols of its shape, field, length and payloads,
+    compared by `.bits` without building a symbol; a misfit of any of
+    these compares unequal. It is unhashable, as the lists it equals are.
+    """
+
+    __slots__ = ("field", "ell", "k", "payloads", "_rows")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, field, ell: int, k: int, payloads: Iterable[int]):
+        self.field, self.ell, self.k = field, ell, k
+        self.payloads = tuple(payloads)
+        if k < 1 or len(self.payloads) % k:
+            raise ValueError(f"{len(self.payloads)} payloads do not fill rows of k={k}")
+        self._rows = None
+
+    @property
+    def rows(self) -> tuple[tuple[StorageSymbol, ...], ...]:
+        """The rows as StorageSymbols."""
+        if self._rows is None:
+            field, ell, k = self.field, self.ell, self.k
+            symbols = [StorageSymbol._of(field, ell, v) for v in self.payloads]
+            self._rows = tuple(tuple(symbols[a : a + k]) for a in range(0, len(symbols), k))
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.payloads) // self.k
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PackedFile):
+            return (self.field, self.ell, self.k, self.payloads) == (
+                other.field, other.ell, other.k, other.payloads
+            )
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        if len(other) != len(self) or not all(
+            isinstance(row, Sequence) and len(row) == self.k for row in other
+        ):
+            return False
+        symbols = list(chain.from_iterable(other))
+        if not all(map(isinstance, symbols, repeat(StorageSymbol))):
+            return False
+        specs = list(map(attrgetter("spec"), symbols))
+        return (
+            tuple(map(attrgetter("bits"), symbols)) == self.payloads
+            and set(map(attrgetter("ell"), symbols)) <= {self.ell}
+            # each distinct spec object compared once, as pack_symbols does
+            and all(spec == self.field for spec in dict(zip(map(id, specs), specs)).values())
+        )
+
+    def __repr__(self) -> str:
+        return f"PackedFile(rows={len(self)}, k={self.k}, ell={self.ell})"
+
+
 def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSymbol]]]) -> StorageArray:
     """Encode every stripe of every file and stack the codeword rows.
 
@@ -417,26 +493,7 @@ def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSym
     raise error
 
 
-def _canonical_slots(e: EMatrix) -> list[list[int]]:
-    """Default stripe-slot assignment: rank order down each column.
-
-    Column l lists its selected rows in increasing order and hands them
-    slots 1..beta. Every column therefore uses each slot exactly once,
-    which makes the beta*k recovered coordinates automatically distinct.
-    """
-    k = e.k
-    used = [0] * k  # slots handed out so far, per column
-    z = []
-    for row in e.rows:
-        slots = [0] * k
-        for l in compress(range(k), row):
-            used[l] += 1
-            slots[l] = used[l]
-        z.append(slots)
-    return z
-
-
-def _validate_slots(e: EMatrix, z: Sequence[Sequence[int]]) -> list[list[int]]:
+def _validate_slots(e: EMatrix, z: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     k = e.k
     grid = [list(map(int, row)) for row in z]
     if len(grid) != k or any(len(r) != k for r in grid):
@@ -453,7 +510,7 @@ def _validate_slots(e: EMatrix, z: Sequence[Sequence[int]]) -> list[list[int]]:
                 raise ValueError(f"slot set at ({i}, {l}) where the access matrix has a zero")
         if sorted(used) != list(range(1, e.beta + 1)):
             raise ValueError(f"column {l} does not use each stripe slot exactly once")
-    return grid
+    return tuple(map(tuple, grid))
 
 
 def _validate_pi(pi: Sequence[int], beta: int) -> tuple[int, ...]:
@@ -477,9 +534,10 @@ def _selection_offsets(
 
 def _layout(
     k: int, e: EMatrix, f: int, pi: Sequence[int] | None, z: Sequence[Sequence[int]] | None
-) -> tuple[tuple[int, ...], list[list[int]]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Validated (pi, z) of access matrix e for f files on a code with k
-    message nodes; None picks the identity and the canonical slots.
+    message nodes; None picks the identity and e.canonical_slots, which is
+    also taken as it is when given (dataclasses.replace hands it back).
 
     Raises ValueError when e is not k x k, f is not an integer of at least
     1, or pi or z is malformed.
@@ -491,7 +549,7 @@ def _layout(
     if f < 1:
         raise ValueError("need at least one file")
     perm = _validate_pi(pi, e.beta) if pi is not None else tuple(range(e.beta + 1))
-    slots = _validate_slots(e, z) if z is not None else _canonical_slots(e)
+    slots = e.canonical_slots if z is None or z is e.canonical_slots else _validate_slots(e, z)
     return perm, slots
 
 
@@ -538,24 +596,17 @@ def build_queries(
     return QuerySet(code.n, m, f, u, e, pi, z)
 
 
-def _stack_storage(
-    field, ell: int | None, payloads: list[int], n: int
-) -> tuple[list[int], list[bytes]]:
+def _stack_storage(field, ell: int | None, payloads: list[int], n: int) -> list[int]:
     """A stored array's payloads (payloads[i * n + j] is row i's on node j)
-    laid out for collect_responses: the stacked rows and the node columns.
-
-    Stacked row i is row i's n payloads, stacked (_stack at _stride), so
-    _lane_product() with a query row multiplies every node's column at
-    once. Node j's column is its payloads in row order, stacked the same
-    way, as bytes.
-    """
+    laid out for collect_responses: stacked row i is row i's n payloads,
+    stacked (_stack at _stride), so _lane_product() with a query row
+    multiplies every node's column at once."""
     if not payloads:
-        return [], [b""] * n
+        return []
     stride = _stride(field, ell)
     raw = b"".join(map(int.to_bytes, payloads, repeat(stride), repeat("little")))
     span = n * stride
-    stacked = [int.from_bytes(raw[at : at + span], "little") for at in range(0, len(raw), span)]
-    return stacked, _gather(raw, n, stride)
+    return [int.from_bytes(raw[at : at + span], "little") for at in range(0, len(raw), span)]
 
 
 def _gather(raw: bytes, n: int, stride: int) -> list[bytes]:
@@ -596,11 +647,15 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     The answers are node_response's, packed (see ResponseSet), but no query
     row is read: the array holds its stored rows stacked over the nodes, so
     each mask row is multiplied once, against every node's column at a
-    time; every node's k lanes are gathered into one int, and each
-    selection 1, at row i and column c of node l's query, adds node l's
-    stored payload c to its answer i. Raises ValueError when the query set
-    and the array disagree on beta, f, the node count, the query width or
-    the field; the array's symbols were checked when it was built.
+    time, and every node's k lanes are gathered into one int. A selection
+    1 at row i of node l's query, in file m's column of slot s, adds node
+    l's stored payload there to its answer i: file m's stored rows, taken
+    in slot order (pi) and cut to the k systematic nodes, are the lanes
+    the set's selection list (QuerySet._lanes) numbers, so one gather
+    (_pick) lays out what every row adds, and it joins the row's product.
+    Raises ValueError when the query set and the array disagree on beta,
+    f, the node count, the query width or the field; the array's symbols
+    were checked when it was built.
     """
     if array.beta != qs.beta or array.f != qs.f:
         raise ValueError("query set and storage array disagree on beta or f")
@@ -616,21 +671,36 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
         raise ValueError("node 1: query over another field than the code")
     ell = array.ell
     stride = _stride(field, ell)
-    columns = array._columns
+    stacked = array._stacked
     u_rows = u._rows
     k = len(u_rows)
+    span = k * stride  # a row's lanes of the systematic nodes
+    # file m's stored rows in slot order, cut to the systematic nodes, then a
+    # zero lane: the lanes the selection list numbers
+    base = (qs.m - 1) * qs.beta - 1
+    drawn = b"".join([stacked[base + p].to_bytes(n * stride, "little")[:span] for p in qs.pi[1:]])
+    added = _pick(drawn + bytes(stride), qs._lanes, stride)  # row-major, k lanes a row
     product = _lane_product(field, ell, stride, n)
     products = b"".join(
-        product(array._stacked, row).to_bytes(n * stride, "little") for row in u_rows
+        (product(stacked, row) ^ int.from_bytes(added[i * span : (i + 1) * span], "little"))
+        .to_bytes(n * stride, "little")
+        for i, row in enumerate(u_rows)
     )
     answers = [int.from_bytes(lanes, "little") for lanes in _gather(products, n, stride)]
-    # per systematic node, the stored payload each row's selection 1 adds
-    added = [[bytes(stride)] * k for _ in range(k)]
-    for (l, i), c in qs._offsets.items():
-        added[l][i] = columns[l][c * stride : (c + 1) * stride]
-    for l, lanes in enumerate(added):
-        answers[l] ^= int.from_bytes(b"".join(lanes), "little")
     return ResponseSet._of(field, ell, (k,) * n, tuple(answers))
+
+
+def _pick(raw: bytes, picks: Sequence[int], stride: int) -> bytes:
+    """The lanes of `stride` bytes at positions `picks` of raw, in that order."""
+    # the words are only moved about, never read as numbers: byte order does not matter
+    words = array("Q", raw)
+    run = stride // 8
+    get = itemgetter(*picks)
+    out = array("Q", bytes(len(picks) * stride))
+    for b in range(run):
+        got = get(words[b::run])  # an itemgetter of one index gives the item itself
+        out[b::run] = array("Q", got if len(picks) > 1 else (got,))
+    return out.tobytes()
 
 
 def _shift_classes(
@@ -662,8 +732,9 @@ def _shift_classes(
     return classes
 
 
-def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[StorageSymbol]]:
-    """Reconstruct the requested beta x k file matrix from the responses.
+def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> PackedFile:
+    """Reconstruct the requested beta x k file matrix from the responses,
+    packed (PackedFile): no StorageSymbol is built.
 
     Subquery t's answers y are the interference w, a codeword, plus file
     symbol x_l on each systematic node l in S_t, the support of row t of
@@ -699,11 +770,13 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
     does not answer k symbols; misfit symbols were named when the
     ResponseSet was built, and a malformed layout when the QuerySet was.
 
-    Every cell of the file matrix is written exactly once, so the grid needs
-    no check: the set validated its layout when it was built, so pi
-    permutes 1..beta and every column l of the access matrix gives each
-    slot 1..beta to exactly one subquery, and (stripe pi[z[t][l]], column
-    l) runs over the beta x k cells once as (t, l) runs over the selections.
+    Every payload of the file is written exactly once, so the file needs
+    no check: the set validated its layout when it was built, so every
+    column l of the access matrix gives each slot 1..beta to exactly one
+    subquery, and (slot z[t][l], column l) runs over the beta x k lanes of
+    the set's selection list (QuerySet._lanes) once as (t, l) runs over the
+    selections. The solved values go to those lanes, slot by slot, and pi,
+    a permutation of 1..beta, puts slot s's row at stripe pi[s].
     """
     k = code.k
     beta = qs.beta
@@ -790,8 +863,8 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         values = unpack(values, count)
         return [values[at::count] for at in range(count)]
 
-    pi, z, make = qs.pi, qs.z, StorageSymbol._of
-    grid: list[list[StorageSymbol | None]] = [[None] * k for _ in range(beta)]
+    picks = qs._lanes
+    found = [0] * (beta * k)  # the file's payloads, slot by slot
     failed: tuple[int, ValueError] | None = None  # the smallest failing subquery
     for mask, members in _shift_classes(qs.e.rows, g):
         first = members[0][0]
@@ -814,9 +887,9 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         chosen = [l for l in range(k) if mask >> l & 1]
         shifted = {j: [(l + g * j) % k for l in chosen] for _, j in members}
         for (t, j), values in zip(members, solved):
-            slots = z[t]
+            at = picks[t * k : (t + 1) * k]
             for c, v in zip(shifted[j], values):
-                grid[pi[slots[c]] - 1][c] = make(field, ell, v)
+                found[at[c]] = v
     if failed:
         t, exc = failed
         if isinstance(exc, SingularSystemError):
@@ -827,7 +900,9 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> list[list[S
         raise ProtocolViolationError(
             f"subquery {t + 1}: parity responses are inconsistent with each other"
         ) from exc
-    return grid  # type: ignore[return-value]
+    # stripe r is the slot s with pi[s] = r + 1
+    order = sorted(range(beta), key=qs.pi[1:].__getitem__)
+    return PackedFile(field, ell, k, chain.from_iterable(found[s * k : (s + 1) * k] for s in order))
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
     recovered = recover_file(qs, rs, code)
     ok = recovered == files[args.target - 1]
     downloaded = rs.downloaded
-    retrieved = sum(sym.ell for row in recovered for sym in row)
+    retrieved = len(recovered) * recovered.k * recovered.ell
     theta = Fraction(downloaded, retrieved)
     print(f"name: {cf.name}")
     print(f"beta: {beta}")

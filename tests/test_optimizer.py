@@ -546,11 +546,30 @@ class TestEMatrix:
             (((1, 0, 0), (0, 1, 0), (0, 1, 1)), 1, "row 2 has weight 2, expected 1"),
             (((1, 0), (1, 0)), 1, "column 0 has weight 2, expected 1"),
             (((1, 0), (0, 2)), 1, "entries must be 0 or 1"),
+            # entries are held as ints: a float, a string or a list is no entry
+            (((1.0, 0), (0, 1)), 1, "entries must be 0 or 1"),
+            (((1, "0"), (0, 1)), 1, "entries must be 0 or 1"),
+            ((([1], 0), (0, 1)), 1, "entries must be 0 or 1"),
             # weight 0 would build queries with no columns and no privacy tests
             (((0, 0, 0),) * 3, 0, "access matrix weight 0 is below 1"),
         ]:
             with pytest.raises(ValueError, match=message):
                 EMatrix(rows, beta=beta)
+
+    def test_list_rows_are_held_as_tuples_of_ints(self):
+        # rows given as lists are copied into tuples: the matrix hashes like
+        # its tuple twin, and changing the lists cannot reach it or its
+        # cached layout
+        rows = [[1, 0], [0, 1]]
+        e = EMatrix(rows, beta=1)
+        twin = EMatrix(((1, 0), (0, 1)), beta=1)
+        assert e.rows == twin.rows and all(type(row) is tuple for row in e.rows)
+        assert e == twin and hash(e) == hash(twin)
+        z = e.canonical_slots
+        rows[0][0], rows[0][1] = 0, 1
+        assert e.rows == ((1, 0), (0, 1)) and e.canonical_slots is z == ((1, 0), (0, 1))
+        bools = EMatrix([(True, False), (False, True)], beta=1)
+        assert bools == twin and {type(b) for row in bools.rows for b in row} == {int}
 
     def test_validator_catches_uncorrectable_rows(self):
         code = make_code(GF2, [[1, 1, 0], [1, 1, 1]])  # columns 1 and 2 equal

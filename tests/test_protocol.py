@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -16,6 +17,7 @@ from codedpir import (
     FieldMatrix,
     FieldSpec,
     OptimizerConfig,
+    PackedFile,
     ProtocolViolationError,
     ResponseSet,
     StorageSymbol,
@@ -80,7 +82,8 @@ class TestPickle:
             e = E1 if code.k == 3 else EMatrix(((1, 0, 1), (1, 1, 0), (0, 1, 1)), beta=2)
             array = build_storage(code, [random_file(code.field, 2, 3, 4, random.Random(1))] * 2)
             qs = build_queries(code, e, 2, 2, seed=5)
-            for obj in (code, derived_code(code), array, qs):
+            got = recover_file(qs, collect_responses(qs, array), code)
+            for obj in (code, derived_code(code), array, qs, got):
                 assert pickle.loads(pickle.dumps(obj)) == obj
             qs_copy, array_copy = pickle.loads(pickle.dumps((qs, array)))
             assert qs_copy.q == qs.q
@@ -593,6 +596,157 @@ class TestPackedRound:
         assert rebuilt == rs and hash(rebuilt) == hash(rs)
         assert rebuilt.responses == rs.responses
         assert recover_file(qs, rebuilt, code) == recover_file(qs, rs, code) == files[1]
+
+
+class TestPackedFile:
+    """recover_file returns a PackedFile: its rows as StorageSymbols on first
+    read, equal either way round to the nested symbol lists it stands for,
+    and unequal, never an error, to anything that does not fit."""
+
+    @staticmethod
+    def _round(width, ell=3):
+        field = FieldSpec(width)
+        rng = random.Random(9700 + width)
+        code = random_systematic_code(rng, field, n_lo=5, n_hi=8, oracle_cap_bits=10**6)
+        e = optimize_cpop(code, OptimizerConfig(seed=width)).e_opt
+        files = [random_file(field, e.beta, code.k, ell, rng) for _ in range(2)]
+        arr = build_storage(code, files)
+        qs = build_queries(code, e, m=2, f=2, seed=rng.randrange(10**6))
+        rs = collect_responses(qs, arr)
+        answers = [[s.components for s in resp] for resp in rs.responses]
+        oracle = PeasantField(field.modulus, width)
+        expected = recover_oracle(code.p.values(), e.rows, qs.pi, qs.z, e.beta, answers, oracle)
+        return code, arr, recover_file(qs, rs, code), files[1], expected
+
+    @pytest.mark.parametrize("width", [1, 4, 8, 16])
+    def test_rows_view_is_the_oracle_grid(self, width):
+        code, _, got, x, expected = self._round(width)
+        grid = [[StorageSymbol(code.field, comps) for comps in row] for row in expected]
+        assert isinstance(got, PackedFile)
+        assert (got.field, got.ell, got.k) == (code.field, 3, code.k)
+        assert got.payloads == tuple(s.bits for row in grid for s in row)
+        assert len(got) == len(grid) == len(x)
+        assert [list(row) for row in got] == grid
+        for i in range(-len(grid), len(grid)):
+            assert list(got[i]) == grid[i]
+        with pytest.raises(IndexError):
+            got[len(grid)]
+        assert got.rows is got.rows and got[0] is got.rows[0]
+        # a recovered file is a file: it stores as the one it recovers
+        assert build_storage(code, [got]).rows == build_storage(code, [x]).rows
+
+    @pytest.mark.parametrize("width", [1, 4, 8, 16])
+    def test_equal_either_way_round(self, width):
+        code, _, got, x, _ = self._round(width)
+        field, ell = code.field, got.ell
+        other = FieldSpec(16 if width < 16 else 8)
+        # the last entry replaced
+        last = x[-1][-1]
+        changed = {
+            "flipped bit": StorageSymbol.from_bits(field, ell, last.bits ^ 1),
+            "other field": StorageSymbol._of(other, ell, last.bits),
+            "other ell": StorageSymbol.from_bits(field, ell + 1, last.bits),
+            "bits": last.bits,
+            "None entry": None,
+        }
+        misfits = {name: [*x[:-1], [*x[-1][:-1], sym]] for name, sym in changed.items()}
+        misfits.update({
+            "missing row": x[:-1],
+            "extra row": [*x, x[0]],
+            "short rows": [row[:-1] for row in x],
+            "long rows": [[*row, row[0]] for row in x],
+            "no rows": [],
+            "row not a sequence": [*x[:-1], last],
+            "rows of text": ["a" * code.k] * len(x),
+            "text": "not a file",
+            "int": 5,
+            "None": None,
+            "reshaped": PackedFile(field, ell, len(x), got.payloads),
+            "other packed ell": PackedFile(field, ell + 1, code.k, got.payloads),
+            "other packed field": PackedFile(other, ell, code.k, got.payloads),
+        })
+        same = [x, tuple(map(tuple, x)), got, PackedFile(field, ell, code.k, got.payloads)]
+        for name, other in [*enumerate(same), *misfits.items()]:
+            assert (got == other) is (other == got) is (name in range(len(same))), name
+            assert (got != other) is (other != got) is (name not in range(len(same))), name
+        assert got._rows is None  # no comparison built a symbol
+        assert got == [list(row) for row in got]
+        with pytest.raises(TypeError):
+            hash(got)
+
+    def test_recovery_builds_no_symbol(self, monkeypatch):
+        code, e, x, arr = _c6_round(ell=4)
+        qs = build_queries(code, e, m=1, f=1, seed=5)
+        rs = collect_responses(qs, arr)
+        made = []
+        real = StorageSymbol._of.__func__
+
+        def counting(cls, *args):
+            made.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(StorageSymbol, "_of", classmethod(counting))
+        got = recover_file(qs, rs, code)
+        assert got == x and made == []
+        got[0]  # the rows view builds every symbol, once
+        assert len(made) == e.beta * code.k
+        assert [list(row) for row in got] == x and len(made) == e.beta * code.k
+
+
+class TestLayoutCache:
+    """An access matrix derives its canonical layout once, and query sets
+    with the default z read it as it is."""
+
+    @staticmethod
+    def _count_cached(monkeypatch, built):
+        for name in ("canonical_slots", "_canonical_lanes"):
+            real = getattr(EMatrix, name).func
+            counted = cached_property(
+                lambda self, real=real, name=name: built.update([name]) or real(self)
+            )
+            counted.__set_name__(EMatrix, name)
+            monkeypatch.setattr(EMatrix, name, counted)
+
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_two_sets_build_the_layout_once(self, width, monkeypatch):
+        code, e, files, arr, seed = TestQueryView._instance(width, 2)
+        built = Counter()
+        self._count_cached(monkeypatch, built)
+        e = EMatrix(e.rows, e.beta)  # nothing cached on it yet
+        sets = [build_queries(code, e, m=m, f=2, seed=seed + m) for m in (1, 2)]
+        sets.append(replace(sets[0], m=2))
+        for qs in sets:
+            assert recover_file(qs, collect_responses(qs, arr), code) == files[qs.m - 1]
+            assert qs.z is e.canonical_slots and qs._lanes is e._canonical_lanes
+            assert "_offsets" not in vars(qs)  # only q and v_block read the offsets
+        assert built == {"canonical_slots": 1, "_canonical_lanes": 1}
+        sets[0].q
+        assert "_offsets" in vars(sets[0])
+        # an equal z given by the caller is checked and keeps its own list
+        given = build_queries(code, e, m=1, f=2, seed=seed + 1, z=[list(r) for r in e.canonical_slots])
+        assert given.z == e.canonical_slots and given.z is not e.canonical_slots
+        assert given._lanes == e._canonical_lanes and given._lanes is not e._canonical_lanes
+        assert collect_responses(given, arr) == collect_responses(sets[0], arr)
+
+    def test_c7_round_with_a_shuffled_layout(self):
+        from codedpir.workbench import parse_code_file
+        from conftest import FIXTURES_DIR
+
+        cf = parse_code_file(FIXTURES_DIR / "c7_array.pchk")
+        code = cf.code
+        config = OptimizerConfig(seed=7, d_min=cf.d_min_hint, d_tilde_min=cf.d_tilde_min_hint)
+        e = optimize_cpop(code, config).e_opt
+        assert (code.k, e.beta) == (121, 60)
+        rng = random.Random(7121)
+        files = [random_file(code.field, e.beta, code.k, 2, rng) for _ in range(2)]
+        arr = build_storage(code, files)
+        pi = (0, *rng.sample(range(1, e.beta + 1), e.beta))
+        # each column hands its slots out in falling rank order
+        z = tuple(tuple(s and e.beta + 1 - s for s in row) for row in e.canonical_slots)
+        for m in (1, 2):
+            qs = build_queries(code, e, m=m, f=2, seed=rng.randrange(10**6), pi=pi, z=z)
+            assert qs.z == z != e.canonical_slots and qs.pi != tuple(range(e.beta + 1))
+            assert recover_file(qs, collect_responses(qs, arr), code) == files[m - 1]
 
 
 class TestRecovery:
