@@ -609,8 +609,8 @@ def _unstack(v: int, stride: int, count: int) -> list[int]:
 
 
 def _lane_product(
-    field: FieldSpec, ell: int, stride: int, count: int
-) -> Callable[[Sequence[int], Sequence[int]], int]:
+    field: FieldSpec, ell: int, stride: int, count: int, over: Sequence[int] | None = None
+) -> Callable[..., int]:
     """A function from stacks of `count` payloads of length ell at `stride`
     (_stack) and one raw coefficient per stack to their weighted sum, in
     every lane at once.
@@ -621,9 +621,16 @@ def _lane_product(
     XOR). Times x shifts each lane's lower w-1 planes up by one and adds
     its top plane back at the modulus' lower terms; the masks keep every
     plane in its lane.
+
+    Given `over`, the stacks every call multiplies, the function is bound
+    to them and takes the coefficients alone: over GF(2) it looks them up
+    in tables built once (_table_product), which pays when many rows
+    multiply the same stacks; wider fields keep the plane sums.
     """
     width = field.width
     if width == 1:
+        if over is not None:
+            return _table_product(over)
         return lambda stacks, coefficients: reduce(xor, compress(stacks, coefficients), 0)
     top = (width - 1) * ell
     ones = int.from_bytes((1).to_bytes(stride, "little") * count, "little")  # 1 in every lane
@@ -640,6 +647,48 @@ def _lane_product(
                 v ^= carry << shift
             v ^= reduce(xor, compress(stacks, bits[b::width]), 0)
         return v
+
+    if over is not None:
+        return lambda coefficients: product(over, coefficients)
+    return product
+
+
+# 0/1 bytes -> binary digits, and hex digits -> their values
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _table_product(stacks: Sequence[int]) -> Callable[[Sequence[int]], int]:
+    """The XOR of the stacks that a row of 0/1 coefficients, one per stack,
+    selects: the "Four Russians" method (Arlazarov, Dinic, Kronrod and
+    Faradzev, 1970; Albrecht, Bard and Hart, ACM TOMS 2010).
+
+    The stacks go in groups of four, the last one padded with zero stacks,
+    and each group gets a table of the XORs of all 16 subsets of its
+    stacks, built by doubling: each stack XORed onto the entries so far.
+    Entry bit 3 - b selects stack 4g + b, so a row's binary digits, stack
+    0 first, read as hex digits are its table indices, group 0 first: one
+    bytes.translate to digits, int(..., 2), format to hex and one translate
+    to values, with no Python step per coefficient. A row is then one
+    lookup and one XOR per group, where a direct sum takes one XOR per 1.
+    Building costs 15 XORs and 16 entries per group.
+    """
+    if not stacks:
+        return lambda coefficients: 0
+    pad = -len(stacks) % 4
+    padded = [*stacks, *repeat(0, pad)]
+    tables = []
+    for at in range(0, len(padded), 4):
+        table = [0]
+        for stack in reversed(padded[at : at + 4]):
+            table += [v ^ stack for v in table]
+        tables.append(table)
+    digits, tail = f"0{len(tables)}x", b"0" * pad
+    get = list.__getitem__
+
+    def product(coefficients: Sequence[int]) -> int:
+        bits = int(bytes(coefficients).translate(_BINARY) + tail, 2)
+        return reduce(xor, map(get, tables, format(bits, digits).encode().translate(_HEX_VALUES)))
 
     return product
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, islice
+from operator import itemgetter
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .algebra import _eliminate, _nonzero, _proportional_keys, _reduce_by, _walk_tables
@@ -50,6 +51,8 @@ class EMatrix:
     beta: int
 
     def __post_init__(self):
+        if type(self.beta) is not int:  # a bool is no weight either
+            raise ValueError(f"access matrix weight {self.beta!r} is not an integer")
         rows = tuple(map(tuple, self.rows))
         k = len(rows)
         if any(len(r) != k for r in rows):
@@ -97,6 +100,18 @@ class EMatrix:
     def _canonical_lanes(self) -> array:
         """_selection_lanes of canonical_slots."""
         return _selection_lanes(self.canonical_slots, self.beta)
+
+    @cached_property
+    def _canonical_picks(self) -> itemgetter:
+        """The itemgetter of _canonical_lanes: protocol's gather of what the
+        selection 1s draw."""
+        return itemgetter(*self._canonical_lanes)
+
+    @cached_property
+    def _recovery_plans(self) -> dict:
+        """protocol.recover_file's plans for the canonical layout, by code row
+        shift, each derived once (protocol._recovery_plan)."""
+        return {}
 
 
 def _selection_lanes(z: Sequence[Sequence[int]], beta: int) -> array:

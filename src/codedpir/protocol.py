@@ -24,21 +24,24 @@ by side in one int, each in a lane of whole 64-bit words (algebra._stack).
 A StorageArray checks and packs its symbols once, when it is built, and
 keeps every stored row stacked over the n nodes, once at every field
 width. collect_responses multiplies each mask row once, against all
-stored rows at a time (algebra._lane_product, Horner's rule over the
-coefficients' bit planes, the product encode_file also uses), adds what
-the row's selection 1s draw, laid out by one gather over the selection
-list, and gathers every node's k answers into one int; it reads no query
-row. node_response is the same product for one node and a query given
-row by row. A ResponseSet holds the per-node ints, and recover_file
-reads them directly: one pass over P, the same product again, gives
-every syndrome. Subqueries whose supports differ by a multiple of the
-code's row shift (LinearCode.row_shift) share one system, P's rows
-masked to the first one's support with each member's syndromes in a
-lane below the coefficients, and each such class goes to
-algebra._solve_packed, algebra's one elimination kernel, once. The
-solved payloads go straight into a PackedFile, the file recovered, which
-builds StorageSymbols only when its rows are read. StorageSymbols appear
-only at the edges: the files stored, the recovered file's rows, and the
+stored rows at a time (algebra._lane_product, the product encode_file
+also uses, bound to the stored rows: Four-Russians tables over GF(2),
+Horner's rule over the coefficients' bit planes on wider fields), adds
+what the row's selection 1s draw, laid out by one gather over the
+selection list, and gathers every node's k answers into one int; it
+reads no query row. node_response is the same product for one node and a
+query given row by row. A ResponseSet holds the per-node ints, and
+recover_file reads them directly: one pass over P, the same product
+again, gives every syndrome. Subqueries whose supports differ by a
+multiple of the code's row shift (LinearCode.row_shift) share one
+system, P's rows masked to the first one's support with each member's
+syndromes in a lane below the coefficients, and each such class goes to
+algebra._solve_packed, algebra's one elimination kernel, once. What
+depends only on the access matrix and the row shift (the classes and
+two gathers, _RecoveryPlan) is derived once per matrix. The solved
+payloads go into a PackedFile, the file recovered, which builds
+StorageSymbols only when its rows are read. StorageSymbols appear only
+at the edges: the files stored, the recovered file's rows, and the
 `responses` view.
 
 Symbols are checked by codes.pack_symbols, which names a misfit by its
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter, itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import (
     FieldMatrix,
@@ -279,6 +282,12 @@ class QuerySet:
         """The selection list of z, compact (optimizer._selection_lanes)."""
         e = self.e
         return e._canonical_lanes if self.z is e.canonical_slots else _selection_lanes(self.z, e.beta)
+
+    @cached_property
+    def _picks(self) -> itemgetter:
+        """The itemgetter of the selection list: collect_responses' gather."""
+        e = self.e
+        return e._canonical_picks if self.z is e.canonical_slots else itemgetter(*self._lanes)
 
     @cached_property
     def q(self) -> tuple[FieldMatrix, ...]:
@@ -647,12 +656,18 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     The answers are node_response's, packed (see ResponseSet), but no query
     row is read: the array holds its stored rows stacked over the nodes, so
     each mask row is multiplied once, against every node's column at a
-    time, and every node's k lanes are gathered into one int. A selection
-    1 at row i of node l's query, in file m's column of slot s, adds node
-    l's stored payload there to its answer i: file m's stored rows, taken
-    in slot order (pi) and cut to the k systematic nodes, are the lanes
-    the set's selection list (QuerySet._lanes) numbers, so one gather
-    (_pick) lays out what every row adds, and it joins the row's product.
+    time, and every node's k lanes are gathered into one int. Over GF(2)
+    the product is bound to the stored rows (_lane_product with `over`):
+    Four-Russians tables of the XORs of every 4 consecutive rows are built
+    once per call and dropped with it, and each mask row is one lookup and
+    one XOR per 4 stored rows; wider fields sum the coefficients' bit
+    planes row by row. A selection 1 at row i of node l's query, in file
+    m's column of slot s, adds node l's stored payload there to its
+    answer i: file m's stored rows, taken in slot order (pi) and cut to
+    the k systematic nodes, are the lanes the set's selection list
+    (QuerySet._lanes) numbers, so one gather (_pick, through the list's
+    itemgetter, which the access matrix keeps for its canonical layout)
+    lays out what every row adds, and it joins the row's product.
     Raises ValueError when the query set and the array disagree on beta,
     f, the node count, the query width or the field; the array's symbols
     were checked when it was built.
@@ -679,27 +694,28 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     # zero lane: the lanes the selection list numbers
     base = (qs.m - 1) * qs.beta - 1
     drawn = b"".join([stacked[base + p].to_bytes(n * stride, "little")[:span] for p in qs.pi[1:]])
-    added = _pick(drawn + bytes(stride), qs._lanes, stride)  # row-major, k lanes a row
-    product = _lane_product(field, ell, stride, n)
+    added = _pick(drawn + bytes(stride), qs._picks, stride)  # row-major, k lanes a row
+    product = _lane_product(field, ell, stride, n, stacked)
     products = b"".join(
-        (product(stacked, row) ^ int.from_bytes(added[i * span : (i + 1) * span], "little"))
+        (product(row) ^ int.from_bytes(added[i * span : (i + 1) * span], "little"))
         .to_bytes(n * stride, "little")
         for i, row in enumerate(u_rows)
     )
+    del product, added  # over GF(2) its tables: freed before the gather
     answers = [int.from_bytes(lanes, "little") for lanes in _gather(products, n, stride)]
     return ResponseSet._of(field, ell, (k,) * n, tuple(answers))
 
 
-def _pick(raw: bytes, picks: Sequence[int], stride: int) -> bytes:
-    """The lanes of `stride` bytes at positions `picks` of raw, in that order."""
+def _pick(raw: bytes, get: itemgetter, stride: int) -> bytes:
+    """The lanes of `stride` bytes of raw that `get`, an itemgetter of two
+    lane positions or more, picks, in its order."""
     # the words are only moved about, never read as numbers: byte order does not matter
     words = array("Q", raw)
     run = stride // 8
-    get = itemgetter(*picks)
-    out = array("Q", bytes(len(picks) * stride))
-    for b in range(run):
-        got = get(words[b::run])  # an itemgetter of one index gives the item itself
-        out[b::run] = array("Q", got if len(picks) > 1 else (got,))
+    parts = [array("Q", get(words[b::run])) for b in range(run)]
+    out = array("Q", bytes(8 * run * len(parts[0])))
+    for b, part in enumerate(parts):
+        out[b::run] = part
     return out.tobytes()
 
 
@@ -758,6 +774,14 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> PackedFile:
     through algebra's elimination kernel once. A code with g = k has one
     subquery per class, one solve each.
 
+    The classes, and where each class's lanes come from and go, depend
+    only on the access matrix and the row shift: _recovery_plan derives
+    them once per matrix and shift, kept on the matrix. A round then reads
+    the syndromes as one flat lane array, lays out every class's
+    right-hand sides by one gather, makes one solve per class and puts
+    the solved values in slot order by one more gather (_placement; a
+    caller's own z builds that one per call).
+
     A system has full column rank exactly when its row of the access matrix
     is a correctable erasure pattern, and every member of a class shares
     the rank. The syndrome must lie in the span of P[:, S_t]: a response
@@ -770,7 +794,7 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> PackedFile:
     does not answer k symbols; misfit symbols were named when the
     ResponseSet was built, and a malformed layout when the QuerySet was.
 
-    Every payload of the file is written exactly once, so the file needs
+    Every payload of the file is placed exactly once, so the file needs
     no check: the set validated its layout when it was built, so every
     column l of the access matrix gives each slot 1..beta to exactly one
     subquery, and (slot z[t][l], column l) runs over the beta x k lanes of
@@ -806,29 +830,35 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> PackedFile:
         )
     ell = rs._ell
     stride = _stride(field, ell)
-    p_rows = code.p._rows
     product = _lane_product(field, ell, stride, k)
     stacked = rs._stacks[:k]
-    syndromes = [y ^ product(stacked, prow) for y, prow in zip(rs._stacks[k:], p_rows)]
-    g = code.row_shift[0]
-    turns = code._row_turns  # turns[j][i] = perm^j(i)
+    syndromes = b"".join(
+        (y ^ product(stacked, prow)).to_bytes(k * stride, "little")
+        for y, prow in zip(rs._stacks[k:], code.p._rows)
+    )
+    e = qs.e
+    plan = e._recovery_plans.get(code.row_shift)
+    if plan is None:
+        plan = e._recovery_plans[code.row_shift] = _recovery_plan(e, code)
+    # every class's right-hand sides, laid out by the plan: a class of
+    # `count` members whose lanes start at `first` holds its row i's from
+    # lane first + i*count on, member by member
+    rhs = _pick(syndromes, plan.gather, stride)
     coefficients = code._packed_parity_rows
     spread = bit_slices(field, k).column_mask(0)  # component 0 of every plane
-    # a class's system holds one lane of right-hand sides per member below
-    # the coefficients: assemble() builds its rows and says where the
-    # coefficients start, unpack() reads every lane of every unknown, in
-    # that order
+    # assemble(first, step, count, keep): the component where the
+    # coefficients start, and a system's rows: row i holds the `count` lanes
+    # from first + i*step on below P's row i masked to keep. unpack() reads
+    # every lane of every unknown, in that order
     if field.width == 1:
         # a lane is a payload's stride, as in the stacks: bytes in, _unstack out
-        syndromes = [
-            [raw[a : a + stride] for a in range(0, k * stride, stride)]
-            for raw in (y.to_bytes(k * stride, "little") for y in syndromes)
-        ]
 
-        def assemble(members: list[tuple[int, int]], keep: int) -> tuple[int, list[int]]:
-            low = len(members) * 8 * stride
+        def assemble(first: int, step: int, count: int, keep: int) -> tuple[int, list[int]]:
+            low, span = count * 8 * stride, count * stride
+            at = first * stride
+            step *= stride
             return low, [
-                int.from_bytes(b"".join([syndromes[turns[j][i]][t] for t, j in members]), "little")
+                int.from_bytes(rhs[at + i * step : at + i * step + span], "little")
                 | (a & keep) << low
                 for i, a in enumerate(coefficients)
             ]
@@ -838,14 +868,14 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> PackedFile:
 
     else:
         # a lane is ell components in every plane: BitSlices.join and split
-        syndromes = [_unstack(y, stride, k) for y in syndromes]
+        lanes = _unstack(int.from_bytes(rhs, "little"), stride, len(rhs) // stride)
 
-        def assemble(members: list[tuple[int, int]], keep: int) -> tuple[int, list[int]]:
-            low = len(members) * ell
+        def assemble(first: int, step: int, count: int, keep: int) -> tuple[int, list[int]]:
+            low = count * ell
             join = bit_slices(field, low + k).join
-            lengths = [ell] * len(members) + [k]
+            lengths = [ell] * count + [k]
             return low, [
-                join([*(syndromes[turns[j][i]][t] for t, j in members), a & keep], lengths)
+                join([*lanes[first + i * step : first + i * step + count], a & keep], lengths)
                 for i, a in enumerate(coefficients)
             ]
 
@@ -853,43 +883,31 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> PackedFile:
             split = bit_slices(field, ell * count).split
             return [v for packed in values for v in split(packed, [ell] * count)]
 
-    def lanes(members: list[tuple[int, int]], keep: int) -> list[list[int]]:
-        """Per member, the values of its unknowns: one solve."""
-        count = len(members)
-        low, rows = assemble(members, keep)
-        values = solve(field, low, low + k, rows, beta)
-        if count == 1:  # the lane is the whole right-hand side
-            return [values]
-        values = unpack(values, count)
-        return [values[at::count] for at in range(count)]
-
-    picks = qs._lanes
-    found = [0] * (beta * k)  # the file's payloads, slot by slot
+    solved: list[int] = []  # class by class, unknown by unknown, member by member
     failed: tuple[int, ValueError] | None = None  # the smallest failing subquery
-    for mask, members in _shift_classes(qs.e.rows, g):
-        first = members[0][0]
-        if failed and failed[0] < first:
+    first = 0
+    for mask, members in plan.classes:
+        if failed and failed[0] < members[0][0]:
             break
+        count = len(members)
         keep = spread * mask
         try:
-            solved = lanes(members, keep)
+            low, rows = assemble(first, count, count, keep)
+            values = solve(field, low, low + k, rows, beta)
         except ValueError:
             # singular in every lane or inconsistent in some: the first
             # member that fails alone, for which the rank is decided first
-            for member in members:
+            for at, (t, _) in enumerate(members):
                 try:
-                    lanes([member], keep)
+                    low, rows = assemble(first + at, count, 1, keep)
+                    solve(field, low, low + k, rows, beta)
                 except ValueError as exc:
-                    if failed is None or member[0] < failed[0]:
-                        failed = (member[0], exc)
+                    if failed is None or t < failed[0]:
+                        failed = (t, exc)
                     break
-            continue
-        chosen = [l for l in range(k) if mask >> l & 1]
-        shifted = {j: [(l + g * j) % k for l in chosen] for _, j in members}
-        for (t, j), values in zip(members, solved):
-            at = picks[t * k : (t + 1) * k]
-            for c, v in zip(shifted[j], values):
-                found[at[c]] = v
+        else:
+            solved += unpack(values, count) if count > 1 else values
+        first += len(coefficients) * count
     if failed:
         t, exc = failed
         if isinstance(exc, SingularSystemError):
@@ -900,9 +918,65 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> PackedFile:
         raise ProtocolViolationError(
             f"subquery {t + 1}: parity responses are inconsistent with each other"
         ) from exc
+    if qs.z is e.canonical_slots:
+        place = plan.place
+    else:
+        place = _placement(plan.classes, qs._lanes, k, code.row_shift[0], beta)
+    found = place(solved)  # the file's payloads, slot by slot
     # stripe r is the slot s with pi[s] = r + 1
     order = sorted(range(beta), key=qs.pi[1:].__getitem__)
     return PackedFile(field, ell, k, chain.from_iterable(found[s * k : (s + 1) * k] for s in order))
+
+
+class _RecoveryPlan(NamedTuple):
+    """What recover_file derives from the access matrix and the code's row
+    shift alone (_recovery_plan): the shift classes (_shift_classes); the
+    gather of every class's right-hand-side lanes, class by class, row by
+    row, member by member, from the syndromes read as one flat lane array
+    (row r's lane t is subquery t's syndrome there); and the gather of
+    the solved values, in that class order, to the file's payloads slot by
+    slot under the canonical layout (_placement)."""
+
+    classes: list[tuple[int, list[tuple[int, int]]]]
+    gather: itemgetter
+    place: itemgetter
+
+
+def _recovery_plan(e: EMatrix, code: LinearCode) -> _RecoveryPlan:
+    """The recovery plan of access matrix e, for the canonical layout, on a
+    code with e.k message nodes: member (t, j) of a class reads its
+    syndrome of row turns[j][i] into the class's row i (see recover_file)."""
+    k, g = e.k, code.row_shift[0]
+    turns = code._row_turns
+    classes = _shift_classes(e.rows, g)
+    gather = itemgetter(*[
+        turns[j][i] * k + t
+        for _, members in classes
+        for i in range(code.n - k)
+        for t, j in members
+    ])
+    return _RecoveryPlan(classes, gather, _placement(classes, e._canonical_lanes, k, g, e.beta))
+
+
+def _placement(
+    classes: list[tuple[int, list[tuple[int, int]]]], lanes: Sequence[int], k: int, g: int,
+    beta: int,
+) -> itemgetter:
+    """The gather of recover_file's solved values, class by class, unknown
+    by unknown (the class support's columns l, in increasing order), member
+    by member, to the file's beta*k payloads slot by slot. Member (t, j)'s
+    unknown on column l is its file symbol on column (l + g*j) mod k, which
+    the selection list `lanes` (QuerySet._lanes) puts at lane
+    lanes[t*k + (l + g*j) mod k]; a valid layout fills every lane once."""
+    source = [0] * (beta * k)
+    at = 0
+    for mask, members in classes:
+        count = len(members)
+        for c, l in enumerate(l for l in range(k) if mask >> l & 1):
+            for m, (t, j) in enumerate(members):
+                source[lanes[t * k + (l + g * j) % k]] = at + c * count + m
+        at += beta * count
+    return itemgetter(*source)
 
 
 @dataclass(frozen=True)

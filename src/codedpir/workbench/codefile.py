@@ -151,9 +151,10 @@ def format_e_matrix(e: EMatrix) -> str:
 
 
 def parse_e_matrix_text(text: str) -> EMatrix:
-    """An access matrix from its text form; ValueError names the first
-    character that is not 0 or 1 by its 1-based line and column."""
-    rows = []
+    """An access matrix from its text form; ValueError names, by its
+    1-based line, the first character that is not 0 or 1 (and its column)
+    and the first row whose length is not the row count."""
+    rows, lines = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.strip("01"):  # some character is neither 0 nor 1
@@ -162,8 +163,16 @@ def parse_e_matrix_text(text: str) -> EMatrix:
             raise ValueError(f"line {line_no}, column {col}: {line[j]!r} is not 0 or 1")
         if line:
             rows.append(tuple(int(ch) for ch in line))
+            lines.append(line_no)
     if not rows:
         raise ValueError("empty access-matrix text")
+    k = len(rows)
+    for line_no, row in zip(lines, rows):
+        if len(row) != k:
+            raise ValueError(
+                f"line {line_no}: row of {len(row)} entries, the access matrix has {k} rows "
+                "and must be square"
+            )
     return EMatrix(tuple(rows), beta=sum(rows[0]))
 
 

@@ -14,9 +14,12 @@ from codedpir.algebra import (
     ReducibleModulusError,
     SingularSystemError,
     _eliminate,
+    _lane_product,
     _product_tables,
     _proportional_keys,
     _reduce_by,
+    _stack,
+    _stride,
     _walk_tables,
     bit_slices,
     column_vectors,
@@ -500,6 +503,44 @@ class TestFieldMatrix:
         assert m.column(2) == (3, 2)
         assert m.transpose().values() == ((1, 0), (2, 1), (3, 2))
         assert m.submatrix([1], [0, 2]).values() == ((0, 2),)
+
+
+class TestTableProduct:
+    """Bound to the stacks it multiplies, the GF(2) lane product looks each
+    row up in Four-Russians tables; it must equal the direct sum."""
+
+    @pytest.mark.parametrize("ell", [64, 65])  # strides of 8 and 16 bytes
+    @pytest.mark.parametrize("nstacks", [1, 3, 4, 5, 240])
+    def test_equals_the_direct_sum_row_by_row(self, nstacks, ell):
+        field, lanes = FieldSpec(1), 3
+        stride = _stride(field, ell)
+        assert stride == (8 if ell == 64 else 16)
+        rng = random.Random(nstacks * 1000 + ell)
+        stacks = [
+            _stack([rng.getrandbits(ell) for _ in range(lanes)], stride) for _ in range(nstacks)
+        ]
+        direct = _lane_product(field, ell, stride, lanes)
+        tables = _lane_product(field, ell, stride, lanes, stacks)
+        rows = [[0] * nstacks, [1] * nstacks]
+        rows += [[rng.randrange(2) for _ in range(nstacks)] for _ in range(20)]
+        for row in rows:
+            assert tables(row) == direct(stacks, row), row
+        assert tables([0] * nstacks) == 0
+        assert tables([1] * nstacks) == direct(stacks, [1] * nstacks) != 0
+
+    @pytest.mark.parametrize("width", [4, 16])
+    def test_wider_fields_bind_the_plane_sums(self, width):
+        field, ell, lanes = FieldSpec(width), 5, 2
+        stride = _stride(field, ell)
+        rng = random.Random(width)
+        stacks = [
+            _stack([rng.getrandbits(width * ell) for _ in range(lanes)], stride) for _ in range(6)
+        ]
+        bound = _lane_product(field, ell, stride, lanes, stacks)
+        direct = _lane_product(field, ell, stride, lanes)
+        for _ in range(10):
+            row = [rng.randrange(field.order) for _ in stacks]
+            assert bound(row) == direct(stacks, row)
 
 
 class TestLayering:

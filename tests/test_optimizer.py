@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -555,6 +556,14 @@ class TestEMatrix:
         ]:
             with pytest.raises(ValueError, match=message):
                 EMatrix(rows, beta=beta)
+
+    @pytest.mark.parametrize("beta", [1.0, True, "1", None])
+    def test_weight_that_is_no_int_named(self, beta):
+        # a float or bool weight used to pass, and building queries then
+        # failed with an unnamed TypeError
+        message = f"^access matrix weight {re.escape(repr(beta))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            EMatrix(((1, 0), (0, 1)), beta=beta)
 
     def test_list_rows_are_held_as_tuples_of_ints(self):
         # rows given as lists are copied into tuples: the matrix hashes like

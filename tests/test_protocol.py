@@ -728,6 +728,29 @@ class TestLayoutCache:
         assert given._lanes == e._canonical_lanes and given._lanes is not e._canonical_lanes
         assert collect_responses(given, arr) == collect_responses(sets[0], arr)
 
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_recovery_plan_derived_once(self, width, monkeypatch):
+        # one plan per access matrix and row shift, across rounds, files and
+        # replaced sets; a caller's z reads the same plan and places the
+        # solved values through its own selection list
+        code, e, files, arr, seed = TestQueryView._instance(width, 2)
+        built = []
+        real = protocol._recovery_plan
+        monkeypatch.setattr(
+            protocol, "_recovery_plan", lambda *args: built.append(args) or real(*args)
+        )
+        e = EMatrix(e.rows, e.beta)
+        qs = build_queries(code, e, m=1, f=2, seed=seed)
+        pi = (0, *range(e.beta, 0, -1))
+        sets = [qs, build_queries(code, e, m=2, f=2, seed=seed + 1), replace(qs, m=2),
+                replace(qs, pi=pi), build_queries(code, e, m=1, f=2, seed=seed + 2, pi=pi)]
+        z = tuple(tuple(s and e.beta + 1 - s for s in row) for row in e.canonical_slots)
+        sets.append(build_queries(code, e, m=2, f=2, seed=seed + 3, z=z))
+        for one in sets:
+            assert recover_file(one, collect_responses(one, arr), code) == files[one.m - 1]
+        assert len(built) == 1 and list(e._recovery_plans) == [code.row_shift]
+        assert sets[1]._picks is qs._picks is e._canonical_picks
+
     def test_c7_round_with_a_shuffled_layout(self):
         from codedpir.workbench import parse_code_file
         from conftest import FIXTURES_DIR
@@ -747,6 +770,10 @@ class TestLayoutCache:
             qs = build_queries(code, e, m=m, f=2, seed=rng.randrange(10**6), pi=pi, z=z)
             assert qs.z == z != e.canonical_slots and qs.pi != tuple(range(e.beta + 1))
             assert recover_file(qs, collect_responses(qs, arr), code) == files[m - 1]
+        # the shuffled pi alone, on the plan's own placement
+        qs = build_queries(code, e, m=1, f=2, seed=rng.randrange(10**6), pi=pi)
+        assert qs.z is e.canonical_slots
+        assert recover_file(qs, collect_responses(qs, arr), code) == files[0]
 
 
 class TestRecovery:

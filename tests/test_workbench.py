@@ -118,6 +118,17 @@ class TestEMatrixFormat:
         with pytest.raises(ValueError, match=f"^{where} is not 0 or 1$"):
             parse_e_matrix_text(text)
 
+    @pytest.mark.parametrize("text, where", [
+        ("10\n011", "line 2: row of 3 entries, the access matrix has 2 rows"),
+        ("101\n011\n", "line 1: row of 3 entries, the access matrix has 2 rows"),
+        # blank lines are skipped but still counted
+        ("\n10\n\n  011\n\n", "line 4: row of 3 entries, the access matrix has 2 rows"),
+        ("10\n01\n\n1\n", "line 1: row of 2 entries, the access matrix has 3 rows"),
+    ])
+    def test_ragged_text_names_the_line(self, text, where):
+        with pytest.raises(ValueError, match=f"^{where} and must be square$"):
+            parse_e_matrix_text(text)
+
     def test_weight_zero_rejected(self):
         with pytest.raises(ValueError, match="^access matrix weight 0 is below 1$"):
             parse_e_matrix_text("000\n000\n000\n")
@@ -438,10 +449,12 @@ class TestGoldenOutputs:
         assert out == (GOLDEN_DIR / f"simulate_seed7_{name}.txt").read_bytes()
 
     # the retrieve-array benchmark's shape (f = 4, ell = 64 over GF(2): one
-    # 64-bit word per payload), and a GF(2^4) payload of 3 symbols, whose 12
-    # bits fill part of a word
+    # 64-bit word per payload), GF(2) payloads of 65 bits (two words, through
+    # the respond tables and the recovery plan), and a GF(2^4) payload of 3
+    # symbols, whose 12 bits fill part of a word
     @pytest.mark.parametrize("name,files,payload,target,golden", [
         ("c7_array", "4", "64", "3", "simulate_seed7_c7_array_f4_l64.txt"),
+        ("c7_array", "2", "65", "2", "simulate_seed7_c7_array_f2_l65.txt"),
         ("c5like", "2", "3", "1", "simulate_seed7_c5like_f2_l3.txt"),
     ])
     def test_simulate_at_other_shapes(self, name, files, payload, target, golden, capsys):
