@@ -3,9 +3,17 @@
 A storage code is given by its parity-check matrix H = (P | I). The derived
 code on the k message coordinates has parity-check matrix P; its erasure
 correction capability decides which sets of message nodes a retrieval
-subquery may touch at once. encode_file stacks each message column over
-the file's stripes and computes each parity column with one
-algebra._lane_product, the product responses and recovery also use.
+subquery may touch at once.
+
+A file, a stored array and a recovered file are each one PackedFile: the
+payloads (StorageSymbol.bits) of a symbol matrix, row-major, in one tuple.
+pack_file turns nested StorageSymbols into one, checking and packing every
+symbol once, and checks a PackedFile's field, row width and payload range.
+encode_file stacks each message column over the file's stripes and computes
+each parity column with one algebra._lane_product, the product responses
+and recovery also use; it builds no symbol. StorageSymbols appear only at
+the boundary: nested input, and the rows a PackedFile builds when one is
+read.
 """
 
 from __future__ import annotations
@@ -13,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, or_
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .algebra import (
     FieldMatrix,
@@ -112,6 +120,61 @@ class StorageSymbol:
 
     def __repr__(self) -> str:
         return f"StorageSymbol{self.components}"
+
+
+class PackedFile(Sequence):
+    """A matrix of storage symbols held packed: `field`, the payload length
+    `ell`, `k` symbols to a row, and the rows' payloads (StorageSymbol.bits),
+    row-major, as one tuple, `payloads`. random_file draws one, encode_file
+    returns one with n symbols to a row, a StorageArray stores one and
+    recover_file returns one.
+
+    As a sequence it is its rows: `[i]` and iteration build a row's
+    StorageSymbols when it is read and keep none of them; a slice is the
+    PackedFile of its rows. It equals another PackedFile of the same field,
+    ell, k and payloads and, either way round, a nested sequence that
+    pack_file packs to one; anything else compares unequal, never raising.
+    It is unhashable, as the lists it equals are.
+    """
+
+    __slots__ = ("field", "ell", "k", "payloads")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, field: FieldSpec, ell: int, k: int, payloads: Iterable[int]):
+        if not isinstance(ell, int) or ell < 1:
+            raise ValueError(f"a storage symbol needs at least one component, got ell={ell!r}")
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"a file row needs at least one symbol, got k={k!r}")
+        self.field, self.ell, self.k = field, ell, k
+        self.payloads = tuple(payloads)
+        if len(self.payloads) % k:
+            raise ValueError(f"{len(self.payloads)} payloads do not fill rows of k={k}")
+
+    def __len__(self) -> int:
+        return len(self.payloads) // self.k
+
+    def __getitem__(self, i):
+        k, at = self.k, range(len(self))[i]
+        if isinstance(i, slice):
+            rows = (self.payloads[a * k : (a + 1) * k] for a in at)
+            return PackedFile(self.field, self.ell, k, chain.from_iterable(rows))
+        field, ell = self.field, self.ell
+        return tuple(StorageSymbol._of(field, ell, v) for v in self.payloads[at * k : (at + 1) * k])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PackedFile):
+            if not isinstance(other, Sequence):
+                return NotImplemented
+            try:
+                other = pack_file(self.field, self.k, other, str)
+            except ValueError:
+                return False
+        return (self.field, self.ell, self.k, self.payloads) == (
+            other.field, other.ell, other.k, other.payloads
+        )
+
+    def __repr__(self) -> str:
+        return f"PackedFile(rows={len(self)}, k={self.k}, ell={self.ell})"
 
 
 # format(mask, "b") characters -> 0/1 bytes
@@ -442,43 +505,81 @@ def pack_symbols(
     return symbols[0].ell, list(map(attrgetter("bits"), symbols))
 
 
-def _check_rows(rows: Sequence, length: int, where: Callable[[int], str], what: str) -> None:
+def _check_rows(
+    rows: Sequence, length: int, where: Callable[[int], str], what: str,
+    wrong: Callable[[int], str] | None = None,
+) -> None:
     """Raise ValueError at the first row that is not a sequence of `length`
     entries (`what` names them), labelled by the caller's where(its 1-based
-    position)."""
+    position); wrong(count) words another count ("has 4 symbols, expected
+    3" by default)."""
     for s, row in enumerate(rows, 1):
         if not isinstance(row, Sequence):
             raise ValueError(f"{where(s)} is {_kind(row)}, not a sequence of {what}")
         if len(row) != length:
-            raise ValueError(f"{where(s)} has {len(row)} {what}, expected {length}")
+            said = wrong(len(row)) if wrong else f"has {len(row)} {what}, expected {length}"
+            raise ValueError(f"{where(s)} {said}")
 
 
-def encode_file(code: LinearCode, X: Sequence[Sequence[StorageSymbol]]) -> list[list[StorageSymbol]]:
-    """Encode a beta x k file matrix into beta codeword rows of length n.
+def pack_file(
+    field: FieldSpec, k: int, rows: Sequence, where: Callable[[int], str],
+    symbol_at: Callable[[int, int], str] | None = None, wrong: Callable[[int], str] | None = None,
+) -> PackedFile:
+    """rows, a PackedFile or a sequence of rows of k StorageSymbols, as a
+    PackedFile over `field` with k symbols to a row; ValueError otherwise.
 
-    Row i keeps its k message symbols as a systematic prefix; parity symbol
-    k + r is the P-row-r weighted sum of the row's message symbols, so every
-    output row satisfies H c^T = 0. Message column l of every row is
-    stacked into one int (algebra._stack), so each parity column is one
-    _lane_product over the k stacks, for all rows at once. Raises
-    ValueError when a row is not a sequence of k entries ("stripe 1 is a
-    StorageSymbol, ...") and names a misfit symbol ("stripe 2, symbol 3").
+    Nested rows are checked (_check_rows) and packed (pack_symbols) once. A
+    PackedFile is taken as it is once its row width, field and payload
+    range (one min and one max) are checked. Either way a misfit is named
+    as in the nested rows: row s by where(s), symbol l of it by
+    symbol_at(s, l) (both 1-based; "{where(s)}, symbol {l}" by default), a
+    row of another width by wrong(its width) as _check_rows does.
+    """
+    def at(i: int) -> str:  # symbol i, row-major
+        s, l = divmod(i, k)
+        return symbol_at(s + 1, l + 1) if symbol_at else f"{where(s + 1)}, symbol {l + 1}"
+
+    if not isinstance(rows, PackedFile):
+        _check_rows(rows, k, where, "symbols", wrong)
+        ell, payloads = pack_symbols([sym for row in rows for sym in row], field, at, ValueError)
+        return PackedFile(field, ell, k, payloads)
+    # a PackedFile's misfit is named where its first misfit symbol sits
+    _check_rows([range(rows.k)], k, where, "symbols", wrong)
+    if rows.field != field:
+        raise ValueError(f"{at(0)}: symbol over {rows.field!r}, expected {field!r}")
+    bits, payloads = field.width * rows.ell, rows.payloads
+    if payloads and (min(payloads) < 0 or max(payloads) >> bits):
+        i = next(i for i, v in enumerate(payloads) if v < 0 or v >> bits)
+        raise ValueError(
+            f"{at(i)}: packed value does not fit {field.width} planes of {rows.ell} bits"
+        )
+    return rows
+
+
+def encode_file(code: LinearCode, X: Sequence) -> PackedFile:
+    """Encode a beta x k file matrix, a PackedFile or nested StorageSymbols
+    (pack_file), into the PackedFile of its beta codeword rows of length n.
+
+    Row i keeps its k message payloads as a systematic prefix; parity
+    payload k + r is the P-row-r weighted sum of the row's message payloads,
+    so every output row satisfies H c^T = 0. Message column l of every row
+    is stacked into one int (algebra._stack), so each parity column is one
+    _lane_product over the k stacks, for all rows at once. No symbol is
+    built. Raises ValueError when a row is not a sequence of k entries
+    ("stripe 1 is a StorageSymbol, ...") and names a misfit symbol ("stripe
+    2, symbol 3").
     """
     if not X:
         raise ValueError("empty file")
-    k, field = code.k, code.field
-    _check_rows(X, k, lambda s: f"stripe {s}", "symbols")
-    ell, payloads = pack_symbols(
-        [sym for row in X for sym in row],
-        field,
-        lambda i: f"stripe {i // k + 1}, symbol {i % k + 1}",
-        ValueError,
-    )
-    beta, stride = len(X), _stride(field, ell)
+    k, n, field = code.k, code.n, code.field
+    X = pack_file(field, k, X, lambda s: f"stripe {s}")
+    ell, payloads, beta = X.ell, X.payloads, len(X)
+    stride = _stride(field, ell)
     columns = [_stack(payloads[l::k], stride) for l in range(k)]
     product = _lane_product(field, ell, stride, beta)
-    parity = [_unstack(product(columns, prow), stride, beta) for prow in code.p._rows]
-    return [
-        [*row, *(StorageSymbol._of(field, ell, col[s]) for col in parity)]
-        for s, row in enumerate(X)
-    ]
+    rows = [0] * (beta * n)
+    for l in range(k):
+        rows[l::n] = payloads[l::k]
+    for r, prow in enumerate(code.p._rows, k):
+        rows[r::n] = _unstack(product(columns, prow), stride, beta)
+    return PackedFile(field, ell, n, rows)

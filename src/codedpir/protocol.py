@@ -18,12 +18,14 @@ selection 1s, validated once when the set is built; its queries are
 derived from them, never stored. The default z is the access matrix's
 own canonical_slots and its selection list (EMatrix._canonical_lanes),
 derived once per matrix; `q` is a view that _assemble writes out on
-first read. Between the stored array and the recovered file, payloads
-stay packed (codes.StorageSymbol.bits) and stacked: several payloads side
+first read. From the file drawn to the file recovered, a symbol matrix
+is one codes.PackedFile: its payloads (codes.StorageSymbol.bits),
+row-major, in one tuple. random_file draws one, build_storage encodes the
+files into one (encode_file), and a StorageArray holds that as its rows
+and keeps every stored row stacked over the n nodes: several payloads side
 by side in one int, each in a lane of whole 64-bit words (algebra._stack).
-A StorageArray checks and packs its symbols once, when it is built, and
-keeps every stored row stacked over the n nodes, once at every field
-width. collect_responses multiplies each mask row once, against all
+Nested StorageSymbols are packed once, where they enter (codes.pack_file).
+collect_responses multiplies each mask row once, against all
 stored rows at a time (algebra._lane_product, the product encode_file
 also uses, bound to the stored rows: Four-Russians tables over GF(2),
 Horner's rule over the coefficients' bit planes on wider fields), adds
@@ -39,15 +41,16 @@ syndromes in a lane below the coefficients, and each such class goes to
 algebra._solve_packed, algebra's one elimination kernel, once. What
 depends only on the access matrix and the row shift (the classes and
 two gathers, _RecoveryPlan) is derived once per matrix. The solved
-payloads go into a PackedFile, the file recovered, which builds
-StorageSymbols only when its rows are read. StorageSymbols appear only
-at the edges: the files stored, the recovered file's rows, and the
+payloads go into a PackedFile, the file recovered. StorageSymbols appear
+only at the boundary: nested input (files, stored rows, node_response's
+column and ResponseSet's responses), a PackedFile's rows and
+StorageArray.node_column, built when read and kept by no one, and the
 `responses` view.
 
 Symbols are checked by codes.pack_symbols, which names a misfit by its
-position: ValueError for files and stored symbols (when the StorageArray
-is built), ProtocolViolationError for responses (when the ResponseSet is
-built).
+position: ValueError for files and stored symbols (codes.pack_file, which
+also checks a PackedFile's field, row width and payload range),
+ProtocolViolationError for responses (when the ResponseSet is built).
 """
 
 from __future__ import annotations
@@ -60,11 +63,11 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .algebra import (
@@ -80,7 +83,9 @@ from .algebra import (
 # module-level name, which the benchmark's tracer rebinds to time it as
 # algebra.solve
 from .algebra import _solve_packed as solve
-from .codes import LinearCode, StorageSymbol, _check_rows, encode_file, pack_symbols
+from .codes import (
+    LinearCode, PackedFile, StorageSymbol, _check_rows, encode_file, pack_file, pack_symbols,
+)
 from .optimizer import EMatrix, _selection_lanes
 
 
@@ -153,74 +158,55 @@ class StorageArray:
     """Encoded contents of the whole system: beta*f rows by n columns.
 
     Rows are grouped file-major, stripe-minor; column j is what node j + 1
-    stores (f coded chunks of beta symbols each). Building one, directly,
-    through build_storage or through dataclasses.replace, checks that every
-    row holds n symbols ("storage row 2 holds 4 symbols, the code has 5
-    nodes") and that all are StorageSymbols over the code's field with one
-    payload length ("node 5, stored symbol 2: payload length 3, ..."),
-    raising ValueError, and packs them once for collect_responses (see
-    _stack_storage). An array with no rows is valid and has no payload
-    length.
+    stores (f coded chunks of beta symbols each). `rows` is one PackedFile
+    with n symbols to a row, or () when nothing is stored. Building one,
+    directly, through build_storage or through dataclasses.replace, takes
+    a PackedFile or nested StorageSymbols through codes.pack_file: it
+    checks that every row holds n symbols ("storage row 2 holds 4 symbols,
+    the code has 5 nodes"), all over the code's field with one payload
+    length ("node 5, stored symbol 2: payload length 3, ..."), packing
+    nested rows once, and raises ValueError. Then it stacks each stored row
+    over the n nodes (_stack at _stride), so _lane_product() with a query
+    row multiplies every node's column at once. An array with no rows is
+    valid and has no payload length.
     """
 
     code: LinearCode
     beta: int
     f: int
-    rows: tuple[tuple[StorageSymbol, ...], ...]
-    # the rows packed once: payload length (None when nothing is stored),
-    # and _stack_storage's stacked rows
-    _ell: int | None = dataclasses.field(init=False, repr=False, compare=False)
+    rows: PackedFile
+    # stacked row i is stored row i's n payloads, stacked
     _stacked: list[int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.code.n
-        for i, row in enumerate(self.rows):
-            if len(row) != n:
-                raise ValueError(
-                    f"storage row {i + 1} holds {len(row) or 'no'} symbols, the code has {n} nodes"
-                )
-        symbols = list(chain.from_iterable(self.rows))
-        ell, payloads = None, []
-        if symbols:
-            ell, payloads = pack_symbols(
-                symbols,
-                self.code.field,
-                lambda i: f"node {i % n + 1}, stored symbol {i // n + 1}",
-                ValueError,
+        n, field = self.code.n, self.code.field
+        rows, stacked = (), []
+        if self.rows:
+            rows = pack_file(
+                field, n, self.rows, lambda i: f"storage row {i}",
+                lambda i, j: f"node {j}, stored symbol {i}",
+                lambda count: f"holds {count or 'no'} symbols, the code has {n} nodes",
             )
-        self._pack(ell, payloads)
-
-    @classmethod
-    def _of(
-        cls, code: LinearCode, beta: int, f: int, rows: tuple[tuple[StorageSymbol, ...], ...],
-        payloads: list[int],
-    ) -> "StorageArray":
-        """The array of rows build_storage encoded, whose symbols encode_file
-        checked and made (n per row, over the code's field, one length):
-        packed from their payloads, row-major, without a second check."""
-        arr = cls.__new__(cls)
-        for name, value in (("code", code), ("beta", beta), ("f", f), ("rows", rows)):
-            object.__setattr__(arr, name, value)
-        arr._pack(rows[0][0].ell, payloads)
-        return arr
-
-    def _pack(self, ell: int | None, payloads: list[int]) -> None:
-        object.__setattr__(self, "_ell", ell)
-        object.__setattr__(self, "_stacked", _stack_storage(self.code.field, ell, payloads, self.code.n))
+            stride, payloads = _stride(field, rows.ell), rows.payloads
+            stacked = [_stack(payloads[a : a + n], stride) for a in range(0, len(payloads), n)]
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_stacked", stacked)
 
     @property
     def ell(self) -> int:
         """Payload length of the stored symbols; ValueError when none is stored."""
-        if self._ell is None:
+        if not self.rows:
             raise ValueError("storage array holds no symbols, so it has no payload length")
-        return self._ell
+        return self.rows.ell
 
     def node_column(self, node: int) -> tuple[StorageSymbol, ...]:
-        """Symbols held by one node; `node` is 1-based like the queries."""
-        if not 1 <= node <= self.code.n:
-            raise ValueError(f"node {node} out of 1..{self.code.n}")
-        j = node - 1
-        return tuple(row[j] for row in self.rows)
+        """Symbols held by one node, built when read; `node` is 1-based like the queries."""
+        n = self.code.n
+        if not 1 <= node <= n:
+            raise ValueError(f"node {node} out of 1..{n}")
+        rows = self.rows
+        column = rows.payloads[node - 1 :: n] if rows else ()
+        return tuple(StorageSymbol._of(rows.field, rows.ell, v) for v in column)
 
 
 @dataclass(frozen=True)
@@ -397,109 +383,47 @@ class ResponseSet:
         return f"ResponseSet(nodes={len(counts)}, answers={sum(counts)}, ell={self._ell})"
 
 
-class PackedFile(Sequence):
-    """A file matrix held packed: `field`, the payload length `ell`, `k`
-    symbols to a row, and the rows' payloads (StorageSymbol.bits),
-    row-major, as one tuple, `payloads`. recover_file returns one.
-
-    As a sequence it is its rows of StorageSymbols (`rows`), built on first
-    read, as ResponseSet.responses is. It equals another PackedFile of the
-    same field, ell, k and payloads, and, either way round, a nested
-    sequence of StorageSymbols of its shape, field, length and payloads,
-    compared by `.bits` without building a symbol; a misfit of any of
-    these compares unequal. It is unhashable, as the lists it equals are.
-    """
-
-    __slots__ = ("field", "ell", "k", "payloads", "_rows")
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, field, ell: int, k: int, payloads: Iterable[int]):
-        self.field, self.ell, self.k = field, ell, k
-        self.payloads = tuple(payloads)
-        if k < 1 or len(self.payloads) % k:
-            raise ValueError(f"{len(self.payloads)} payloads do not fill rows of k={k}")
-        self._rows = None
-
-    @property
-    def rows(self) -> tuple[tuple[StorageSymbol, ...], ...]:
-        """The rows as StorageSymbols."""
-        if self._rows is None:
-            field, ell, k = self.field, self.ell, self.k
-            symbols = [StorageSymbol._of(field, ell, v) for v in self.payloads]
-            self._rows = tuple(tuple(symbols[a : a + k]) for a in range(0, len(symbols), k))
-        return self._rows
-
-    def __len__(self) -> int:
-        return len(self.payloads) // self.k
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PackedFile):
-            return (self.field, self.ell, self.k, self.payloads) == (
-                other.field, other.ell, other.k, other.payloads
-            )
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        if len(other) != len(self) or not all(
-            isinstance(row, Sequence) and len(row) == self.k for row in other
-        ):
-            return False
-        symbols = list(chain.from_iterable(other))
-        if not all(map(isinstance, symbols, repeat(StorageSymbol))):
-            return False
-        specs = list(map(attrgetter("spec"), symbols))
-        return (
-            tuple(map(attrgetter("bits"), symbols)) == self.payloads
-            and set(map(attrgetter("ell"), symbols)) <= {self.ell}
-            # each distinct spec object compared once, as pack_symbols does
-            and all(spec == self.field for spec in dict(zip(map(id, specs), specs)).values())
-        )
-
-    def __repr__(self) -> str:
-        return f"PackedFile(rows={len(self)}, k={self.k}, ell={self.ell})"
-
-
-def build_storage(code: LinearCode, files: Sequence[Sequence[Sequence[StorageSymbol]]]) -> StorageArray:
+def build_storage(code: LinearCode, files: Sequence) -> StorageArray:
     """Encode every stripe of every file and stack the codeword rows.
 
-    Raises ValueError when there is no file, a file is not a sequence of
-    as many stripes as file 1 ("file 2 has 3 stripes, expected 2"), or a
-    stripe is not a sequence of k symbols ("file 1, stripe 2 is a
-    StorageSymbol, not a sequence of symbols"), and names a misfit symbol
-    ("file 1, stripe 2, symbol 3"). encode_file checks and packs each
-    symbol once; the symbols are checked again, file by file, only when it
-    has found a misfit. The array is packed from the encoded payloads
-    (StorageArray._of), not checked again.
+    A file is a PackedFile or nested StorageSymbols (codes.pack_file): the
+    nested files are checked and packed together, once, and a PackedFile
+    is taken as it is once its field, row width and payload range are
+    checked. encode_file then encodes every stripe at once. Raises
+    ValueError when there is no file, file 1 has no stripes, a file is not
+    a sequence of as many stripes as file 1 ("file 2 has 3 stripes,
+    expected 2"), or a stripe is not a sequence of k symbols ("file 1,
+    stripe 2 is a StorageSymbol, not a sequence of symbols"), and names a
+    misfit symbol or payload ("file 1, stripe 2, symbol 3").
     """
     if not files:
         raise ValueError("need at least one file")
-    k = code.k
-    beta = len(files[0]) if isinstance(files[0], Sequence) else 0  # else named next
-    _check_rows(files, beta, lambda idx: f"file {idx}", "stripes")
-    for idx, file_matrix in enumerate(files, 1):
-        _check_rows(file_matrix, k, lambda s: f"file {idx}, stripe {s}", "symbols")
-    stripes = [row for file_matrix in files for row in file_matrix]
-    try:
-        encoded = encode_file(code, stripes)
-    except ValueError as err:
-        error = err
-    else:
-        rows = tuple(map(tuple, encoded))
-        payloads = list(map(attrgetter("bits"), chain.from_iterable(rows)))
-        return StorageArray._of(code, beta, len(files), rows, payloads)
-    # encode_file names a misfit by stripe; check again to name it by file
-    pack_symbols(
-        [sym for row in stripes for sym in row],
-        code.field,
-        lambda i: f"file {i // (beta * k) + 1}, stripe {i // k % beta + 1}, symbol {i % k + 1}",
-        ValueError,
-    )
-    raise error
+    first = files[0]
+    if isinstance(first, Sequence) and not first:
+        raise ValueError("file 1 has no stripes")
+    k, field = code.k, code.field
+    beta = len(first) if isinstance(first, Sequence) else 0  # else named next
+    _check_rows(files, beta, lambda m: f"file {m}", "stripes")
+    nested = [m for m, x in enumerate(files, 1) if not isinstance(x, PackedFile)]
+    # packed at once, so a misfit length is named against the first nested symbol
+    packed = pack_file(
+        field, k, [row for m in nested for row in files[m - 1]],
+        lambda s: f"file {nested[(s - 1) // beta]}, stripe {(s - 1) % beta + 1}",
+    ) if nested else ()
+    chunks = (packed[a : a + beta] for a in range(0, len(packed), beta))
+    parts = [
+        pack_file(field, k, x, lambda s, m=m: f"file {m}, stripe {s}") if isinstance(x, PackedFile)
+        else next(chunks) for m, x in enumerate(files, 1)
+    ]
+    ell = parts[0].ell
+    for m, part in enumerate(parts, 1):
+        if part.ell != ell:
+            raise ValueError(
+                f"file {m}, stripe 1, symbol 1: payload length {part.ell}, "
+                f"file 1, stripe 1, symbol 1 has {ell}"
+            )
+    stripes = PackedFile(field, ell, k, chain.from_iterable(part.payloads for part in parts))
+    return StorageArray(code, beta, len(files), encode_file(code, stripes))
 
 
 def _validate_slots(e: EMatrix, z: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -603,19 +527,6 @@ def build_queries(
     drawn = _draws(random.Random(seed), code.field.order, k * width)
     u = FieldMatrix._wrap(code.field, [drawn[i * width : (i + 1) * width] for i in range(k)])
     return QuerySet(code.n, m, f, u, e, pi, z)
-
-
-def _stack_storage(field, ell: int | None, payloads: list[int], n: int) -> list[int]:
-    """A stored array's payloads (payloads[i * n + j] is row i's on node j)
-    laid out for collect_responses: stacked row i is row i's n payloads,
-    stacked (_stack at _stride), so _lane_product() with a query row
-    multiplies every node's column at once."""
-    if not payloads:
-        return []
-    stride = _stride(field, ell)
-    raw = b"".join(map(int.to_bytes, payloads, repeat(stride), repeat("little")))
-    span = n * stride
-    return [int.from_bytes(raw[at : at + span], "little") for at in range(0, len(raw), span)]
 
 
 def _gather(raw: bytes, n: int, stride: int) -> list[bytes]:
@@ -1261,12 +1172,13 @@ def verify_privacy(
     )
 
 
-def random_file(field, beta: int, k: int, ell: int, rng: random.Random) -> list[list[StorageSymbol]]:
-    """A beta x k file matrix of uniformly random symbols, drawn as
+def random_file(field, beta: int, k: int, ell: int, rng: random.Random) -> PackedFile:
+    """A beta x k file matrix of uniformly random symbols, packed: drawn as
     rng.randrange(field.order) per component would draw them (_draws), one
     stripe at a time."""
-    file = []
+    pack = bit_slices(field, ell).pack
+    payloads = []
     for _ in range(beta):
         drawn = _draws(rng, field.order, k * ell)
-        file.append([StorageSymbol(field, drawn[i * ell : (i + 1) * ell]) for i in range(k)])
-    return file
+        payloads.extend(pack(drawn[i * ell : (i + 1) * ell]) for i in range(k))
+    return PackedFile(field, ell, k, payloads)

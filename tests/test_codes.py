@@ -11,6 +11,7 @@ from codedpir import (
     FieldSpec,
     MinDistanceCapError,
     NotSystematicError,
+    PackedFile,
     RateError,
     StorageSymbol,
     code_from_parity_check,
@@ -410,21 +411,28 @@ class TestEncodeFile:
 
     # widths 1, 2, 7, 8, 9 and 16; payloads of 1, 3, 64 and 65 components,
     # whose w*ell bits fill part of a lane's last 64-bit word, all of it, or
-    # spill one bit into the next; one stripe (a stack of one lane) or five
+    # spill one bit into the next; one stripe (a stack of one lane) or five;
+    # the file given as nested symbols or packed
     @pytest.mark.parametrize("order", [2, 4, 128, 256, 512, 65536])
     def test_rows_satisfy_parity_checks(self, order):
         field = FieldSpec(order.bit_length() - 1)
         oracle = PeasantField(field.modulus, field.width)
         rng = random.Random(order)
-        for ell, stripes in itertools.product((1, 3, 64, 65), (1, 5)):
+        for ell, stripes, packed in itertools.product((1, 3, 64, 65), (1, 5), (False, True)):
             # nothing here enumerates the derived code, so its size is not capped
             code = random_systematic_code(rng, field, n_lo=4, n_hi=10, oracle_cap_bits=1 << 10)
             x = [
                 [tuple(rng.randrange(field.order) for _ in range(ell)) for _ in range(code.k)]
                 for _ in range(stripes)
             ]
-            encoded = encode_file(code, [[StorageSymbol(field, v) for v in row] for row in x])
+            if packed:
+                pack = bit_slices(field, ell).pack
+                given = PackedFile(field, ell, code.k, [pack(v) for row in x for v in row])
+            else:
+                given = [[StorageSymbol(field, v) for v in row] for row in x]
+            encoded = encode_file(code, given)
             expected = encode_oracle(code.p.values(), x, oracle)
+            assert isinstance(encoded, PackedFile) and (encoded.ell, encoded.k) == (ell, code.n)
             assert [[sym.components for sym in row] for row in encoded] == expected
             for row in expected:
                 # syndrome computed directly from H with oracle arithmetic

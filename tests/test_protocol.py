@@ -69,6 +69,11 @@ def sym(field, *values):
     return StorageSymbol(field, values)
 
 
+def nested(x):
+    """A file, or stored rows, as lists of StorageSymbols."""
+    return [list(row) for row in x]
+
+
 def plus(a, b):
     """The sum of two symbols of one field and length: their packed bits XORed."""
     return StorageSymbol.from_bits(a.spec, a.ell, a.bits ^ b.bits)
@@ -131,10 +136,84 @@ class TestBuildStorage:
 
         monkeypatch.setattr(codes_module, "pack_symbols", counting)
         monkeypatch.setattr(protocol_module, "pack_symbols", counting)
-        files = [random_file(GF2, 2, 3, 4, random.Random(s)) for s in range(2)]
+        files = [nested(random_file(GF2, 2, 3, 4, random.Random(s))) for s in range(2)]
         arr = build_storage(c1_code(), files)
         assert packed == [12]
-        assert arr.rows == tuple(map(tuple, encode_file(c1_code(), files[0] + files[1])))
+        assert arr.rows == encode_file(c1_code(), files[0] + files[1])
+        # stored rows given nested are packed once too, through the same path
+        assert replace(arr, rows=nested(arr.rows)) == arr
+        assert packed == [12, 12, 20]
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_nested_and_packed_files_store_alike(self, width):
+        field = FieldSpec(width)
+        rng = random.Random(width)
+        code = random_systematic_code(rng, field, n_lo=4, n_hi=7, oracle_cap_bits=1 << 10)
+        files = [random_file(field, 3, code.k, 5, rng) for _ in range(2)]
+        arrays = [
+            build_storage(code, given)
+            for given in (files, [nested(x) for x in files], [files[0], nested(files[1])])
+        ]
+        for arr in arrays:
+            assert isinstance(arr.rows, PackedFile)
+            assert arr.rows == arrays[0].rows and arr._stacked == arrays[0]._stacked
+            assert arr.rows.payloads[: code.k] == files[0].payloads[: code.k]
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_malformed_packed_file_named(self, width):
+        # a PackedFile is taken unpacked: its field, row width and payload
+        # range are checked, and a misfit is named where its symbol sits
+        field = FieldSpec(width)
+        code = make_code(field, [[1, 1, 0], [0, 1, 1]])
+        good = random_file(field, 2, 3, 4, random.Random(width))
+        bits = width * 4
+
+        def with_payload(v, at=4):
+            payloads = list(good.payloads)
+            payloads[at] = v
+            return PackedFile(field, 4, 3, payloads)
+
+        named = {
+            "file 2, stripe 2, symbol 2: packed value does not fit": with_payload(1 << bits),
+            "file 2, stripe 1, symbol 3: packed value does not fit": with_payload(1 << 70, 2),
+            "file 2, stripe 1, symbol 1: packed value does not fit": with_payload(-1, 0),
+            "file 2, stripe 2, symbol 3: packed value does not fit": with_payload(1 << bits + 1, 5),
+            "file 2, stripe 1 has 2 symbols, expected 3": PackedFile(field, 4, 2, good.payloads[:4]),
+            "file 2, stripe 1, symbol 1: symbol over FieldSpec(width=": PackedFile(
+                FieldSpec(width % 16 + 1), 4, 3, good.payloads
+            ),
+            "file 2, stripe 1, symbol 1: payload length 5, file 1, stripe 1, symbol 1 has 4":
+                PackedFile(field, 5, 3, good.payloads),
+        }
+        for message, bad in named.items():
+            with pytest.raises(ValueError) as info:
+                build_storage(code, [good, bad])
+            assert str(info.value).startswith(message), message
+            if "does not fit" in message:
+                assert str(info.value).endswith(f"does not fit {width} planes of 4 bits")
+        # the top payload that fits is stored and recovered as it is
+        top = with_payload((1 << bits) - 1)
+        arr = build_storage(code, [good, top])
+        qs = build_queries(code, E1, m=2, f=2, seed=3)
+        assert recover_file(qs, collect_responses(qs, arr), code) == top
+
+    def test_file_without_stripes_named(self):
+        x = random_file(GF2, 2, 3, 4, random.Random(1))
+        for files in ([[]], [[], []], [[], x], [PackedFile(GF2, 4, 3, ())]):
+            with pytest.raises(ValueError, match="^file 1 has no stripes$"):
+                build_storage(c1_code(), files)
+
+    def test_packed_file_shape_checked(self):
+        for ell, k, message in (
+            (0, 3, "a storage symbol needs at least one component"),
+            (-1, 3, "a storage symbol needs at least one component"),
+            (1.0, 3, "a storage symbol needs at least one component"),
+            (4, 0, "a file row needs at least one symbol"),
+            (4, 1.5, "a file row needs at least one symbol"),
+            (4, 3, "4 payloads do not fill rows of k=3"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                PackedFile(GF2, ell, k, [1, 2, 3, 4])
 
     def test_ell_of_empty_array_is_a_named_error(self):
         arr = build_storage(c1_code(), [random_file(GF2, 2, 3, 5, random.Random(4))])
@@ -380,8 +459,8 @@ class TestBatchedResponses:
         with pytest.raises(ValueError, match="query set has 3 node queries, the code has 5"):
             collect_responses(replace(qs, n=3), arr)
         with pytest.raises(ValueError, match="query has 2 columns but the node stores 4"):
-            collect_responses(qs, replace(arr, rows=arr.rows * 2))
-        ragged = arr.rows[:1] + (arr.rows[1][:4],)  # row 2 misses node 5's symbol
+            collect_responses(qs, replace(arr, rows=[*arr.rows, *arr.rows]))
+        ragged = (arr.rows[0], arr.rows[1][:4])  # row 2 misses node 5's symbol
         with pytest.raises(ValueError, match="storage row 2 holds 4 symbols, the code has 5 nodes"):
             collect_responses(qs, replace(arr, rows=ragged))
         narrow = tuple(row[:4] for row in arr.rows)
@@ -631,13 +710,17 @@ class TestPackedFile:
             assert list(got[i]) == grid[i]
         with pytest.raises(IndexError):
             got[len(grid)]
-        assert got.rows is got.rows and got[0] is got.rows[0]
+        # a row is built when read and kept by no one; a slice is a PackedFile
+        assert got[0] == got[0] and got[0] is not got[0]
+        assert isinstance(got[1:], PackedFile) and list(map(list, got[1:])) == grid[1:]
+        assert got[::-2] == grid[::-2] and len(got[5:2]) == 0
         # a recovered file is a file: it stores as the one it recovers
         assert build_storage(code, [got]).rows == build_storage(code, [x]).rows
 
     @pytest.mark.parametrize("width", [1, 4, 8, 16])
-    def test_equal_either_way_round(self, width):
+    def test_equal_either_way_round(self, width, monkeypatch):
         code, _, got, x, _ = self._round(width)
+        x = nested(x)
         field, ell = code.field, got.ell
         other = FieldSpec(16 if width < 16 else 8)
         # the last entry replaced
@@ -666,31 +749,64 @@ class TestPackedFile:
             "other packed field": PackedFile(other, ell, code.k, got.payloads),
         })
         same = [x, tuple(map(tuple, x)), got, PackedFile(field, ell, code.k, got.payloads)]
+        made = _count_symbols(monkeypatch)
         for name, other in [*enumerate(same), *misfits.items()]:
             assert (got == other) is (other == got) is (name in range(len(same))), name
             assert (got != other) is (other != got) is (name not in range(len(same))), name
-        assert got._rows is None  # no comparison built a symbol
+        assert made == []  # no comparison built a symbol
         assert got == [list(row) for row in got]
         with pytest.raises(TypeError):
             hash(got)
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_a_round_builds_no_symbol(self, width, monkeypatch):
+        # from the file drawn to the file recovered and compared, payloads
+        # stay packed: no StorageSymbol is made, by __init__ or _of
+        field = FieldSpec(width)
+        code = make_code(field, [[1, 1, 0], [0, 1, 1]])
+        made = _count_symbols(monkeypatch)
+        rng = random.Random(width)
+        files = [random_file(field, E1.beta, code.k, 5, rng) for _ in range(2)]
+        arr = build_storage(code, files)
+        qs = build_queries(code, E1, m=2, f=2, seed=width)
+        got = recover_file(qs, collect_responses(qs, arr), code)
+        assert got == files[1] and got != files[0]
+        assert made == []
+        # the rows view builds a row's symbols when it is read, every time
+        got[0]
+        assert len(made) == code.k
+        assert [list(row) for row in got] == [list(row) for row in files[1]]
+        assert len(made) == code.k + 2 * E1.beta * code.k
 
     def test_recovery_builds_no_symbol(self, monkeypatch):
         code, e, x, arr = _c6_round(ell=4)
         qs = build_queries(code, e, m=1, f=1, seed=5)
         rs = collect_responses(qs, arr)
-        made = []
-        real = StorageSymbol._of.__func__
-
-        def counting(cls, *args):
-            made.append(args)
-            return real(cls, *args)
-
-        monkeypatch.setattr(StorageSymbol, "_of", classmethod(counting))
+        made = _count_symbols(monkeypatch)
         got = recover_file(qs, rs, code)
         assert got == x and made == []
-        got[0]  # the rows view builds every symbol, once
-        assert len(made) == e.beta * code.k
-        assert [list(row) for row in got] == x and len(made) == e.beta * code.k
+        assert arr.node_column(3) == tuple(row[2] for row in arr.rows)
+        # node 3's symbols, then every stored row's
+        assert len(made) == len(arr.rows) * (1 + code.n)
+
+
+def _count_symbols(monkeypatch) -> list:
+    """The StorageSymbols made from here on, by __init__ or _of: a list that
+    grows by one entry each."""
+    made = []
+    init, of = StorageSymbol.__init__, StorageSymbol._of.__func__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    def counting_of(cls, *args):
+        made.append(args)
+        return of(cls, *args)
+
+    monkeypatch.setattr(StorageSymbol, "__init__", counting_init)
+    monkeypatch.setattr(StorageSymbol, "_of", classmethod(counting_of))
+    return made
 
 
 class TestLayoutCache:
