@@ -38,7 +38,6 @@ from .optimizer import (
     OptimizerConfig,
     PatternList,
     ThetaBounds,
-    assert_valid_e_matrix,
     compute_erasure_pattern_list,
     cpop,
     e_matrix_violations,
@@ -55,7 +54,6 @@ from .protocol import (
     build_storage,
     collect_responses,
     exact_privacy_check,
-    node_response,
     random_file,
     recover_file,
     verify_privacy,
@@ -87,7 +85,6 @@ __all__ = [
     "StorageArray",
     "StorageSymbol",
     "ThetaBounds",
-    "assert_valid_e_matrix",
     "build_queries",
     "build_storage",
     "code_from_parity_check",
@@ -102,7 +99,6 @@ __all__ = [
     "is_ml_correctable",
     "matrix_rank",
     "min_distance",
-    "node_response",
     "optimize_cpop",
     "random_file",
     "recover_file",

@@ -339,14 +339,6 @@ class FieldMatrix:
         m._rows = rows
         return m
 
-    @classmethod
-    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FieldMatrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "FieldMatrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(self._rows[i])
 
@@ -356,49 +348,10 @@ class FieldMatrix:
     def values(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self._rows)
 
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_mate(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix addition")
-        return FieldMatrix._wrap(
-            self.field,
-            [[a ^ b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)],
-        )
-
-    def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_mate(other)
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions do not agree")
-        mul_fn = self.field._mul
-        out = [[0] * other.ncols for _ in range(self.nrows)]
-        for i, arow in enumerate(self._rows):
-            orow = out[i]
-            for t, a in enumerate(arow):
-                if a == 0:
-                    continue
-                brow = other._rows[t]
-                if a == 1:
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] ^= b
-                else:
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] ^= mul_fn(a, b)
-        return FieldMatrix._wrap(self.field, out)
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, [list(col) for col in zip(*self._rows)])
-
     def submatrix(self, row_idx: Sequence[int] | None, col_idx: Sequence[int] | None) -> "FieldMatrix":
         rows = range(self.nrows) if row_idx is None else row_idx
         cols = range(self.ncols) if col_idx is None else col_idx
         return FieldMatrix(self.field, [[self._rows[i][j] for j in cols] for i in rows])
-
-    def _check_mate(self, other: "FieldMatrix") -> None:
-        _expect_matrix(other)
-        if other.field != self.field:
-            raise FieldMismatchError("matrices over different fields")
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -133,7 +133,8 @@ class PackedFile(Sequence):
     StorageSymbols when it is read and keep none of them; a slice is the
     PackedFile of its rows. It equals another PackedFile of the same field,
     ell, k and payloads and, either way round, a nested sequence that
-    pack_file packs to one; anything else compares unequal, never raising.
+    pack_file packs to one; with no rows it equals any empty sequence.
+    Anything else compares unequal, never raising.
     It is unhashable, as the lists it equals are.
     """
 
@@ -162,9 +163,12 @@ class PackedFile(Sequence):
         return tuple(StorageSymbol._of(field, ell, v) for v in self.payloads[at * k : (at + 1) * k])
 
     def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        if not (self.payloads and len(other)):
+            # a file with no rows has no symbol to compare: empty equals empty
+            return not (self.payloads or len(other))
         if not isinstance(other, PackedFile):
-            if not isinstance(other, Sequence):
-                return NotImplemented
             try:
                 other = pack_file(self.field, self.k, other, str)
             except ValueError:

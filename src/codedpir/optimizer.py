@@ -749,9 +749,3 @@ def e_matrix_violations(e: EMatrix, derived: DerivedCode) -> list[str]:
         if not is_ml_correctable(derived, ErasurePattern(e.rows[i])):
             problems.append(f"row {i} is not a correctable erasure pattern")
     return problems
-
-
-def assert_valid_e_matrix(e: EMatrix, derived: DerivedCode) -> None:
-    problems = e_matrix_violations(e, derived)
-    if problems:
-        raise ValueError("invalid access matrix: " + "; ".join(problems))

@@ -17,13 +17,13 @@ A QuerySet holds the mask and the layout (e, pi, z) that places file m's
 selection 1s, validated once when the set is built; its queries are
 derived from them, never stored. The default z is the access matrix's
 own canonical_slots and its selection list (EMatrix._canonical_lanes),
-derived once per matrix; `q` is a view that _assemble writes out on
-first read. From the file drawn to the file recovered, a symbol matrix
-is one codes.PackedFile: its payloads (codes.StorageSymbol.bits),
-row-major, in one tuple. random_file draws one, build_storage encodes the
-files into one (encode_file), and a StorageArray holds that as its rows
-and keeps every stored row stacked over the n nodes: several payloads side
-by side in one int, each in a lane of whole 64-bit words (algebra._stack).
+derived once per matrix. From the file drawn to the file recovered, a
+symbol matrix is one codes.PackedFile: its payloads
+(codes.StorageSymbol.bits), row-major, in one tuple. random_file draws
+one, build_storage encodes the files into one (encode_file), and a
+StorageArray holds that as its rows and keeps every stored row stacked
+over the n nodes: several payloads side by side in one int, each in a
+lane of whole 64-bit words (algebra._stack).
 Nested StorageSymbols are packed once, where they enter (codes.pack_file).
 collect_responses multiplies each mask row once, against all
 stored rows at a time (algebra._lane_product, the product encode_file
@@ -31,8 +31,7 @@ also uses, bound to the stored rows: Four-Russians tables over GF(2),
 Horner's rule over the coefficients' bit planes on wider fields), adds
 what the row's selection 1s draw, laid out by one gather over the
 selection list, and gathers every node's k answers into one int; it
-reads no query row. node_response is the same product for one node and a
-query given row by row. A ResponseSet holds the per-node ints, and
+reads no query row. A ResponseSet holds the per-node ints, and
 recover_file reads them directly: one pass over P, the same product
 again, gives every syndrome. Subqueries whose supports differ by a
 multiple of the code's row shift (LinearCode.row_shift) share one
@@ -42,10 +41,9 @@ algebra._solve_packed, algebra's one elimination kernel, once. What
 depends only on the access matrix and the row shift (the classes and
 two gathers, _RecoveryPlan) is derived once per matrix. The solved
 payloads go into a PackedFile, the file recovered. StorageSymbols appear
-only at the boundary: nested input (files, stored rows, node_response's
-column and ResponseSet's responses), a PackedFile's rows and
-StorageArray.node_column, built when read and kept by no one, and the
-`responses` view.
+only at the boundary: nested input (files, stored rows and ResponseSet's
+responses), and a PackedFile's rows and the `responses` view, built when
+read and kept by no one.
 
 Symbols are checked by codes.pack_symbols, which names a misfit by its
 position: ValueError for files and stored symbols (codes.pack_file, which
@@ -199,36 +197,25 @@ class StorageArray:
             raise ValueError("storage array holds no symbols, so it has no payload length")
         return self.rows.ell
 
-    def node_column(self, node: int) -> tuple[StorageSymbol, ...]:
-        """Symbols held by one node, built when read; `node` is 1-based like the queries."""
-        n = self.code.n
-        if not 1 <= node <= n:
-            raise ValueError(f"node {node} out of 1..{n}")
-        rows = self.rows
-        column = rows.payloads[node - 1 :: n] if rows else ()
-        return tuple(StorageSymbol._of(rows.field, rows.ell, v) for v in column)
-
 
 @dataclass(frozen=True)
 class QuerySet:
     """Everything the user generated for one retrieval: the mask u and the
     layout that places file m's selection block in the n node queries.
 
-    q[l - 1] is the k x (beta*f) query matrix for node l: u plus one 1 per
-    subquery that selects node l, for l <= k, and u itself past node k.
-    z[i][l] gives the stripe slot (1..beta) that subquery i + 1 draws from
-    node l + 1, or 0 when that subquery does not select node l + 1; pi
-    permutes the slots into actual stripe indices and fixes 0.
+    Node l's query is the k x (beta*f) matrix u plus one 1 per subquery
+    that selects node l, for l <= k, and u itself past node k. z[i][l]
+    gives the stripe slot (1..beta) that subquery i + 1 draws from node
+    l + 1, or 0 when that subquery does not select node l + 1; pi permutes
+    the slots into actual stripe indices and fixes 0.
 
-    The queries are derived, never stored: building a set, directly,
-    through build_queries or through dataclasses.replace, validates its
-    layout once (_layout, then the file index m in 1..f, a node count of
-    at least k and a k x (beta*f) mask), raising ValueError. The default z
-    is the access matrix's own canonical_slots, taken as it is, and so is
-    its selection list (_lanes), which collect_responses and recover_file
-    read. q is a read-only view of u plus the selection offsets
-    (_selection_offsets), assembled (_assemble) on first read and the same
-    objects after that, so it cannot disagree with the layout.
+    The queries are never written out, so they cannot disagree with the
+    layout: building a set, directly, through build_queries or through
+    dataclasses.replace, validates its layout once (_layout, then the file
+    index m in 1..f, a node count of at least k and a k x (beta*f) mask),
+    raising ValueError. The default z is the access matrix's own
+    canonical_slots, taken as it is, and so is its selection list
+    (_lanes), which collect_responses and recover_file read.
     """
 
     n: int
@@ -259,11 +246,6 @@ class QuerySet:
         return self.e.beta
 
     @cached_property
-    def _offsets(self) -> dict[tuple[int, int], int]:
-        """(node, row) -> column of every selection 1 (_selection_offsets)."""
-        return _selection_offsets(self.e.k, self.beta, self.m, self.pi, self.z)
-
-    @cached_property
     def _lanes(self) -> Sequence[int]:
         """The selection list of z, compact (optimizer._selection_lanes)."""
         e = self.e
@@ -275,25 +257,18 @@ class QuerySet:
         e = self.e
         return e._canonical_picks if self.z is e.canonical_slots else itemgetter(*self._lanes)
 
-    @cached_property
-    def q(self) -> tuple[FieldMatrix, ...]:
-        """The n node queries, u plus the selection 1s, built on first read."""
-        u = self.u
-        rows = _assemble(u._rows, self.n, u.nrows, self._offsets)
-        # nodes handed the mask's own rows (the parity nodes) share the one u
-        return tuple(u if r is u._rows else FieldMatrix._wrap(u.field, r) for r in rows)
-
     def v_block(self, l: int) -> FieldMatrix:
-        """The k x beta selection block of node l's query (l in 1..k)."""
+        """The k x beta selection block of node l's query (l in 1..k): row i
+        holds a 1 at stripe pi[z[i][l - 1]] when subquery i + 1 selects
+        node l, and none otherwise."""
         k = self.e.k
         if not 1 <= l <= k:
             raise ValueError(f"only the first {k} nodes carry a selection block")
-        beta = self.beta
-        base = (self.m - 1) * beta
-        rows = [[0] * beta for _ in range(k)]
-        for (node, i), col in self._offsets.items():
-            if node == l - 1:
-                rows[i][col - base] = 1
+        rows = [[0] * self.beta for _ in range(k)]
+        for i, row in enumerate(self.z):
+            slot = row[l - 1]
+            if slot:
+                rows[i][self.pi[slot] - 1] = 1
         return FieldMatrix(self.u.field, rows)
 
 
@@ -544,31 +519,15 @@ def _gather(raw: bytes, n: int, stride: int) -> list[bytes]:
     return columns
 
 
-def node_response(q_j: FieldMatrix, node_column: Sequence[StorageSymbol]) -> list[StorageSymbol]:
-    """One node's answer: its query matrix times its symbol column.
-
-    Raises ValueError when the query's column count is not the number of
-    stored symbols, and names a misfit symbol ("stored symbol 3").
-    """
-    if q_j.ncols != len(node_column):
-        raise ValueError(
-            f"query has {q_j.ncols} columns but the node stores {len(node_column)} symbols"
-        )
-    field = q_j.field
-    ell, payloads = pack_symbols(node_column, field, lambda i: f"stored symbol {i + 1}", ValueError)
-    # the payloads are a stack of one (_lane_product)
-    product = _lane_product(field, ell, _stride(field, ell), 1)
-    return [StorageSymbol._of(field, ell, product(payloads, row)) for row in q_j._rows]
-
-
 def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     """Every node's answer to its query, computed for all nodes at once.
 
-    The answers are node_response's, packed (see ResponseSet), but no query
-    row is read: the array holds its stored rows stacked over the nodes, so
-    each mask row is multiplied once, against every node's column at a
-    time, and every node's k lanes are gathered into one int. Over GF(2)
-    the product is bound to the stored rows (_lane_product with `over`):
+    Node j's answers are its query times its stored column, packed (see
+    ResponseSet), but no query row is read: the array holds its stored rows
+    stacked over the nodes, so each mask row is multiplied once, against
+    every node's column at a time, and every node's k lanes are gathered
+    into one int. Over GF(2) the product is bound to the stored rows
+    (_lane_product with `over`):
     Four-Russians tables of the XORs of every 4 consecutive rows are built
     once per call and dropped with it, and each mask row is one lookup and
     one XOR per 4 stored rows; wider fields sum the coefficients' bit
@@ -1097,9 +1056,10 @@ def verify_privacy(
     the mask entry XOR a fixed 0/1 selection value, which only relabels
     histogram bins, so each entry's one statistic is shared by every node;
     the Bonferroni correction still counts a test per entry of every node's
-    query. That queries are assembled this way at fixture size is covered
-    by the `QuerySet` construction test. Each entry counts only the values
-    drawn, so the counters follow `trials`, not the field order.
+    query. A test checks, at fixture size, that a QuerySet's answers are
+    those of queries assembled this way, against the tests' own selection
+    grids. Each entry counts only the values drawn, so the counters follow
+    `trials`, not the field order.
 
     The masks are the ones rng.randrange(order) per entry would give, in
     trial, row, column order from random.Random(seed): _draw_values fetches

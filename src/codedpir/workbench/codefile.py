@@ -126,26 +126,6 @@ def parse_code_file(path: str | Path) -> CodeFile:
     return parse_code_text(path.read_text(encoding="ascii"), name=name)
 
 
-def serialize_code(
-    code: LinearCode,
-    d_min_hint: int | None = None,
-    d_tilde_min_hint: int | None = None,
-    comment: str | None = None,
-) -> str:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"field {code.field.width}")
-    lines.append(f"code {code.n} {code.k}")
-    if d_min_hint is not None:
-        lines.append(f"dmin {d_min_hint}")
-    if d_tilde_min_hint is not None:
-        lines.append(f"dtmin {d_tilde_min_hint}")
-    for row in code.h.values():
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def format_e_matrix(e: EMatrix) -> str:
     return "\n".join("".join(str(b) for b in row) for row in e.rows) + "\n"
 

@@ -34,7 +34,7 @@ from codedpir.codes import StorageSymbol
 from codedpir.workbench import parse_code_file
 
 from conftest import FIXTURES_DIR, planted_matrix
-from oracles import PeasantField, TinyField, brute_rank, peasant_mul, rref_oracle
+from oracles import PeasantField, TinyField, brute_rank, combine_components, peasant_mul, rref_oracle
 
 
 class TestFieldConstruction:
@@ -180,7 +180,7 @@ class TestFieldArithmetic:
 class TestRref:
     def test_identity_fixed_point(self):
         f = field_new(1)
-        m = FieldMatrix.identity(f, 4)
+        m = FieldMatrix(f, [[int(i == j) for j in range(4)] for i in range(4)])
         r, rank, pivots = rref(m)
         assert r == m
         assert rank == 4
@@ -195,7 +195,7 @@ class TestRref:
 
     def test_zero_matrix(self):
         f = field_new(2)
-        m = FieldMatrix.zeros(f, 3, 4)
+        m = FieldMatrix(f, [[0] * 4 for _ in range(3)])
         r, rank, pivots = rref(m)
         assert r == m
         assert rank == 0
@@ -395,7 +395,7 @@ class TestExtends:
 class TestSolve:
     def test_identity_returns_rhs(self):
         f = field_new(2)
-        a = FieldMatrix.identity(f, 3)
+        a = FieldMatrix(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         b = FieldMatrix(f, [[1, 2], [3, 0], [2, 2]])
         assert solve(a, b) == b
 
@@ -421,6 +421,7 @@ class TestSolve:
     @pytest.mark.parametrize("width", range(1, 17))
     def test_random_solvable_round_trips(self, width):
         f = field_new(width)
+        oracle = PeasantField(f.modulus, width)
         rng = random.Random(width + 100)
         for _ in range(30):
             ncols = rng.randint(1, 4)
@@ -432,7 +433,7 @@ class TestSolve:
                 if matrix_rank(a) == ncols:
                     break
             x = FieldMatrix(f, [[rng.randrange(f.order) for _ in range(2)] for _ in range(ncols)])
-            b = a @ x
+            b = FieldMatrix(f, [combine_components(row, x.values(), oracle) for row in a.values()])
             assert solve(a, b) == x
 
     def test_inconsistent_tall_system(self):
@@ -457,7 +458,7 @@ class TestSolve:
         # a right-hand side is a FieldMatrix: anything else, rows of storage
         # symbols included, is a TypeError that names its kind
         f = field_new(width)
-        a = FieldMatrix.identity(f, 2)
+        a = FieldMatrix(f, [[1, 0], [0, 1]])
         rows = [[StorageSymbol(f, (1, 0))], [StorageSymbol(f, (0, 1))]]
         for b, kind in ((5, "an int"), (None, "a NoneType"), (2.5, "a float"), (rows, "a list")):
             with pytest.raises(TypeError) as exc:
@@ -483,25 +484,17 @@ class TestFieldMatrix:
         with pytest.raises(ValueError):
             FieldMatrix(field_new(1), [[2]])
 
-    def test_matmul_and_add(self):
-        f = field_new(2)
-        a = FieldMatrix(f, [[1, 2], [0, 1]])
-        i = FieldMatrix.identity(f, 2)
-        assert a @ i == a
-        assert (a + a).values() == ((0, 0), (0, 0))
-
     def test_mixed_field_rejected(self):
         a = FieldMatrix(field_new(1), [[1]])
         b = FieldMatrix(field_new(2), [[1]])
         with pytest.raises(FieldMismatchError):
-            a @ b
+            solve(a, b)
 
     def test_accessors(self):
         f = field_new(2)
         m = FieldMatrix(f, [[1, 2, 3], [0, 1, 2]])
         assert m.row(0) == (1, 2, 3)
         assert m.column(2) == (3, 2)
-        assert m.transpose().values() == ((1, 0), (2, 1), (3, 2))
         assert m.submatrix([1], [0, 2]).values() == ((0, 2),)
 
 

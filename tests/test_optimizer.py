@@ -15,7 +15,6 @@ from codedpir import (
     FieldSpec,
     OptimizerConfig,
     PatternList,
-    assert_valid_e_matrix,
     compute_erasure_pattern_list,
     cpop,
     derived_code,
@@ -278,7 +277,7 @@ class TestComputeMatrix:
     def test_all_weight_two_patterns_of_length_three(self):
         rows, complete = self._search(all_patterns(3, 2), 3, 2)
         assert rows is not None and complete
-        assert_valid_e_matrix(_e_matrix(rows, 3, 2), derived_code(c1_code()))
+        assert e_matrix_violations(_e_matrix(rows, 3, 2), derived_code(c1_code())) == []
 
     def test_column_never_reachable(self):
         assert self._search([ErasurePattern((1, 1, 0))], 3, 2) == (None, True)
@@ -689,7 +688,7 @@ class TestOptimize:
         assert extended.beta_opt == 1  # faithful result unchanged
         assert extended.iterations == 2
         assert extended.extended_beta == base.beta_opt
-        assert_valid_e_matrix(extended.extended_e, derived_code(code))
+        assert e_matrix_violations(extended.extended_e, derived_code(code)) == []
 
     def test_random_codes_always_return_valid_matrices(self):
         rng = random.Random(31)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import operator
 import pickle
 import random
 import re
@@ -27,7 +26,6 @@ from codedpir import (
     derived_code,
     encode_file,
     exact_privacy_check,
-    node_response,
     optimize_cpop,
     random_file,
     recover_file,
@@ -79,6 +77,32 @@ def plus(a, b):
     return StorageSymbol.from_bits(a.spec, a.ell, a.bits ^ b.bits)
 
 
+def oracle_queries(qs):
+    """The n node queries, k rows of entries each: the mask plus node l's
+    selection grid for file m (selection_grid_oracle), the bare mask past
+    node k."""
+    u = [list(row) for row in qs.u.values()]
+    grids = selection_grid_oracle(qs.e, qs.f, qs.m, qs.pi, qs.z)
+    systematic = [[[a ^ b for a, b in zip(ur, gr)] for ur, gr in zip(u, grid)] for grid in grids]
+    return systematic + [u] * (qs.n - qs.e.k)
+
+
+def oracle_answers(qs, arr, oracle):
+    """Every node's answers as component tuples: response_oracle over its
+    oracle query and its stored column, arr.rows.payloads[j::n]."""
+    n = arr.code.n
+    unpack = bit_slices(arr.code.field, arr.ell).unpack
+    return [
+        response_oracle(q, [unpack(v) for v in arr.rows.payloads[j::n]], oracle)
+        for j, q in enumerate(oracle_queries(qs))
+    ]
+
+
+def components(rs):
+    """A response set's answers as component tuples, node by node."""
+    return [[s.components for s in resp] for resp in rs.responses]
+
+
 class TestPickle:
     def test_field_holders_round_trip(self):
         # what worker processes would be sent: a code, its derived code, a
@@ -91,7 +115,6 @@ class TestPickle:
             for obj in (code, derived_code(code), array, qs, got):
                 assert pickle.loads(pickle.dumps(obj)) == obj
             qs_copy, array_copy = pickle.loads(pickle.dumps((qs, array)))
-            assert qs_copy.q == qs.q
             assert collect_responses(qs_copy, array_copy) == collect_responses(qs, array)
 
 
@@ -114,7 +137,8 @@ class TestBuildStorage:
         arr = build_storage(code, [x, x])
         assert arr.f == 2
         assert arr.rows[:2] == arr.rows[2:]
-        assert arr.node_column(4) == (arr.rows[0][3], arr.rows[1][3], arr.rows[0][3], arr.rows[1][3])
+        column = arr.rows.payloads[3 :: code.n]  # node 4's
+        assert column == (arr.rows[0][3].bits, arr.rows[1][3].bits) * 2
 
     def test_shape_validation(self):
         code = c1_code()
@@ -245,25 +269,34 @@ class TestBuildQueries:
             replace(qs, **change)
 
     def test_parity_queries_are_bare_mask(self):
-        qs = build_queries(c1_code(), E1, m=1, f=2, seed=4)
-        assert qs.q[3] == qs.u
-        assert qs.q[4] == qs.u
+        code = c1_code()
+        files = [random_file(GF2, 2, 3, 8, random.Random(s)) for s in range(2)]
+        arr = build_storage(code, files)
+        qs = build_queries(code, E1, m=1, f=2, seed=4)
+        rs = collect_responses(qs, arr)
+        u, stored = qs.u.values(), [[s.components for s in row] for row in arr.rows]
+        for j in (3, 4):
+            expected = response_oracle(u, [row[j] for row in stored], TinyField(2))
+            assert [s.components for s in rs.responses[j]] == expected, j + 1
 
     def test_systematic_queries_differ_only_inside_target_block(self):
+        # node l's answers less the bare mask's are its symbols of file m, one
+        # per stripe, and zero in the subqueries that do not select it
         f, m = 3, 2
-        qs = build_queries(c1_code(), E1, m=m, f=f, seed=4)
-        beta = qs.beta
+        code = c1_code()
+        files = [random_file(GF2, 2, 3, 16, random.Random(s)) for s in range(f)]
+        arr = build_storage(code, files)
+        qs = build_queries(code, E1, m=m, f=f, seed=4)
+        rs = collect_responses(qs, arr)
+        u, stored = qs.u.values(), [[s.components for s in row] for row in arr.rows]
         for l in range(3):
+            bare = response_oracle(u, [row[l] for row in stored], TinyField(2))
             diff = [
-                [a ^ b for a, b in zip(ra, rb)]
-                for ra, rb in zip(qs.q[l].values(), qs.u.values())
+                tuple(a ^ b for a, b in zip(s.components, b_row))
+                for s, b_row in zip(rs.responses[l], bare)
             ]
-            for i, row in enumerate(diff):
-                for j, v in enumerate(row):
-                    inside = (m - 1) * beta <= j < m * beta
-                    if not inside:
-                        assert v == 0
-            assert sum(v for row in diff for v in row) == beta  # one selection per column
+            picked = sorted(d for d in diff if any(d))
+            assert picked == sorted(files[m - 1][s][l].components for s in range(qs.beta))
 
     def test_canonical_slots_are_ranks(self):
         qs = build_queries(c1_code(), E1, m=1, f=1, seed=0)
@@ -287,11 +320,13 @@ class TestBuildQueries:
     def test_deterministic_per_seed(self):
         a = build_queries(c1_code(), E1, m=1, f=2, seed=11)
         b = build_queries(c1_code(), E1, m=1, f=2, seed=11)
-        assert a.u == b.u and a.q == b.q
+        assert a.u == b.u and a == b
 
     @pytest.mark.parametrize("name", ["c1", "mds53", "c5like", "c6_array"])
     def test_queries_are_mask_plus_oracle_selection(self, name):
-        # the construction the privacy argument rests on, on the queries sent
+        # the construction the privacy argument rests on, on the answers to
+        # the queries sent: each node answers the mask plus its oracle
+        # selection grid, and v_block is that grid's file-m block
         from codedpir.workbench import parse_code_file, parse_e_matrix_text
         from conftest import FIXTURES_DIR, TESTS_DIR, mds53_code
 
@@ -307,38 +342,66 @@ class TestBuildQueries:
         else:
             code = parse_code_file(FIXTURES_DIR / f"{name}.pchk").code
             e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
-        f, k = 2, code.k
+        f, k, beta = 2, code.k, e.beta
+        oracle = PeasantField(code.field.modulus, code.field.width)
+        rng = random.Random(13)
+        arr = build_storage(code, [random_file(code.field, beta, k, 1, rng) for _ in range(f)])
         sets = {m: build_queries(code, e, m=m, f=f, seed=13, pi=pi, z=z) for m in (1, 2)}
         assert sets[1].u == sets[2].u  # the mask does not depend on the file index
         for m, qs in sets.items():
-            u = qs.u.values()
-            assert len(qs.q) == code.n
             grids = selection_grid_oracle(e, f, m, pi, z)
-            for l, q in enumerate(qs.q):
-                assert (q.nrows, q.ncols) == (k, e.beta * f)
-                diff = [[a ^ b for a, b in zip(qr, ur)] for qr, ur in zip(q.values(), u)]
-                assert diff == (grids[l] if l < k else [[0] * (e.beta * f)] * k), (m, l + 1)
+            for l, grid in enumerate(grids, 1):
+                block = tuple(tuple(row[(m - 1) * beta : m * beta]) for row in grid)
+                assert qs.v_block(l).values() == block, (m, l)
+            assert components(collect_responses(qs, arr)) == oracle_answers(qs, arr, oracle), m
 
 
 class TestNodeResponse:
+    """A node's answer to its query, as collect_responses computes it."""
+
+    @staticmethod
+    def _gf4_round(seed):
+        code = make_code(GF4, [[1, 2, 0], [0, 3, 1]])
+        rng = random.Random(seed)
+        files = [random_file(GF4, 2, 3, 3, rng) for _ in range(2)]
+        qs = build_queries(code, E1, m=2, f=2, seed=seed, pi=PI1, z=Z1)
+        return code, files, build_storage(code, files), qs
+
+    @staticmethod
+    def _masked(qs, rows):
+        return replace(qs, u=FieldMatrix(qs.u.field, rows))
+
     def test_zero_query_zero_response(self):
-        col = [sym(GF2, 1), sym(GF2, 0)]
-        q = FieldMatrix.zeros(GF2, 3, 2)
-        assert all(s.bits == 0 for s in node_response(q, col))
+        code, _, arr, qs = self._gf4_round(8)
+        rs = collect_responses(self._masked(qs, [[0] * 4] * 3), arr)
+        assert all(s.bits == 0 for resp in rs.responses[code.k :] for s in resp)
 
     def test_selector_rows_return_stored_symbols(self):
-        col = [sym(GF4, 1, 2), sym(GF4, 3, 0), sym(GF4, 2, 2)]
-        q = FieldMatrix(GF4, [[0, 1, 0], [0, 0, 1]])
-        assert node_response(q, col) == [col[1], col[2]]
+        # under a zero mask, subquery i answers node l's symbol of file m at
+        # stripe pi[z[i][l]], and zero where it does not select node l
+        code, files, arr, qs = self._gf4_round(9)
+        rs = collect_responses(self._masked(qs, [[0] * 4] * 3), arr)
+        for l in range(code.k):
+            for i, row in enumerate(Z1):
+                got = rs.responses[l][i]
+                want = files[1][PI1[row[l]] - 1][l].bits if row[l] else 0
+                assert got.bits == want, (l + 1, i + 1)
 
     def test_linearity(self):
+        # the selection 1s add the same symbols under every mask, so two
+        # masks' answers sum to their sum's plus the zero mask's
+        code, _, arr, qs = self._gf4_round(10)
         rng = random.Random(8)
-        col = [StorageSymbol(GF4, [rng.randrange(4) for _ in range(3)]) for _ in range(4)]
-        qa = FieldMatrix(GF4, [[rng.randrange(4) for _ in range(4)] for _ in range(2)])
-        qb = FieldMatrix(GF4, [[rng.randrange(4) for _ in range(4)] for _ in range(2)])
-        ra, rb = node_response(qa, col), node_response(qb, col)
-        rsum = node_response(qa + qb, col)
-        assert rsum == [plus(x, y) for x, y in zip(ra, rb)]
+        qa, qb = ([[rng.randrange(4) for _ in range(4)] for _ in range(3)] for _ in range(2))
+        qsum = [[a ^ b for a, b in zip(ra, rb)] for ra, rb in zip(qa, qb)]
+        ra, rb, rsum, rzero = (
+            collect_responses(self._masked(qs, rows), arr).responses
+            for rows in (qa, qb, qsum, [[0] * 4] * 3)
+        )
+        for j in range(code.n):
+            assert [plus(x, y) for x, y in zip(ra[j], rb[j])] == [
+                plus(x, y) for x, y in zip(rsum[j], rzero[j])
+            ], j + 1
 
     def test_parity_response_is_interference_sum(self):
         # node 4 of the reference run answers with sums of the two
@@ -348,7 +411,7 @@ class TestNodeResponse:
         x = random_file(GF2, 2, 3, 4, rng)
         arr = build_storage(code, [x])
         qs = build_queries(code, E1, m=1, f=1, seed=21, pi=PI1, z=Z1)
-        r4 = node_response(qs.q[3], arr.node_column(4))
+        r4 = collect_responses(qs, arr).responses[3]
         u = qs.u.values()
         for t in range(3):
             # parity row one covers message columns 1 and 2
@@ -357,16 +420,25 @@ class TestNodeResponse:
             assert r4[t].components == combine_components(coeffs, vectors, TinyField(2))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            node_response(FieldMatrix.zeros(GF2, 2, 3), [sym(GF2, 0)])
+        # a query of 4 columns against a node that stores 6 symbols: f = 3 files
+        code, files, arr, qs = self._gf4_round(11)
+        taller = build_storage(code, [*files, files[0]])
+        with pytest.raises(ValueError, match="query set and storage array disagree on beta or f"):
+            collect_responses(qs, taller)
+        with pytest.raises(ValueError, match="query has 4 columns but the node stores 6 symbols"):
+            collect_responses(qs, replace(taller, f=2))
 
     def test_misfit_stored_symbols_named(self):
-        q = FieldMatrix(GF4, [[1, 1]])
-        with pytest.raises(ValueError, match=r"stored symbol 2: symbol over FieldSpec\(width=1"):
-            node_response(q, [sym(GF4, 1), sym(GF2, 1)])
-        message = "stored symbol 2: payload length 2, stored symbol 1 has 1"
-        with pytest.raises(ValueError, match=message):
-            node_response(q, [sym(GF4, 1), sym(GF4, 1, 2)])
+        # one node's column holding a symbol of another field or length
+        code, _, arr, qs = self._gf4_round(12)
+        for misfit, named in (
+            (sym(GF2, 1, 0, 1), r"symbol over FieldSpec\(width=1"),
+            (sym(GF4, 1, 2), "payload length 2, node 1, stored symbol 1 has 3"),
+        ):
+            rows = [list(row) for row in arr.rows]
+            rows[1][3] = misfit
+            with pytest.raises(ValueError, match=f"^node 4, stored symbol 2: {named}"):
+                collect_responses(qs, replace(arr, rows=rows))
 
 
 def _c6_round(ell):
@@ -381,17 +453,14 @@ def _c6_round(ell):
 
 
 class TestBatchedResponses:
-    """collect_responses against node_response and the per-component oracle."""
+    """collect_responses against the per-component oracle."""
 
     @staticmethod
-    def _agree(qs, arr, code, oracle):
+    def _agree(qs, arr, oracle):
         rs = collect_responses(qs, arr)
-        stored = [[s.components for s in row] for row in arr.rows]
-        for j in range(code.n):
-            column = arr.node_column(j + 1)
-            assert list(rs.responses[j]) == node_response(qs.q[j], column), j + 1
-            expected = response_oracle(qs.q[j].values(), [row[j] for row in stored], oracle)
-            assert [s.components for s in rs.responses[j]] == expected, j + 1
+        expected = oracle_answers(qs, arr, oracle)
+        for j, answers in enumerate(components(rs)):
+            assert answers == expected[j], j + 1
         return rs
 
     @pytest.mark.parametrize("width", [1, 4, 16])
@@ -404,35 +473,22 @@ class TestBatchedResponses:
         files = [random_file(field, e.beta, code.k, 5, rng) for _ in range(2)]
         arr = build_storage(code, files)
         qs = build_queries(code, e, m=2, f=2, seed=rng.randrange(10**6))
-        rs = self._agree(qs, arr, code, oracle)
+        rs = self._agree(qs, arr, oracle)
         assert recover_file(qs, rs, code) == files[1]
-        # the parity nodes share the mask itself, and the answers above agree
-        assert all(q is qs.u for q in qs.q[code.k:])
-        # rows drawn from a small pool: a row object held by several nodes
-        # (over different columns) and by one node twice, answered by
-        # node_response against the oracle
+        # mask rows drawn from a small pool: one row object held by several
+        # rows of the mask, answered against the oracle all the same
         width_q = e.beta * 2
-        pool = [[rng.randrange(field.order) for _ in range(width_q)] for _ in range(4)]
-        pooled = tuple(
-            FieldMatrix._wrap(field, [rng.choice(pool) for _ in range(code.k)])
-            for _ in range(code.n)
-        )
-        held = [set(map(id, q._rows)) for q in pooled]
-        assert any(a & b for a, b in itertools.combinations(held, 2))
-        assert any(len(ids) < code.k for ids in held)
-        stored = [[s.components for s in row] for row in arr.rows]
-        for j, q in enumerate(pooled):
-            expected = response_oracle(q.values(), [row[j] for row in stored], oracle)
-            answers = node_response(q, arr.node_column(j + 1))
-            assert [s.components for s in answers] == expected, j + 1
+        pool = [[rng.randrange(field.order) for _ in range(width_q)] for _ in range(2)]
+        pooled = replace(qs, u=FieldMatrix._wrap(field, [rng.choice(pool) for _ in range(code.k)]))
+        assert len(set(map(id, pooled.u._rows))) < code.k
+        self._agree(pooled, arr, oracle)
 
     def test_c6_array_round_at_fixture_size(self):
         code, e, x, arr = _c6_round(ell=3)
         oracle = PeasantField(code.field.modulus, 1)
         qs = build_queries(code, e, m=1, f=1, seed=61)
-        rs = self._agree(qs, arr, code, oracle)
-        answers = [[s.components for s in resp] for resp in rs.responses]
-        expected = recover_oracle(code.p.values(), e.rows, qs.pi, qs.z, e.beta, answers, oracle)
+        rs = self._agree(qs, arr, oracle)
+        expected = recover_oracle(code.p.values(), e.rows, qs.pi, qs.z, e.beta, components(rs), oracle)
         got = recover_file(qs, rs, code)
         assert [[s.components for s in row] for row in got] == expected
         assert got == x
@@ -445,9 +501,8 @@ class TestBatchedResponses:
         arr = build_storage(code, [x, y])
         oracle = PeasantField(code.field.modulus, 1)
         qs = build_queries(code, e, m=2, f=2, seed=62)
-        rs = self._agree(qs, arr, code, oracle)
-        answers = [[s.components for s in resp] for resp in rs.responses]
-        expected = recover_oracle(code.p.values(), e.rows, qs.pi, qs.z, e.beta, answers, oracle)
+        rs = self._agree(qs, arr, oracle)
+        expected = recover_oracle(code.p.values(), e.rows, qs.pi, qs.z, e.beta, components(rs), oracle)
         got = recover_file(qs, rs, code)
         assert [[s.components for s in row] for row in got] == expected
         assert got == y
@@ -496,8 +551,8 @@ class TestMaskPlusUnitShortcut:
     @staticmethod
     def _agree(qs, arr):
         rs = collect_responses(qs, arr)
-        for j, q in enumerate(qs.q):
-            assert list(rs.responses[j]) == node_response(q, arr.node_column(j + 1)), j + 1
+        field = arr.code.field
+        assert components(rs) == oracle_answers(qs, arr, PeasantField(field.modulus, field.width))
         return rs
 
     @pytest.mark.parametrize("width", [1, 4, 16])
@@ -521,8 +576,7 @@ class TestMaskPlusUnitShortcut:
         code, arr, qs, _ = self._instance(width)
         masked = replace(qs, u=FieldMatrix(qs.u.field, qs.u.values()))
         assert masked == qs
-        rows = [{id(r) for q in one.q for r in q._rows} for one in (masked, qs)]
-        assert not rows[0] & rows[1]
+        assert not set(map(id, masked.u._rows)) & set(map(id, qs.u._rows))
         assert self._agree(masked, arr) == collect_responses(qs, arr)
 
     @pytest.mark.parametrize("change, message", [
@@ -563,12 +617,13 @@ class TestMaskPlusUnitShortcut:
             pi = (0,) + tuple(range(2, beta + 1)) + (1,)
         assert pi != qs.pi
         other = replace(qs, pi=pi)
-        assert other.q != qs.q
+        assert oracle_queries(other) != oracle_queries(qs)
         assert recover_file(other, self._agree(other, arr), code) == files[1]
 
 
 class TestQueryView:
-    """A built query set holds the mask plus its selection; q is a view."""
+    """A built query set holds the mask and its layout; its queries are
+    derived from them, never stored."""
 
     @staticmethod
     def _instance(width, f):
@@ -582,25 +637,21 @@ class TestQueryView:
     @pytest.mark.parametrize("f", [1, 2])
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_view_is_mask_plus_oracle_selection(self, width, f):
-        code, e, _, _, seed = self._instance(width, f)
+        code, e, _, arr, seed = self._instance(width, f)
+        oracle = PeasantField(code.field.modulus, width)
         pi = (0,) + tuple(range(e.beta, 0, -1))
         for m in range(1, f + 1):
             qs = build_queries(code, e, m=m, f=f, seed=seed, pi=pi)
             grids = selection_grid_oracle(e, f, m, pi)
-            u = qs.u.values()
-            first = qs.q
-            assert len(first) == code.n
-            for l, q in enumerate(first):
-                if l < code.k:
-                    diff = [[a ^ b for a, b in zip(qr, ur)] for qr, ur in zip(q.values(), u)]
-                    assert diff == grids[l], (m, l + 1)
-                else:
-                    assert q == qs.u, (m, l + 1)
-            assert qs.q is first and all(map(operator.is_, qs.q, first))
-            # q is derived, never given: replace rebuilds it from the layout
+            for l, grid in enumerate(grids, 1):
+                block = tuple(tuple(row[(m - 1) * e.beta : m * e.beta]) for row in grid)
+                assert qs.v_block(l).values() == block, (m, l)
+            rs = collect_responses(qs, arr)
+            assert components(rs) == oracle_answers(qs, arr, oracle), m
+            # no query is given: a set takes only its mask and layout
             with pytest.raises(TypeError):
-                replace(qs, q=first)
-            assert replace(qs) == qs and replace(qs).q == first
+                replace(qs, q=oracle_queries(qs))
+            assert replace(qs) == qs and collect_responses(replace(qs), arr) == rs
 
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_round_assembles_no_row_and_validates_its_layout_once(self, width, monkeypatch):
@@ -758,6 +809,18 @@ class TestPackedFile:
         with pytest.raises(TypeError):
             hash(got)
 
+    def test_empty_file_equals_any_empty_sequence(self):
+        # rows carry the field, ell and k: with none, a file is any empty sequence
+        x = random_file(GF2, 3, 4, 8, random.Random(5))
+        empties = [x[5:2], PackedFile(GF2, 8, 4, []), PackedFile(GF4, 3, 2, ())]
+        for empty in empties:
+            for other in ([], (), *empties):
+                assert empty == other and other == empty
+                assert not (empty != other or other != empty)
+            for other in (x, x[:1], [[]], nested(x)):
+                assert empty != other and other != empty
+                assert not (empty == other or other == empty)
+
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_a_round_builds_no_symbol(self, width, monkeypatch):
         # from the file drawn to the file recovered and compared, payloads
@@ -785,9 +848,9 @@ class TestPackedFile:
         made = _count_symbols(monkeypatch)
         got = recover_file(qs, rs, code)
         assert got == x and made == []
-        assert arr.node_column(3) == tuple(row[2] for row in arr.rows)
-        # node 3's symbols, then every stored row's
-        assert len(made) == len(arr.rows) * (1 + code.n)
+        # every stored row's symbols, built when the rows are read
+        assert [row[2].bits for row in arr.rows] == list(arr.rows.payloads[2 :: code.n])
+        assert len(made) == len(arr.rows) * code.n
 
 
 def _count_symbols(monkeypatch) -> list:
@@ -834,10 +897,7 @@ class TestLayoutCache:
         for qs in sets:
             assert recover_file(qs, collect_responses(qs, arr), code) == files[qs.m - 1]
             assert qs.z is e.canonical_slots and qs._lanes is e._canonical_lanes
-            assert "_offsets" not in vars(qs)  # only q and v_block read the offsets
         assert built == {"canonical_slots": 1, "_canonical_lanes": 1}
-        sets[0].q
-        assert "_offsets" in vars(sets[0])
         # an equal z given by the caller is checked and keeps its own list
         given = build_queries(code, e, m=1, f=2, seed=seed + 1, z=[list(r) for r in e.canonical_slots])
         assert given.z == e.canonical_slots and given.z is not e.canonical_slots
@@ -1149,10 +1209,6 @@ def _misfit_targets(entry, width):
             for m in range(2) for s in range(2) for l in range(k)
         ]
         return (lambda: build_storage(code, fs)), ValueError, slots
-    if entry == "node_response":
-        column = list(arr.node_column(4))
-        slots = [(f"stored symbol {i + 1}", column, i) for i in range(nrows)]
-        return (lambda: node_response(qs.q[3], column)), ValueError, slots
     if entry == "collect_responses":
         rows = [list(row) for row in arr.rows]
         slots = [(f"node {j + 1}, stored symbol {i + 1}", rows[i], j)
@@ -1171,8 +1227,7 @@ class TestMisfitSymbolsNamed:
     @pytest.mark.parametrize("kind", ["non_symbol", "wrong_field", "wrong_length"])
     @pytest.mark.parametrize("width", [1, 4, 16])
     @pytest.mark.parametrize("entry", [
-        "encode_file", "build_storage", "node_response", "collect_responses",
-        "recover_file",
+        "encode_file", "build_storage", "collect_responses", "recover_file",
     ])
     def test_misfit_named_by_position(self, entry, width, kind):
         call, error, slots = _misfit_targets(entry, width)
@@ -1748,10 +1803,8 @@ class TestWidthCoverage:
 
             qs = build_queries(code, e, m=m, f=f, seed=rng.randrange(10**6))
             rs = collect_responses(qs, arr)
-            answers = [[s.components for s in resp] for resp in rs.responses]
-            for j in range(code.n):
-                column = [row[j] for row in stored]
-                assert answers[j] == response_oracle(qs.q[j].values(), column, oracle)
+            answers = components(rs)
+            assert answers == oracle_answers(qs, arr, oracle)
 
             got = recover_file(qs, rs, code)
             expected = recover_oracle(p_rows, e.rows, qs.pi, qs.z, e.beta, answers, oracle)
