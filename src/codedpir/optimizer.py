@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, tee
 from operator import itemgetter
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
@@ -129,6 +129,10 @@ def _selection_lanes(z: Sequence[Sequence[int]], beta: int) -> array:
     )
 
 
+# one width's seeded rounds (_rounds): (drawn support, the round's verdict memo)
+_RoundStream = Iterator[tuple[int, dict[int, bool]]]
+
+
 @dataclass(frozen=True)
 class PatternList:
     """Correctable erasure patterns of one weight, held as support masks.
@@ -156,7 +160,7 @@ def compute_erasure_pattern_list(
     mode: Literal["exhaustive", "randomized"] = "exhaustive",
     budget: int = 64,
     seed: int = 0,
-    rounds: _SeededRounds | None = None,
+    rounds: _RoundStream | None = None,
 ) -> PatternList:
     """Collect weight-beta erasure patterns the derived code can correct.
 
@@ -182,13 +186,15 @@ def compute_erasure_pattern_list(
     in permuted order instead of row-reducing, at every field width. Shifts
     that differ by a multiple of the code's row shift g
     (DerivedCode.row_shift) have the same verdict, so only shifts 1..g-1 of
-    a round's pattern run the correctability test (shift 0, the drawn support, is independent by
-    construction) and shift s reuses the verdict of shift s mod g; the
-    random calls and the listed set are those of testing every shift.
-    `rounds`, when given, are this width's rounds at this budget and seed
-    as optimize_cpop's certificate already drew and tested them; the
-    listing replays them and reuses their verdicts. Patterns stay support
-    masks throughout (see PatternList). An empty list is a valid result.
+    a round's pattern run the correctability test (shift 0, the drawn
+    support, is independent by construction), each mask at most once per
+    round (the memo of _rounds), and shift s reuses the verdict of shift
+    s mod g; the random calls and the listed set are those of testing every
+    shift. `rounds`, when given, is this width's stream (_rounds) at this
+    budget and seed, which optimize_cpop's certificate has already drawn in
+    full; the listing reuses the verdicts the certificate left in its memo.
+    Patterns stay support masks throughout (see PatternList). An empty list
+    is a valid result.
     """
     k = derived.n_tilde
     if not 1 <= beta <= k:
@@ -234,33 +240,35 @@ def compute_erasure_pattern_list(
         walk(derived._column_reps, 0, 0, 0)
         return PatternList(frozenset(found), k, beta, exhaustive=True)
 
-    if rounds is None:
-        rounds = _SeededRounds(derived, beta, budget, seed)
     g = derived.row_shift[0]
-    seen: dict[int, bool] = {}  # mask -> verdict
     found = []
-    for rotations, known in rounds:
-        for s, cand in enumerate(rotations):
-            if cand not in seen:
-                # rotation s mod g came first and has the same verdict
-                ok = seen[cand] = (
-                    _tested(derived, rotations, known, s) if s < g else seen[rotations[s % g]]
-                )
-                if ok:
-                    found.append(cand)
+    for base, verdicts in rounds or _rounds(derived, beta, budget, seed):
+        rotations = _rotations(base, k)
+        ok = [_tested(derived, verdicts, m) for m in rotations[:g]]
+        # rotation s has the verdict of rotation s mod g, and g divides k
+        found += compress(rotations, ok * (k // g))
     return PatternList(frozenset(found), k, beta, exhaustive=False)
 
 
-def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator[list[int]]:
-    """The seeded rounds of the randomized listing, each as the k rotations
-    of its drawn support (see compute_erasure_pattern_list); 1 <= beta <= rank(P).
+def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> _RoundStream:
+    """One width's stream of seeded rounds (see compute_erasure_pattern_list),
+    each as its drawn support and its verdict memo, a dict from the masks of
+    its rotations to their correctability; 1 <= beta <= rank(P).
 
     A round's pivots are the first rank(P) columns, in shuffled order,
     that _eliminate finds outside the span of the ones before them; the
     columns are DerivedCode._reduced_columns, the same packed columns of
     rref(P) that `independent` tests, at every field width. The random
     calls per round are one shuffle and one sample, so every consumer of
-    these rounds sees the same stream.
+    these rounds sees the same stream. The drawn support is beta of the
+    round's greedy pivots, independent by construction: the memo records it
+    correctable when it is drawn, without a test. optimize_cpop shares one
+    stream between the certificate (_complete_orbits) and, at a width no
+    round certifies, the listing, so each round is drawn once and no
+    rotation of it is tested twice (_tested). The memo is per round, not
+    per width: a width the scan keeps draws its later rounds at the end of
+    the scan, and one memo for all of them would keep every verdict they
+    found; a mask that two rounds of a short code share is tested by each.
     """
     k = derived.n_tilde
     cols, _, rank, _ = derived._reduced_columns
@@ -276,76 +284,33 @@ def _rounds(derived: DerivedCode, beta: int, budget: int, seed: int) -> Iterator
         base = 0
         for j in rng.sample(pivots, beta):
             base |= 1 << (k - 1 - j)
-        yield _rotations(base, k)
+        yield base, {base: True}
 
 
-class _SeededRounds:
-    """One width's seeded rounds (_rounds), drawn once and replayed to every
-    consumer, each with the verdicts of its rotations found so far.
-
-    optimize_cpop hands the same rounds to the certificate
-    (_complete_orbits) and, at a width no round certifies, to the listing,
-    so the stop width's rounds are drawn once and no round's rotation is
-    tested twice. A drawn round is kept as its support and a dict from
-    rotation s < g (DerivedCode.row_shift) to its verdict (_tested); a
-    replay rebuilds its rotations. Rotation 0 is the drawn support itself, beta of the round's
-    greedy pivots, independent by construction: its verdict is recorded as
-    True when the round is drawn, without a test.
-    """
-
-    def __init__(self, derived: DerivedCode, beta: int, budget: int, seed: int):
-        self._k = derived.n_tilde
-        self._source = _rounds(derived, beta, budget, seed)
-        self._drawn: list[tuple[int, dict[int, bool]]] = []
-
-    def __iter__(self) -> Iterator[tuple[list[int], dict[int, bool]]]:
-        """(rotations, verdicts) of every round in order: those drawn
-        already, then the rest as drawn."""
-        i = 0
-        while True:
-            if i < len(self._drawn):
-                base, known = self._drawn[i]
-                yield _rotations(base, self._k), known
-            else:
-                rotations = next(self._source, None)
-                if rotations is None:
-                    return
-                known = {0: True}
-                self._drawn.append((rotations[0], known))
-                yield rotations, known
-            i += 1
-
-
-def _tested(derived: DerivedCode, rotations: list[int], known: dict[int, bool], s: int) -> bool:
-    """Whether rotation s < g (DerivedCode.row_shift) of a round is
-    correctable, tested once per round and kept in `known`."""
-    ok = known.get(s)
+def _tested(derived: DerivedCode, verdicts: dict[int, bool], mask: int) -> bool:
+    """Whether a rotation of a round is correctable, tested once and kept
+    in the round's memo (_rounds)."""
+    ok = verdicts.get(mask)
     if ok is None:
-        ok = known[s] = derived.independent(rotations[s])
+        ok = verdicts[mask] = derived.independent(mask)
     return ok
 
 
-def _complete_orbits(
-    derived: DerivedCode, beta: int, budget: int, seed: int, rounds: _SeededRounds | None = None
-) -> Iterator[int]:
-    """The smallest rotation of each seeded round whose k rotations are all
-    distinct and all correctable, in round order.
+def _complete_orbits(derived: DerivedCode, rounds: _RoundStream) -> Iterator[int]:
+    """The smallest rotation of each round of a width's stream (_rounds)
+    whose k rotations are all distinct and all correctable, in round order.
 
     Such an orbit is complete in the randomized listing at the same seed,
     which keeps every correctable rotation of every round, so the first
     yield proves the width feasible without listing it. Rotations s >= g
-    (DerivedCode.row_shift) reuse the verdict of s mod g. `rounds`,
-    when given, are the width's rounds at this budget and seed, shared
-    with its listing.
+    (DerivedCode.row_shift) have the verdict of s mod g, so only the first
+    g are tested.
     """
-    if rounds is None:
-        rounds = _SeededRounds(derived, beta, budget, seed)
     k = derived.n_tilde
     g = derived.row_shift[0]
-    for rotations, known in rounds:
-        if len(set(rotations)) == k and all(
-            _tested(derived, rotations, known, s) for s in range(g)
-        ):
+    for base, verdicts in rounds:
+        rotations = _rotations(base, k)
+        if len(set(rotations)) == k and all(_tested(derived, verdicts, m) for m in rotations[:g]):
             yield min(rotations)
 
 
@@ -554,25 +519,6 @@ def _iter_seed(cfg: OptimizerConfig, beta: int) -> int:
     return cfg.seed * 1_000_003 + beta
 
 
-def _list_and_search(
-    derived: DerivedCode, beta: int, cfg: OptimizerConfig, rounds: _SeededRounds | None = None
-) -> tuple[PatternList, list[int] | None, bool]:
-    """One width of the scan, listed and searched in full: the pattern list,
-    the matrix rows found or None, and whether the search was complete (an
-    empty list is not searched). A randomized listing replays `rounds`
-    when given (see compute_erasure_pattern_list)."""
-    k = derived.n_tilde
-    mode = "randomized" if _randomized(k, beta, cfg) else "exhaustive"
-    seed = _iter_seed(cfg, beta)
-    L = compute_erasure_pattern_list(derived, beta, mode, cfg.pattern_budget, seed, rounds)
-    if not L.masks:
-        return L, None, True
-    rows, complete = _search_matrix(
-        L.masks, k, beta, cfg.exact_budget, seed, cfg.subset_threshold, cfg.subset_tries
-    )
-    return L, rows, complete
-
-
 def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Scan widths beta = d_tilde_min - 1 .. rank(P) for the widest matrix.
 
@@ -583,20 +529,21 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
     minimum distance every pattern is correctable and any shift-variant
     pattern closes into a circulant.
 
-    A randomized width is first replayed round by round, and the first
-    round whose support has k distinct, correctable rotations proves it
-    feasible (see _complete_orbits); such a width is neither listed nor
-    searched. A width the scan keeps (e_opt, and extended_e under
-    keep_going) gets the circulant _rotations(p, k), where p is the
-    smallest yield of that round and of every later round. That is the
-    matrix listing and searching the width would give: the listing keeps
-    every correctable rotation of every round and a rotation's verdict
-    depends only on its mask, so an orbit is complete in the list exactly
-    when it is the orbit of a round that certifies; and _search_matrix's
-    circulant shortcut returns _rotations(p, k) for the smallest row p of
-    any complete orbit. Widths no round certifies are listed and searched
-    as they are reached; the listing replays the rounds the certificate
-    drew and reuses their verdicts (_SeededRounds). `iterations` and
+    A randomized width's rounds are drawn one by one, and the first round
+    whose support has k distinct, correctable rotations proves it feasible
+    (see _complete_orbits); such a width is neither listed nor searched. A
+    width the scan keeps (e_opt, and extended_e under keep_going) gets the
+    circulant _rotations(p, k), where p is the smallest yield of that round
+    and of every later round. That is the matrix listing and searching the
+    width would give: the listing keeps every correctable rotation of every
+    round and a rotation's verdict depends only on its mask, so an orbit is
+    complete in the list exactly when it is the orbit of a round that
+    certifies; and _search_matrix's circulant shortcut returns
+    _rotations(p, k) for the smallest row p of any complete orbit. Widths no round
+    certifies are listed and searched as they are reached. One stream of
+    rounds (_rounds) serves both: it is teed, and the listing reads its copy
+    only after the certificate has drawn every round, so each round is drawn
+    once and no rotation of it is tested twice. `iterations` and
     `exhaustive` keep their meaning: a certified width counts as an
     iteration, and its list, being randomized, is not exhaustive.
     """
@@ -607,11 +554,6 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
     )
     dm = cfg.d_min if cfg.d_min is not None else min_distance(code.h, cfg.min_distance_cap)
     rank_p = derived.n_tilde - derived.k_tilde
-    if dtm < 2:
-        raise ValueError(
-            "derived code has minimum distance 1: some message symbol appears in no "
-            "parity equation, so no retrieval width is available"
-        )
     check_distances(code, dm, dtm)
     bounds = theta_bounds(code, dm, dtm)
     k = code.k
@@ -628,17 +570,27 @@ def optimize_cpop(code: LinearCode, config: OptimizerConfig | None = None) -> Op
         if not stopped:
             iterations += 1
         seed = _iter_seed(cfg, beta)
-        rounds = _SeededRounds(derived, beta, cfg.pattern_budget, seed)
-        orbits = _complete_orbits(derived, beta, cfg.pattern_budget, seed, rounds)
-        first = next(orbits, None) if _randomized(k, beta, cfg) else None
+        mode, replay, first = "exhaustive", None, None
+        if _randomized(k, beta, cfg):
+            mode = "randomized"
+            drawn, replay = tee(_rounds(derived, beta, cfg.pattern_budget, seed))
+            orbits = _complete_orbits(derived, drawn)
+            first = next(orbits, None)  # None only once every round is drawn
         if first is not None:
             exhaustive = False  # as the randomized list it stands for would set
             found = beta, lambda first=first, later=orbits: _rotations(min([first, *later]), k)
         else:
-            listed, rows, complete = _list_and_search(derived, beta, cfg, rounds)
-            exhaustive = exhaustive and listed.exhaustive and complete
+            listed = compute_erasure_pattern_list(
+                derived, beta, mode, cfg.pattern_budget, seed, replay
+            )
+            exhaustive = exhaustive and listed.exhaustive
             if not listed.masks:
                 continue  # nothing to search: neither a success nor a stop
+            rows, complete = _search_matrix(
+                listed.masks, k, beta, cfg.exact_budget, seed, cfg.subset_threshold,
+                cfg.subset_tries,
+            )
+            exhaustive = exhaustive and complete
             if rows is None:
                 if not stopped:
                     stopped = True
@@ -693,8 +645,13 @@ class ThetaBounds(NamedTuple):
 
 def check_distances(code: LinearCode, d_min: int, d_tilde_min: int) -> None:
     """Raise ValueError when d_min and d_tilde_min, searched or hinted,
-    cannot both be the code's: d_tilde_min above rank(P) + 1, or d_min above
-    d_tilde_min."""
+    leave no retrieval width or cannot both be the code's: d_tilde_min
+    below 2 or above rank(P) + 1, or d_min above d_tilde_min."""
+    if d_tilde_min < 2:
+        raise ValueError(
+            "derived code has minimum distance 1: some message symbol appears in no "
+            "parity equation, so no retrieval width is available"
+        )
     rank_p = code.parity_rank
     if d_tilde_min > rank_p + 1:
         raise ValueError(

@@ -1,12 +1,11 @@
 """List the function definitions under src/codedpir that no CLI run calls.
 
 Runs the codedpir CLI in this process over the invocations of CI's
-"Installed package" step (their --out dropped) plus `analyze` on c3like,
-with a sys.setprofile hook that records every Python function called. A
-definition is every `def` that ast finds under src/codedpir, methods and
-nested functions included; one ran when a call entered its code object
-(matched by file and first line, the first decorator's for a decorated
-one).
+"Installed package" step (their --out dropped), with a sys.setprofile
+hook that records every Python function called. A definition is every
+`def` that ast finds under src/codedpir, methods and nested functions
+included; one ran when a call entered its code object (matched by file
+and first line, the first decorator's for a decorated one).
 
     python tests/reach.py
 
@@ -60,7 +59,7 @@ def _runs() -> list[list[str]]:
         ["simulate", str(FX / "c5like.pchk"), *seed, "--files", "2", "--payload", "3", "--target", "1"],
         ["privacy", str(FX / "c5like.pchk"), *seed, *privacy],
         ["privacy", str(FX / "cauchy18_gf65536.pchk"), *seed, "--trials", "200", "--files", "1"],
-        ["analyze", str(FX / "c3like.pchk")],
+        *(["analyze", str(FX / f"{c}.pchk")] for c in ("c3like", "c6_array")),
     ]
 
 

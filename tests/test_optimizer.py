@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -460,23 +461,102 @@ class TestEagerScanOracle:
 
 class TestRotationZero:
     """Rotation 0 of a seeded round is beta of its greedy pivots, so
-    _SeededRounds records it correctable without testing it."""
+    _rounds records it correctable without testing it."""
 
     @pytest.mark.parametrize("name", ["c6_array", "c7_array"])
     def test_drawn_supports_are_independent(self, name):
         d = derived_code(parse_code_file(FIXTURES_DIR / f"{name}.pchk").code)
         rank = d.n_tilde - d.k_tilde
         for beta in (1, rank // 4, rank // 2, 3 * rank // 4, rank):
-            for rotations in optimizer_module._rounds(d, beta, 16, beta):
-                assert d.independent(rotations[0]), (beta, rotations[0])
+            supports = [base for base, _ in optimizer_module._rounds(d, beta, 16, beta)]
+            assert len(supports) == 16
+            for base in supports:
+                assert bin(base).count("1") == beta
+                assert d.independent(base), (beta, base)
 
     def test_seeded_rounds_record_rotation_zero_untested(self, monkeypatch):
         d = derived_code(parse_code_file(FIXTURES_DIR / "c6_array.pchk").code)
         tested = []
         monkeypatch.setattr(type(d), "independent", lambda self, mask: tested.append(mask))
-        rounds = optimizer_module._SeededRounds(d, 10, 4, 3)
-        assert [known for _, known in rounds] == [{0: True}] * 4
+        rounds = list(optimizer_module._rounds(d, 10, 4, 3))
+        assert len(rounds) == 4
+        assert [verdicts for _, verdicts in rounds] == [{base: True} for base, _ in rounds]
         assert tested == []
+
+
+class TestScanWork:
+    """Each randomized width draws one stream of at most pattern_budget
+    rounds, which its certificate and its listing share, and no rotation of
+    a round is tested twice."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Runs a scan and checks its work: streams opened and rounds drawn
+        per width, and the masks tested for independence."""
+        streams, drawn, tested = collections.Counter(), collections.Counter(), []
+        # how often each mask may be tested: once per round that has it
+        # among its first g rotations and did not draw it
+        allowed = collections.Counter()
+        real_rounds, real_independent = optimizer_module._rounds, DerivedCode.independent
+
+        def rounds(derived, beta, *args):
+            streams[beta] += 1
+            g = derived.row_shift[0]
+            for base, verdicts in real_rounds(derived, beta, *args):
+                drawn[beta] += 1
+                allowed.update(set(optimizer_module._rotations(base, derived.n_tilde)[:g]) - {base})
+                yield base, verdicts
+
+        def independent(self, mask):
+            tested.append(mask)
+            return real_independent(self, mask)
+
+        monkeypatch.setattr(optimizer_module, "_rounds", rounds)
+        monkeypatch.setattr(DerivedCode, "independent", independent)
+
+        def scan(code, cfg):
+            for kept in (streams, drawn, tested, allowed):
+                kept.clear()
+            res = optimize_cpop(code, cfg)
+            # every width here is randomized, and a scan tries them in turn
+            low = res.d_tilde_min - 1
+            assert all(optimizer_module._randomized(code.k, beta, cfg) for beta in streams)
+            assert sorted(streams) == list(range(low, low + len(streams)))
+            assert set(streams.values()) == {1}
+            assert max(drawn.values()) <= cfg.pattern_budget
+            assert collections.Counter(tested) <= allowed
+            return tested, sum(drawn.values())
+
+        return scan
+
+    @pytest.mark.parametrize("name,keep_going,tests,rounds", [
+        ("c6_array", False, 904, 124),
+        ("c6_array", True, 1_384, 172),
+        ("c7_array", False, 1_119, 147),
+        ("c7_array", True, 1_119, 147),
+    ])
+    def test_fixture_scans_at_seed_7(self, work, name, keep_going, tests, rounds):
+        cf = parse_code_file(FIXTURES_DIR / f"{name}.pchk")
+        cfg = OptimizerConfig(seed=7, keep_going=keep_going, d_min=cf.d_min_hint,
+                              d_tilde_min=cf.d_tilde_min_hint)
+        tested, n_rounds = work(cf.code, cfg)
+        assert len(set(tested)) == len(tested)  # no mask tested twice
+        assert (len(tested), n_rounds) == (tests, rounds)
+
+    def test_random_codes(self, work):
+        # TestEagerScanOracle's codes: at these lengths rounds of one width
+        # share rotations, and each round tests its own
+        rng = random.Random(5)
+        repeats = 0
+        for i in range(24):
+            code = random_systematic_code(rng, (GF2, GF4)[i % 2], n_lo=8, n_hi=20,
+                                          oracle_cap_bits=40)
+            for keep_going in (False, True):
+                cfg = OptimizerConfig(seed=i, exhaustive_limit=0, pattern_budget=4,
+                                      keep_going=keep_going)
+                tested, _ = work(code, cfg)
+                repeats += len(tested) - len(set(tested))
+        assert repeats  # so the per-round bound, not distinctness, is checked here
 
 
 class TestKeptWidths:
@@ -487,10 +567,14 @@ class TestKeptWidths:
     def _searched_rows(d, beta, cfg):
         """The rows listing and searching the width give, checked against its
         smallest complete orbit; also whether the first orbit differs."""
+        assert optimizer_module._randomized(d.n_tilde, beta, cfg)
+        seed = optimizer_module._iter_seed(cfg, beta)
         found = list(optimizer_module._complete_orbits(
-            d, beta, cfg.pattern_budget, optimizer_module._iter_seed(cfg, beta)))
+            d, optimizer_module._rounds(d, beta, cfg.pattern_budget, seed)))
         assert found, f"width {beta} is not certified"
-        _, rows, complete = optimizer_module._list_and_search(d, beta, cfg)
+        listed = compute_erasure_pattern_list(d, beta, "randomized", cfg.pattern_budget, seed)
+        rows, complete = _search_matrix(listed.masks, d.n_tilde, beta, cfg.exact_budget, seed,
+                                        cfg.subset_threshold, cfg.subset_tries)
         assert complete
         assert optimizer_module._rotations(min(found), d.n_tilde) == rows
         return rows, found[0] != min(found)
@@ -625,6 +709,15 @@ class TestOptimize:
         assert res.beta_opt == 1
         assert res.iterations == 1
         assert res.theta_opt == Fraction(5, 1)
+
+    def test_no_matrix_at_the_initial_width_raises(self):
+        # no rounds at all: every width, the initial one too, lists nothing
+        cf = parse_code_file(FIXTURES_DIR / "c6_array.pchk")
+        cfg = OptimizerConfig(pattern_budget=0, d_min=cf.d_min_hint,
+                              d_tilde_min=cf.d_tilde_min_hint)
+        with pytest.raises(RuntimeError, match=r"^no access matrix found even at the "
+                           r"guaranteed initial width; raise pattern_budget$"):
+            optimize_cpop(cf.code, cfg)
 
     def test_unprotected_symbol_rejected(self):
         code = make_code(GF2, [[1, 1, 0], [1, 0, 0]])  # column 3 of P is zero

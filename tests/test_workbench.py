@@ -292,6 +292,27 @@ class TestCli:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_derived_distance_one_rejected_by_every_command(self, tmp_path, capsys):
+        # column 3 of P is zero: message symbol 3 is in no parity equation
+        text = "field 1\ncode 7 4\n1 1 0 0 1 0 0\n0 1 1 0 0 1 0\n1 0 1 0 0 0 1\n"
+        message = ("error: derived code has minimum distance 1: some message symbol appears "
+                   "in no parity equation, so no retrieval width is available")
+        path = tmp_path / "unprotected.pchk"
+        path.write_text(text)
+        seeded = ["--seed", "1"]
+        for command, extra in (("analyze", []), ("optimize", seeded), ("simulate", seeded),
+                               ("privacy", [*seeded, "--trials", "10"])):
+            assert main([command, str(path), *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == message + "\n"
+            assert captured.out == ""
+        # a d_min hint of 2 cannot hide the distance: the table names it too
+        hinted = tmp_path / "unprotected_dmin2.pchk"
+        hinted.write_text(text.replace("code 7 4\n", "code 7 4\ndmin 2\n"))
+        assert main(["table", str(path), str(hinted), "--seed", "1", "--format", "tsv"]) == 1
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["unprotected", message], ["unprotected_dmin2", message]]
+
     def test_optimize_rejects_negative_budget(self, capsys):
         assert main(["optimize", str(fixture_path("c1.pchk")), "--seed", "1", "--budget", "-5"]) == 1
         assert capsys.readouterr().err == "error: exact_budget must be at least 0, got -5\n"
@@ -368,6 +389,13 @@ class TestGoldenOutputs:
         assert main(["table", path, "--seed", "7", "--format", "tsv"]) == 0
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN_DIR / "table_seed7_gf65536.tsv").read_bytes()
+
+    # c3like: both distances searched; c6_array: both from its hints
+    @pytest.mark.parametrize("name", ["c3like", "c6_array"])
+    def test_analyze(self, name, capsys):
+        assert main(["analyze", str(FIXTURES_DIR / f"{name}.pchk")]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / f"analyze_{name}.txt").read_bytes()
 
     def test_optimize_writes_the_c6_matrix(self, tmp_path, capsys):
         out = tmp_path / "e.txt"
