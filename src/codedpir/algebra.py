@@ -894,7 +894,7 @@ def _reduce_by(field: FieldSpec, tables: tuple, v, rest: Sequence) -> list:
         ]
     exp, log = tables
     size = field.order - 1
-    p = next(i for i, x in enumerate(v) if x)
+    p = 0 if v[0] else next(i for i, x in enumerate(v) if x)
     lp = log[v[p]]
     # log of each later entry of v / v[p], or -1 where the entry is zero
     # (entries before p are zero in v, so they never change)
@@ -902,14 +902,42 @@ def _reduce_by(field: FieldSpec, tables: tuple, v, rest: Sequence) -> list:
     out = []
     for u in rest:
         c = u[p]
-        head = u[:p]
         if c:
             lc = log[c]
-            tail = tuple(a ^ exp[lc + b] if b >= 0 else a for a, b in zip(u[p + 1 :], logs))
+            tail = tuple([a ^ exp[lc + b] if b >= 0 else a for a, b in zip(u[p + 1 :], logs)])
         else:
             tail = u[p + 1 :]
-        out.append(head + tail)
+        out.append(u[:p] + tail if p else tail)
     return out
+
+
+def _pair_keys(field: FieldSpec, tables: tuple, v: tuple, rest: Sequence) -> list:
+    """The key _proportional_keys gives each vector of `rest` reduced
+    modulo v by _reduce_by, or None where that residual is zero.
+
+    Only for tuples (w > 8) of three entries with v[0] != 0, and `tables`
+    is _walk_tables(field). Each u = (u0, u1, u2) reduces to the pair
+    (a, b) = (u1, u2) - (u0 / v0) (v1, v2): one log-table multiply per
+    entry of v that is nonzero, and no pair is built. The column walks
+    call it one level above their pair test, in place of reducing and then
+    keying.
+    """
+    exp, log = tables
+    size = field.order - 1
+    v0, v1, v2 = v
+    lv = size - log[v0]  # log of 1 / v0
+    l1 = (log[v1] + lv) % size if v1 else -1
+    l2 = (log[v2] + lv) % size if v2 else -1
+    keys = []
+    for u0, a, b in rest:
+        if u0:
+            lc = log[u0]
+            if l1 >= 0:
+                a ^= exp[lc + l1]
+            if l2 >= 0:
+                b ^= exp[lc + l2]
+        keys.append(((log[b] - log[a]) % size if b else -2) if a else -1 if b else None)
+    return keys
 
 
 def _proportional_keys(field: FieldSpec, tables: tuple, rest: Sequence) -> list:
@@ -919,8 +947,9 @@ def _proportional_keys(field: FieldSpec, tables: tuple, rest: Sequence) -> list:
     _walk_tables(field). A byte-lane vector is scaled to a 1 at its lowest
     nonzero lane: one translate through over[c], none when c is 1. A
     tuple of two entries (a, b) is keyed by log b - log a modulo 2^w - 1,
-    with distinct markers for a = 0 and b = 0; a longer tuple is scaled to
-    a leading one entry by entry.
+    with distinct markers for a = 0 and b = 0 (_pair_keys gives the same
+    keys straight from three-entry tuples and their pick); a longer tuple
+    is scaled to a leading one entry by entry.
     """
     if field.width <= 8:
         over = tables[1]

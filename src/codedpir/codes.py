@@ -32,6 +32,7 @@ from .algebra import (
     _kind,
     _lane_product,
     _nonzero,
+    _pair_keys,
     _proportional_keys,
     _reduce_by,
     _stack,
@@ -138,7 +139,7 @@ class PackedFile(Sequence):
     It is unhashable, as the lists it equals are.
     """
 
-    __slots__ = ("field", "ell", "k", "payloads")
+    __slots__ = ("field", "ell", "k", "payloads", "_fits")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, field: FieldSpec, ell: int, k: int, payloads: Iterable[int]):
@@ -150,6 +151,16 @@ class PackedFile(Sequence):
         self.payloads = tuple(payloads)
         if len(self.payloads) % k:
             raise ValueError(f"{len(self.payloads)} payloads do not fill rows of k={k}")
+        self._fits = False
+
+    @classmethod
+    def _fitted(cls, field: FieldSpec, ell: int, k: int, payloads: Iterable[int]) -> "PackedFile":
+        """A PackedFile whose payloads are known to fit (packed from
+        StorageSymbols, range-checked or computed in the field), so that
+        pack_file takes it without checking their range again."""
+        packed = cls(field, ell, k, payloads)
+        packed._fits = True
+        return packed
 
     def __len__(self) -> int:
         return len(self.payloads) // self.k
@@ -429,6 +440,12 @@ def min_distance(H: FieldMatrix, cap: int = 25) -> int:
     translate.
     Wider fields hold tuples; when two coordinates remain (the last level
     of every MDS search) a residual (a, b) is keyed by log b - log a alone.
+    One level above, where residuals have three coordinates, a pick whose
+    first entry is nonzero builds no child: _pair_keys reads each later
+    column's key straight from its residual reduced by the pick. A zero
+    residual closes a dependent set of the chosen columns, the pick and
+    that column, and a repeated key one a column larger, as the child
+    would. Other picks are reduced and keyed as above.
     Exact, but exponential in the worst case, so matrices wider than `cap`
     columns are refused.
     """
@@ -442,6 +459,7 @@ def min_distance(H: FieldMatrix, cap: int = 25) -> int:
         raise ValueError("all columns are independent; the code is trivial and has no distance")
     field = H.field
     tables, nonzero = _walk_tables(field), _nonzero(field)
+    wide = field.width > 8
     best = rank + 1
 
     def walk(rest: list, depth: int) -> None:
@@ -455,9 +473,20 @@ def min_distance(H: FieldMatrix, cap: int = 25) -> int:
             if len(set(_proportional_keys(field, tables, rest))) < len(rest):
                 best = depth + 2
             return
+        # three-entry tuples: once the children would run the pair test, a
+        # pick with a nonzero first entry keys the later columns instead
+        fuse = wide and len(rest[0]) == 3 if rest else False
         for i, v in enumerate(rest):
             if depth + 2 >= best:
                 return
+            if fuse and v[0] and depth + 4 >= best:
+                # the child's two tests, on keys read straight from the residuals
+                keys = _pair_keys(field, tables, v, rest[i + 1 :])
+                if None in keys:
+                    best = depth + 2
+                elif len(set(keys)) < len(keys):
+                    best = depth + 3
+                continue
             walk(_reduce_by(field, tables, v, rest[i + 1 :]), depth + 1)
 
     if best > 1:
@@ -534,7 +563,9 @@ def pack_file(
 
     Nested rows are checked (_check_rows) and packed (pack_symbols) once. A
     PackedFile is taken as it is once its row width, field and payload
-    range (one min and one max) are checked. Either way a misfit is named
+    range (_check_fit) are checked; the range is not checked again on one
+    the package built from payloads known to fit (PackedFile._fitted), so
+    a store checks each payload once. Either way a misfit is named
     as in the nested rows: row s by where(s), symbol l of it by
     symbol_at(s, l) (both 1-based; "{where(s)}, symbol {l}" by default), a
     row of another width by wrong(its width) as _check_rows does.
@@ -546,18 +577,27 @@ def pack_file(
     if not isinstance(rows, PackedFile):
         _check_rows(rows, k, where, "symbols", wrong)
         ell, payloads = pack_symbols([sym for row in rows for sym in row], field, at, ValueError)
-        return PackedFile(field, ell, k, payloads)
+        return PackedFile._fitted(field, ell, k, payloads)
     # a PackedFile's misfit is named where its first misfit symbol sits
     _check_rows([range(rows.k)], k, where, "symbols", wrong)
     if rows.field != field:
         raise ValueError(f"{at(0)}: symbol over {rows.field!r}, expected {field!r}")
-    bits, payloads = field.width * rows.ell, rows.payloads
+    if not rows._fits:
+        _check_fit(rows, at)
+    return rows
+
+
+def _check_fit(rows: PackedFile, at: Callable[[int], str]) -> None:
+    """Raise ValueError at the first payload of `rows` that does not fit
+    its field's planes of ell bits, labelled by at(its index); one min and
+    one max when every payload fits."""
+    field, payloads = rows.field, rows.payloads
+    bits = field.width * rows.ell
     if payloads and (min(payloads) < 0 or max(payloads) >> bits):
         i = next(i for i, v in enumerate(payloads) if v < 0 or v >> bits)
         raise ValueError(
             f"{at(i)}: packed value does not fit {field.width} planes of {rows.ell} bits"
         )
-    return rows
 
 
 def encode_file(code: LinearCode, X: Sequence) -> PackedFile:
@@ -586,4 +626,4 @@ def encode_file(code: LinearCode, X: Sequence) -> PackedFile:
         rows[l::n] = payloads[l::k]
     for r, prow in enumerate(code.p._rows, k):
         rows[r::n] = _unstack(product(columns, prow), stride, beta)
-    return PackedFile(field, ell, n, rows)
+    return PackedFile._fitted(field, ell, n, rows)

@@ -27,7 +27,9 @@ from itertools import chain, compress, islice, tee
 from operator import itemgetter
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
-from .algebra import _eliminate, _nonzero, _proportional_keys, _reduce_by, _walk_tables
+from .algebra import (
+    _eliminate, _nonzero, _pair_keys, _proportional_keys, _reduce_by, _walk_tables,
+)
 from .codes import (
     DerivedCode,
     ErasurePattern,
@@ -174,7 +176,11 @@ def compute_erasure_pattern_list(
     two picks reduce nothing: nonzero residuals u and a later u' complete
     a pattern exactly when u' is no multiple of u, so each nonzero residual
     is keyed by its direction once (_proportional_keys, as in min_distance's
-    pair test) and the pairs with distinct keys are listed. Up to GF(2^8)
+    pair test) and the pairs with distinct keys are listed. Past GF(2^8),
+    at the pick before those two, a residual of three entries whose first
+    is nonzero is not reduced: _pair_keys keys the later residuals straight
+    from it, and a zero residual's marker drops that column from the pairs,
+    as in min_distance. Up to GF(2^8)
     the columns are byte lanes (column_vectors). Randomized mode runs up to `budget`
     rounds of: permute the columns at random, take the leading-one columns
     of the permuted matrix's reduced row echelon form, pick beta of them (an
@@ -209,8 +215,18 @@ def compute_erasure_pattern_list(
     if mode == "exhaustive":
         field = derived.field
         tables, nonzero = _walk_tables(field), _nonzero(field)
+        fuse = beta - 3 if field.width > 8 else -1  # the depth that keys with _pair_keys
         top = 1 << (k - 1)  # position 0
         found: list[int] = []
+
+        def pairs(live: list, keys: list, mask: int) -> None:
+            # the last two picks: nonzero residuals u at column live[a], then
+            # u' after it, extend the choice exactly when u' is no multiple of
+            # u (the last live column has none after it)
+            for a, (j, key) in enumerate(zip(live[:-1], keys)):
+                pick = mask | top >> j
+                later = zip(live[a + 1 :], keys[a + 1 :])
+                found.extend(pick | top >> j2 for j2, key2 in later if key2 != key)
 
         def walk(rest: list, first: int, depth: int, mask: int) -> None:
             # rest[i]: column first + i reduced modulo the chosen columns
@@ -221,21 +237,21 @@ def compute_erasure_pattern_list(
                 )
                 return
             if depth == beta - 2:
-                # the last two picks: nonzero residuals u, then u' after it,
-                # extend the choice exactly when u' is no multiple of u
                 live = [first + i for i, u in enumerate(rest) if nonzero(u)]
-                keys = _proportional_keys(field, tables, list(filter(nonzero, rest)))
-                for a, (j, key) in enumerate(zip(live, keys)):
-                    if j >= first + room:
-                        break
-                    pick = mask | top >> j
-                    later = zip(live[a + 1 :], keys[a + 1 :])
-                    found.extend(pick | top >> j2 for j2, key2 in later if key2 != key)
+                pairs(live, _proportional_keys(field, tables, list(filter(nonzero, rest))), mask)
                 return
             for i, v in enumerate(rest[:room]):
-                if nonzero(v):
+                if not nonzero(v):
+                    continue
+                pick = mask | top >> (first + i)
+                if depth == fuse and len(v) == 3 and v[0]:
+                    # the child's pair listing, on keys read straight from the residuals
+                    keys = _pair_keys(field, tables, v, rest[i + 1 :])
+                    live = [first + i + 1 + t for t, key in enumerate(keys) if key is not None]
+                    pairs(live, [key for key in keys if key is not None], pick)
+                else:
                     later = _reduce_by(field, tables, v, rest[i + 1 :])
-                    walk(later, first + i + 1, depth + 1, mask | top >> (first + i))
+                    walk(later, first + i + 1, depth + 1, pick)
 
         walk(derived._column_reps, 0, 0, 0)
         return PatternList(frozenset(found), k, beta, exhaustive=True)

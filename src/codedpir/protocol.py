@@ -364,7 +364,10 @@ def build_storage(code: LinearCode, files: Sequence) -> StorageArray:
     A file is a PackedFile or nested StorageSymbols (codes.pack_file): the
     nested files are checked and packed together, once, and a PackedFile
     is taken as it is once its field, row width and payload range are
-    checked. encode_file then encodes every stripe at once. Raises
+    checked. encode_file then encodes every stripe at once. Each payload's
+    range is checked once: the stripes, and the codeword rows encode_file
+    computes, are PackedFile._fitted, which neither encode_file nor the
+    StorageArray checks again. Raises
     ValueError when there is no file, file 1 has no stripes, a file is not
     a sequence of as many stripes as file 1 ("file 2 has 3 stripes,
     expected 2"), or a stripe is not a sequence of k symbols ("file 1,
@@ -397,7 +400,9 @@ def build_storage(code: LinearCode, files: Sequence) -> StorageArray:
                 f"file {m}, stripe 1, symbol 1: payload length {part.ell}, "
                 f"file 1, stripe 1, symbol 1 has {ell}"
             )
-    stripes = PackedFile(field, ell, k, chain.from_iterable(part.payloads for part in parts))
+    # every part is checked or packed from symbols: its payloads fit
+    payloads = chain.from_iterable(part.payloads for part in parts)
+    stripes = PackedFile._fitted(field, ell, k, payloads)
     return StorageArray(code, beta, len(files), encode_file(code, stripes))
 
 
@@ -428,16 +433,17 @@ def _validate_pi(pi: Sequence[int], beta: int) -> tuple[int, ...]:
     return perm
 
 
-def _selection_offsets(
+def _selection_flips(
     k: int, beta: int, m: int, pi: Sequence[int], z: Sequence[Sequence[int]]
-) -> dict[tuple[int, int], int]:
-    """(node, row) -> column of every selection 1, all 0-based.
+) -> list[list[tuple[int, int]]]:
+    """The (row, column) of every selection 1 at each systematic node l,
+    all 0-based, as list l.
 
     Subquery i selecting systematic node l puts a 1 in row i of node l's
     query, at the column of stripe pi[z[i][l]] of file m.
     """
     base = (m - 1) * beta - 1
-    return {(l, i): base + pi[row[l]] for i, row in enumerate(z) for l in compress(range(k), row)}
+    return [[(i, base + pi[row[l]]) for i, row in enumerate(z) if row[l]] for l in range(k)]
 
 
 def _layout(
@@ -462,19 +468,23 @@ def _layout(
 
 
 def _assemble(
-    u_rows: list[list[int]], n: int, k: int, offsets: dict[tuple[int, int], int]
+    u_rows: list[list[int]], n: int, flips: list[list[tuple[int, int]]]
 ) -> list[list[list[int]]]:
-    """Every node's query rows: the mask plus the selection 1s in `offsets`.
+    """Every node's query rows: the mask plus the selection 1s, where
+    flips[l] lists the (row, column) of each 1 at systematic node l.
 
     The selection puts at most one 1 in each row, so a systematic node
-    shares the mask's rows except those it flips; parity nodes all get the
-    mask's own row list.
+    shares the mask's rows except those it flips, which are copies; parity
+    nodes all get the mask's own row list. u_rows is never edited.
     """
-    queries = [list(u_rows) for _ in range(k)]
-    for (l, i), col in offsets.items():
-        row = queries[l][i] = u_rows[i].copy()
-        row[col] ^= 1
-    queries.extend([u_rows] * (n - k))
+    queries = []
+    for node in flips:
+        q = u_rows.copy()
+        for i, col in node:
+            row = q[i] = u_rows[i].copy()
+            row[col] ^= 1
+        queries.append(q)
+    queries += [u_rows] * (n - len(flips))
     return queries
 
 
@@ -897,8 +907,9 @@ def exact_privacy_check(
     pins the construction: for every mask, node l's query must be the mask
     with exactly file m's selection 1s added (the bare mask past node k),
     which catches bugs like selection leaking into parity queries. Every
-    mask, for every file, goes through the assembly `build_queries` uses
-    unless `builder` replaces it; a builder that returns fewer than n node
+    mask, for every file, goes through the built-in assembly (_assemble,
+    reading per node the selection flips built once per check) unless
+    `builder` replaces it; a builder that returns fewer than n node
     queries, or a query with fewer than k rows, raises
     ProtocolViolationError naming the count and file. A `limit` that is not
     an integer raises ValueError, as does a mask space above it.
@@ -907,15 +918,19 @@ def exact_privacy_check(
     (p = i*width + col) is digit p of j in base 2^w, the w bits from w*(size
     - 1 - p) up, size = k*width, and row i of mask j is digit group i of j
     in base 2^(w*width). One list per row value is made, and expect[j]
-    holds mask j's k rows as references to them; the builder gets fresh
-    copies of those rows for each file, so a builder that edits what it is
-    handed is still judged against the mask. Adding 1 to entry p flips the
-    lowest bit of its digit, so node s's correct query for file m and mask
-    j is mask j ^ shift[m][s], shift[m][s] the XOR of those bits over the
-    node's selection 1s. Each query is compared with expect[j ^ shift]
-    as one list of row lists; only when that fails is it held to the same
-    test entry by entry: k rows of width entries each, holding the mask's
-    entries in order (so tuple rows match too). When every query
+    holds mask j's k rows as references to them. A caller's builder gets
+    fresh copies of those rows for each file, so one that edits what it is
+    handed is still judged against the mask; the built-in assembly gets
+    the mask's own rows, which it never edits, and copies only the rows it
+    flips. Adding 1 to entry p flips the lowest bit of its digit, so node
+    s's correct query for file m and mask j is mask j ^ shift[m][s],
+    shift[m][s] the XOR of those bits over the node's selection 1s. While
+    nothing is counted, a (mask j, file m) is judged by one comparison of
+    its queries with [expect[j ^ t] for t in shift[m]], a list built by
+    C-level map; only when that fails is each query compared with its
+    expect[j ^ shift] and then held to the same test entry by entry: k
+    rows of width entries each, holding the mask's entries in order (so
+    tuple rows match too). When every query
     matches, node s's queries for file m are the masks permuted by j -> j ^
     shift[m][s], a bijection, so every file shows every node each mask
     exactly once: the multisets are equal and (True, True) follows with
@@ -935,16 +950,17 @@ def exact_privacy_check(
     total = order ** size
     if total > limit:
         raise ValueError(f"exact check needs {total} mask enumerations, above the limit {limit}")
-    offsets = {m: _selection_offsets(k, beta, m, perm, slots) for m in range(1, f + 1)}
     w = code.field.width
-    shift = {m: [0] * n for m in offsets}
-    for m, at in offsets.items():
-        for (l, i), col in at.items():
-            shift[m][l] ^= 1 << w * (size - 1 - i * width - col)
+    flips = {m: _selection_flips(k, beta, m, perm, slots) for m in range(1, f + 1)}
+    shift = {m: [0] * n for m in flips}
+    for m, nodes in flips.items():
+        for l, node in enumerate(nodes):
+            for i, col in node:
+                shift[m][l] ^= 1 << w * (size - 1 - i * width - col)
     rows = [list(row) for row in itertools.product(range(order), repeat=width)]
     expect = [list(mask) for mask in itertools.product(rows, repeat=k)]
-    build = builder or (lambda u_rows, m: _assemble(u_rows, n, k, offsets[m]))
     lengths = [width] * k
+    at = expect.__getitem__
 
     def flat(j: int) -> tuple[int, ...]:
         return tuple(chain.from_iterable(expect[j]))
@@ -953,7 +969,12 @@ def exact_privacy_check(
     counters: dict[int, list[Counter]] | None = None
     for j, mask in enumerate(expect):
         for m, node_shift in shift.items():
-            queries = build([row.copy() for row in mask], m)
+            if builder is None:
+                queries = _assemble(mask, n, flips[m])
+            else:
+                queries = builder([row.copy() for row in mask], m)
+            if counters is None and queries == list(map(at, map(j.__xor__, node_shift))):
+                continue
             if len(queries) < n:
                 raise ProtocolViolationError(
                     f"builder returned {len(queries)} node queries for file {m}, expected {n}"

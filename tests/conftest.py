@@ -124,6 +124,27 @@ def tall_planted_matrix(
     return rows
 
 
+def pair_level_matrix(rng: random.Random, field, nrows: int, ncols: int) -> list[list[int]]:
+    """nrows x ncols rows over `field` (as planted_matrix takes it) for the
+    column walks' level above their pair test, where residuals have three
+    entries: a quarter of the entries 0, so some picks start with a zero
+    entry, and one column planted in the span of 1..nrows - 1 others, so
+    the smallest dependent set closes there by a zero residual (nrows - 1
+    columns) or by two proportional residuals (nrows columns)."""
+
+    def entry():
+        return rng.randrange(1, field.order) if rng.random() < 0.75 else 0
+
+    cols = [[entry() for _ in range(nrows)] for _ in range(ncols)]
+    *others, planted = rng.sample(range(ncols), rng.randint(2, nrows))
+    combo = [0] * nrows
+    for o in others:
+        c = rng.randrange(1, field.order)
+        combo = [x ^ field.mul(c, y) for x, y in zip(combo, cols[o])]
+    cols[planted] = combo
+    return [[col[i] for col in cols] for i in range(nrows)]
+
+
 def cauchy18_rows() -> list[list[int]]:
     """P of the (18,12) Cauchy code over GF(2^16) in
     fixtures/cauchy18_gf65536.pchk: P[i][j] = 1/(x_i + y_j) with x_i = i + 1

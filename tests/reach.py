@@ -41,6 +41,7 @@ def _runs() -> list[list[str]]:
                     ("c2like", "c3like", "c4like", "c5like", "c6_array", "c7_array")),
          *seed, "--format", "tsv"],
         ["table", str(FX / "cauchy18_gf65536.pchk"), *seed, "--format", "tsv"],
+        ["table", str(FX / "planted12_gf65536.pchk"), *seed, "--format", "tsv"],
         ["table", str(FX / "gf256_16_10.pchk"), *seed, "--format", "tsv"],
         ["optimize", str(FX / "c6_array.pchk"), *seed],
         ["optimize", str(FX / "c7_array.pchk"), *seed],

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -21,6 +22,7 @@ from codedpir import (
     min_distance,
 )
 
+import codedpir.codes as codes_module
 from codedpir.algebra import bit_slices
 from codedpir.workbench import parse_code_file
 
@@ -34,6 +36,7 @@ from conftest import (
     cauchy18_rows,
     make_code,
     mds53_code,
+    pair_level_matrix,
     planted_matrix,
     quasi_cyclic_code,
     random_systematic_code,
@@ -196,6 +199,45 @@ class TestMinDistance:
     def test_independent_columns_are_a_trivial_code(self):
         with pytest.raises(ValueError, match="trivial"):
             min_distance(FieldMatrix(GF4, [[1, 0], [0, 1], [1, 1]]))
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_keys_one_level_above_the_pair_test_match_oracle(self, width, monkeypatch):
+        # 3-4 rows: residuals of three entries one level above the pair
+        # test. Past GF(2^8) their keys come straight from the pick
+        # (_pair_keys), a pick whose first entry is zero is reduced first,
+        # and the search ends there by a zero residual (nrows - 1 columns)
+        # or a repeated key (nrows); byte lanes never take that branch
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        outcomes, fallback = [], collections.Counter()
+        real_keys, real_reduce = codes_module._pair_keys, codes_module._reduce_by
+
+        def keys(*args):
+            out = real_keys(*args)
+            repeat = len(set(out)) < len(out)
+            outcomes.append("zero" if None in out else "repeat" if repeat else "distinct")
+            return out
+
+        def reduce(field_, tables, v, rest):
+            fallback[isinstance(v, tuple) and len(v) == 3 and not v[0]] += 1
+            return real_reduce(field_, tables, v, rest)
+
+        monkeypatch.setattr(codes_module, "_pair_keys", keys)
+        monkeypatch.setattr(codes_module, "_reduce_by", reduce)
+        rng = random.Random(4300 + width)
+        ended = collections.Counter()
+        for _ in range(24):
+            nrows = rng.randint(3, 4)
+            rows = pair_level_matrix(rng, peasant, nrows, rng.randint(nrows + 1, nrows + 3))
+            outcomes.clear()
+            expected = min_distance_oracle(rows, peasant)
+            assert min_distance(FieldMatrix(field, rows)) == expected
+            ended["zero"] += "zero" in outcomes and expected == nrows - 1
+            ended["repeat"] += "repeat" in outcomes and expected == nrows
+        if width > 8:
+            assert ended["zero"] and ended["repeat"] and fallback[True]
+        else:
+            assert not outcomes
 
     def test_wide_field_cauchy_code_is_mds(self):
         code = make_code(FieldSpec(16), cauchy18_rows())

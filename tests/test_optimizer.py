@@ -37,6 +37,7 @@ from conftest import (
     cauchy18_rows,
     make_code,
     mds53_code,
+    pair_level_matrix,
     planted_matrix,
     quasi_cyclic_code,
     random_systematic_code,
@@ -135,6 +136,44 @@ class TestPatternList:
                 pl = compute_erasure_pattern_list(d, beta)
                 assert pl.exhaustive
                 assert pl.masks == independent_subsets_oracle(p_rows, beta, peasant)
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_keys_one_level_above_the_pair_listing_match_oracle(self, width, monkeypatch):
+        # at beta = nrows the walk's residuals have three entries one level
+        # above its pair listing. Past GF(2^8) their keys come straight from
+        # the pick (_pair_keys): a zero residual drops a column there and a
+        # repeated key a pair, and a pick whose first entry is zero is
+        # reduced first; byte lanes never take that branch
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        outcomes, fallback = collections.Counter(), collections.Counter()
+        real_keys, real_reduce = optimizer_module._pair_keys, optimizer_module._reduce_by
+
+        def keys(*args):
+            out = real_keys(*args)
+            outcomes["zero"] += None in out
+            outcomes["repeat"] += len(set(out) - {None}) < len(out) - out.count(None)
+            return out
+
+        def reduce(field_, tables, v, rest):
+            fallback[isinstance(v, tuple) and len(v) == 3 and not v[0]] += 1
+            return real_reduce(field_, tables, v, rest)
+
+        monkeypatch.setattr(optimizer_module, "_pair_keys", keys)
+        monkeypatch.setattr(optimizer_module, "_reduce_by", reduce)
+        rng = random.Random(5200 + width)
+        for _ in range(12):
+            nrows = rng.randint(3, 4)
+            p_rows = pair_level_matrix(rng, peasant, nrows, rng.randint(nrows + 1, nrows + 3))
+            d = derived_code(make_code(field, p_rows))
+            for beta in range(1, d.n_tilde + 1):
+                pl = compute_erasure_pattern_list(d, beta)
+                assert pl.exhaustive
+                assert pl.masks == independent_subsets_oracle(p_rows, beta, peasant)
+        if width > 8:
+            assert outcomes["zero"] and outcomes["repeat"] and fallback[True]
+        else:
+            assert not outcomes
 
     def test_wide_field_cauchy_code_lists_every_pattern(self):
         d = derived_code(make_code(FieldSpec(16), cauchy18_rows()))

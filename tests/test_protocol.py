@@ -31,7 +31,7 @@ from codedpir import (
     recover_file,
     verify_privacy,
 )
-from codedpir import protocol
+from codedpir import codes, protocol
 from codedpir.algebra import BitSlices, bit_slices
 from codedpir.protocol import _CHUNK, _chi2_sf, _draw_values, _draws
 
@@ -220,6 +220,33 @@ class TestBuildStorage:
         arr = build_storage(code, [good, top])
         qs = build_queries(code, E1, m=2, f=2, seed=3)
         assert recover_file(qs, collect_responses(qs, arr), code) == top
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_store_checks_each_payload_range_once(self, width, monkeypatch):
+        # a PackedFile's payload range is checked where build_storage takes
+        # it; neither encode_file nor the StorageArray checks it again, nor
+        # the codeword rows computed from it. Nested symbols fit as built
+        field = FieldSpec(width)
+        rng = random.Random(width)
+        code = make_code(field, [[1, 1, 0], [0, 1, 1]])
+        files = [
+            PackedFile(field, 5, 3, random_file(field, 2, 3, 5, rng).payloads) for _ in range(3)
+        ]
+        checks = Counter()
+        real = codes._check_fit
+
+        def counted(rows, at):
+            checks.update((id(rows), i) for i in range(len(rows.payloads)))
+            return real(rows, at)
+
+        monkeypatch.setattr(codes, "_check_fit", counted)
+        arr = build_storage(code, files)
+        assert checks == Counter({(id(x), i): 1 for x in files for i in range(len(x.payloads))})
+        stripes = PackedFile(field, 5, 3, [v for x in files for v in x.payloads])
+        assert arr.rows == encode_file(code, stripes)
+        checks.clear()
+        assert build_storage(code, [nested(x) for x in files]) == arr
+        assert not checks
 
     def test_file_without_stripes_named(self):
         x = random_file(GF2, 2, 3, 4, random.Random(1))
@@ -1435,6 +1462,31 @@ class TestPrivacy:
         rotated = _exact_builders(c1_code(), E1, 2, None, None)["columns rotated"]
         assert exact_privacy_check(c1_code(), E1, f=2, builder=rotated) == (True, False)
         assert len(made) == 2 * 5  # one per file and node
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_assembly_edits_no_row_and_shares_every_row_it_does_not_flip(self, width):
+        # the exact check hands the built-in assembly the mask's own rows,
+        # shared between masks, and copies none for it
+        code = make_code(FieldSpec(width), [[1, 1, 0], [0, 1, 1]])
+        rng = random.Random(width)
+        for f, pi, z in ((1, None, None), (2, None, None), (2, PI1, Z1)):
+            perm, slots = protocol._layout(code.k, E1, f, pi, z)
+            for m in range(1, f + 1):
+                flips = protocol._selection_flips(code.k, E1.beta, m, perm, slots)
+                zero = [[0] * (E1.beta * f)] * code.k
+                grids = selection_grid_oracle(E1, f, m, pi, z) + [zero] * (code.n - code.k)
+                for _ in range(8):
+                    mask = [
+                        [rng.randrange(code.field.order) for _ in range(E1.beta * f)]
+                        for _ in range(code.k)
+                    ]
+                    before = [row.copy() for row in mask]
+                    queries = protocol._assemble(mask, code.n, flips)
+                    assert mask == before
+                    for q, grid in zip(queries, grids, strict=True):
+                        assert q == [[u ^ g for u, g in zip(*pair)] for pair in zip(mask, grid)]
+                        for row, given, grid_row in zip(q, mask, grid):
+                            assert (row is given) == (not any(grid_row))
 
     def test_builder_editing_its_rows_is_judged_against_the_mask(self):
         # the rows a builder is handed are not the reference: one that flips

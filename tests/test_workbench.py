@@ -390,6 +390,15 @@ class TestGoldenOutputs:
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN_DIR / "table_seed7_gf65536.tsv").read_bytes()
 
+    def test_table_tsv_over_a_planted_wide_field_code(self, capsys):
+        # a non-MDS code over GF(2^16): both distance searches end one level
+        # above their pair test, on a zero residual keyed straight from the
+        # pick, and the listing at beta = 4 drops columns and pairs there
+        path = str(FIXTURES_DIR / "planted12_gf65536.pchk")
+        assert main(["table", path, "--seed", "7", "--format", "tsv"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN_DIR / "table_seed7_gf65536_planted.tsv").read_bytes()
+
     # c3like: both distances searched; c6_array: both from its hints
     @pytest.mark.parametrize("name", ["c3like", "c6_array"])
     def test_analyze(self, name, capsys):
