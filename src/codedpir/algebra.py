@@ -10,14 +10,16 @@ each (BitSlices), so adding two of them is one XOR. This module is the one
 that knows the payload format: it also stacks packed payloads side by side
 in lanes of whole 64-bit words (_stride, _stack, _unstack), and one product
 multiplies stacks by raw coefficients in every lane at once
-(_lane_product): encoding, node responses and recovery's syndromes all run
-on it, at every field width. One elimination works on packed rows:
-_eliminate reduces each row by the stored row at its leading (highest
-nonzero) coordinate and stores it where no row leads, and
+(_lane_product): encoding, node responses, recovery's syndromes and its
+decode all run on it, at every field width; rows known before the stacks
+they multiply are encoded once (_lane_keys). One elimination works on
+packed rows: _eliminate reduces each row by the stored row at its leading
+(highest nonzero) coordinate and stores it where no row leads, and
 _back_substitute clears the stored rows at each other's leading
-coordinates. rref and matrix_rank, solve and the protocol's recovery
-(_solve_packed), and the width scan's independence tests all run on it,
-at every field width. The minimum-distance search and the exhaustive
+coordinates. rref and matrix_rank, solve and the protocol's decode plans
+(_left_inverse, the inverse and check rows of a matrix), and the width
+scan's independence tests all run on it, at every field width. The
+minimum-distance search and the exhaustive
 pattern listing instead reduce columns one pivot at a time (_reduce_by):
 up to GF(2^8) a column is one int with one byte per row, scaled by a
 constant with one bytes.translate through that constant's product table
@@ -28,9 +30,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache, reduce
-from itertools import compress, repeat
-from operator import xor
+from functools import lru_cache, partial, reduce
+from itertools import chain, compress, repeat
+from operator import itemgetter, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_WIDTH = 16
@@ -551,18 +553,73 @@ def _stack(payloads: Iterable[int], stride: int) -> int:
 
 def _unstack(v: int, stride: int, count: int) -> list[int]:
     """The `count` payloads _stack put together."""
-    raw = v.to_bytes(stride * count, "little")
+    return _lane_values(v.to_bytes(stride * count, "little"), stride)
+
+
+def _lane_values(raw: bytes, stride: int) -> list[int]:
+    """The payloads of a stack's bytes: one per `stride` bytes of raw."""
     if stride == 8:
         # one word per payload: read them all as one array, no slice each
         words = array("Q", raw)
         if sys.byteorder == "big":
             words.byteswap()
         return words.tolist()
-    return [int.from_bytes(raw[i : i + stride], "little") for i in range(0, stride * count, stride)]
+    return [int.from_bytes(raw[i : i + stride], "little") for i in range(0, len(raw), stride)]
+
+
+# byte value -> its bit b, for each b
+_BIT_OF = [bytes((v >> b) & 1 for v in range(256)) for b in range(8)]
+# 0/1 bytes -> binary digits, and hex digits -> their values
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _table_indices(coefficients: Sequence[int]) -> bytes:
+    """A row of 0/1 coefficients as its Four-Russians table indices
+    (_tables), group 0 first, with no Python step per coefficient: its
+    binary digits, coefficient 0 first and padded with zeros to whole
+    groups of four, read as hex digits. One bytes.translate to digits,
+    int(..., 2), format to hex and one translate to values."""
+    pad = -len(coefficients) % 4
+    bits = int(bytes(coefficients).translate(_BINARY) + b"0" * pad, 2)
+    digits = (len(coefficients) + pad) // 4
+    return format(bits, f"0{digits}x").encode().translate(_HEX_VALUES)
+
+
+def _lane_keys(field: FieldSpec, coefficients: Sequence[int]) -> Callable | list[bytes]:
+    """One row of raw coefficients in the form a keyed _lane_product
+    takes, for rows known before the stacks they multiply.
+
+    Over GF(2) it is an itemgetter of the row's table entries in the
+    tables laid end to end, 16 per group: 16g + index g for each group g
+    whose index is not 0 (_table_indices), and entry 0, which is 0, twice,
+    so that it always returns a tuple. Wider fields give the row's bit
+    planes, plane b the 0/1 bytes of every coefficient's bit b: one
+    translate per plane, of the low or high bytes of the coefficients
+    above 2^8.
+    """
+    width = field.width
+    if width == 1:
+        indices = _table_indices(coefficients)
+        return itemgetter(0, 0, *[16 * g + d for g, d in enumerate(indices) if d])
+    if width <= 8:
+        raw = [bytes(coefficients)]
+    else:
+        words = array("H", coefficients)
+        if not _LITTLE_ENDIAN:
+            words.byteswap()
+        both = words.tobytes()
+        raw = [both[0::2], both[1::2]]
+    return [raw[b >> 3].translate(_BIT_OF[b & 7]) for b in range(width)]
 
 
 def _lane_product(
-    field: FieldSpec, ell: int, stride: int, count: int, over: Sequence[int] | None = None
+    field: FieldSpec,
+    ell: int,
+    stride: int,
+    count: int,
+    over: Sequence[int] | None = None,
+    keyed: bool = False,
 ) -> Callable[..., int]:
     """A function from stacks of `count` payloads of length ell at `stride`
     (_stack) and one raw coefficient per stack to their weighted sum, in
@@ -577,73 +634,64 @@ def _lane_product(
 
     Given `over`, the stacks every call multiplies, the function is bound
     to them and takes the coefficients alone: over GF(2) it looks them up
-    in tables built once (_table_product), which pays when many rows
-    multiply the same stacks; wider fields keep the plane sums.
+    in Four-Russians tables built once, here (_tables), which pays when
+    many rows multiply the same stacks; wider fields keep the plane sums.
+    With `keyed` as well it takes each row's _lane_keys instead, so that
+    rows known in advance are encoded once, not per call.
     """
     width = field.width
     if width == 1:
-        if over is not None:
-            return _table_product(over)
-        return lambda stacks, coefficients: reduce(xor, compress(stacks, coefficients), 0)
+        if over is None:
+            return lambda stacks, coefficients: reduce(xor, compress(stacks, coefficients), 0)
+        tables = _tables(over)
+        if keyed:
+            flat = list(chain.from_iterable(tables))
+            return lambda get: reduce(xor, get(flat))
+        get = list.__getitem__
+        return lambda coefficients: reduce(
+            xor, map(get, tables, _table_indices(coefficients)), 0
+        )
     top = (width - 1) * ell
     ones = int.from_bytes((1).to_bytes(stride, "little") * count, "little")  # 1 in every lane
     low, plane = ones * ((1 << top) - 1), ones * ((1 << ell) - 1)
     terms = [r * ell for r in range(width) if (field.modulus >> r) & 1]
 
-    def product(stacks: Sequence[int], coefficients: Sequence[int]) -> int:
-        bits = [(c >> b) & 1 for c in coefficients for b in range(width)]
-        v = reduce(xor, compress(stacks, bits[width - 1 :: width]), 0)
+    def horner(stacks: Sequence[int], planes: Sequence[bytes]) -> int:
+        v = reduce(xor, compress(stacks, planes[width - 1]), 0)
         for b in range(width - 2, -1, -1):
             carry = (v >> top) & plane
             v = (v & low) << ell
             for shift in terms:
                 v ^= carry << shift
-            v ^= reduce(xor, compress(stacks, bits[b::width]), 0)
+            v ^= reduce(xor, compress(stacks, planes[b]), 0)
         return v
 
-    if over is not None:
-        return lambda coefficients: product(over, coefficients)
-    return product
+    if over is None:
+        return lambda stacks, coefficients: horner(stacks, _lane_keys(field, coefficients))
+    if keyed:
+        return partial(horner, over)
+    return lambda coefficients: horner(over, _lane_keys(field, coefficients))
 
 
-# 0/1 bytes -> binary digits, and hex digits -> their values
-_BINARY = bytes.maketrans(b"\x00\x01", b"01")
-_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-
-
-def _table_product(stacks: Sequence[int]) -> Callable[[Sequence[int]], int]:
-    """The XOR of the stacks that a row of 0/1 coefficients, one per stack,
-    selects: the "Four Russians" method (Arlazarov, Dinic, Kronrod and
-    Faradzev, 1970; Albrecht, Bard and Hart, ACM TOMS 2010).
-
-    The stacks go in groups of four, the last one padded with zero stacks,
-    and each group gets a table of the XORs of all 16 subsets of its
-    stacks, built by doubling: each stack XORed onto the entries so far.
-    Entry bit 3 - b selects stack 4g + b, so a row's binary digits, stack
-    0 first, read as hex digits are its table indices, group 0 first: one
-    bytes.translate to digits, int(..., 2), format to hex and one translate
-    to values, with no Python step per coefficient. A row is then one
-    lookup and one XOR per group, where a direct sum takes one XOR per 1.
-    Building costs 15 XORs and 16 entries per group.
+def _tables(stacks: Sequence[int]) -> list[list[int]]:
+    """The "Four Russians" tables of the stacks (Arlazarov, Dinic, Kronrod
+    and Faradzev, 1970; Albrecht, Bard and Hart, ACM TOMS 2010): the stacks
+    in groups of four, the last one padded with zero stacks, and per group
+    the XORs of all 16 subsets of its stacks, built by doubling: each stack
+    XORed onto the entries so far. Entry bit 3 - b selects stack 4g + b,
+    so a row of 0/1 coefficients, one per stack, selects entry index g of
+    group g (_table_indices), and its sum is one lookup and one XOR per
+    group, where a direct sum takes one XOR per 1. Building costs 15 XORs
+    and 16 entries per group.
     """
-    if not stacks:
-        return lambda coefficients: 0
-    pad = -len(stacks) % 4
-    padded = [*stacks, *repeat(0, pad)]
+    padded = [*stacks, *repeat(0, -len(stacks) % 4)]
     tables = []
     for at in range(0, len(padded), 4):
         table = [0]
         for stack in reversed(padded[at : at + 4]):
             table += [v ^ stack for v in table]
         tables.append(table)
-    digits, tail = f"0{len(tables)}x", b"0" * pad
-    get = list.__getitem__
-
-    def product(coefficients: Sequence[int]) -> int:
-        bits = int(bytes(coefficients).translate(_BINARY) + tail, 2)
-        return reduce(xor, map(get, tables, format(bits, digits).encode().translate(_HEX_VALUES)))
-
-    return product
+    return tables
 
 
 def _eliminate(
@@ -764,67 +812,74 @@ def matrix_rank(M: FieldMatrix) -> int:
     return sum(map(bool, _eliminate(f, ncols, [0] * (ncols + 1), map(pack, M._rows))))
 
 
-def _solve_packed(
-    field: FieldSpec, low: int, length: int, rows: Iterable[int], unknowns: int
-) -> list[int]:
-    """The unknowns of a linear system given by its packed augmented rows.
+def _left_inverse(
+    field: FieldSpec, length: int, rows: Sequence[int]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The inverse rows and check rows of the matrix A whose m rows are
+    packed by bit_slices(field, length): (inverse, checks), each row m raw
+    coefficients c, one per row of A.
 
-    Each row is packed by bit_slices(field, length): its components below
-    `low` hold the right-hand side and the components from `low` up its
-    coefficients. The unknowns are `unknowns` of the coefficient
-    coordinates, and every row is zero at the others. Returns the value of
-    each unknown, packed by bit_slices(field, low), in increasing
-    coordinate order.
-
-    _eliminate stores the rows that keep a coefficient. A row it reduces to
-    lead at or below `low` has none left: it is an equation 0 = b, and
-    inconsistent unless it reduced to zero. _back_substitute then leaves
-    each stored row one unknown, whose value is the row's right-hand side.
-    The rank is decided before consistency: SingularSystemError, carrying
-    the rank, when fewer than `unknowns` rows are stored, and then
-    ValueError when some b is not 0.
+    [A | I] is eliminated once: row i of A beside unit vector i, the unit
+    in the m low coordinates and A above them, through _eliminate (low 0,
+    so every row is stored: the units keep them independent) and
+    _back_substitute. A stored row that leads above the units leads at a
+    pivot of A; its unit part is an inverse row, one per pivot in
+    increasing coordinate order, so rank(A) = len(inverse). Where A has
+    full column rank over the coordinates its rows use, inverse row p
+    gives sum_i c_i A_i = the unit vector at pivot p, so for b = A x the
+    unknown at p is sum_i c_i b_i. A stored row that leads among the units
+    has no coefficient left: its unit part is a check row, sum_i c_i A_i =
+    0, and the m - rank(A) check rows span A's left kernel, so b lies in
+    A's column span exactly when sum_i c_i b_i = 0 for every one.
     """
-    table = [0] * (length + 1)
-    residuals = [b for b in _eliminate(field, length, table, rows, low) if b <= low]
-    pivots = _back_substitute(field, length, table)
-    if len(pivots) < unknowns:
-        raise SingularSystemError(
-            f"coefficient matrix has rank {len(pivots)}, expected full column rank {unknowns}",
-            len(pivots),
-        )
-    if any(residuals):
-        raise ValueError("inconsistent system: no solution exists")
+    m, total = len(rows), len(rows) + length
     if field.width == 1:
-        payload = (1 << low) - 1
-        return [table[p + 1] & payload for p in pivots]
-    split = bit_slices(field, length).split
-    return [split(table[p + 1], [low])[0] for p in pivots]
+        augmented = [a << m | 1 << i for i, a in enumerate(rows)]
+    else:
+        join = bit_slices(field, total).join
+        augmented = [join([1 << i, a], [m, length]) for i, a in enumerate(rows)]
+    table = [0] * (total + 1)
+    list(_eliminate(field, total, table, augmented))  # fills table
+    split, unpack = bit_slices(field, total).split, bit_slices(field, m).unpack
+    inverse, checks = [], []
+    for p in _back_substitute(field, total, table):
+        (checks if p < m else inverse).append(unpack(split(table[p + 1], [m])[0]))
+    return inverse, checks
 
 
 def solve(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
     """Solve A X = B for X, requiring A to have full column rank.
 
     A may be square or tall, and B is a FieldMatrix over A's field with
-    A's row count. Each row of B and the matching row of A are packed side
-    by side into one int, [B | A] with B in the low coordinates, and
-    _solve_packed eliminates those rows by A's columns. Raises TypeError
-    naming the kind of a right-hand side that is not a FieldMatrix
-    ("right-hand side is an int, not a FieldMatrix"), SingularSystemError,
-    carrying the rank found, when A is rank-deficient, and ValueError when
-    the system is inconsistent.
+    A's row count. _left_inverse eliminates [A | I] once; each row of X is
+    an inverse row's weighted sum of B's rows, and B must give 0 under
+    every check row. Each row of B is packed into one int, and the sums
+    are _lane_product over those rows. Raises TypeError naming the kind of
+    a right-hand side that is not a FieldMatrix ("right-hand side is an
+    int, not a FieldMatrix"), SingularSystemError, carrying the rank
+    found, when A is rank-deficient, and ValueError when the system is
+    inconsistent.
     """
     _expect_matrix(A)
     if not isinstance(B, FieldMatrix):
         raise TypeError(f"right-hand side is {_kind(B)}, not a FieldMatrix")
-    f, low, ncols = A.field, B.ncols, A.ncols
+    f, rhs, ncols = A.field, B.ncols, A.ncols
     if B.field != f:
         raise FieldMismatchError("right-hand side over a different field")
     if B.nrows != A.nrows:
         raise ValueError("row counts of A and B differ")
-    pack, unpack = bit_slices(f, low + ncols).pack, bit_slices(f, low).unpack
-    rows = [pack([*b_row, *a_row]) for b_row, a_row in zip(B._rows, A._rows)]
-    x = _solve_packed(f, low, low + ncols, rows, ncols)
-    return FieldMatrix._wrap(f, [list(unpack(v)) for v in x])
+    pack = bit_slices(f, ncols).pack
+    inverse, checks = _left_inverse(f, ncols, list(map(pack, A._rows)))
+    if len(inverse) < ncols:
+        raise SingularSystemError(
+            f"coefficient matrix has rank {len(inverse)}, expected full column rank {ncols}",
+            len(inverse),
+        )
+    slices = bit_slices(f, rhs)
+    product = _lane_product(f, rhs, _stride(f, rhs), 1, list(map(slices.pack, B._rows)))
+    if any(map(product, checks)):
+        raise ValueError("inconsistent system: no solution exists")
+    return FieldMatrix._wrap(f, [list(slices.unpack(product(row))) for row in inverse])
 
 
 def _kind(x: object) -> str:
@@ -915,17 +970,23 @@ def _pair_keys(field: FieldSpec, tables: tuple, v: tuple, rest: Sequence) -> lis
     """The key _proportional_keys gives each vector of `rest` reduced
     modulo v by _reduce_by, or None where that residual is zero.
 
-    Only for tuples (w > 8) of three entries with v[0] != 0, and `tables`
-    is _walk_tables(field). Each u = (u0, u1, u2) reduces to the pair
-    (a, b) = (u1, u2) - (u0 / v0) (v1, v2): one log-table multiply per
-    entry of v that is nonzero, and no pair is built. The column walks
-    call it one level above their pair test, in place of reducing and then
-    keying.
+    Only for tuples (w > 8) of three entries with v nonzero, and `tables`
+    is _walk_tables(field). The pivot p is v's first nonzero entry, and
+    each u reduces to the pair (a, b) of its other two entries q < q',
+    u_q - (u_p / v_p) v_q each: one log-table multiply per entry of v past
+    p that is nonzero (v is zero before p, so those entries stay), and no
+    pair is built. The column walks call it one level above their pair
+    test, in place of reducing and then keying.
     """
     exp, log = tables
     size = field.order - 1
+    p = 0 if v[0] else 1 if v[1] else 2
+    if p:
+        # the pivot's entry first, then the other two in order
+        order = itemgetter(p, *(q for q in range(3) if q != p))
+        v, rest = order(v), map(order, rest)
     v0, v1, v2 = v
-    lv = size - log[v0]  # log of 1 / v0
+    lv = size - log[v0]  # log of 1 / v_p
     l1 = (log[v1] + lv) % size if v1 else -1
     l2 = (log[v2] + lv) % size if v2 else -1
     keys = []

@@ -311,8 +311,15 @@ class LinearCode:
 
     @cached_property
     def _packed_parity_rows(self) -> list[int]:
-        """P's rows packed by bit_slices(field, k): recover_file's coefficients."""
+        """P's rows packed by bit_slices(field, k): the coefficients that
+        protocol._class_decode masks to each class support."""
         return list(map(bit_slices(self.field, self.k).pack, self.p._rows))
+
+    @cached_property
+    def _class_decodes(self) -> dict:
+        """protocol.recover_file's decodes of P's rows masked to a support,
+        by support mask, each built once (protocol._class_decode)."""
+        return {}
 
     @cached_property
     def _row_turns(self) -> list[Sequence[int]]:
@@ -440,12 +447,12 @@ def min_distance(H: FieldMatrix, cap: int = 25) -> int:
     translate.
     Wider fields hold tuples; when two coordinates remain (the last level
     of every MDS search) a residual (a, b) is keyed by log b - log a alone.
-    One level above, where residuals have three coordinates, a pick whose
-    first entry is nonzero builds no child: _pair_keys reads each later
-    column's key straight from its residual reduced by the pick. A zero
-    residual closes a dependent set of the chosen columns, the pick and
-    that column, and a repeated key one a column larger, as the child
-    would. Other picks are reduced and keyed as above.
+    One level above, where residuals have three coordinates, a pick builds
+    no child: _pair_keys reads each later column's key straight from its
+    residual reduced by the pick, at the pick's first nonzero entry (the
+    identity columns of H = (P | I) lead with zeros). A zero residual
+    closes a dependent set of the chosen columns, the pick and that
+    column, and a repeated key one a column larger, as the child would.
     Exact, but exponential in the worst case, so matrices wider than `cap`
     columns are refused.
     """
@@ -474,12 +481,12 @@ def min_distance(H: FieldMatrix, cap: int = 25) -> int:
                 best = depth + 2
             return
         # three-entry tuples: once the children would run the pair test, a
-        # pick with a nonzero first entry keys the later columns instead
+        # pick keys the later columns instead
         fuse = wide and len(rest[0]) == 3 if rest else False
         for i, v in enumerate(rest):
             if depth + 2 >= best:
                 return
-            if fuse and v[0] and depth + 4 >= best:
+            if fuse and depth + 4 >= best:
                 # the child's two tests, on keys read straight from the residuals
                 keys = _pair_keys(field, tables, v, rest[i + 1 :])
                 if None in keys:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, islice, tee
-from operator import itemgetter
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .algebra import (
@@ -104,10 +103,10 @@ class EMatrix:
         return _selection_lanes(self.canonical_slots, self.beta)
 
     @cached_property
-    def _canonical_picks(self) -> itemgetter:
-        """The itemgetter of _canonical_lanes: protocol's gather of what the
-        selection 1s draw."""
-        return itemgetter(*self._canonical_lanes)
+    def _canonical_picks(self) -> dict:
+        """protocol.collect_responses' selection masks of canonical_slots,
+        by lane stride, each built once (protocol._selection_masks)."""
+        return {}
 
     @cached_property
     def _recovery_plans(self) -> dict:

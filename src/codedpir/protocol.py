@@ -25,22 +25,29 @@ StorageArray holds that as its rows and keeps every stored row stacked
 over the n nodes: several payloads side by side in one int, each in a
 lane of whole 64-bit words (algebra._stack).
 Nested StorageSymbols are packed once, where they enter (codes.pack_file).
-collect_responses multiplies each mask row once, against all
-stored rows at a time (algebra._lane_product, the product encode_file
-also uses, bound to the stored rows: Four-Russians tables over GF(2),
-Horner's rule over the coefficients' bit planes on wider fields), adds
-what the row's selection 1s draw, laid out by one gather over the
-selection list, and gathers every node's k answers into one int; it
+
+A round does only what depends on the round: every map that depends on
+the stored data, the access matrix or the code alone is derived on first
+use and kept with what it depends on. collect_responses multiplies each
+mask row once, against all stored rows at a time, through the product the
+array keeps bound to its stored rows (StorageArray._product, the
+algebra._lane_product encode_file also uses: Four-Russians tables over
+GF(2), Horner's rule over the coefficients' bit planes on wider fields),
+adds what the row's selection 1s draw (file m's stored rows, masked,
+_selection_masks) and regroups every node's k answers into one int; it
 reads no query row. A ResponseSet holds the per-node ints, and
 recover_file reads them directly: one pass over P, the same product
 again, gives every syndrome. Subqueries whose supports differ by a
-multiple of the code's row shift (LinearCode.row_shift) share one
-system, P's rows masked to the first one's support with each member's
-syndromes in a lane below the coefficients, and each such class goes to
-algebra._solve_packed, algebra's one elimination kernel, once. What
-depends only on the access matrix and the row shift (the classes and
-two gathers, _RecoveryPlan) is derived once per matrix. The solved
-payloads go into a PackedFile, the file recovered. StorageSymbols appear
+multiple of the code's row shift (LinearCode.row_shift) share one system,
+P's rows masked to the first one's support, with each member's syndromes
+in a lane of the right-hand sides. Each class system was eliminated once,
+beside the identity, into inverse and check rows (_class_decode, kept on
+the code per support): a round applies them to the class's stacked
+right-hand sides as products, and a nonzero lane of a check row names an
+inconsistent member. No round solves or eliminates. What depends only on
+the access matrix and the row shift (the classes and two gathers,
+_RecoveryPlan) is derived once per matrix. The solved payloads go into a
+PackedFile, the file recovered. StorageSymbols appear
 only at the boundary: nested input (files, stored rows and ResponseSet's
 responses), and a PackedFile's rows and the `responses` view, built when
 read and kept by no one.
@@ -63,24 +70,25 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter
+from functools import cached_property, reduce
+from itertools import accumulate, chain, compress
+from operator import itemgetter, xor
 from typing import Callable, NamedTuple
 
 from .algebra import (
     FieldMatrix,
-    SingularSystemError,
+    _lane_keys,
     _lane_product,
+    _lane_values,
     _stack,
     _stride,
     _unstack,
     bit_slices,
 )
-# recover_file's one solve per class of subqueries goes through this
+# the one elimination per class support (_class_decode) goes through this
 # module-level name, which the benchmark's tracer rebinds to time it as
-# algebra.solve
-from .algebra import _solve_packed as solve
+# algebra.solve: no round calls it once its classes are decoded
+from .algebra import _left_inverse as solve
 from .codes import (
     LinearCode, PackedFile, StorageSymbol, _check_rows, encode_file, pack_file, pack_symbols,
 )
@@ -165,8 +173,12 @@ class StorageArray:
     length ("node 5, stored symbol 2: payload length 3, ..."), packing
     nested rows once, and raises ValueError. Then it stacks each stored row
     over the n nodes (_stack at _stride), so _lane_product() with a query
-    row multiplies every node's column at once. An array with no rows is
-    valid and has no payload length.
+    row multiplies every node's column at once. The product bound to those
+    stacks (_product: over GF(2) its Four-Russians tables, about 1.4 MB at
+    c7_array's f = 4, ell = 64 shape) is built by the first round and kept
+    with the array, so later rounds build no table; an array made by
+    dataclasses.replace or unpickled builds its own. An array with no rows
+    is valid and has no payload length.
     """
 
     code: LinearCode
@@ -189,6 +201,18 @@ class StorageArray:
             stacked = [_stack(payloads[a : a + n], stride) for a in range(0, len(payloads), n)]
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_stacked", stacked)
+
+    def __reduce__(self):
+        # pickled as its fields: the stacks are rebuilt on load, the tables on use
+        return StorageArray, (self.code, self.beta, self.f, self.rows)
+
+    @cached_property
+    def _product(self) -> Callable[[Sequence[int]], int]:
+        """_lane_product bound to the stacked rows, built on first use and
+        kept: over GF(2) its Four-Russians tables, on wider fields the plane
+        sums' stacks. Takes one query row."""
+        field, ell = self.code.field, self.ell
+        return _lane_product(field, ell, _stride(field, ell), self.code.n, self._stacked)
 
     @property
     def ell(self) -> int:
@@ -214,8 +238,9 @@ class QuerySet:
     dataclasses.replace, validates its layout once (_layout, then the file
     index m in 1..f, a node count of at least k and a k x (beta*f) mask),
     raising ValueError. The default z is the access matrix's own
-    canonical_slots, taken as it is, and so is its selection list
-    (_lanes), which collect_responses and recover_file read.
+    canonical_slots, taken as it is, and so are its selection list
+    (_lanes), which recover_file reads, and its selection masks (_picks),
+    which collect_responses reads.
     """
 
     n: int
@@ -252,10 +277,12 @@ class QuerySet:
         return e._canonical_lanes if self.z is e.canonical_slots else _selection_lanes(self.z, e.beta)
 
     @cached_property
-    def _picks(self) -> itemgetter:
-        """The itemgetter of the selection list: collect_responses' gather."""
+    def _picks(self) -> dict:
+        """collect_responses' selection masks of z by lane stride, each built
+        once (_selection_masks); the access matrix keeps its canonical
+        layout's."""
         e = self.e
-        return e._canonical_picks if self.z is e.canonical_slots else itemgetter(*self._lanes)
+        return e._canonical_picks if self.z is e.canonical_slots else {}
 
     def v_block(self, l: int) -> FieldMatrix:
         """The k x beta selection block of node l's query (l in 1..k): row i
@@ -520,6 +547,8 @@ def _gather(raw: bytes, n: int, stride: int) -> list[bytes]:
     # the words are only moved about, never read as numbers: byte order does not matter
     words = array("Q", raw)
     run = stride // 8
+    if run == 1:
+        return [words[j::n].tobytes() for j in range(n)]
     columns = []
     for j in range(n):
         column = array("Q", bytes(len(raw) // n))
@@ -535,19 +564,17 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     Node j's answers are its query times its stored column, packed (see
     ResponseSet), but no query row is read: the array holds its stored rows
     stacked over the nodes, so each mask row is multiplied once, against
-    every node's column at a time, and every node's k lanes are gathered
-    into one int. Over GF(2) the product is bound to the stored rows
-    (_lane_product with `over`):
-    Four-Russians tables of the XORs of every 4 consecutive rows are built
-    once per call and dropped with it, and each mask row is one lookup and
-    one XOR per 4 stored rows; wider fields sum the coefficients' bit
-    planes row by row. A selection 1 at row i of node l's query, in file
-    m's column of slot s, adds node l's stored payload there to its
-    answer i: file m's stored rows, taken in slot order (pi) and cut to
-    the k systematic nodes, are the lanes the set's selection list
-    (QuerySet._lanes) numbers, so one gather (_pick, through the list's
-    itemgetter, which the access matrix keeps for its canonical layout)
-    lays out what every row adds, and it joins the row's product.
+    every node's column at a time, by the product the array keeps bound to
+    them (StorageArray._product): over GF(2) one lookup and one XOR per 4
+    stored rows in Four-Russians tables the first round built, on wider
+    fields the coefficients' bit planes summed row by row. A selection 1
+    at row i of node l's query, in file m's column of slot s, adds node
+    l's stored payload there to its answer i: file m's stored row in slot
+    s (pi), masked to the lanes of the nodes where row i draws slot s
+    (_selection_masks, kept per lane stride on the access matrix for its
+    canonical layout), so a row adds one masked row per slot it draws and
+    moves no lane it does not select. The k rows' answers are then
+    regrouped node by node (_gather).
     Raises ValueError when the query set and the array disagree on beta,
     f, the node count, the query width or the field; the array's symbols
     were checked when it was built.
@@ -569,19 +596,18 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     stacked = array._stacked
     u_rows = u._rows
     k = len(u_rows)
-    span = k * stride  # a row's lanes of the systematic nodes
-    # file m's stored rows in slot order, cut to the systematic nodes, then a
-    # zero lane: the lanes the selection list numbers
+    masks = qs._picks.get(stride)
+    if masks is None:
+        masks = qs._picks[stride] = _selection_masks(qs.z, stride)
+    # file m's stored rows in slot order
     base = (qs.m - 1) * qs.beta - 1
-    drawn = b"".join([stacked[base + p].to_bytes(n * stride, "little")[:span] for p in qs.pi[1:]])
-    added = _pick(drawn + bytes(stride), qs._picks, stride)  # row-major, k lanes a row
-    product = _lane_product(field, ell, stride, n, stacked)
+    drawn = [stacked[base + p] for p in qs.pi[1:]]
+    product = array._product
     products = b"".join(
-        (product(row) ^ int.from_bytes(added[i * span : (i + 1) * span], "little"))
+        reduce(xor, [drawn[s] & mask for s, mask in picks], product(row))
         .to_bytes(n * stride, "little")
-        for i, row in enumerate(u_rows)
+        for row, picks in zip(u_rows, masks)
     )
-    del product, added  # over GF(2) its tables: freed before the gather
     answers = [int.from_bytes(lanes, "little") for lanes in _gather(products, n, stride)]
     return ResponseSet._of(field, ell, (k,) * n, tuple(answers))
 
@@ -597,6 +623,27 @@ def _pick(raw: bytes, get: itemgetter, stride: int) -> bytes:
     for b, part in enumerate(parts):
         out[b::run] = part
     return out.tobytes()
+
+
+def _selection_masks(
+    z: Sequence[Sequence[int]], stride: int
+) -> list[list[tuple[int, int]]]:
+    """What each row's selection 1s draw, as masks: per row i of the slot
+    assignment z, (s - 1, mask) for every slot s the row draws, where mask
+    covers the lanes of `stride` bytes of the nodes l with z[i][l] = s.
+    File m's stored row in slot s, masked, is then what the row adds at
+    those nodes: one AND per slot a row draws, where a gather would move
+    every lane, selected or not."""
+    k = len(z)
+    fill = (1 << 8 * stride) - 1  # a whole lane
+    out = []
+    for row in z:
+        lanes: dict[int, bytearray] = {}
+        for l, s in enumerate(row):
+            if s:
+                lanes.setdefault(s, bytearray(k * stride))[l * stride] = 1
+        out.append([(s - 1, int.from_bytes(at, "little") * fill) for s, at in lanes.items()])
+    return out
 
 
 def _shift_classes(
@@ -640,35 +687,41 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> PackedFile:
     characteristic 2, leaving s_t = P[:, S_t] x_{S_t}, whose solution is
     the selected file symbols.
 
-    Subqueries related by the code's row shift share one solve. Rotating
+    Subqueries related by the code's row shift share one system. Rotating
     P's columns by g (code.row_shift) turns row i into row perm[i], so when
     S_t' is S_t shifted by g*j, row perm^j(i) of t''s system is row i of
     t's with every unknown c renamed c + g*j. The subqueries of a class
     (_shift_classes) therefore share t's coefficients, P's rows masked to
-    S_t, and ride side by side in lanes below them: in stacked row i,
-    member t''s lane holds its syndrome at row perm^j(i), and the lane's
-    value for unknown c is t''s file symbol c + g*j. Over GF(2) a lane is
-    a payload's stride of bits; wider fields lay out lanes of ell
-    components with BitSlices.join and split. `solve`
-    (algebra._solve_packed, bound here under that name) runs each class
-    through algebra's elimination kernel once. A code with g = k has one
-    subquery per class, one solve each.
+    S_t, and ride side by side in the lanes of its right-hand sides: in
+    stacked row i, member t''s lane holds its syndrome at row perm^j(i),
+    and the lane's value for unknown c is t''s file symbol c + g*j. A lane
+    is a payload's stride, as in the stacks, at every field width. A code
+    with g = k has one subquery per class.
 
-    The classes, and where each class's lanes come from and go, depend
-    only on the access matrix and the row shift: _recovery_plan derives
-    them once per matrix and shift, kept on the matrix. A round then reads
-    the syndromes as one flat lane array, lays out every class's
-    right-hand sides by one gather, makes one solve per class and puts
-    the solved values in slot order by one more gather (_placement; a
-    caller's own z builds that one per call).
+    The system's coefficients depend only on P and the class support, so
+    each is decoded once (_class_decode, kept on the code per support):
+    `solve` (algebra._left_inverse, bound here under that name) eliminates
+    [P_S | I] into one inverse row per unknown and the (n - k) - rank check
+    rows of P_S's left kernel, encoded as the keys algebra._lane_product
+    looks up. The classes, and where each class's lanes come from and go,
+    depend only on the access matrix and the row shift: _recovery_plan
+    derives them once per matrix and shift, kept on the matrix. A round
+    then reads the syndromes as one flat lane array and lays out every
+    class's right-hand sides by one gather; per class, the inverse rows and
+    check rows are products over its stacked right-hand sides (a keyed
+    _lane_product: Four-Russians tables of those rows over GF(2), plane
+    sums above it), and one more gather puts the solved values in slot
+    order (_placement; a caller's own z builds that one per call). No
+    round eliminates or solves.
 
     A system has full column rank exactly when its row of the access matrix
     is a correctable erasure pattern, and every member of a class shares
-    the rank. The syndrome must lie in the span of P[:, S_t]: a response
-    that moves it out of that span is inconsistent, which is decided lane
-    by lane: the members of a failing class are solved again alone. The
-    smallest failing subquery is reported, as singular before
-    inconsistent.
+    the rank, which the decode knows. The syndrome must lie in the span of
+    P[:, S_t]: a response that moves it out of that span is inconsistent,
+    which a nonzero lane of a check row shows, member by member, in the
+    same pass. The error names the smallest failing subquery, as singular
+    before inconsistent, on its first line and every failing one on the
+    next ("failing subqueries: 2 (inconsistent), 12 (inconsistent)").
     ProtocolViolationError names that, a query set drawn for a code with
     another k, responses from a node count other than n, and a node that
     does not answer k symbols; misfit symbols were named when the
@@ -721,91 +774,62 @@ def recover_file(qs: QuerySet, rs: ResponseSet, code: LinearCode) -> PackedFile:
     if plan is None:
         plan = e._recovery_plans[code.row_shift] = _recovery_plan(e, code)
     # every class's right-hand sides, laid out by the plan: a class of
-    # `count` members whose lanes start at `first` holds its row i's from
-    # lane first + i*count on, member by member
+    # `count` members holds its row i's in the `count` lanes from
+    # i*count on, past the classes before it, member by member
     rhs = _pick(syndromes, plan.gather, stride)
-    coefficients = code._packed_parity_rows
-    spread = bit_slices(field, k).column_mask(0)  # component 0 of every plane
-    # assemble(first, step, count, keep): the component where the
-    # coefficients start, and a system's rows: row i holds the `count` lanes
-    # from first + i*step on below P's row i masked to keep. unpack() reads
-    # every lane of every unknown, in that order
-    if field.width == 1:
-        # a lane is a payload's stride, as in the stacks: bytes in, _unstack out
-
-        def assemble(first: int, step: int, count: int, keep: int) -> tuple[int, list[int]]:
-            low, span = count * 8 * stride, count * stride
-            at = first * stride
-            step *= stride
-            return low, [
-                int.from_bytes(rhs[at + i * step : at + i * step + span], "little")
-                | (a & keep) << low
-                for i, a in enumerate(coefficients)
-            ]
-
-        def unpack(values: list[int], count: int) -> list[int]:
-            return _unstack(_stack(values, count * stride), stride, count * len(values))
-
-    else:
-        # a lane is ell components in every plane: BitSlices.join and split
-        lanes = _unstack(int.from_bytes(rhs, "little"), stride, len(rhs) // stride)
-
-        def assemble(first: int, step: int, count: int, keep: int) -> tuple[int, list[int]]:
-            low = count * ell
-            join = bit_slices(field, low + k).join
-            lengths = [ell] * count + [k]
-            return low, [
-                join([*lanes[first + i * step : first + i * step + count], a & keep], lengths)
-                for i, a in enumerate(coefficients)
-            ]
-
-        def unpack(values: list[int], count: int) -> list[int]:
-            split = bit_slices(field, ell * count).split
-            return [v for packed in values for v in split(packed, [ell] * count)]
-
-    solved: list[int] = []  # class by class, unknown by unknown, member by member
-    failed: tuple[int, ValueError] | None = None  # the smallest failing subquery
-    first = 0
+    decodes = code._class_decodes
+    rows = n - k
+    solved: list[bytes] = []  # class by class, unknown by unknown, member by member
+    failing: dict[int, int | None] = {}  # subquery: its singular class's rank, or None
+    at = 0
     for mask, members in plan.classes:
-        if failed and failed[0] < members[0][0]:
-            break
-        count = len(members)
-        keep = spread * mask
-        try:
-            low, rows = assemble(first, count, count, keep)
-            values = solve(field, low, low + k, rows, beta)
-        except ValueError:
-            # singular in every lane or inconsistent in some: the first
-            # member that fails alone, for which the rank is decided first
-            for at, (t, _) in enumerate(members):
-                try:
-                    low, rows = assemble(first + at, count, 1, keep)
-                    solve(field, low, low + k, rows, beta)
-                except ValueError as exc:
-                    if failed is None or t < failed[0]:
-                        failed = (t, exc)
-                    break
+        span = len(members) * stride
+        decode = decodes.get(mask)
+        if decode is None:
+            decode = decodes[mask] = _class_decode(code, mask)
+        if decode.rank < beta:
+            failing.update((t, decode.rank) for t, _ in members)
         else:
-            solved += unpack(values, count) if count > 1 else values
-        first += len(coefficients) * count
-    if failed:
-        t, exc = failed
-        if isinstance(exc, SingularSystemError):
-            raise ProtocolViolationError(
-                f"subquery {t + 1}: interference system is singular (rank {exc.rank}); "
-                "the access pattern is not correctable or responses are inconsistent"
-            ) from exc
-        raise ProtocolViolationError(
-            f"subquery {t + 1}: parity responses are inconsistent with each other"
-        ) from exc
+            stacks = [
+                int.from_bytes(rhs[a : a + span], "little")
+                for a in range(at, at + rows * span, span)
+            ]
+            product = _lane_product(field, ell, stride, len(members), stacks, keyed=True)
+            solved += [product(key).to_bytes(span, "little") for key in decode.inverse]
+            for key in decode.checks:
+                lanes = _unstack(product(key), stride, len(members))
+                failing.update((t, None) for (t, _), lane in zip(members, lanes) if lane)
+        at += rows * span
+    if failing:
+        raise ProtocolViolationError(_failure_message(failing))
     if qs.z is e.canonical_slots:
         place = plan.place
     else:
         place = _placement(plan.classes, qs._lanes, k, code.row_shift[0], beta)
-    found = place(solved)  # the file's payloads, slot by slot
+    found = place(_lane_values(b"".join(solved), stride))  # the file's payloads, slot by slot
     # stripe r is the slot s with pi[s] = r + 1
     order = sorted(range(beta), key=qs.pi[1:].__getitem__)
     return PackedFile(field, ell, k, chain.from_iterable(found[s * k : (s + 1) * k] for s in order))
+
+
+def _failure_message(failing: dict[int, int | None]) -> str:
+    """The error of a round whose subqueries in `failing` fail: each one's
+    singular class's rank, or None where its spare equations do not hold.
+    The first line names the smallest, the next every one."""
+    t = min(failing)
+    rank = failing[t]
+    if rank is None:
+        first = f"subquery {t + 1}: parity responses are inconsistent with each other"
+    else:
+        first = (
+            f"subquery {t + 1}: interference system is singular (rank {rank}); "
+            "the access pattern is not correctable or responses are inconsistent"
+        )
+    every = ", ".join(
+        f"{t + 1} ({'inconsistent' if rank is None else f'singular, rank {rank}'})"
+        for t, rank in sorted(failing.items())
+    )
+    return f"{first}\nfailing subqueries: {every}"
 
 
 class _RecoveryPlan(NamedTuple):
@@ -815,7 +839,8 @@ class _RecoveryPlan(NamedTuple):
     row, member by member, from the syndromes read as one flat lane array
     (row r's lane t is subquery t's syndrome there); and the gather of
     the solved values, in that class order, to the file's payloads slot by
-    slot under the canonical layout (_placement)."""
+    slot under the canonical layout (_placement). What P adds, each
+    class's decode, is kept per support on the code (_class_decode)."""
 
     classes: list[tuple[int, list[tuple[int, int]]]]
     gather: itemgetter
@@ -836,6 +861,30 @@ def _recovery_plan(e: EMatrix, code: LinearCode) -> _RecoveryPlan:
         for t, j in members
     ])
     return _RecoveryPlan(classes, gather, _placement(classes, e._canonical_lanes, k, g, e.beta))
+
+
+class _ClassDecode(NamedTuple):
+    """A class's system P[:, S] decoded once (_class_decode): its rank, and
+    its inverse and check rows as _lane_keys, none when it is singular."""
+
+    rank: int
+    inverse: list
+    checks: list
+
+
+def _class_decode(code: LinearCode, mask: int) -> _ClassDecode:
+    """The decode of the system whose coefficients are P's rows masked to
+    the support `mask` (bit l for column l): algebra._left_inverse (bound
+    here as `solve`) eliminates [P_S | I] once, and each inverse row (one
+    per column of S, in increasing order) and check row is encoded as the
+    keys a keyed _lane_product looks up."""
+    field = code.field
+    keep = bit_slices(field, code.k).column_mask(0) * mask  # component 0 of every plane
+    inverse, checks = solve(field, code.k, [a & keep for a in code._packed_parity_rows])
+    if len(inverse) < mask.bit_count():
+        return _ClassDecode(len(inverse), [], [])
+    keys = [_lane_keys(field, row) for row in inverse]
+    return _ClassDecode(len(inverse), keys, [_lane_keys(field, row) for row in checks])
 
 
 def _placement(

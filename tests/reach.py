@@ -54,7 +54,8 @@ def _runs() -> list[list[str]]:
         ["simulate", str(FX / "c3like.pchk"), *seed, *sim],
         ["simulate", str(BUNDLED / "c1.pchk"), *seed, *sim],
         *(["simulate", str(FX / f"{c}.pchk"), *seed, *sim] for c in
-          ("c7_array", "cauchy18_gf65536", "gf16_shift2", "gf128_64", "gf256_16_10")),
+          ("c7_array", "cauchy18_gf65536", "gf16_shift2", "gf65536_shift2", "gf128_64",
+           "gf256_16_10")),
         ["simulate", str(FX / "c7_array.pchk"), *seed, "--files", "4", "--payload", "64", "--target", "3"],
         ["simulate", str(FX / "c7_array.pchk"), *seed, "--files", "2", "--payload", "65", "--target", "2"],
         ["simulate", str(FX / "c5like.pchk"), *seed, "--files", "2", "--payload", "3", "--target", "1"],

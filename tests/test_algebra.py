@@ -15,6 +15,7 @@ from codedpir.algebra import (
     SingularSystemError,
     _eliminate,
     _lane_product,
+    _left_inverse,
     _product_tables,
     _proportional_keys,
     _reduce_by,
@@ -382,7 +383,7 @@ class TestExtends:
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_yields_one_past_the_leading_coordinate(self, width):
         # a vector reduced to lead at or below `low` is not stored: what it
-        # then leads at is what _solve_packed reads as a residual
+        # then leads at is its residual
         f = field_new(width)
         c = 1 if width == 1 else 3
         pack = bit_slices(f, 3).pack
@@ -435,6 +436,32 @@ class TestSolve:
             x = FieldMatrix(f, [[rng.randrange(f.order) for _ in range(2)] for _ in range(ncols)])
             b = FieldMatrix(f, [combine_components(row, x.values(), oracle) for row in a.values()])
             assert solve(a, b) == x
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_left_inverse_and_checks_match_the_oracle(self, width):
+        # inverse row p times A is the unit vector at A's p-th pivot column,
+        # every check row times A is zero, and the check rows are m - rank
+        # independent vectors (the oracle's rank), so they span the left kernel
+        f = field_new(width)
+        oracle = PeasantField(f.modulus, width)
+        rng = random.Random(width + 300)
+        for _ in range(12):
+            ncols, nrows = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [[rng.randrange(f.order) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                    for _ in range(nrows)]
+            if rng.random() < 0.3:  # a repeated multiple: a rank deficiency
+                rows.append([oracle.mul(3 % f.order or 1, x) for x in rows[0]])
+            rank = rref_oracle(rows, oracle)[1]
+            inverse, checks = _left_inverse(f, ncols, list(map(bit_slices(f, ncols).pack, rows)))
+            assert (len(inverse), len(checks)) == (rank, len(rows) - rank)
+            assert all(len(c) == len(rows) for c in inverse + checks)
+            if rank == ncols:
+                for p, c in enumerate(inverse):
+                    assert combine_components(c, rows, oracle) == tuple(int(j == p) for j in range(ncols))
+            for c in checks:
+                assert combine_components(c, rows, oracle) == (0,) * ncols
+            if checks:
+                assert rref_oracle(checks, oracle)[1] == len(checks)
 
     def test_inconsistent_tall_system(self):
         f = field_new(1)

@@ -204,9 +204,10 @@ class TestMinDistance:
     def test_keys_one_level_above_the_pair_test_match_oracle(self, width, monkeypatch):
         # 3-4 rows: residuals of three entries one level above the pair
         # test. Past GF(2^8) their keys come straight from the pick
-        # (_pair_keys), a pick whose first entry is zero is reduced first,
-        # and the search ends there by a zero residual (nrows - 1 columns)
-        # or a repeated key (nrows); byte lanes never take that branch
+        # (_pair_keys), a pick whose first entry is zero too, so no such
+        # pick is reduced, and the search ends there by a zero residual
+        # (nrows - 1 columns) or a repeated key (nrows); byte lanes never
+        # take that branch
         field = FieldSpec(width)
         peasant = PeasantField(field.modulus, width)
         outcomes, fallback = [], collections.Counter()
@@ -235,9 +236,51 @@ class TestMinDistance:
             ended["zero"] += "zero" in outcomes and expected == nrows - 1
             ended["repeat"] += "repeat" in outcomes and expected == nrows
         if width > 8:
-            assert ended["zero"] and ended["repeat"] and fallback[True]
+            assert ended["zero"] and ended["repeat"] and not fallback[True]
         else:
             assert not outcomes
+
+    @pytest.mark.parametrize("width", range(9, 17))
+    def test_zero_led_picks_keyed_at_their_first_nonzero_entry(self, width, monkeypatch):
+        # H = (P | I): at the level above the pair test the identity columns'
+        # residuals lead with one or two zeros. _pair_keys keys the later
+        # columns at the pick's first nonzero entry, as reducing and keying
+        # would, and the search agrees with the oracle without reducing any
+        # three-entry pick
+        field = FieldSpec(width)
+        peasant = PeasantField(field.modulus, width)
+        rng = random.Random(4400 + width)
+        tables = codes_module._walk_tables(field)
+        for lead in (0, 1, 2):
+            v = tuple([0] * lead + [rng.randrange(1, field.order) for _ in range(3 - lead)])
+            rest = [tuple(rng.randrange(field.order) for _ in range(3)) for _ in range(8)]
+            rest.append(tuple(field.mul(5, x) for x in v))  # a multiple of v: residual zero
+            rest.append(rest[0])  # the same residual as column 0: a repeated key
+            reduced = codes_module._reduce_by(field, tables, v, rest)
+            expected = [
+                codes_module._proportional_keys(field, tables, [r])[0] if any(r) else None
+                for r in reduced
+            ]
+            assert codes_module._pair_keys(field, tables, v, rest) == expected, lead
+        leads, reduced_picks = collections.Counter(), collections.Counter()
+        real_keys, real_reduce = codes_module._pair_keys, codes_module._reduce_by
+
+        def keys(field_, tables_, v, rest):
+            leads[next(i for i, x in enumerate(v) if x)] += 1
+            return real_keys(field_, tables_, v, rest)
+
+        def reduce(field_, tables_, v, rest):
+            reduced_picks[len(v)] += 1
+            return real_reduce(field_, tables_, v, rest)
+
+        monkeypatch.setattr(codes_module, "_pair_keys", keys)
+        monkeypatch.setattr(codes_module, "_reduce_by", reduce)
+        for _ in range(12):
+            nrows = rng.randint(3, 4)
+            p_rows = pair_level_matrix(rng, peasant, nrows, rng.randint(nrows + 1, nrows + 3))
+            h_rows = [row + [int(i == j) for j in range(nrows)] for i, row in enumerate(p_rows)]
+            assert min_distance(FieldMatrix(field, h_rows)) == min_distance_oracle(h_rows, peasant)
+        assert leads[1] and leads[2] and not reduced_picks[3]
 
     def test_wide_field_cauchy_code_is_mds(self):
         code = make_code(FieldSpec(16), cauchy18_rows())

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import pickle
@@ -31,7 +32,7 @@ from codedpir import (
     recover_file,
     verify_privacy,
 )
-from codedpir import codes, protocol
+from codedpir import algebra, codes, protocol
 from codedpir.algebra import BitSlices, bit_slices
 from codedpir.protocol import _CHUNK, _chi2_sf, _draw_values, _draws
 
@@ -587,13 +588,8 @@ class TestMaskPlusUnitShortcut:
         code, arr, qs, _ = self._instance(width)
         rs = self._agree(qs, arr)
         calls = []
-        real = protocol._lane_product
-
-        def counting(*lanes):
-            product = real(*lanes)
-            return lambda *a: calls.append(1) or product(*a)
-
-        monkeypatch.setattr(protocol, "_lane_product", counting)
+        real = arr._product  # bound to the stored rows by the first round, and kept
+        monkeypatch.setitem(arr.__dict__, "_product", lambda row: calls.append(1) or real(row))
         assert collect_responses(qs, arr) == rs
         assert len(calls) == code.k  # one product per mask row, none per node
 
@@ -1998,6 +1994,245 @@ class TestShiftClassErrors:
         rs = collect_responses(qs, build_storage(code, [x]))
         with pytest.raises(ProtocolViolationError, match=message):
             recover_file(qs, _corrupt(rs, [(4, t) for t in corrupted], field), code)
+
+
+def _shift2_code(field, rng):
+    """(7,4) over `field`, as fixtures/gf65536_shift2.pchk over GF(2^16):
+    P = (a b 0 0 / 0 0 a b / c(a b a b)). Shifting P's columns by 2 swaps
+    its first two rows and keeps the third, so supports that differ by 2
+    share a class, and rank(P) = 2 leaves a subquery of weight 2 one spare
+    equation: a check row in its class's decode."""
+    a, b, c = (rng.randrange(1, field.order) for _ in range(3))
+    ca, cb = field.mul(c, a), field.mul(c, b)
+    return make_code(field, [[a, b, 0, 0], [0, 0, a, b], [ca, cb, ca, cb]])
+
+
+@functools.lru_cache(maxsize=1)
+def _c7_matrix():
+    """c7_array's P and the scan's beta = 60 access matrix."""
+    from codedpir.workbench import parse_code_file
+    from conftest import FIXTURES_DIR
+
+    cf = parse_code_file(FIXTURES_DIR / "c7_array.pchk")
+    config = OptimizerConfig(seed=7, d_min=cf.d_min_hint, d_tilde_min=cf.d_tilde_min_hint)
+    return cf.code.p.values(), optimize_cpop(cf.code, config).e_opt
+
+
+class _Counting:
+    """Calls of the round's plan-time steps and table builds, by monkeypatch:
+    eliminations (algebra._eliminate), class decodes (protocol.solve),
+    recovery plans, selection masks, and the stacks of every Four-Russians
+    table build (algebra._tables)."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.tables = Counter(), []
+        for module, name in ((algebra, "_eliminate"), (protocol, "solve"),
+                             (protocol, "_recovery_plan"), (protocol, "_selection_masks")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, self._wrap(name, real))
+        real_tables = algebra._tables
+        monkeypatch.setattr(
+            algebra, "_tables", lambda stacks: self.tables.append(list(stacks)) or real_tables(stacks)
+        )
+
+    def _wrap(self, name, real):
+        return lambda *args, **kwargs: self.calls.update([name]) or real(*args, **kwargs)
+
+    def clear(self):
+        self.calls.clear()
+        self.tables.clear()
+
+
+class TestPlanTimeDecode:
+    """recover_file decodes each shift class by the inverse and check rows
+    of its coefficients, derived once per class support and kept on the
+    code; the respond tables are kept with the array. A round after the
+    first runs no elimination and builds no table over the stored rows."""
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_multi_member_and_single_member_classes_match_oracle(self, width):
+        field = FieldSpec(width)
+        oracle = PeasantField(field.modulus, width)
+        rng = random.Random(6600 + width)
+        two = 2 if width > 1 else 1
+        codes_ = {
+            "shift2 with a check row": _shift2_code(field, rng),
+            "gf16_shift2's P": make_code(field, [[1, two, 0, 0], [0, 0, 1, two]]),
+            "c1's P": make_code(field, c1_code().p.values()),
+        }
+        for name, code in codes_.items():
+            e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+            g = code.row_shift[0]
+            sizes = [len(m) for _, m in protocol._shift_classes(e.rows, g)]
+            assert (max(sizes) > 1) == (g < code.k), name
+            TestWidthCoverage._lanes_match_oracle(code, e, oracle, rng)
+            decodes = code._class_decodes
+            assert all(len(d.checks) == code.n - code.k - e.beta for d in decodes.values()), name
+        assert codes_["c1's P"].row_shift[0] == 3
+        assert {len(d.checks) for d in codes_["shift2 with a check row"]._class_decodes.values()} == {1}
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_c7_shape_recovers_the_file(self, width):
+        # c7_array's binary P over GF(2^w) at the beta = 60 matrix: eleven
+        # classes of eleven subqueries, six check rows each; the recovered
+        # file is the stored one (an oracle solve at this size is too slow)
+        p_rows, e = _c7_matrix()
+        field = FieldSpec(width)
+        code = make_code(field, p_rows)
+        assert code.row_shift[0] == 11
+        rng = random.Random(7700 + width)
+        files = [random_file(field, e.beta, code.k, 3, rng) for _ in range(2)]
+        arr = build_storage(code, files)
+        qs = build_queries(code, e, m=2, f=2, seed=width)
+        assert recover_file(qs, collect_responses(qs, arr), code) == files[1]
+        decodes = code._class_decodes
+        assert len(decodes) == 11
+        assert all(d.rank == 60 and len(d.checks) == 6 for d in decodes.values())
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_corrupted_node_gives_todays_error(self, width):
+        field = FieldSpec(width)
+        oracle = PeasantField(field.modulus, width)
+        rng = random.Random(6700 + width)
+        code = _shift2_code(field, rng)
+        e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+        x = random_file(field, e.beta, code.k, 3, rng)
+        qs = build_queries(code, e, m=1, f=1, seed=width)
+        rs = collect_responses(qs, build_storage(code, [x]))
+        assert recover_file(qs, rs, code) == x
+        for t in range(code.k):
+            node = _detectable_parity_node(code, e, t, oracle)
+            with pytest.raises(ProtocolViolationError) as exc:
+                recover_file(qs, _corrupt(rs, [(node, t)], field), code)
+            assert str(exc.value) == (
+                f"subquery {t + 1}: parity responses are inconsistent with each other\n"
+                f"failing subqueries: {t + 1} (inconsistent)"
+            )
+        # TestShiftClassErrors' (7,4) code: the class of supports {0, 1} and
+        # {2, 3} is singular, known from its decode alone
+        code = make_code(field, [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
+        e = EMatrix(tuple(tuple(int(l in s) for l in range(4)) for s in (
+            {0, 1}, {1, 2}, {2, 3}, {0, 3})), beta=2)
+        qs = build_queries(code, e, m=1, f=1, seed=width)
+        rs = collect_responses(qs, build_storage(code, [random_file(field, 2, 4, 3, rng)]))
+        with pytest.raises(ProtocolViolationError) as exc:
+            recover_file(qs, _corrupt(rs, [(4, 3)], field), code)
+        assert str(exc.value) == (
+            "subquery 1: interference system is singular (rank 1); the access pattern is not "
+            "correctable or responses are inconsistent\nfailing subqueries: 1 (singular, rank 1), "
+            "3 (singular, rank 1), 4 (inconsistent)"
+        )
+
+    def test_every_inconsistent_member_named_in_one_pass(self):
+        # c7: subqueries 12 and 2 ride in two classes; both are named, the
+        # smallest first, as today
+        p_rows, e = _c7_matrix()
+        code = make_code(GF2, p_rows)
+        x = random_file(code.field, e.beta, code.k, 2, random.Random(12))
+        qs = build_queries(code, e, m=1, f=1, seed=12)
+        rs = collect_responses(qs, build_storage(code, [x]))
+        oracle = TinyField(2)
+        cells = [(_detectable_parity_node(code, e, t, oracle), t) for t in (11, 1, 23)]
+        with pytest.raises(ProtocolViolationError) as exc:
+            recover_file(qs, _corrupt(rs, cells, code.field), code)
+        assert str(exc.value) == (
+            "subquery 2: parity responses are inconsistent with each other\n"
+            "failing subqueries: 2 (inconsistent), 12 (inconsistent), 24 (inconsistent)"
+        )
+
+    @pytest.mark.parametrize("name", ["c4like", "c6_array"])
+    def test_flagged_exactly_where_the_span_test_detects(self, name):
+        # one corrupted response in each of a random half of the subqueries:
+        # the error lists exactly the subqueries whose error leaves the span
+        # of P[:, S_t] (the rank oracle), and nothing when none does
+        code, e, x, arr, oracle = TestFaultInjection._instance(name)
+        k, n, field = code.k, code.n, code.field
+        h_rows = code.h.values()
+        qs = build_queries(code, e, m=1, f=1, seed=23)
+        rs = collect_responses(qs, arr)
+        rng = random.Random(f"flags {name}")
+        named = set()
+        for trial in range(6):
+            cells = [(rng.randrange(n), t) for t in rng.sample(range(k), k // 2)]
+            detectable = set()
+            for j, t in cells:
+                support = [l for l in range(k) if e.rows[t][l]]
+                if column_rank(h_rows, support + [j], oracle) > column_rank(h_rows, support, oracle):
+                    detectable.add(t + 1)
+            try:
+                recover_file(qs, _corrupt(rs, cells, field), code)
+                flagged = set()
+            except ProtocolViolationError as exc:
+                first, listed = str(exc).split("\nfailing subqueries: ")
+                flagged = {int(item.split()[0]) for item in listed.split(", ")}
+                assert first.startswith(f"subquery {min(flagged)}: parity responses are inconsistent")
+                assert listed.count("(inconsistent)") == len(flagged)
+            assert flagged == detectable, trial
+            named |= flagged
+        assert len(named) > 1
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_later_round_eliminates_nothing_and_tables_no_stored_row(self, width, monkeypatch):
+        field = FieldSpec(width)
+        rng = random.Random(6800 + width)
+        for code in (_shift2_code(field, rng), TestMaskPlusUnitShortcut._instance(width)[0]):
+            e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+            files = [random_file(field, e.beta, code.k, 3, rng) for _ in range(2)]
+            arr = build_storage(code, files)
+            counting = _Counting(monkeypatch)
+            qs = build_queries(code, e, m=1, f=2, seed=1)
+            assert recover_file(qs, collect_responses(qs, arr), code) == files[0]
+            classes = protocol._shift_classes(e.rows, code.row_shift[0])
+            assert counting.calls["_recovery_plan"] == counting.calls["_selection_masks"] == 1
+            assert counting.calls["solve"] == len(classes) and counting.calls["_eliminate"]
+            # over GF(2): the stored rows' tables, kept, and one per class
+            assert counting.tables.count(arr._stacked) == (width == 1)
+            assert len(counting.tables) == (1 + len(classes) if width == 1 else 0)
+            for m, seed in ((2, 2), (1, 3)):
+                counting.clear()
+                qs = build_queries(code, e, m=m, f=2, seed=seed)
+                assert recover_file(qs, collect_responses(qs, arr), code) == files[m - 1]
+                assert not counting.calls
+                # the only tables are the round's own right-hand sides, one per class
+                assert len(counting.tables) == (len(classes) if width == 1 else 0)
+                assert all(len(t) == code.n - code.k for t in counting.tables)
+                assert arr._stacked not in counting.tables
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_replaced_array_and_new_matrix_get_fresh_tables_and_plans(self, width, monkeypatch):
+        field = FieldSpec(width)
+        rng = random.Random(6900 + width)
+        code = _shift2_code(field, rng)
+        e = optimize_cpop(code, OptimizerConfig(seed=7)).e_opt
+        files = [random_file(field, e.beta, code.k, 3, rng) for _ in range(2)]
+        arr = build_storage(code, files)
+        qs = build_queries(code, e, m=1, f=2, seed=1)
+        rs = collect_responses(qs, arr)
+        assert recover_file(qs, rs, code) == files[0]
+        counting = _Counting(monkeypatch)
+        # the same rows again, and other files: each array binds its own product
+        same = replace(arr)
+        other_files = [random_file(field, e.beta, code.k, 3, rng) for _ in range(2)]
+        other = replace(arr, rows=build_storage(code, other_files).rows)
+        assert collect_responses(qs, same) == rs
+        assert same._product is not arr._product
+        got = recover_file(qs, collect_responses(qs, other), code)
+        assert got == other_files[0] != files[0]
+        assert counting.tables[:2] == ([same._stacked, other._stacked] if width == 1 else [])
+        assert not counting.calls  # one matrix, one code: nothing planned again
+        # a new matrix plans its classes and masks again; the code keeps its decodes
+        fresh = EMatrix(e.rows, e.beta)
+        qs = build_queries(code, fresh, m=2, f=2, seed=2)
+        assert recover_file(qs, collect_responses(qs, arr), code) == files[1]
+        assert counting.calls == {"_recovery_plan": 1, "_selection_masks": 1}
+        # a new code decodes its classes again
+        counting.clear()
+        twin = replace(code)
+        assert recover_file(qs, collect_responses(qs, build_storage(twin, files)), twin) == files[1]
+        classes = protocol._shift_classes(e.rows, code.row_shift[0])
+        assert counting.calls["solve"] == len(classes) and counting.calls["_eliminate"]
+        assert counting.calls["_recovery_plan"] == 0
 
 
 # what a refused query set or round may say: each names the part that does not hold

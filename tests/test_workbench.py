@@ -476,10 +476,12 @@ class TestGoldenOutputs:
     # c7_array: a 60-unknown recovery per subquery, at fixture size;
     # cauchy18_gf65536: solve and back-substitution at w = 16;
     # gf16_shift2: subqueries 2 and 3 share one solve in two GF(2^4) lanes;
+    # gf65536_shift2: subqueries 2 and 3 share one decode in two GF(2^16)
+    # lanes, with a check row;
     # gf128_64 and gf256_16_10: encoding and responses at w = 7 and w = 8
     @pytest.mark.parametrize("name", [
-        "c1", "mds53", "c3like", "c7_array", "cauchy18_gf65536", "gf16_shift2", "gf128_64",
-        "gf256_16_10",
+        "c1", "mds53", "c3like", "c7_array", "cauchy18_gf65536", "gf16_shift2",
+        "gf65536_shift2", "gf128_64", "gf256_16_10",
     ])
     def test_simulate_second_of_two_files(self, name, capsys):
         args = ["simulate", self._code_path(name), "--seed", "7", "--files", "2",
