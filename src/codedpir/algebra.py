@@ -11,11 +11,13 @@ that knows the payload format: it also stacks packed payloads side by side
 in lanes of whole 64-bit words (_stride, _stack, _unstack), and one product
 multiplies stacks by raw coefficients in every lane at once
 (_lane_product): encoding, node responses, recovery's syndromes and its
-decode all run on it, at every field width; rows known before the stacks
-they multiply are encoded once (_lane_keys). One elimination works on
-packed rows: _eliminate reduces each row by the stored row at its leading
-(highest nonzero) coordinate and stores it where no row leads, and
-_back_substitute clears the stored rows at each other's leading
+decode all run on it, at every field width. The rows a bound product
+multiplies are encoded before it runs: many rows in one bulk pass
+(_row_keys), and rows known before their stacks, as the decode's are,
+once, in the form they are applied in every round (_lane_keys). One
+elimination works on packed rows: _eliminate reduces each row by the
+stored row at its leading (highest nonzero) coordinate and stores it
+where no row leads, and _back_substitute clears the stored rows at each other's leading
 coordinates. rref and matrix_rank, solve and the protocol's decode plans
 (_left_inverse, the inverse and check rows of a matrix), and the width
 scan's independence tests all run on it, at every field width. The
@@ -569,21 +571,53 @@ def _lane_values(raw: bytes, stride: int) -> list[int]:
 
 # byte value -> its bit b, for each b
 _BIT_OF = [bytes((v >> b) & 1 for v in range(256)) for b in range(8)]
-# 0/1 bytes -> binary digits, and hex digits -> their values
-_BINARY = bytes.maketrans(b"\x00\x01", b"01")
-_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-def _table_indices(coefficients: Sequence[int]) -> bytes:
-    """A row of 0/1 coefficients as its Four-Russians table indices
-    (_tables), group 0 first, with no Python step per coefficient: its
-    binary digits, coefficient 0 first and padded with zeros to whole
-    groups of four, read as hex digits. One bytes.translate to digits,
-    int(..., 2), format to hex and one translate to values."""
-    pad = -len(coefficients) % 4
-    bits = int(bytes(coefficients).translate(_BINARY) + b"0" * pad, 2)
-    digits = (len(coefficients) + pad) // 4
-    return format(bits, f"0{digits}x").encode().translate(_HEX_VALUES)
+def _table_indices(bits: bytes, length: int) -> list[bytes]:
+    """Rows of `length` 0/1 coefficients, laid end to end in `bits`, as
+    their Four-Russians table indices (_tables), one bytes per row, group
+    0 first, with no Python step per coefficient: each row padded with
+    zero bytes to whole groups of four, group g's index 8 c0 + 4 c1 + 2 c2
+    + c3 (its coefficients c0..c3) is byte g of one int, the strided
+    slices bits[b::4], one byte per group, read as ints and shifted up by
+    3 - b. No byte exceeds 15, so nothing carries between groups."""
+    pad = -length % 4
+    if pad:
+        fill = bytes(pad)
+        bits = fill.join(bits[a : a + length] for a in range(0, len(bits), length)) + fill
+    index = 0
+    for b in range(4):
+        index |= int.from_bytes(bits[b::4], "little") << (3 - b)
+    values, groups = index.to_bytes(len(bits) // 4, "little"), (length + pad) // 4
+    return [values[a : a + groups] for a in range(0, len(values), groups)]
+
+
+def _row_keys(field: FieldSpec, values: Iterable[int], length: int) -> list:
+    """Rows of `length` raw coefficients, laid end to end in `values`, in
+    the form _lane_product bound to stacks takes, one per row, each
+    derived once in a bulk pass over all the rows.
+
+    Over GF(2) a row's key is its table indices (_table_indices). Wider
+    fields give each row's bit planes, plane b the 0/1 bytes of every
+    coefficient's bit b: one translate per plane over all rows, of the low
+    or high bytes of the coefficients above 2^8, and one slice per row and
+    plane. `values` is bytes up to 2^7 (as protocol._draw_values gives), or any
+    ints; an array of 32-bit words is read by value, never as its machine
+    bytes.
+    """
+    width = field.width
+    if width <= 8 and not isinstance(values, array):
+        raw = [bytes(values)]
+    else:
+        words = array("H", values)
+        if not _LITTLE_ENDIAN:
+            words.byteswap()
+        both = words.tobytes()
+        raw = [both[0::2], both[1::2]]
+    if width == 1:
+        return _table_indices(raw[0], length)
+    planes = [raw[b >> 3].translate(_BIT_OF[b & 7]) for b in range(width)]
+    return [[plane[a : a + length] for plane in planes] for a in range(0, len(raw[0]), length)]
 
 
 def _lane_keys(field: FieldSpec, coefficients: Sequence[int]) -> Callable | list[bytes]:
@@ -592,25 +626,14 @@ def _lane_keys(field: FieldSpec, coefficients: Sequence[int]) -> Callable | list
 
     Over GF(2) it is an itemgetter of the row's table entries in the
     tables laid end to end, 16 per group: 16g + index g for each group g
-    whose index is not 0 (_table_indices), and entry 0, which is 0, twice,
-    so that it always returns a tuple. Wider fields give the row's bit
-    planes, plane b the 0/1 bytes of every coefficient's bit b: one
-    translate per plane, of the low or high bytes of the coefficients
-    above 2^8.
+    whose index is not 0 (the row's _row_keys), and entry 0, which is 0,
+    twice, so that it always returns a tuple. Wider fields give the row's
+    _row_keys, its bit planes.
     """
-    width = field.width
-    if width == 1:
-        indices = _table_indices(coefficients)
-        return itemgetter(0, 0, *[16 * g + d for g, d in enumerate(indices) if d])
-    if width <= 8:
-        raw = [bytes(coefficients)]
-    else:
-        words = array("H", coefficients)
-        if not _LITTLE_ENDIAN:
-            words.byteswap()
-        both = words.tobytes()
-        raw = [both[0::2], both[1::2]]
-    return [raw[b >> 3].translate(_BIT_OF[b & 7]) for b in range(width)]
+    keys = _row_keys(field, coefficients, len(coefficients))[0]
+    if field.width == 1:
+        return itemgetter(0, 0, *[16 * g + d for g, d in enumerate(keys) if d])
+    return keys
 
 
 def _lane_product(
@@ -633,11 +656,12 @@ def _lane_product(
     plane in its lane.
 
     Given `over`, the stacks every call multiplies, the function is bound
-    to them and takes the coefficients alone: over GF(2) it looks them up
-    in Four-Russians tables built once, here (_tables), which pays when
-    many rows multiply the same stacks; wider fields keep the plane sums.
-    With `keyed` as well it takes each row's _lane_keys instead, so that
-    rows known in advance are encoded once, not per call.
+    to them and takes one row's keys, encoded before the call, in bulk:
+    its _row_keys. Over GF(2) it looks them up in Four-Russians tables
+    built once, here (_tables), which pays when many rows multiply the
+    same stacks; wider fields keep the plane sums. With `keyed` it takes
+    each row's _lane_keys instead, the itemgetter form over GF(2) that
+    pays for rows known in advance and applied every round.
     """
     width = field.width
     if width == 1:
@@ -648,9 +672,7 @@ def _lane_product(
             flat = list(chain.from_iterable(tables))
             return lambda get: reduce(xor, get(flat))
         get = list.__getitem__
-        return lambda coefficients: reduce(
-            xor, map(get, tables, _table_indices(coefficients)), 0
-        )
+        return lambda indices: reduce(xor, map(get, tables, indices), 0)
     top = (width - 1) * ell
     ones = int.from_bytes((1).to_bytes(stride, "little") * count, "little")  # 1 in every lane
     low, plane = ones * ((1 << top) - 1), ones * ((1 << ell) - 1)
@@ -668,9 +690,7 @@ def _lane_product(
 
     if over is None:
         return lambda stacks, coefficients: horner(stacks, _lane_keys(field, coefficients))
-    if keyed:
-        return partial(horner, over)
-    return lambda coefficients: horner(over, _lane_keys(field, coefficients))
+    return partial(horner, over)  # a row's _row_keys and its _lane_keys are both its planes
 
 
 def _tables(stacks: Sequence[int]) -> list[list[int]]:
@@ -699,7 +719,6 @@ def _eliminate(
     length: int,
     table: list[int],
     vectors: Iterable[int],
-    low: int = 0,
     keep: int = -1,
 ) -> Iterator[int]:
     """Forward elimination of vectors packed by bit_slices(field, length).
@@ -707,13 +726,12 @@ def _eliminate(
     table[b] holds the stored row that leads at coordinate b - 1 (its
     highest nonzero coordinate is b - 1, with a 1 there), or 0; the caller
     allocates it as length + 1 zeros. Each vector is masked by `keep` and
-    reduced by the stored row at its own leading coordinate until it leads
-    at or below coordinate low - 1, or leads where no row does, where it is
-    stored, scaled to a leading one. Yields, per vector, one more than the
-    coordinate it then leads at, and 0 for a vector reduced to zero: a
-    result above `low` means the vector was stored, so with low = 0 a
-    nonzero result means it lies outside the span of the vectors before
-    it. Over GF(2) a coordinate is a bit, found by bit_length(), and a
+    reduced by the stored row at its own leading coordinate until it is
+    zero or leads where no row does, where it is stored, scaled to a
+    leading one. Yields, per vector, one more than the coordinate it then
+    leads at, and 0 for a vector reduced to zero: a nonzero result means
+    the vector was stored, as it lies outside the span of the vectors
+    before it. Over GF(2) a coordinate is a bit, found by bit_length(), and a
     reduction is one XOR; wider fields find it with BitSlices.support()
     and clear it with entry() and scale(). A generator: vectors past the
     last result taken are never read.
@@ -722,7 +740,7 @@ def _eliminate(
         for v in vectors:
             v &= keep
             b = v.bit_length()
-            while b > low:
+            while b:
                 row = table[b]
                 if not row:
                     table[b] = v
@@ -736,7 +754,7 @@ def _eliminate(
     for v in vectors:
         v &= keep
         b = support(v).bit_length()
-        while b > low:
+        while b:
             c = entry(v, b - 1)
             row = table[b]
             if not row:
@@ -820,8 +838,8 @@ def _left_inverse(
     coefficients c, one per row of A.
 
     [A | I] is eliminated once: row i of A beside unit vector i, the unit
-    in the m low coordinates and A above them, through _eliminate (low 0,
-    so every row is stored: the units keep them independent) and
+    in the m low coordinates and A above them, through _eliminate (every
+    row is stored: the units keep them independent) and
     _back_substitute. A stored row that leads above the units leads at a
     pivot of A; its unit part is an inverse row, one per pivot in
     increasing coordinate order, so rank(A) = len(inverse). Where A has
@@ -854,7 +872,8 @@ def solve(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
     A's row count. _left_inverse eliminates [A | I] once; each row of X is
     an inverse row's weighted sum of B's rows, and B must give 0 under
     every check row. Each row of B is packed into one int, and the sums
-    are _lane_product over those rows. Raises TypeError naming the kind of
+    are _lane_product over those rows, with the check and inverse rows
+    encoded at once (_row_keys). Raises TypeError naming the kind of
     a right-hand side that is not a FieldMatrix ("right-hand side is an
     int, not a FieldMatrix"), SingularSystemError, carrying the rank
     found, when A is rank-deficient, and ValueError when the system is
@@ -877,9 +896,10 @@ def solve(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
         )
     slices = bit_slices(f, rhs)
     product = _lane_product(f, rhs, _stride(f, rhs), 1, list(map(slices.pack, B._rows)))
-    if any(map(product, checks)):
+    keys = _row_keys(f, chain.from_iterable(checks + inverse), A.nrows)
+    if any(map(product, keys[: len(checks)])):
         raise ValueError("inconsistent system: no solution exists")
-    return FieldMatrix._wrap(f, [list(slices.unpack(product(row))) for row in inverse])
+    return FieldMatrix._wrap(f, [list(slices.unpack(product(key))) for key in keys[len(checks) :]])
 
 
 def _kind(x: object) -> str:

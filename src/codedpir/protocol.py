@@ -28,14 +28,18 @@ Nested StorageSymbols are packed once, where they enter (codes.pack_file).
 
 A round does only what depends on the round: every map that depends on
 the stored data, the access matrix or the code alone is derived on first
-use and kept with what it depends on. collect_responses multiplies each
-mask row once, against all stored rows at a time, through the product the
-array keeps bound to its stored rows (StorageArray._product, the
-algebra._lane_product encode_file also uses: Four-Russians tables over
-GF(2), Horner's rule over the coefficients' bit planes on wider fields),
-adds what the row's selection 1s draw (file m's stored rows, masked,
-_selection_masks) and regroups every node's k answers into one int; it
-reads no query row. A ResponseSet holds the per-node ints, and
+use and kept with what it depends on. The mask is the only input new in
+a round, and its lookup keys are derived once per set, every row in one
+bulk pass (QuerySet._keys, algebra._row_keys): build_queries converts its
+draw, a set built otherwise converts its u. collect_responses multiplies
+each mask row once, against all stored rows at a time, through the
+product the array keeps bound to its stored rows (StorageArray._product,
+the algebra._lane_product encode_file also uses: Four-Russians tables
+over GF(2), looked up at the row's table indices, and Horner's rule over
+the coefficients' bit planes on wider fields), adds what the row's
+selection 1s draw (file m's stored rows, masked, _selection_masks) and
+regroups every node's k answers into one int; it reads no query row and
+no mask row. A ResponseSet holds the per-node ints, and
 recover_file reads them directly: one pass over P, the same product
 again, gives every syndrome. Subqueries whose supports differ by a
 multiple of the code's row shift (LinearCode.row_shift) share one system,
@@ -80,6 +84,7 @@ from .algebra import (
     _lane_keys,
     _lane_product,
     _lane_values,
+    _row_keys,
     _stack,
     _stride,
     _unstack,
@@ -172,12 +177,12 @@ class StorageArray:
     the code has 5 nodes"), all over the code's field with one payload
     length ("node 5, stored symbol 2: payload length 3, ..."), packing
     nested rows once, and raises ValueError. Then it stacks each stored row
-    over the n nodes (_stack at _stride), so _lane_product() with a query
-    row multiplies every node's column at once. The product bound to those
-    stacks (_product: over GF(2) its Four-Russians tables, about 1.4 MB at
-    c7_array's f = 4, ell = 64 shape) is built by the first round and kept
-    with the array, so later rounds build no table; an array made by
-    dataclasses.replace or unpickled builds its own. An array with no rows
+    over the n nodes (_stack at _stride), so _lane_product() at a query
+    row's keys multiplies every node's column at once. The product bound
+    to those stacks (_product: over GF(2) its Four-Russians tables, about
+    1.4 MB at c7_array's f = 4, ell = 64 shape) is built by the first
+    round and kept with the array, so later rounds build no table; an
+    array made by dataclasses.replace or unpickled builds its own. An array with no rows
     is valid and has no payload length.
     """
 
@@ -207,10 +212,10 @@ class StorageArray:
         return StorageArray, (self.code, self.beta, self.f, self.rows)
 
     @cached_property
-    def _product(self) -> Callable[[Sequence[int]], int]:
+    def _product(self) -> Callable[[Sequence], int]:
         """_lane_product bound to the stacked rows, built on first use and
         kept: over GF(2) its Four-Russians tables, on wider fields the plane
-        sums' stacks. Takes one query row."""
+        sums' stacks. Takes one query row's keys (algebra._row_keys)."""
         field, ell = self.code.field, self.ell
         return _lane_product(field, ell, _stride(field, ell), self.code.n, self._stacked)
 
@@ -240,7 +245,10 @@ class QuerySet:
     raising ValueError. The default z is the access matrix's own
     canonical_slots, taken as it is, and so are its selection list
     (_lanes), which recover_file reads, and its selection masks (_picks),
-    which collect_responses reads.
+    which collect_responses reads. So are the mask's lookup keys (_keys):
+    build_queries fills them from its draw, and a set built directly or by
+    dataclasses.replace derives them from its own u, so no key outlives
+    its mask.
     """
 
     n: int
@@ -275,6 +283,16 @@ class QuerySet:
         """The selection list of z, compact (optimizer._selection_lanes)."""
         e = self.e
         return e._canonical_lanes if self.z is e.canonical_slots else _selection_lanes(self.z, e.beta)
+
+    @cached_property
+    def _keys(self) -> list:
+        """Every mask row's lookup keys, in row order (algebra._row_keys):
+        what the array's product reads for it, derived once per set, from
+        all rows in one bulk pass. build_queries fills them from its draw;
+        a set built directly or by dataclasses.replace derives them from u
+        on first use."""
+        u = self.u
+        return _row_keys(u.field, chain.from_iterable(u._rows), u.ncols)
 
     @cached_property
     def _picks(self) -> dict:
@@ -528,17 +546,25 @@ def build_queries(
     the layout (e, pi, z), which validates the layout once; its node
     queries are derived from them (see QuerySet).
 
+    The mask's k*beta*f entries are exactly rng.randrange(order) each, in
+    row order, from random.Random(seed), drawn at once (_draw_values): u's
+    rows are sliced from that block, and the rows' lookup keys (the set's
+    _keys, which collect_responses reads) are converted from it in one
+    bulk pass (algebra._row_keys), so no round encodes a mask row.
+
     pi may be any permutation of 0..beta fixing 0; z may override the
     canonical stripe-slot assignment as long as each column of the access
     matrix still uses each slot exactly once. Both default to choices that
     tests can reproduce, and recovery works for any valid override.
     """
-    k = code.k
+    k, field = code.k, code.field
     # a file count that is not an integer draws nothing; the set's check names it
     width = e.beta * f if isinstance(f, int) else 0
-    drawn = _draws(random.Random(seed), code.field.order, k * width)
-    u = FieldMatrix._wrap(code.field, [drawn[i * width : (i + 1) * width] for i in range(k)])
-    return QuerySet(code.n, m, f, u, e, pi, z)
+    drawn = _draw_values(random.Random(seed), field.order, k * width)
+    u = FieldMatrix._wrap(field, [list(drawn[i * width : (i + 1) * width]) for i in range(k)])
+    qs = QuerySet(code.n, m, f, u, e, pi, z)
+    qs.__dict__["_keys"] = _row_keys(field, drawn, width)  # what QuerySet._keys derives from u
+    return qs
 
 
 def _gather(raw: bytes, n: int, stride: int) -> list[bytes]:
@@ -562,19 +588,20 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     """Every node's answer to its query, computed for all nodes at once.
 
     Node j's answers are its query times its stored column, packed (see
-    ResponseSet), but no query row is read: the array holds its stored rows
-    stacked over the nodes, so each mask row is multiplied once, against
-    every node's column at a time, by the product the array keeps bound to
-    them (StorageArray._product): over GF(2) one lookup and one XOR per 4
-    stored rows in Four-Russians tables the first round built, on wider
-    fields the coefficients' bit planes summed row by row. A selection 1
-    at row i of node l's query, in file m's column of slot s, adds node
-    l's stored payload there to its answer i: file m's stored row in slot
-    s (pi), masked to the lanes of the nodes where row i draws slot s
-    (_selection_masks, kept per lane stride on the access matrix for its
-    canonical layout), so a row adds one masked row per slot it draws and
-    moves no lane it does not select. The k rows' answers are then
-    regrouped node by node (_gather).
+    ResponseSet), but no query row, and no mask row, is read: the array
+    holds its stored rows stacked over the nodes, so each mask row is
+    multiplied once, against every node's column at a time, by the product
+    the array keeps bound to them (StorageArray._product), at the row's
+    lookup keys, derived once per set (QuerySet._keys): over GF(2) one
+    lookup and one XOR per 4 stored rows in Four-Russians tables the first
+    round built, on wider fields the coefficients' bit planes summed row by
+    row. A selection 1 at row i of node l's query, in file m's column of
+    slot s, adds node l's stored payload there to its answer i: file m's
+    stored row in slot s (pi), masked to the lanes of the nodes where row i
+    draws slot s (_selection_masks, kept per lane stride on the access
+    matrix for its canonical layout), so a row adds one masked row per slot
+    it draws and moves no lane it does not select. The k rows' answers are
+    then regrouped node by node (_gather).
     Raises ValueError when the query set and the array disagree on beta,
     f, the node count, the query width or the field; the array's symbols
     were checked when it was built.
@@ -594,8 +621,7 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     ell = array.ell
     stride = _stride(field, ell)
     stacked = array._stacked
-    u_rows = u._rows
-    k = len(u_rows)
+    k = u.nrows
     masks = qs._picks.get(stride)
     if masks is None:
         masks = qs._picks[stride] = _selection_masks(qs.z, stride)
@@ -604,9 +630,9 @@ def collect_responses(qs: QuerySet, array: StorageArray) -> ResponseSet:
     drawn = [stacked[base + p] for p in qs.pi[1:]]
     product = array._product
     products = b"".join(
-        reduce(xor, [drawn[s] & mask for s, mask in picks], product(row))
+        reduce(xor, [drawn[s] & mask for s, mask in picks], product(key))
         .to_bytes(n * stride, "little")
-        for row, picks in zip(u_rows, masks)
+        for key, picks in zip(qs._keys, masks)
     )
     answers = [int.from_bytes(lanes, "little") for lanes in _gather(products, n, stride)]
     return ResponseSet._of(field, ell, (k,) * n, tuple(answers))

@@ -2,6 +2,7 @@ import ast
 import itertools
 import pickle
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,13 @@ from codedpir.algebra import (
     ReducibleModulusError,
     SingularSystemError,
     _eliminate,
+    _lane_keys,
     _lane_product,
     _left_inverse,
     _product_tables,
     _proportional_keys,
     _reduce_by,
+    _row_keys,
     _stack,
     _stride,
     _walk_tables,
@@ -382,15 +385,17 @@ class TestExtends:
 
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_yields_one_past_the_leading_coordinate(self, width):
-        # a vector reduced to lead at or below `low` is not stored: what it
-        # then leads at is its residual
+        # a vector is reduced until it leads where no row does, where it is
+        # stored and yields one past that coordinate, or to zero, which
+        # yields 0: row 2 leads at coordinate 2, is reduced by row 1 to
+        # lead at 0 and is stored there, so row 3 is reduced to zero
         f = field_new(width)
         c = 1 if width == 1 else 3
         pack = bit_slices(f, 3).pack
         table = [0] * 4
         rows = [[1, 0, c], [0, 0, c], [1, 0, 0], [0, 1, 0], [0, 1, 0]]
-        assert list(_eliminate(f, 3, table, map(pack, rows), low=1)) == [3, 1, 1, 2, 0]
-        assert table == [0, 0, pack([0, 1, 0]), pack([f.inv(c), 0, 1])]
+        assert list(_eliminate(f, 3, table, map(pack, rows))) == [3, 1, 0, 2, 0]
+        assert table == [0, pack([1, 0, 0]), pack([0, 1, 0]), pack([f.inv(c), 0, 1])]
 
 
 class TestSolve:
@@ -525,9 +530,53 @@ class TestFieldMatrix:
         assert m.submatrix([1], [0, 2]).values() == ((0, 2),)
 
 
+class TestRowKeys:
+    """_row_keys encodes rows laid end to end in one bulk pass: each row's
+    key must be the one worked out for that row alone, entry by entry."""
+
+    @staticmethod
+    def _expected(width, row):
+        if width == 1:  # group g's index: coefficient 4g + b at bit 3 - b
+            padded = [*row, *[0] * (-len(row) % 4)]
+            return bytes(
+                sum(padded[a + b] << (3 - b) for b in range(4)) for a in range(0, len(padded), 4)
+            )
+        return [bytes((c >> b) & 1 for c in row) for b in range(width)]
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_each_row_as_if_alone(self, width):
+        field = FieldSpec(width)
+        rng = random.Random(7300 + width)
+        for length in (*range(1, 10), 240):
+            rows = [[rng.randrange(field.order) for _ in range(length)] for _ in range(5)]
+            flat = list(itertools.chain.from_iterable(rows))
+            keys = _row_keys(field, flat, length)
+            assert keys == [self._expected(width, row) for row in rows], length
+            if width <= 7:  # as _draw_values gives them: one byte each
+                assert _row_keys(field, bytes(flat), length) == keys
+            if width >= 8:  # as 32-bit draws come: read by value, not as machine words
+                assert _row_keys(field, array("I", flat), length) == keys
+            assert _row_keys(field, rows[2], length) == keys[2:3]
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_lane_keys_built_on_the_row_keys(self, width):
+        field = FieldSpec(width)
+        rng = random.Random(7400 + width)
+        for length in (1, 6, 61):
+            row = [rng.randrange(field.order) for _ in range(length)]
+            key = _row_keys(field, row, length)[0]
+            if width == 1:
+                # the itemgetter picks entry 16g + index g of each nonzero group
+                picks = _lane_keys(field, row)(range(16 * len(key)))
+                assert picks == (0, 0, *[16 * g + d for g, d in enumerate(key) if d])
+            else:
+                assert _lane_keys(field, row) == key
+
+
 class TestTableProduct:
     """Bound to the stacks it multiplies, the GF(2) lane product looks each
-    row up in Four-Russians tables; it must equal the direct sum."""
+    row's keys, encoded with every other row's (_row_keys), up in
+    Four-Russians tables; it must equal the direct sum."""
 
     @pytest.mark.parametrize("ell", [64, 65])  # strides of 8 and 16 bytes
     @pytest.mark.parametrize("nstacks", [1, 3, 4, 5, 240])
@@ -543,10 +592,12 @@ class TestTableProduct:
         tables = _lane_product(field, ell, stride, lanes, stacks)
         rows = [[0] * nstacks, [1] * nstacks]
         rows += [[rng.randrange(2) for _ in range(nstacks)] for _ in range(20)]
-        for row in rows:
-            assert tables(row) == direct(stacks, row), row
-        assert tables([0] * nstacks) == 0
-        assert tables([1] * nstacks) == direct(stacks, [1] * nstacks) != 0
+        keys = _row_keys(field, bytes(itertools.chain.from_iterable(rows)), nstacks)
+        assert len(keys) == len(rows)
+        for row, key in zip(rows, keys):
+            assert tables(key) == direct(stacks, row), row
+        assert tables(keys[0]) == 0
+        assert tables(keys[1]) == direct(stacks, [1] * nstacks) != 0
 
     @pytest.mark.parametrize("width", [4, 16])
     def test_wider_fields_bind_the_plane_sums(self, width):
@@ -558,9 +609,10 @@ class TestTableProduct:
         ]
         bound = _lane_product(field, ell, stride, lanes, stacks)
         direct = _lane_product(field, ell, stride, lanes)
-        for _ in range(10):
-            row = [rng.randrange(field.order) for _ in stacks]
-            assert bound(row) == direct(stacks, row)
+        rows = [[rng.randrange(field.order) for _ in stacks] for _ in range(10)]
+        keys = _row_keys(field, list(itertools.chain.from_iterable(rows)), len(stacks))
+        for row, key in zip(rows, keys):
+            assert bound(key) == direct(stacks, row)
 
 
 class TestLayering:

@@ -2235,6 +2235,69 @@ class TestPlanTimeDecode:
         assert counting.calls["_recovery_plan"] == 0
 
 
+class TestMaskKeys:
+    """collect_responses reads each mask row's lookup keys (QuerySet._keys),
+    derived once per set: build_queries fills them from its draw, and a set
+    built directly or by dataclasses.replace derives them from its own u."""
+
+    @staticmethod
+    def _instance(width):
+        field = FieldSpec(width)
+        rng = random.Random(7500 + width)
+        code = random_systematic_code(rng, field, n_lo=5, n_hi=8, oracle_cap_bits=10**6)
+        e = optimize_cpop(code, OptimizerConfig(seed=width)).e_opt
+        files = [random_file(field, e.beta, code.k, 3, rng) for _ in range(3)]
+        qs = build_queries(code, e, m=2, f=3, seed=rng.randrange(10**6))
+        return rng, build_storage(code, files), qs
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_keys_are_each_rows_and_answers_match_oracle(self, width):
+        rng, arr, qs = self._instance(width)
+        field = qs.u.field
+        oracle = PeasantField(field.modulus, width)
+        direct = protocol.QuerySet(
+            qs.n, qs.m, qs.f, FieldMatrix(field, qs.u.values()), qs.e, qs.pi, qs.z
+        )
+        other = [[rng.randrange(field.order) for _ in row] for row in qs.u.values()]
+        replaced = replace(qs, u=FieldMatrix(field, other))
+        for name, s in (("drawn", qs), ("direct", direct), ("replaced", replaced)):
+            assert len(s._keys) == s.u.nrows, name
+            for row, key in zip(s.u._rows, s._keys):
+                lane_keys = algebra._lane_keys(field, row)
+                if width == 1:  # the itemgetter picks entry 16g + index g of each nonzero group
+                    picks = (0, 0, *[16 * g + d for g, d in enumerate(key) if d])
+                    assert lane_keys(range(16 * len(key))) == picks, name
+                else:
+                    assert key == lane_keys, name
+            assert components(collect_responses(s, arr)) == oracle_answers(s, arr, oracle), name
+        assert direct._keys == qs._keys != replaced._keys
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_respond_encodes_no_mask_row(self, width, monkeypatch):
+        _, arr, qs = self._instance(width)
+        fresh = replace(qs)  # a set of its own, with qs's mask and no keys yet
+        calls = Counter()
+        for module, name in ((algebra, "_table_indices"), (algebra, "_lane_keys"),
+                             (protocol, "_row_keys")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+            )
+        # it derives its keys on its first respond, every row in one bulk pass
+        expected = collect_responses(fresh, arr)
+        assert calls == Counter({"_row_keys": 1, "_table_indices": int(width == 1)})
+        calls.clear()
+        assert collect_responses(fresh, arr) == expected
+        assert not calls
+        # build_queries filled qs's keys from its draw: with mask rows no
+        # respond may read (bytes(), list() or len() of one raises), each
+        # respond encodes nothing
+        monkeypatch.setattr(qs.u, "_rows", [object()] * qs.u.nrows)
+        for _ in range(2):
+            assert collect_responses(qs, arr) == expected
+            assert not calls
+
+
 # what a refused query set or round may say: each names the part that does not hold
 _TAMPER_ERRORS = (
     r"pi must permute", r"slot ", r"column \d+ does not use each stripe slot",
